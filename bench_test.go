@@ -772,40 +772,6 @@ func BenchmarkFaultFailoverRouting(b *testing.B) {
 	b.ReportMetric(watts, "watts")
 }
 
-// BenchmarkFarmRoute10k is the indexed-vs-linear routing A/B at k = 10,000:
-// the same farm, stream and dispatcher, with the O(log k) routing index on
-// (default) and off (LinearRouting). The two variants produce bit-identical
-// results — the equivalence suite asserts it — so the ns/op ratio is pure
-// routing cost. The indexed path must stay well ahead of linear here (the
-// acceptance bar is ≥5×); compare the two sub-benchmark timings.
-func BenchmarkFarmRoute10k(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		opts sleepscale.FarmDispatchOptions
-	}{
-		{"indexed", sleepscale.FarmDispatchOptions{Parallel: true}},
-		{"linear", sleepscale.FarmDispatchOptions{Parallel: true, LinearRouting: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			f, src, cfg := farm10k(b, sleepscale.JSQ{})
-			if _, err := f.ServeSourceSliced(src, tc.opts); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.Reset(cfg); err != nil {
-					b.Fatal(err)
-				}
-				src.Reset(1)
-				if _, err := f.ServeSourceSliced(src, tc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSelectParallel measures a steady-state §5.1.1 policy-manager
 // decision on the persistent worker pool: every (state, frequency) candidate
 // scored over the same stream, with the worker set parked between
@@ -1090,8 +1056,8 @@ func BenchmarkFarmScaleOut(b *testing.B) {
 	}
 }
 
-// BenchmarkFarmScaleOutRoundRobin measures the parallel preassigned-dispatch
-// path (state-independent routing lets servers simulate concurrently).
+// BenchmarkFarmScaleOutRoundRobin measures the same scale-out study under
+// state-independent round-robin routing.
 func BenchmarkFarmScaleOutRoundRobin(b *testing.B) {
 	pol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.DeepSleep)}
 	cfg, err := pol.Config(sleepscale.Xeon(), 1)

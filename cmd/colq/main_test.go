@@ -11,11 +11,11 @@ import (
 	"sleepscale"
 )
 
-// farmEpochLog runs a small 3-server farm under the epoch runner and writes
-// its per-epoch records to a column file, one WriteEpochLog call (= one
-// block) per epoch so footer skipping is observable. Returns the path and
-// the report.
-func farmEpochLog(t *testing.T) (string, sleepscale.FarmRunReport) {
+// farmEpochLog runs a small 3-server farm under the shared-mode fleet
+// coordinator and writes its per-epoch records to a column file, one
+// WriteEpochLog call (= one block) per epoch so footer skipping is
+// observable. Returns the path and the report.
+func farmEpochLog(t *testing.T) (string, *sleepscale.FleetReport) {
 	t.Helper()
 	st, err := sleepscale.NewIdealizedStats(sleepscale.DNS())
 	if err != nil {
@@ -27,8 +27,8 @@ func farmEpochLog(t *testing.T) (string, sleepscale.FarmRunReport) {
 	}
 	tr := &sleepscale.Trace{Name: "colq-test", SlotSeconds: 60, Utilization: util}
 	pol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.DeepSleep)}
-	cfg := sleepscale.RunnerConfig{
-		Stats:        st,
+	coord, err := sleepscale.NewFleetCoordinator(sleepscale.FleetConfig{
+		Servers:      3,
 		FreqExponent: sleepscale.DNS().FreqExponent,
 		Profile:      sleepscale.Xeon(),
 		Trace:        tr,
@@ -36,12 +36,16 @@ func farmEpochLog(t *testing.T) (string, sleepscale.FarmRunReport) {
 		Predictor:    sleepscale.NewNaivePredictor(),
 		Strategy:     sleepscale.NewStaticStrategy(pol, "static"),
 		Seed:         1,
-	}
-	src, err := sleepscale.NewTraceSource(st, tr, cfg.Seed)
+		Dispatcher:   sleepscale.JSQ{},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sleepscale.RunFarmEpochs(cfg, 3, sleepscale.JSQ{}, src)
+	src, err := sleepscale.NewTraceSource(st, tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := coord.Run(src)
 	if err != nil {
 		t.Fatal(err)
 	}

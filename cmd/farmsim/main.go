@@ -14,18 +14,19 @@
 // dispatch loop (the state-dependent dispatchers included), and -parallel
 // adds the time-sliced parallel simulation on the persistent worker pool —
 // bit-identical to the sequential dispatch. In that mode jsq and lwl route
-// through an O(log k) index over the availability shadow; -linear falls
-// back to the Θ(k) linear scan (identical results — the flag exists for
-// A/B timing at large k). Dispatchers: jsq, rr, random, pd<d> (power-of-d
-// choices) and lwl (least work left, wake-aware).
+// through an O(log k) index over the availability shadow. Dispatchers: jsq,
+// rr, random, pd<d> (power-of-d choices) and lwl (least work left,
+// wake-aware).
 //
 // With -trace the farm instead runs the epoch-policy loop over a
-// utilization trace (synthetic name, CSV or columnar path), and -epochs-out
-// appends each size's per-epoch records to a column file for cmd/colq:
+// utilization trace (synthetic name, CSV or columnar path) — the fleet
+// coordinator in shared mode, one decision per epoch applied fleet-wide —
+// and -epochs-out appends each size's per-epoch records to a column file for
+// cmd/colq:
 //
 //	farmsim -trace email-store -sizes 2,4 -epochs-out epochs.col
 //
-// Adding -coordinate upgrades the trace run to the fleet coordinator:
+// Adding -coordinate switches the coordinator to coordinated mode:
 // per-server predictors and policy decisions, an optional -quorum staggered
 // sleep rotation (that many active servers always no deeper than C1), and
 // -park horizontal scaling (surplus servers drained, deep-slept and removed
@@ -70,11 +71,10 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed")
 		streaming  = flag.Bool("stream", false, "farm mode: pull jobs from a streaming source (O(chunk) memory) instead of materializing")
 		parallel   = flag.Bool("parallel", false, "with -stream: time-sliced parallel simulation (bit-identical results)")
-		linear     = flag.Bool("linear", false, "with -stream -parallel: route via the linear shadow scan instead of the O(log k) index (bit-identical; for A/B timing)")
 		traceArg   = flag.String("trace", "", "run the epoch-policy farm over this utilization trace (email-store, file-server, or a CSV/columnar path) instead of the stationary sweep")
 		epochT     = flag.Int("T", 5, "with -trace: trace slots per policy epoch")
 		epochsOut  = flag.String("epochs-out", "", "with -trace: append per-epoch records to this column file (query with colq)")
-		coordinate = flag.Bool("coordinate", false, "with -trace: run the fleet coordinator (per-server predictors and policies) instead of the shared epoch loop")
+		coordinate = flag.Bool("coordinate", false, "with -trace: per-server predictors and policies instead of one shared decision per epoch")
 		quorum     = flag.Int("quorum", 0, "with -coordinate: rotate deep sleep so this many active servers always stay no deeper than C1")
 		park       = flag.Bool("park", false, "with -coordinate: park surplus servers (drain, deep-sleep, remove from routing)")
 		faultsArg  = flag.String("faults", "", "with -coordinate: inject the crash/repair schedule in this file (\"<time> <server> crash|repair\" per line)")
@@ -128,7 +128,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			disp, err := buildDispatcher(*dispatch, *seed, cfg)
+			disp, err := buildDispatcher(*dispatch, *seed)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func main() {
 					log.Fatal(err)
 				}
 				res, err = sleepscale.RunFarmSource(k, cfg, disp, src,
-					sleepscale.FarmDispatchOptions{Parallel: *parallel, LinearRouting: *linear})
+					sleepscale.FarmDispatchOptions{Parallel: *parallel})
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -225,11 +225,11 @@ func (fc fleetFlags) buildFaults(k int, horizon float64, seed int64) (sleepscale
 	}, seed)
 }
 
-// runTraceFarm sweeps farm sizes through the epoch-policy runner over a
-// utilization trace — or, with -coordinate, through the fleet coordinator —
-// optionally appending every size's per-epoch records to one columnar log
-// (runs are distinguished by append order — epoch indices restart at 0 per
-// run).
+// runTraceFarm sweeps farm sizes through the fleet coordinator over a
+// utilization trace — one shared decision per epoch, or per-server
+// decisions with -coordinate — optionally appending every size's per-epoch
+// records to one columnar log (runs are distinguished by append order —
+// epoch indices restart at 0 per run).
 func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, seed int64, epochsOut string, fc fleetFlags) error {
 	if !fc.coordinate && (fc.quorum != 0 || fc.park) {
 		return fmt.Errorf("-quorum and -park need -coordinate")
@@ -252,20 +252,10 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 		return err
 	}
 	pol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.DeepSleep)}
-	qcfg, err := pol.Config(sleepscale.Xeon(), 1)
-	if err != nil {
-		return err
-	}
-	cfg := sleepscale.RunnerConfig{
-		Stats:        stats,
-		FreqExponent: spec.FreqExponent,
-		Profile:      sleepscale.Xeon(),
-		Trace:        tr,
-		EpochSlots:   epochT,
-		Predictor:    sleepscale.NewNaivePredictor(),
-		Strategy:     sleepscale.NewStaticStrategy(pol, "static"),
-		Seed:         seed,
-	}
+	strat := sleepscale.NewStaticStrategy(pol, "static")
+	// The shared-mode fleet predictor is built once, so its learned state
+	// carries from one size's run to the next.
+	shared := sleepscale.NewNaivePredictor()
 	fmt.Printf("trace=%s (%d slots) T=%d dispatch=%s coordinate=%v\n\n", traceName, tr.Len(), epochT, dispatch, fc.coordinate)
 	if fc.coordinate {
 		fmt.Printf("%6s  %10s  %10s  %12s  %8s  %8s  %8s\n", "k", "E[R] (s)", "P95 (s)", "E[P] (W)", "epochs", "EP", "jobs/kJ")
@@ -273,7 +263,7 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 		fmt.Printf("%6s  %10s  %10s  %12s  %8s\n", "k", "E[R] (s)", "P95 (s)", "E[P] (W)", "epochs")
 	}
 	for _, k := range sizes {
-		disp, err := buildDispatcher(dispatch, seed, qcfg)
+		disp, err := buildDispatcher(dispatch, seed)
 		if err != nil {
 			return err
 		}
@@ -281,27 +271,26 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 		if err != nil {
 			return err
 		}
+		cfg := sleepscale.FleetConfig{
+			Servers:      k,
+			FreqExponent: spec.FreqExponent,
+			Profile:      sleepscale.Xeon(),
+			Trace:        tr,
+			EpochSlots:   epochT,
+			Strategy:     strat,
+			Seed:         seed,
+			Dispatcher:   disp,
+		}
 		if fc.coordinate {
 			faults, err := fc.buildFaults(k, tr.Duration(), seed)
 			if err != nil {
 				return err
 			}
-			coord, err := sleepscale.NewFleetCoordinator(sleepscale.FleetConfig{
-				Servers:      k,
-				FreqExponent: spec.FreqExponent,
-				Profile:      sleepscale.Xeon(),
-				Trace:        tr,
-				EpochSlots:   epochT,
-				Strategy:     cfg.Strategy,
-				PerServer:    true,
-				NewPredictor: sleepscale.NewNaivePredictor,
-				Seed:         seed,
-				Dispatcher:   disp,
-				Quorum:       fc.quorum,
-				Park:         fc.park,
-				Faults:       faults,
-				Retry:        fc.retry,
-			})
+			cfg.PerServer = true
+			cfg.NewPredictor = sleepscale.NewNaivePredictor
+			cfg.Quorum, cfg.Park = fc.quorum, fc.park
+			cfg.Faults, cfg.Retry = faults, fc.retry
+			coord, err := sleepscale.NewFleetCoordinator(cfg)
 			if err != nil {
 				return err
 			}
@@ -328,7 +317,12 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 			}
 			continue
 		}
-		rep, err := sleepscale.RunFarmEpochs(cfg, k, disp, src)
+		cfg.Predictor = shared
+		coord, err := sleepscale.NewFleetCoordinator(cfg)
+		if err != nil {
+			return err
+		}
+		rep, err := coord.Run(src)
 		if err != nil {
 			return err
 		}
@@ -398,8 +392,8 @@ func buildStream(lambda, mu float64, jobs int, seed int64) (sleepscale.StreamSou
 
 // buildDispatcher resolves a -dispatch name. "pd<d>" (pd2, pd3, …) is the
 // power-of-d-choices family; "lwl" is least-work-left, which prices wake-up
-// latency from the farm's operating configuration cfg.
-func buildDispatcher(name string, seed int64, cfg sleepscale.SimConfig) (sleepscale.Dispatcher, error) {
+// latency from each server's live configuration.
+func buildDispatcher(name string, seed int64) (sleepscale.Dispatcher, error) {
 	switch name {
 	case "jsq":
 		return sleepscale.JSQ{}, nil
@@ -408,7 +402,7 @@ func buildDispatcher(name string, seed int64, cfg sleepscale.SimConfig) (sleepsc
 	case "random":
 		return &sleepscale.RandomDispatch{Rng: rand.New(rand.NewSource(seed + 1))}, nil
 	case "lwl":
-		return &sleepscale.LeastWorkLeft{Cfg: cfg}, nil
+		return &sleepscale.LeastWorkLeft{}, nil
 	}
 	if d, ok := strings.CutPrefix(name, "pd"); ok {
 		n, err := strconv.Atoi(d)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,18 @@ import (
 	"sleepscale"
 	"sleepscale/internal/colstore"
 )
+
+// fileFNV is the FNV-64a of a file's bytes.
+func fileFNV(t *testing.T, path string) uint64 {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
 
 func TestParseSizes(t *testing.T) {
 	got, err := parseSizes("1, 2,16")
@@ -50,17 +63,12 @@ func TestBuildStream(t *testing.T) {
 }
 
 func TestBuildDispatcher(t *testing.T) {
-	pol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.DeepSleep)}
-	cfg, err := pol.Config(sleepscale.Xeon(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"jsq", "rr", "random", "pd2", "pd3", "lwl"} {
-		if _, err := buildDispatcher(name, 1, cfg); err != nil {
+		if _, err := buildDispatcher(name, 1); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	d, err := buildDispatcher("pd4", 1, cfg)
+	d, err := buildDispatcher("pd4", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +76,7 @@ func TestBuildDispatcher(t *testing.T) {
 		t.Errorf("pd4 built %#v", d)
 	}
 	for _, bad := range []string{"nope", "pd", "pd0", "pd-1", "pdx"} {
-		if _, err := buildDispatcher(bad, 1, cfg); err == nil {
+		if _, err := buildDispatcher(bad, 1); err == nil {
 			t.Errorf("dispatcher %q accepted", bad)
 		}
 	}
@@ -90,6 +98,11 @@ func TestRunTraceFarmWritesEpochLog(t *testing.T) {
 	logPath := filepath.Join(dir, "epochs.col")
 	if err := runTraceFarm([]int{1, 2}, csvPath, 3, "jsq", 1, logPath, fleetFlags{}); err != nil {
 		t.Fatal(err)
+	}
+	// The log's bytes are pinned, so no change to the shared epoch driver can
+	// silently change what -trace writes.
+	if got := fileFNV(t, logPath); got != 0xbe6c8e967e358602 {
+		t.Fatalf("epoch log FNV-64a %#016x, want 0xbe6c8e967e358602", got)
 	}
 	r, err := sleepscale.OpenCol(logPath)
 	if err != nil {
@@ -126,6 +139,9 @@ func TestRunTraceFarmCoordinated(t *testing.T) {
 	fc := fleetFlags{coordinate: true, quorum: 2, park: true}
 	if err := runTraceFarm([]int{4}, csvPath, 3, "jsq", 1, logPath, fc); err != nil {
 		t.Fatal(err)
+	}
+	if got := fileFNV(t, logPath); got != 0xe943a875ff0fa1fb {
+		t.Fatalf("fleet log FNV-64a %#016x, want 0xe943a875ff0fa1fb", got)
 	}
 	r, err := sleepscale.OpenCol(logPath)
 	if err != nil {

@@ -59,8 +59,8 @@
 //     returns a SimSummary — plain scalars, safe to keep across further
 //     calls. Results that alias evaluator storage (Responses) are only
 //     valid until the next Evaluate.
-//   - Every parallel driver — Manager.Select, RunFarm, RunFarmSources and
-//     the sliced mode of RunFarmSource — executes on one process-wide
+//   - Every parallel driver — Manager.Select and the sliced mode of
+//     RunFarmSource — executes on one process-wide
 //     persistent worker pool (internal/par): workers start once, park
 //     between submissions, pull work from an atomic ticket counter (or own
 //     a fixed index shard with work stealing, keeping each engine on the
@@ -75,16 +75,13 @@
 //     one-shot wrapper, and SimulateSummary is its standalone analogue: a
 //     pooled one-shot Simulate returning the scalar SimSummary with the
 //     warm path's allocation profile.
-//   - RunFarm simulates servers in parallel whenever the dispatcher routes
-//     independently of server state (it implements Preassigner — round-robin
-//     and random do, JSQ does not), merging per-server results in server
-//     order so the outcome is bit-identical to sequential dispatch.
+//   - A Farm owns its dispatch scratch: Reset + ServeSourceSliced reuses
+//     every buffer, simulating servers in parallel and merging per-server
+//     results in server order, so the outcome is bit-identical to sequential
+//     dispatch. One-shot RunFarm and RunFarmSource calls build fresh
+//     engines, so their results never alias reused storage.
 //   - SimulateMultiCore recycles whole k-core simulators through an internal
 //     pool; MultiCoreSimulator.Reset supports the same reuse directly.
-//   - RunFarm's preassigned parallel path draws its routing and bucketing
-//     scratch (including the job-stream-sized backing array) from a shared
-//     pool, so repeated scale-out sweeps settle into steady-state reuse;
-//     engines stay per-call, so results never alias pooled storage.
 //
 // CI enforces the contract: cmd/benchsnap fails the build when the
 // steady-state benchmarks (BenchmarkEvaluatorSteadyState,
@@ -109,8 +106,8 @@
 //   - MergeSources, ScaleRateSource and SpliceSources compose sources into
 //     scenarios (a trace baseline plus a burst overlay, a mid-week flash
 //     crowd); Reset(seed) replays any composition deterministically.
-//   - SimulateSource and RunFarmSources are the streaming counterparts of
-//     Simulate and RunFarm (one source per server).
+//   - SimulateSource and RunFarmSource are the streaming counterparts of
+//     Simulate and RunFarm.
 //
 // CI gates the streaming loop too: BenchmarkStreamSourceSteadyState must
 // report 0 allocs/op, and BenchmarkStreamRunWeekTrace records a full 7-day
@@ -131,20 +128,19 @@
 //   - Preassigner (round-robin, random): routing is state-independent, so
 //     assignments preassign and servers simulate concurrently.
 //   - VirtualRouter (JSQ, PowerOfD, LeastWorkLeft): routing depends only on
-//     each server's work-completion time, which the driver tracks as a
-//     scalar shadow advanced by SimConfig.NextFreeAt — an exact mirror of
-//     the engine's availability arithmetic. LeastWorkLeft is additionally
-//     an AnchoredRouter: its shadow carries each server's idle anchor, so
-//     sleep-state wake pricing stays exact across mid-run config switches
-//     taken during an idle period.
+//     each server's configuration, work-completion time and idle anchor,
+//     which the driver tracks as a scalar shadow advanced by
+//     SimConfig.NextFreeAtAnchored — an exact mirror of the engine's
+//     availability arithmetic. RouteVirtual receives every server's live
+//     configuration, so LeastWorkLeft's sleep-state wake pricing stays exact
+//     across per-server policies and mid-run config switches.
 //
-// At fleet scale the driver routes JSQ and LeastWorkLeft through an
+// On a homogeneous farm the driver routes JSQ and LeastWorkLeft through an
 // O(log k) index over the shadow (a tournament tree, plus per-phase idle
 // bitsets and a wake-crossing heap for LeastWorkLeft), making a
 // 10,000-server farm dispatchable at interactive speed; the index is
 // bit-identical to the linear scan — an equivalence suite pins every
-// decision up to k = 10,000 — and FarmDispatchOptions.LinearRouting turns
-// it off for A/B timing.
+// decision up to k = 10,000 — which routes everything else.
 //
 // FarmDispatchOptions.Parallel enables the time-sliced parallel mode: the
 // stream is cut into slices at dispatch-forced synchronization points, each
@@ -154,10 +150,10 @@
 // equivalence tests and a golden snapshot pin down across dispatchers,
 // seeds and pool sizes. Steady-state callers hold a Farm and drive
 // Reset + ServeSourceSliced + FinishSummary, whose farm-owned scratch makes
-// the whole loop allocation-free once warm; RunFarmEpochs layers the §6
-// epoch loop on top: one strategy decision per epoch applied fleet-wide,
-// farm-wide delay statistics feeding the over-provisioning guard (with
-// k = 1 it matches RunSource bit for bit).
+// the whole loop allocation-free once warm; the fleet coordinator's shared
+// mode layers the §6 epoch loop on top: one strategy decision per epoch
+// applied fleet-wide, farm-wide delay statistics feeding the
+// over-provisioning guard (with k = 1 it matches RunSource bit for bit).
 //
 // CI gates this path as well — BenchmarkFarmDispatchSteadyState (the
 // Reset+ServeSource loop), BenchmarkFarmDispatchParallelJSQ (the pooled
@@ -239,10 +235,10 @@
 //
 // # Fleet coordination
 //
-// Beyond one policy for k clones, the fleet coordinator (internal/fleet,
-// NewFleetCoordinator) owns per-server policy state and runs the §6 epoch
-// cycle fleet-wide with three coordination dimensions the homogeneous
-// runner cannot express:
+// The fleet coordinator (internal/fleet, NewFleetCoordinator) runs the §6
+// epoch cycle fleet-wide. Its shared mode applies one policy to k clones;
+// beyond that it owns per-server policy state and adds three coordination
+// dimensions:
 //
 //   - Per-server policies (FleetConfig.PerServer): each server gets its own
 //     utilization predictor and its own strategy decision per epoch, so a
@@ -261,10 +257,10 @@
 //     load-proportional line) and jobs per joule.
 //
 // Epochs serve through the farm's sliced driver between boundary switches
-// (heterogeneous configurations route through ConfigRouter pricing; the
-// active prefix serves as a Subfarm view), and with every dimension off
-// the coordinator is bit-identical to RunFarmEpochs — an equivalence suite
-// pins this across dispatchers, seeds and k up to 1,000. Fleet epoch and
+// (heterogeneous configurations route on its linear arm, priced per server;
+// the active prefix serves as a Subfarm view), and with every dimension off
+// the coordinator is the plain farm epoch loop — an equivalence suite pins
+// its records across dispatchers, seeds and k up to 1,000. Fleet epoch and
 // per-server rollup logs write to the columnar store
 // (WriteFleetEpochLog/WriteFleetServerLog); cmd/farmsim -coordinate
 // (-quorum, -park) drives the coordinator from the command line, and
@@ -294,7 +290,7 @@
 // FleetConfig.Retry (budget + per-attempt backoff added to the re-arrival;
 // exhausted budgets are dropped and accounted), and routing continues over
 // the surviving servers through compact farm Select views — arbitrary
-// subsets, not just prefixes, with the O(log k) index and both linear arms
+// subsets, not just prefixes, with the O(log k) index and the linear arm
 // skipping down servers bit-identically. A repair rejoins the server cold:
 // it pays its deepest wake transition before serving again, and the
 // quorum/park arithmetic recomputes over the live healthy set (a crash

@@ -12,7 +12,9 @@
 // whole week is replayable event for event.
 //
 // The demo doubles as a live invariant check: an Observer watches every
-// epoch for quorum violations over the healthy set, and the run is only
+// epoch without fault events for quorum violations over the healthy set (a
+// duty-window server crashing mid-epoch may leave that epoch short until the
+// next one re-forms the window), and the run is only
 // reported after the job-conservation ledger balances exactly —
 // offered == completed + requeued + dropped.
 package main
@@ -92,7 +94,7 @@ func main() {
 				if fe.Active < want {
 					want = fe.Active
 				}
-				if fe.Shallow < want {
+				if fe.Crashes == 0 && fe.Repairs == 0 && fe.Shallow < want {
 					log.Fatalf("%s: epoch %d breaks quorum: %d shallow of %d active (down %d), want ≥ %d",
 						label, fe.Index, fe.Shallow, fe.Active, fe.Down, want)
 				}

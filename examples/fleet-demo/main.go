@@ -1,18 +1,19 @@
 // Example fleet-demo: coordinate a 12-server fleet through one synthetic
 // email-store day three ways and compare the energy story.
 //
-// The baseline is the §6 farm loop — one SleepScale decision per epoch
-// applied fleet-wide. The coordinated runs route the same epoch cycle
-// through the fleet coordinator: first per-server policies with a staggered
+// Every run goes through the fleet coordinator. The baseline is its shared
+// mode — one SleepScale decision per epoch applied fleet-wide. The
+// coordinated runs add first per-server policies with a staggered
 // sleep quorum (3 servers always no deeper than C1, deep sleep rotating
 // through the rest), then the same plus horizontal scaling, which parks
 // surplus servers overnight — drained, deep-slept and removed from routing —
 // and unparks them against the morning ramp, each wake-up paying the full
 // deep-sleep latency.
 //
-// An Observer hook verifies the quorum invariant on every single epoch as
-// it closes (Shallow ≥ min(Q, Active)) and tallies how far the active set
-// breathes, so the demo doubles as a live invariant check.
+// An Observer hook verifies the quorum invariant as each epoch closes
+// (Shallow ≥ min(Q, Active), which holds at the close of every epoch
+// without fault events — here, every epoch) and tallies how far the active
+// set breathes, so the demo doubles as a live invariant check.
 package main
 
 import (
@@ -74,10 +75,10 @@ func main() {
 	fmt.Printf("%-28s  %10s  %10s  %10s  %8s  %8s\n",
 		"run", "E[R] (s)", "E[P] (W)", "energy(MJ)", "EP", "jobs/kJ")
 
-	// Baseline: the shared §6 loop — every server runs the one decided
-	// policy, nobody parks, nothing rotates.
-	base, err := sleepscale.RunFarmEpochs(sleepscale.RunnerConfig{
-		Stats:        stats,
+	// Baseline: shared mode — every server runs the one decided policy,
+	// nobody parks, nothing rotates.
+	shared, err := sleepscale.NewFleetCoordinator(sleepscale.FleetConfig{
+		Servers:      servers,
 		FreqExponent: spec.FreqExponent,
 		Profile:      sleepscale.Xeon(),
 		Trace:        tr,
@@ -85,7 +86,12 @@ func main() {
 		Predictor:    sleepscale.NewNaivePredictor(),
 		Strategy:     newStrategy(),
 		Seed:         7,
-	}, servers, sleepscale.JSQ{}, newSource())
+		Dispatcher:   sleepscale.JSQ{},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, err := shared.Run(newSource())
 	if err != nil {
 		log.Fatal(err)
 	}

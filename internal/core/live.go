@@ -137,7 +137,7 @@ func (c *loopConfig) validate() error {
 // reused across epochs.
 type epochLoop struct {
 	cfg     loopConfig
-	backend epochBackend
+	backend *engineBackend
 	window  *eventlog.Window
 
 	decideSrc *countingSource
@@ -174,7 +174,7 @@ type epochLoop struct {
 	phaseBuf [2][]queue.SleepPhase
 }
 
-func newEpochLoop(cfg loopConfig, backend epochBackend) (*epochLoop, error) {
+func newEpochLoop(cfg loopConfig, backend *engineBackend) (*epochLoop, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

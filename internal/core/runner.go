@@ -91,7 +91,7 @@ type EpochRecord struct {
 	// Energy.
 	Energy float64
 	// BusyTime, WakeTime and IdleTime are the epoch's deltas of the
-	// corresponding totals (farm runs sum them across servers).
+	// corresponding totals (fleet runs sum them across servers).
 	BusyTime float64
 	WakeTime float64
 	IdleTime float64
@@ -216,22 +216,15 @@ func RunSource(cfg RunnerConfig, src stream.Source) (RunReport, error) {
 	return report, nil
 }
 
-// epochBackend abstracts what the epoch loop drives: one engine (RunSource)
-// or a dispatched farm (RunFarmSource). applyPolicy installs the epoch's
-// configuration — the first call creates the backend — and process serves
-// one job, returning its response time. totalsAt reports the cumulative
-// counters as of time t (idle priced to t without billing it), which the
-// loop differences at epoch boundaries for per-epoch energy accounting; it
-// is only called after the first applyPolicy.
-type epochBackend interface {
-	applyPolicy(epochStart float64, qcfg queue.Config) error
-	process(j queue.Job) (float64, error)
-	totalsAt(t float64) queue.Snapshot
-}
-
-// engineBackend is the single-server backend. discardResponses (the live
-// runner's default) folds responses into streaming moments on creation, so
-// an unbounded run holds O(1) response memory.
+// engineBackend is the single server the epoch loop drives. applyPolicy
+// installs the epoch's configuration — the first call creates the engine —
+// and process serves one job, returning its response time. totalsAt reports
+// the cumulative counters as of time t (idle priced to t without billing
+// it), which the loop differences at epoch boundaries for per-epoch energy
+// accounting; it is only called after the first applyPolicy.
+// discardResponses (the live runner's default) folds responses into
+// streaming moments on creation, so an unbounded run holds O(1) response
+// memory. Farm-wide epoch runs are the fleet coordinator's (internal/fleet).
 type engineBackend struct {
 	eng              *queue.Engine
 	discardResponses bool
@@ -256,18 +249,16 @@ func (b *engineBackend) process(j queue.Job) (float64, error) { return b.eng.Pro
 
 func (b *engineBackend) totalsAt(t float64) queue.Snapshot { return b.eng.TotalsAt(t) }
 
-// runEpochs is the shared §6 epoch loop behind RunSource and RunFarmSource:
-// it replays the trace slot by slot through the incremental epochLoop
-// machine, offering each slot's arrivals from the chunk cursor and then the
-// slot's realized utilization. The machine — the same one the live serving
-// subsystem drives from sockets — predicts, decides, installs the policy on
-// the backend, serves, logs the window and feeds the predictor, so batch
-// and live epoch accounting (including the k = 1 bit-for-bit equivalence
-// the farm runner guarantees) can never drift. It fills report.Epochs,
-// PlanEpochs and MeanFrequency; closing out the backend and the aggregate
-// report fields is the caller's job. cfg must already have passed
-// validateRunner.
-func runEpochs(cfg RunnerConfig, src stream.Source, backend epochBackend, report *RunReport) error {
+// runEpochs is RunSource's §6 epoch loop: it replays the trace slot by slot
+// through the incremental epochLoop machine, offering each slot's arrivals
+// from the chunk cursor and then the slot's realized utilization. The
+// machine — the same one the live serving subsystem drives from sockets —
+// predicts, decides, installs the policy on the backend, serves, logs the
+// window and feeds the predictor, so batch and live epoch accounting can
+// never drift. It fills report.Epochs, PlanEpochs and MeanFrequency; closing
+// out the backend and the aggregate report fields is the caller's job. cfg
+// must already have passed validateRunner.
+func runEpochs(cfg RunnerConfig, src stream.Source, backend *engineBackend, report *RunReport) error {
 	if src == nil {
 		return fmt.Errorf("core: runner needs a job source")
 	}

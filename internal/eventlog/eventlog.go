@@ -223,7 +223,9 @@ func (w *Window) Utilization() float64 {
 // sizes are resampled with replacement, and every gap is scaled by a common
 // factor so the stream's utilization matches targetRho — the §5.2.1
 // adjustment of logged workloads to the predicted utilization. It returns
-// ok=false when the window holds no jobs.
+// ok=false when the window holds no jobs. Each draw indexes the held epochs'
+// gaps (or sizes) as one oldest-first sequence and is resolved in the ring
+// itself, so a decision costs its n drawn jobs, not a copy of the window.
 func (w *Window) Jobs(n int, targetRho float64, rng *rand.Rand) ([]queue.Job, bool) {
 	if targetRho <= 0 || n <= 0 {
 		return nil, false
@@ -232,19 +234,33 @@ func (w *Window) Jobs(n int, targetRho float64, rng *rand.Rand) ([]queue.Job, bo
 	if !ok || gapMean <= 0 || sizeMean <= 0 {
 		return nil, false
 	}
-	// Flatten once; windows are small (a few epochs of logs).
-	var gaps, sizes []float64
+	var nGaps, nSizes int
 	for i := 0; i < w.count; i++ {
 		e := w.at(i)
-		gaps = append(gaps, e.Gaps...)
-		sizes = append(sizes, e.Sizes...)
+		nGaps += len(e.Gaps)
+		nSizes += len(e.Sizes)
 	}
 	scale := sizeMean / targetRho / gapMean
 	jobs := make([]queue.Job, n)
 	tnow := 0.0
 	for i := range jobs {
-		tnow += gaps[rng.Intn(len(gaps))] * scale
-		jobs[i] = queue.Job{Arrival: tnow, Size: sizes[rng.Intn(len(sizes))]}
+		tnow += w.elem(rng.Intn(nGaps), false) * scale
+		jobs[i] = queue.Job{Arrival: tnow, Size: w.elem(rng.Intn(nSizes), true)}
 	}
 	return jobs, true
+}
+
+// elem returns element i of the held epochs' gaps (sizes when sizes is set)
+// taken as one oldest-first sequence — what a flattened copy holds at i.
+func (w *Window) elem(i int, sizes bool) float64 {
+	for e := 0; ; e++ {
+		col := w.at(e).Gaps
+		if sizes {
+			col = w.at(e).Sizes
+		}
+		if i < len(col) {
+			return col[i]
+		}
+		i -= len(col)
+	}
 }

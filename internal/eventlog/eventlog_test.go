@@ -162,6 +162,71 @@ func TestBootstrapUtilizationProperty(t *testing.T) {
 	}
 }
 
+// jobsFlatReference is the bootstrap with the window flattened first: every
+// held gap and size copied into two slices, the draws taken from those. Jobs
+// must match it draw for draw and bit for bit.
+func jobsFlatReference(w *Window, n int, targetRho float64, rng *rand.Rand) []queue.Job {
+	gapMean, sizeMean, _ := w.Means()
+	var gaps, sizes []float64
+	for i := 0; i < w.count; i++ {
+		e := w.at(i)
+		gaps = append(gaps, e.Gaps...)
+		sizes = append(sizes, e.Sizes...)
+	}
+	scale := sizeMean / targetRho / gapMean
+	jobs := make([]queue.Job, n)
+	tnow := 0.0
+	for i := range jobs {
+		tnow += gaps[rng.Intn(len(gaps))] * scale
+		jobs[i] = queue.Job{Arrival: tnow, Size: sizes[rng.Intn(len(sizes))]}
+	}
+	return jobs
+}
+
+// TestJobsMatchesFlatReference pins Jobs' in-place indexing to the
+// flattening reference on a wrapped 3-epoch ring holding an empty epoch
+// between two logged ones, and pins its only allocation to the returned
+// job slice.
+func TestJobsMatchesFlatReference(t *testing.T) {
+	w, _ := NewWindow(3)
+	rng := rand.New(rand.NewSource(5))
+	logEpoch := func(n int, start float64) {
+		jobs := make([]queue.Job, n)
+		at := start
+		for i := range jobs {
+			at += rng.ExpFloat64() * 0.2
+			jobs[i] = queue.Job{Arrival: at, Size: rng.ExpFloat64() * 0.05}
+		}
+		w.PushJobs(jobs, start)
+	}
+	// Four pushes into three slots: the ring wraps and holds the last three.
+	logEpoch(50, 0)
+	logEpoch(37, 10)
+	logEpoch(0, 20)
+	logEpoch(64, 30)
+	if w.Epochs() != 3 || w.JobCount() != 101 {
+		t.Fatalf("window holds %d epochs / %d jobs, want 3 / 101", w.Epochs(), w.JobCount())
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		for _, rho := range []float64{0.1, 0.45, 0.9} {
+			got, ok := w.Jobs(500, rho, rand.New(rand.NewSource(seed)))
+			if !ok {
+				t.Fatal("bootstrap failed")
+			}
+			want := jobsFlatReference(w, 500, rho, rand.New(rand.NewSource(seed)))
+			for i := range want {
+				if math.Float64bits(got[i].Arrival) != math.Float64bits(want[i].Arrival) ||
+					math.Float64bits(got[i].Size) != math.Float64bits(want[i].Size) {
+					t.Fatalf("seed %d rho %g job %d: %+v, flat reference %+v", seed, rho, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { w.Jobs(500, 0.45, rng) }); allocs != 1 {
+		t.Errorf("Jobs allocates %.0f times per call, want 1 (the returned slice)", allocs)
+	}
+}
+
 // TestPushJobsMatchesPush: the ring-buffered streaming form must log
 // exactly what Push(FromJobs(...)) logs.
 func TestPushJobsMatchesPush(t *testing.T) {

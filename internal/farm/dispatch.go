@@ -10,45 +10,24 @@ import (
 )
 
 // VirtualRouter is the state-dependent analogue of Preassigner: a dispatcher
-// that can route against a lightweight per-server availability shadow —
-// freeAt[i] being the time server i's accepted work completes — instead of
-// live engines. RouteVirtual must pick exactly as Pick would against engines
-// whose FreeAt equals the shadow, so the time-sliced parallel dispatch can
-// decide routing serially (cheap scalar recursion) while the full
-// energy-accounting simulation of each server runs concurrently.
+// that can route against a lightweight per-server shadow instead of live
+// engines. For server i, cfgs[i] is its live configuration, freeAt[i] the
+// time its accepted work completes, and anchor[i] the start of its current
+// idle schedule (queue.Engine.IdleAnchor), which differs from freeAt only for
+// a server reconfigured (SetConfigAt) while idle and not served since.
+// RouteVirtual must pick exactly as Pick would against engines in that
+// state, so the time-sliced parallel dispatch can decide routing serially
+// (cheap scalar recursion) while the full energy-accounting simulation of
+// each server runs concurrently. Dispatchers that compare backlogs alone
+// (JSQ, PowerOfD) ignore cfgs and anchor.
 type VirtualRouter interface {
-	RouteVirtual(freeAt []float64, j queue.Job) int
-}
-
-// AnchoredRouter is the optional refinement of VirtualRouter for dispatchers
-// whose pricing depends on each server's idle-schedule anchor, not just its
-// freeAt: anchor[i] is the start of server i's current idle schedule
-// (queue.Engine.IdleAnchor). The anchors differ from freeAt only for servers
-// that have been reconfigured (SetConfigAt) while idle and not served since;
-// carrying them keeps the sliced parallel dispatch bit-identical to the
-// sequential Pick path even across such switches. The sliced driver uses
-// RouteVirtualAnchored when available and falls back to RouteVirtual.
-type AnchoredRouter interface {
-	RouteVirtualAnchored(freeAt, anchor []float64, j queue.Job) int
-}
-
-// ConfigRouter is the heterogeneous-farm refinement of AnchoredRouter: a
-// dispatcher whose virtual routing prices each server from that server's own
-// configuration — cfgs[i] being engine i's live queue.Config — instead of
-// one shared operating configuration. The sliced driver switches to it when
-// a per-call scan finds the engines' configurations differ (the fleet
-// coordinator's per-server policies), so routing matches what Pick computes
-// against live engines even when every server runs a different (frequency,
-// sleep-plan) pair. With identical cfgs entries it must pick exactly as
-// RouteVirtualAnchored would.
-type ConfigRouter interface {
-	RouteVirtualConfigs(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int
+	RouteVirtual(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int
 }
 
 // RouteVirtual implements VirtualRouter: the server with the least
 // outstanding work at the arrival instant, ties toward the lowest index —
 // the same decision Pick makes from engine backlogs.
-func (JSQ) RouteVirtual(freeAt []float64, j queue.Job) int {
+func (JSQ) RouteVirtual(_ []queue.Config, freeAt, _ []float64, j queue.Job) int {
 	best, bestWork := 0, shadowBacklog(freeAt[0], j.Arrival)
 	for i := 1; i < len(freeAt); i++ {
 		if w := shadowBacklog(freeAt[i], j.Arrival); w < bestWork {
@@ -96,7 +75,7 @@ func (p *PowerOfD) Pick(f *Farm, j queue.Job) int {
 
 // RouteVirtual implements VirtualRouter with the same draws and the same
 // comparator as Pick, against the freeAt shadow.
-func (p *PowerOfD) RouteVirtual(freeAt []float64, j queue.Job) int {
+func (p *PowerOfD) RouteVirtual(_ []queue.Config, freeAt, _ []float64, j queue.Job) int {
 	best, bestWork := -1, 0.0
 	for c := 0; c < p.D; c++ {
 		i := p.Rng.Intn(len(freeAt))
@@ -118,26 +97,17 @@ func (p *PowerOfD) Name() string { return fmt.Sprintf("pd%d", p.D) }
 // server competes against a nearly-free busy one on the work actually left
 // before the job finishes. Ties break toward the lowest index.
 //
-// Pricing always follows the engines' live configurations wherever engines
-// (or the sliced driver's snapshot of them) are in reach: Pick reads each
+// Pricing always follows the engines' live configurations: Pick reads each
 // engine directly, and ServeSourceSliced routes through the O(log k) index
-// or RouteVirtualConfigs, both priced from the live operating point — so the
+// or RouteVirtual, both priced from the live operating point — so the
 // parallel mode stays bit-identical to the sequential dispatch even when
 // SetConfigAt switches configurations between calls (the fleet coordinator's
-// epoch-boundary policy changes). Cfg prices only the standalone
-// RouteVirtual/RouteVirtualAnchored entry points, which have no engines to
-// consult; set it to the farm's operating configuration when calling those
-// directly. Idle pricing follows each server's actual idle anchor: Pick
-// reads it from the engine, and the sliced driver carries an anchor shadow
-// alongside freeAt, so the first wake after a mid-run SetConfigAt during an
-// idle period is priced exactly (the anchor the switch moved is honored, not
-// assumed equal to freeAt).
-type LeastWorkLeft struct {
-	// Cfg prices service and wake-up latency on the standalone
-	// RouteVirtual/RouteVirtualAnchored paths; the sliced driver and Pick
-	// price from the engines' live configurations instead.
-	Cfg queue.Config
-}
+// epoch-boundary policy changes). Idle pricing follows each server's actual
+// idle anchor: Pick reads it from the engine, and the sliced driver carries
+// an anchor shadow alongside freeAt, so the first wake after a mid-run
+// SetConfigAt during an idle period is priced exactly (the anchor the switch
+// moved is honored, not assumed equal to freeAt).
+type LeastWorkLeft struct{}
 
 // Pick implements Dispatcher: the earliest completion of j across servers,
 // computed by the same availability recursion the engines run, against each
@@ -153,40 +123,10 @@ func (l *LeastWorkLeft) Pick(f *Farm, j queue.Job) int {
 	return best
 }
 
-// RouteVirtual implements VirtualRouter: the same completion-time comparison
-// against the freeAt shadow, priced by Cfg with idle schedules anchored at
-// freeAt — exact whenever every server has processed a job since its last
-// anchor move (the steady state of a dispatch run).
-func (l *LeastWorkLeft) RouteVirtual(freeAt []float64, j queue.Job) int {
-	best, bestDone := 0, 0.0
-	for i := range freeAt {
-		done := l.Cfg.NextFreeAt(freeAt[i], j)
-		if i == 0 || done < bestDone {
-			best, bestDone = i, done
-		}
-	}
-	return best
-}
-
-// RouteVirtualAnchored is RouteVirtual against a shadow that also carries
-// idle anchors, matching Pick bit for bit even when SetConfigAt moved an
-// anchor away from its server's freeAt. The sliced driver prefers it.
-func (l *LeastWorkLeft) RouteVirtualAnchored(freeAt, anchor []float64, j queue.Job) int {
-	best, bestDone := 0, 0.0
-	for i := range freeAt {
-		done := l.Cfg.NextFreeAtAnchored(freeAt[i], anchor[i], j)
-		if i == 0 || done < bestDone {
-			best, bestDone = i, done
-		}
-	}
-	return best
-}
-
-// RouteVirtualConfigs implements ConfigRouter: the completion-time comparison
-// of RouteVirtualAnchored with wake-ups and service priced from each server's
-// own configuration. With every cfgs entry equal to Cfg it reduces to
-// RouteVirtualAnchored operation for operation.
-func (l *LeastWorkLeft) RouteVirtualConfigs(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
+// RouteVirtual implements VirtualRouter: the completion-time comparison Pick
+// makes, against the shadow, with wake-ups and service priced from each
+// server's own configuration and idle anchor.
+func (l *LeastWorkLeft) RouteVirtual(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
 	best, bestDone := 0, 0.0
 	for i := range freeAt {
 		done := cfgs[i].NextFreeAtAnchored(freeAt[i], anchor[i], j)
@@ -221,16 +161,15 @@ func configsEqual(a, b *queue.Config) bool {
 	return true
 }
 
-// configFreeRouter reports whether the dispatcher's virtual routing consults
-// no configuration at all (pure backlog comparison), making it valid over a
-// heterogeneous farm as-is. Exact types, like newRouteIndexFor: a wrapper
-// overriding RouteVirtual must not inherit the exemption.
-func configFreeRouter(disp Dispatcher) bool {
-	switch disp.(type) {
-	case JSQ, *JSQ, *PowerOfD:
-		return true
+// uniform reports whether every engine runs cfg, server 0's configuration.
+func (f *Farm) uniform(cfg *queue.Config) bool {
+	for _, eng := range f.engines[1:] {
+		ec := eng.Config()
+		if !configsEqual(cfg, &ec) {
+			return false
+		}
 	}
-	return false
+	return true
 }
 
 // DefaultSliceJobs is the synchronization granularity of the parallel
@@ -258,11 +197,6 @@ type DispatchOptions struct {
 	// executors). Results do not depend on the choice — 1 degenerates to
 	// the serial reference on the submitting goroutine.
 	Workers int
-	// LinearRouting opts out of the O(log k) routing index and routes every
-	// job by the dispatcher's O(k) linear scan. Routing decisions are
-	// bit-identical either way (the equivalence suite pins it); the flag
-	// exists for A/B comparison and as an escape hatch.
-	LinearRouting bool
 }
 
 // DispatchSource is the streaming k-way dispatch loop: it pulls chunks from
@@ -343,11 +277,9 @@ type slicedState struct {
 	// shadow, built on first use (the farm's dispatcher never changes) and
 	// rebuilt per call; nil when the dispatcher has none.
 	idx routeIndex
-	// cfgs is the per-server configuration snapshot of a ConfigRouter call:
-	// routing and the shadow advance price each server from its own entry.
-	// Populated when the per-call uniformity scan finds differing engine
-	// configurations, or with the shared configuration when a ConfigRouter
-	// routes a uniform farm on the linear path.
+	// cfgs is the per-server configuration snapshot of the linear routing
+	// arm: RouteVirtual and the shadow advance price each server from its
+	// own entry. Refilled on every call that routes without the index.
 	cfgs []queue.Config
 	// ord maps bucket positions back to slice positions (ord[offsets[s]+i]
 	// is the slice index of server s's i-th job), computed only while
@@ -434,8 +366,10 @@ func (f *Farm) sliced(sliceJobs int) *slicedState {
 // simulates the per-server substreams concurrently on the persistent worker
 // pool, returning the number served. The stream is consumed slice by slice;
 // within a slice routing is decided serially — by Preassign for
-// state-independent dispatchers, or against the freeAt shadow advanced with
-// queue.Config.NextFreeAt for VirtualRouters — then the servers advance in
+// state-independent dispatchers, or against the freeAt/anchor shadow
+// advanced with queue.Config.NextFreeAtAnchored for VirtualRouters (through
+// the O(log k) index when the farm is homogeneous and the dispatcher has
+// one, by RouteVirtual's linear scan otherwise) — then the servers advance in
 // parallel and the pool's reusable barrier resynchronizes the shadow from
 // the engines before the next slice. Because the shadow recursion mirrors
 // Engine.Process bit for bit, every routing decision equals the one the
@@ -472,26 +406,24 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 		sl.errs[s] = nil
 	}
 	pool := par.Default()
-	// The shadow recursion prices service and wake-ups from the engines'
-	// configuration; ServeSourceSliced never switches it mid-run. A
+	// Virtual routing prices service and wake-ups from the engines' live
+	// configurations, which ServeSourceSliced never switches mid-run. A
 	// homogeneous farm (the overwhelmingly common case, and the only one the
-	// routing index supports) shares server 0's; when the per-call scan finds
-	// the engines disagree — per-server fleet policies — routing falls back
-	// to the linear scans with a per-server configuration snapshot.
-	cfg := f.engines[0].Config()
-	uniform := true
-	if isVR && !isPre {
-		for _, eng := range f.engines[1:] {
-			ec := eng.Config()
-			if !configsEqual(&cfg, &ec) {
-				uniform = false
-				break
-			}
+	// routing index supports) routes through the dispatcher's index, priced
+	// by the shared configuration; every other virtual route — per-server
+	// fleet policies, or a dispatcher without an index — takes the linear
+	// arm over a per-server configuration snapshot.
+	var cfg queue.Config
+	var ridx routeIndex
+	if !isPre {
+		if sl.idx == nil {
+			sl.idx = newRouteIndexFor(f.disp, sl.freeAt, sl.anchor)
 		}
-		if !uniform {
-			if _, isCR := f.disp.(ConfigRouter); !isCR && !configFreeRouter(f.disp) {
-				return 0, fmt.Errorf("farm: dispatcher %s cannot virtual-route a farm with per-server configurations (implement ConfigRouter or serve sequentially)", f.disp.Name())
-			}
+		cfg = f.engines[0].Config()
+		if sl.idx != nil && f.uniform(&cfg) {
+			sl.idx.reset(cfg)
+			ridx = sl.idx
+		} else {
 			if cap(sl.cfgs) < k {
 				sl.cfgs = make([]queue.Config, k)
 			}
@@ -499,32 +431,6 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 			for s, eng := range f.engines {
 				sl.cfgs[s] = eng.Config()
 			}
-		}
-	}
-	ar, isAnchored := f.disp.(AnchoredRouter)
-	cr, isCR := f.disp.(ConfigRouter)
-	var ridx routeIndex
-	if uniform && isVR && !isPre && !opts.LinearRouting {
-		if sl.idx == nil {
-			sl.idx = newRouteIndexFor(f.disp, sl.freeAt, sl.anchor)
-		}
-		if sl.idx != nil {
-			sl.idx.reset(cfg)
-			ridx = sl.idx
-		}
-	}
-	// A ConfigRouter on the uniform linear path prices from the engines' live
-	// configuration too: fill the snapshot with the shared cfg so routing
-	// matches Pick (and the index) even when the dispatcher's own pricing
-	// field is stale or zero — the fleet coordinator switches the operating
-	// point every epoch and never updates dispatcher state.
-	if uniform && isVR && !isPre && isCR && ridx == nil {
-		if cap(sl.cfgs) < k {
-			sl.cfgs = make([]queue.Config, k)
-		}
-		sl.cfgs = sl.cfgs[:k]
-		for s := range sl.cfgs {
-			sl.cfgs[s] = cfg
 		}
 	}
 	f.recBase = 0
@@ -558,34 +464,15 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 			for i := range slice {
 				assign[i] = ridx.route(slice[i])
 			}
-		case !uniform:
-			// Heterogeneous: route and advance the shadow per-server from
-			// the configuration snapshot, so pricing matches each engine's
-			// live policy exactly.
-			for i := range slice {
-				if isCR {
-					assign[i] = cr.RouteVirtualConfigs(sl.cfgs, sl.freeAt, sl.anchor, slice[i])
-				} else {
-					assign[i] = vr.RouteVirtual(sl.freeAt, slice[i])
-				}
-				if s := assign[i]; s >= 0 && s < k {
-					nf := sl.cfgs[s].NextFreeAtAnchored(sl.freeAt[s], sl.anchor[s], slice[i])
-					sl.freeAt[s], sl.anchor[s] = nf, nf
-				}
-			}
 		default:
+			// Linear arm: route against the shadow, then advance the picked
+			// server's shadow under its own configuration, so pricing
+			// matches each engine's live policy exactly.
 			for i := range slice {
-				switch {
-				case isCR:
-					// Live-config pricing, identical to the indexed path.
-					assign[i] = cr.RouteVirtualConfigs(sl.cfgs, sl.freeAt, sl.anchor, slice[i])
-				case isAnchored:
-					assign[i] = ar.RouteVirtualAnchored(sl.freeAt, sl.anchor, slice[i])
-				default:
-					assign[i] = vr.RouteVirtual(sl.freeAt, slice[i])
-				}
-				if s := assign[i]; s >= 0 && s < k {
-					nf := cfg.NextFreeAtAnchored(sl.freeAt[s], sl.anchor[s], slice[i])
+				s := vr.RouteVirtual(sl.cfgs, sl.freeAt, sl.anchor, slice[i])
+				assign[i] = s
+				if s >= 0 && s < k {
+					nf := sl.cfgs[s].NextFreeAtAnchored(sl.freeAt[s], sl.anchor[s], slice[i])
 					sl.freeAt[s], sl.anchor[s] = nf, nf
 				}
 			}
@@ -642,7 +529,7 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 		// The routing index only rebuilds if a mismatch actually appeared
 		// (it never should; the check is the safety net that keeps a
 		// hypothetical divergence from compounding across slices).
-		if isVR {
+		if !isPre {
 			dirty := false
 			for s, eng := range f.engines {
 				fa, an := eng.FreeAt(), eng.IdleAnchor()

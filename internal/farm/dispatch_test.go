@@ -23,7 +23,7 @@ func dispatchers() []struct {
 		{"jsq", func() Dispatcher { return JSQ{} }},
 		{"pd2", func() Dispatcher { return &PowerOfD{D: 2, Rng: rand.New(rand.NewSource(55))} }},
 		{"pd3", func() Dispatcher { return &PowerOfD{D: 3, Rng: rand.New(rand.NewSource(56))} }},
-		{"lwl", func() Dispatcher { return &LeastWorkLeft{Cfg: testCfg()} }},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }},
 	}
 }
 
@@ -94,7 +94,7 @@ func TestJSQVirtualRouterMatchesPick(t *testing.T) {
 	cfg := testCfg()
 	freeAt := make([]float64, k)
 	for i, j := range jobs {
-		virtual := (JSQ{}).RouteVirtual(freeAt, j)
+		virtual := (JSQ{}).RouteVirtual(nil, freeAt, nil, j)
 		_, picked, err := f.Process(j)
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +199,9 @@ func TestDispatchParallelRejectsPlainDispatcher(t *testing.T) {
 // badRouter routes out of range through the virtual path.
 type badRouter struct{ JSQ }
 
-func (badRouter) RouteVirtual(freeAt []float64, _ queue.Job) int { return len(freeAt) }
+func (badRouter) RouteVirtual(_ []queue.Config, freeAt, _ []float64, _ queue.Job) int {
+	return len(freeAt)
+}
 
 func TestDispatchParallelRejectsBadRoute(t *testing.T) {
 	src := &sliceSource{jobs: expJobs(100, 8, 5, 5)}
@@ -388,7 +390,7 @@ func TestLeastWorkLeftPricesFirstWakeAfterIdleSwitch(t *testing.T) {
 	cfg := testCfg()
 	cfg.Phases[0].EnterAfter = 3 // sleep entered 3 s after the queue empties
 	cfg.Phases[0].WakeLatency = 5
-	lwl := &LeastWorkLeft{Cfg: cfg}
+	lwl := &LeastWorkLeft{}
 	f, err := New(2, cfg, lwl)
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +436,7 @@ func TestLeastWorkLeftPricesFirstWakeAfterIdleSwitch(t *testing.T) {
 func TestLeastWorkLeftPricesWakeups(t *testing.T) {
 	cfg := testCfg()
 	cfg.Phases[0].WakeLatency = 5 // sleeping servers pay 5 s to wake
-	lwl := &LeastWorkLeft{Cfg: cfg}
+	lwl := &LeastWorkLeft{}
 	f, err := New(3, cfg, lwl)
 	if err != nil {
 		t.Fatal(err)
@@ -454,8 +456,15 @@ func TestLeastWorkLeftPricesWakeups(t *testing.T) {
 	if got := lwl.Pick(f, j); got != 0 {
 		t.Errorf("LWL picked server %d, want the nearly-free busy server 0", got)
 	}
-	freeAt := []float64{f.Server(0).FreeAt(), 0, 0}
-	if got := lwl.RouteVirtual(freeAt, j); got != 0 {
+	cfgs := make([]queue.Config, 3)
+	freeAt := make([]float64, 3)
+	anchor := make([]float64, 3)
+	for s := range cfgs {
+		cfgs[s] = f.Server(s).Config()
+		freeAt[s] = f.Server(s).FreeAt()
+		anchor[s] = f.Server(s).IdleAnchor()
+	}
+	if got := lwl.RouteVirtual(cfgs, freeAt, anchor, j); got != 0 {
 		t.Errorf("LWL virtual route %d, want 0", got)
 	}
 }
@@ -553,9 +562,10 @@ func hetFarm(t *testing.T, disp Dispatcher) *Farm {
 }
 
 // TestServeSourceSlicedHeterogeneousMatchesSequential pins the per-server
-// configuration routing path — RouteVirtualConfigs for least-work-left, the
-// configuration-free shadow for JSQ and power-of-d — to the sequential Pick
-// dispatch over live engines, bit for bit.
+// configuration routing path — the linear arm's RouteVirtual over the
+// configuration snapshot, which least-work-left prices from and JSQ and
+// power-of-d ignore — to the sequential Pick dispatch over live engines, bit
+// for bit.
 func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 	disps := []struct {
 		name string
@@ -563,23 +573,13 @@ func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 	}{
 		{"jsq", func() Dispatcher { return JSQ{} }},
 		{"pd2", func() Dispatcher { return &PowerOfD{D: 2, Rng: rand.New(rand.NewSource(42))} }},
-		{"lwl", func() Dispatcher { return &LeastWorkLeft{Cfg: hetConfigs()[0]} }},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }},
 	}
 	for _, seed := range []int64{1, 2} {
 		jobs := expJobs(20000, 6, 5, seed)
 		for _, d := range disps {
 			// Sequential reference: Pick consults each engine's live config.
-			ref := hetFarm(t, d.mk())
-			for i, j := range jobs {
-				if _, _, err := ref.Process(j); err != nil {
-					t.Fatalf("%s seed %d job %d: %v", d.name, seed, i, err)
-				}
-			}
-			want, err := ref.Finish(ref.LastFree())
-			if err != nil {
-				t.Fatal(err)
-			}
-
+			want := sequentialHet(t, d.mk(), jobs)
 			got := hetFarm(t, d.mk())
 			// Odd slice size straddles slice boundaries on purpose.
 			if _, err := got.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{SliceJobs: 777}); err != nil {
@@ -594,31 +594,48 @@ func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 	}
 }
 
-// bareVirtualRouter virtual-routes like JSQ but is neither a ConfigRouter
-// nor one of the known configuration-free types, so a heterogeneous farm
-// must reject it rather than silently misprice the shadow.
-type bareVirtualRouter struct{}
-
-func (bareVirtualRouter) Pick(f *Farm, j queue.Job) int { return JSQ{}.Pick(f, j) }
-func (bareVirtualRouter) RouteVirtual(freeAt []float64, j queue.Job) int {
-	return JSQ{}.RouteVirtual(freeAt, j)
-}
-func (bareVirtualRouter) Name() string { return "bare-virtual" }
-
-func TestServeSourceSlicedHeterogeneousRejectsUnawareRouter(t *testing.T) {
-	jobs := expJobs(100, 6, 5, 3)
-	f := hetFarm(t, bareVirtualRouter{})
-	if _, err := f.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{}); err == nil {
-		t.Fatal("heterogeneous farm accepted a config-unaware virtual router")
+// TestServeSourceSlicedHeterogeneousServesWrappedRouter: a VirtualRouter
+// wrapper gets no routing index, so the driver routes it on the linear arm —
+// which hands every RouteVirtual the per-server configuration snapshot. Over
+// a heterogeneous farm the wrapped JSQ and least-work-left must therefore
+// serve exactly as the sequential Pick dispatch does.
+func TestServeSourceSlicedHeterogeneousServesWrappedRouter(t *testing.T) {
+	jobs := expJobs(5000, 6, 5, 3)
+	for _, d := range []struct {
+		name string
+		mk   func() Dispatcher
+	}{
+		{"jsq", func() Dispatcher { return scanOnly{JSQ{}} }},
+		{"lwl", func() Dispatcher { return scanOnly{&LeastWorkLeft{}} }},
+	} {
+		want := sequentialHet(t, d.mk(), jobs)
+		got := hetFarm(t, d.mk())
+		if _, err := got.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{SliceJobs: 333}); err != nil {
+			t.Fatalf("%s: heterogeneous farm rejected a wrapped router: %v", d.name, err)
+		}
+		res, err := got.Finish(got.LastFree())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireResultsEqual(t, res, want)
 	}
-	// The same dispatcher over a homogeneous farm is fine.
-	hom, err := New(3, testCfg(), bareVirtualRouter{})
+}
+
+// sequentialHet serves jobs through Pick over a fresh heterogeneous farm:
+// the reference the sliced heterogeneous paths must reproduce.
+func sequentialHet(t *testing.T, disp Dispatcher, jobs []queue.Job) Result {
+	t.Helper()
+	ref := hetFarm(t, disp)
+	for i, j := range jobs {
+		if _, _, err := ref.Process(j); err != nil {
+			t.Fatalf("%s job %d: %v", disp.Name(), i, err)
+		}
+	}
+	res, err := ref.Finish(ref.LastFree())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hom.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{}); err != nil {
-		t.Fatalf("homogeneous farm rejected: %v", err)
-	}
+	return res
 }
 
 // TestRecordServeStreamOrder: RecordServe must land every response and

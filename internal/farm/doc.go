@@ -18,38 +18,41 @@
 //     state, so the whole assignment can be computed up front and the
 //     per-server substreams simulated concurrently.
 //   - VirtualRouter (JSQ, PowerOfD, LeastWorkLeft): routing depends only on
-//     each server's work-completion time, so decisions can be made against
-//     a lightweight freeAt shadow advanced by queue.Config.NextFreeAt — no
-//     live engines needed at routing time. LeastWorkLeft is additionally an
-//     AnchoredRouter: its shadow carries each server's idle anchor so
-//     wake-up pricing stays exact even after a mid-run SetConfigAt taken
-//     during an idle period (queue.Config.NextFreeAtAnchored).
+//     each server's configuration, work-completion time and idle anchor, so
+//     decisions can be made against a lightweight shadow advanced by
+//     queue.Config.NextFreeAtAnchored — no live engines needed at routing
+//     time. RouteVirtual always receives the per-server configuration
+//     snapshot and the idle anchors: JSQ and PowerOfD compare backlogs and
+//     ignore both, while LeastWorkLeft prices each server's wake-up and
+//     service from its own configuration, exact even after a mid-run
+//     SetConfigAt taken during an idle period moved the anchor past freeAt.
 //
 // # Drivers
 //
-// Three drivers cover the materialized/streamed × preassigned/dispatched
-// matrix:
+// Every driver serves jobs through one Farm:
 //
-//   - Run dispatches a fully materialized, sorted job stream (parallel when
-//     the dispatcher is a Preassigner, sequential otherwise).
-//   - RunSources runs one server per source — routing decided by
-//     construction — with servers simulating in parallel.
+//   - Run dispatches a fully materialized, sorted job stream job by job
+//     through Farm.Process.
 //   - DispatchSource is the streaming k-way dispatch loop: jobs are pulled
 //     from any queue.JobSource in bounded chunks and routed through the
 //     dispatcher at their arrival instants, advancing the k engines in
 //     virtual-time order so JSQ sees accurate queue depths without the
-//     stream ever being materialized.
+//     stream ever being materialized. Sequentially it runs
+//     Farm.ServeSource; with DispatchOptions.Parallel it runs
+//     Farm.ServeSourceSliced.
+//   - Steady-state callers hold a Farm and drive Reset + ServeSource (or
+//     ServeSourceSliced) + FinishSummary themselves, reusing every buffer.
 //
 // # Time-sliced parallel dispatch and its determinism contract
 //
 // DispatchSource's parallel mode (DispatchOptions.Parallel) removes the
 // serial bottleneck of state-dependent dispatch: the stream is cut into
 // slices at dispatch-forced synchronization points; each slice is routed
-// serially — Preassign for state-independent dispatchers, the freeAt shadow
+// serially — Preassign for state-independent dispatchers, the shadow
 // recursion for VirtualRouters — and the per-server substreams then advance
 // concurrently, with a barrier resynchronizing the shadow from the engines
 // before the next slice. The contract is bit-identical determinism: because
-// queue.Config.NextFreeAt mirrors Engine.Process's availability arithmetic
+// queue.Config.NextFreeAtAnchored mirrors Engine.Process's availability arithmetic
 // operation for operation, every routing decision equals the one the
 // sequential dispatch would make, each engine serves the same jobs in the
 // same order, and the merge (server-ordered, through the same Farm.Finish)
@@ -62,25 +65,29 @@
 // At fleet scale the routing half of the sliced loop dominates: a linear
 // shadow scan is Θ(k) per job, ~10^8 float compares per re-served stream at
 // k = 10,000. The sliced driver therefore routes JSQ and LeastWorkLeft
-// through an O(log k) index over the shadow (index.go): JSQ uses a
-// tournament tree over (freeAt, index) with a leftmost-at-most descent for
-// the all-idle case; LeastWorkLeft adds per-phase idle bitsets and a
-// crossing heap so sleep-state wake pricing stays exact while only O(log k)
-// state updates per decision are paid. The index is an implementation
-// detail with a hard bit-identity contract — every decision equals the
-// linear scan's, tie-breaks included — pinned by an equivalence suite up to
-// k = 10,000 and benchmarked (indexed vs linear) in BenchmarkFarmRoute10k;
-// DispatchOptions.LinearRouting disables it for A/B comparison. PowerOfD
-// inspects only its d sampled servers and stays on the plain shadow.
+// through an O(log k) index over the shadow (index.go) whenever every server
+// runs the same configuration: JSQ uses a tournament tree over (freeAt,
+// index) with a leftmost-at-most descent for the all-idle case;
+// LeastWorkLeft adds per-phase idle bitsets and a crossing heap so
+// sleep-state wake pricing stays exact while only O(log k) state updates
+// per decision are paid. The index is an implementation detail with a hard
+// bit-identity contract — every decision equals the linear scan's,
+// tie-breaks included — pinned by an equivalence suite up to k = 10,000 and
+// gated in BenchmarkFarmDispatch10k. The driver thus has three routing
+// arms: Preassign, the index, and one linear arm that calls RouteVirtual and
+// advances the shadow from each server's own configuration. The linear arm
+// serves heterogeneous farms, PowerOfD (which inspects only its d sampled
+// servers) and any VirtualRouter without an index; the index is gated on
+// exact dispatcher types, so a wrapper overriding RouteVirtual always routes
+// by its own scan.
 //
 // # Persistent worker pool and steady-state reuse
 //
-// Every parallel path in the package — Run's preassigned fan-out,
-// RunSources' per-server workers, and each slice of the parallel dispatch —
-// executes on the process-wide persistent pool of internal/par: workers are
-// started once and parked between submissions, and the pool's reusable
-// barrier replaces the per-call (previously per-slice) sync.WaitGroup
-// churn. The sliced driver uses par.Pool.RunSharded, giving each executor a
+// Every slice of the parallel dispatch executes on the process-wide
+// persistent pool of internal/par: workers are started once and parked
+// between submissions, and the pool's reusable barrier replaces the
+// per-slice sync.WaitGroup churn. The sliced driver uses
+// par.Pool.RunSharded, giving each executor a
 // fixed contiguous server shard: the same worker touches the same engines
 // slice after slice (cache-hot engines), with work stealing leveling
 // imbalance and the pool's run queue keeping concurrent submissions
@@ -107,15 +114,13 @@
 // configurations — the substrate of the fleet coordinator
 // (internal/fleet). Farm.Server exposes each engine for per-server
 // SetConfigAt/WakeAt at epoch boundaries; the per-call uniformity scan
-// notices differing configurations and routes through per-server shadow
-// arithmetic, with ConfigRouter (implemented by LeastWorkLeft,
-// RouteVirtualConfigs) pricing each candidate under that server's own
-// phase schedule. Pricing is always live: the routing index and both
-// linear arms price from the engines' current configurations exactly as
-// the sequential Pick does, so a dispatcher's static Cfg field is never
-// consulted inside the driver and mid-run switches reprice immediately.
-// Farm.Subfarm returns a prefix view sharing the parent's engines and
-// scratch, so a coordinator can serve a shrunken active set without
-// rebuilding state — parked suffix servers keep accruing sleep residency
-// but receive no work.
+// notices differing configurations and takes the linear arm, whose
+// configuration snapshot lets every VirtualRouter price each candidate
+// under that server's own phase schedule. Pricing is always live: the
+// routing index and the linear arm price from the engines' current
+// configurations exactly as the sequential Pick does, so mid-run switches
+// reprice immediately. Farm.Subfarm returns a prefix view and Farm.Select a
+// view over any ascending subset, both sharing the parent's engines, so a
+// coordinator can serve a shrunken active set without rebuilding state —
+// parked and crashed servers receive no work.
 package farm

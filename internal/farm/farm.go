@@ -3,9 +3,7 @@ package farm
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
-	"sleepscale/internal/par"
 	"sleepscale/internal/queue"
 	"sleepscale/internal/stream"
 )
@@ -20,9 +18,9 @@ type Dispatcher interface {
 
 // Preassigner is the optional fast path for dispatchers whose routing does
 // not depend on server state (round-robin, random — not JSQ): Preassign
-// computes the server index for every job of a sorted stream up front, which
-// lets Run simulate the per-server substreams in parallel and merge the
-// results deterministically. Preassign must consume exactly the same
+// computes the server index for every job of a sorted slice up front, which
+// lets the sliced driver simulate the per-server substreams in parallel and
+// merge the results deterministically. Preassign must consume exactly the same
 // dispatcher state (counters, randomness) as the equivalent sequence of Pick
 // calls, so the two paths route identically.
 type Preassigner interface {
@@ -178,8 +176,9 @@ func (f *Farm) Server(i int) *queue.Engine { return f.engines[i] }
 // source) advances across parent and view alike — with its own job counters
 // and serving scratch. Serving through the view routes over servers [0, n)
 // only, which is how the fleet coordinator removes parked servers from
-// routing (the active set is always a prefix); the parent still finishes and
-// reports all k engines. Views stay valid across the parent's Reset.
+// routing while its active set is a prefix (Select covers the rest); the
+// parent still finishes and reports all k engines. Views stay valid across
+// the parent's Reset.
 func (f *Farm) Subfarm(n int) (*Farm, error) {
 	if n < 1 || n > len(f.engines) {
 		return nil, fmt.Errorf("farm: subfarm size %d of a %d-server farm", n, len(f.engines))
@@ -197,7 +196,7 @@ func (f *Farm) Subfarm(n int) (*Farm, error) {
 // idx ascending, every dispatcher's lowest-index tie break resolves to the
 // lowest surviving parent index: routing through the view is exactly the
 // parent's routing with the excluded servers skipped, on the O(log k) index
-// and both linear arms alike.
+// and the linear arm alike.
 //
 // Pass the previous return value as view to reuse its storage (including the
 // sliced-dispatch scratch, which resizes in place when the subset size
@@ -335,25 +334,11 @@ func (f *Farm) FinishSummary(at float64) Summary {
 // — the natural Finish instant of a drained stream.
 func (f *Farm) LastFree() float64 { return lastFree(f.engines) }
 
-// Run is a convenience: dispatch a whole sorted job stream and finish at the
-// last departure across servers. When the dispatcher routes independently of
-// server state (it implements Preassigner), the per-server substreams are
-// simulated in parallel — each server's engine driven by one worker — and
-// merged in server order, reproducing the sequential result exactly. The
-// parallel path draws its routing and bucketing scratch (the job-stream-sized
-// backing array included) from a shared pool, so repeated scale-out sweeps
-// settle into steady-state reuse; engines stay per-call, so returned
-// Results never alias pooled storage.
+// Run is a convenience: dispatch a whole sorted job stream job by job and
+// finish at the last departure across servers. Engines are fresh per call,
+// so the returned Result never aliases reused storage; DispatchSource is the
+// streamed (and optionally parallel) counterpart.
 func Run(k int, cfg queue.Config, disp Dispatcher, jobs []queue.Job) (Result, error) {
-	if pre, ok := disp.(Preassigner); ok && k > 1 && len(jobs) > 0 {
-		if err := cfg.Validate(); err != nil {
-			return Result{}, err
-		}
-		sc := scratchPool.Get().(*runScratch)
-		res, err := sc.runPreassigned(k, cfg, disp, pre, jobs)
-		scratchPool.Put(sc)
-		return res, err
-	}
 	f, err := New(k, cfg, disp)
 	if err != nil {
 		return Result{}, err
@@ -377,25 +362,6 @@ func lastFree(engines []*queue.Engine) float64 {
 	return last
 }
 
-// runScratch is the reusable state of one preassigned parallel run: the
-// routing table, the bucketed substreams' backing array and the per-server
-// counters. Pooling it takes the per-call bucketing allocation out of
-// repeated scale-out sweeps — the farm-level counterpart of the queue
-// package's evaluator pool. Engines are deliberately NOT pooled: the
-// returned Result.PerServer[i].Responses alias engine samples, and pooled
-// engines would let a later (or concurrent) Run corrupt results a caller
-// still holds.
-type runScratch struct {
-	assign  []int
-	offsets []int
-	fill    []int
-	perSrv  []int
-	backing []queue.Job
-	errs    []error
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
-
 // resizeInts returns s with length n, reusing capacity; contents are
 // unspecified (callers overwrite).
 func resizeInts(s []int, n int) []int {
@@ -407,8 +373,8 @@ func resizeInts(s []int, n int) []int {
 
 // bucketByServer fills backing with jobs grouped into contiguous per-server
 // substreams — a counting sort on assign that preserves arrival order within
-// each server, shared by the materialized preassigned path and the
-// time-sliced dispatch driver. counts must already tally assign; offsets
+// each server, the time-sliced dispatch driver's per-slice fan-out step.
+// counts must already tally assign; offsets
 // (length k+1) and fill are scratch, overwritten. On return,
 // backing[offsets[s]:offsets[s+1]] is server s's substream.
 func bucketByServer(jobs []queue.Job, assign, counts, offsets, fill []int, backing []queue.Job) {
@@ -422,136 +388,4 @@ func bucketByServer(jobs []queue.Job, assign, counts, offsets, fill []int, backi
 		backing[fill[s]] = jobs[i]
 		fill[s]++
 	}
-}
-
-// runPreassigned is Run's parallel path: route every job up front, simulate
-// each server's substream concurrently, then aggregate in server order so the
-// merge is deterministic and bit-identical to the sequential dispatch.
-func (sc *runScratch) runPreassigned(k int, cfg queue.Config, disp Dispatcher, pre Preassigner, jobs []queue.Job) (Result, error) {
-	sc.assign = resizeInts(sc.assign, len(jobs))
-	pre.Preassign(k, jobs, sc.assign)
-
-	sc.perSrv = resizeInts(sc.perSrv, k)
-	for s := range sc.perSrv {
-		sc.perSrv[s] = 0
-	}
-	for _, s := range sc.assign {
-		if s < 0 || s >= k {
-			return Result{}, fmt.Errorf("farm: dispatcher %s picked server %d of %d", disp.Name(), s, k)
-		}
-		sc.perSrv[s]++
-	}
-	// Bucket the stream into per-server substreams sharing one backing array,
-	// preserving arrival order within each server.
-	if cap(sc.backing) < len(jobs) {
-		sc.backing = make([]queue.Job, len(jobs))
-	}
-	sc.backing = sc.backing[:len(jobs)]
-	sc.offsets = resizeInts(sc.offsets, k+1)
-	sc.fill = resizeInts(sc.fill, k)
-	bucketByServer(jobs, sc.assign, sc.perSrv, sc.offsets, sc.fill, sc.backing)
-
-	engines := make([]*queue.Engine, k)
-	sc.errs = sc.errs[:0]
-	for s := 0; s < k; s++ {
-		sc.errs = append(sc.errs, nil)
-	}
-	errs := sc.errs
-	par.Default().Run(k, 0, func(_, s int) {
-		eng, err := queue.NewEngine(cfg, 0)
-		if err != nil {
-			errs[s] = err
-			return
-		}
-		engines[s] = eng
-		sub := sc.backing[sc.offsets[s]:sc.offsets[s+1]]
-		for i := range sub {
-			if _, err := eng.Process(sub[i]); err != nil {
-				errs[s] = fmt.Errorf("farm: server %d job %d: %w", s, i, err)
-				return
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	// Merge through the same Farm.Finish the sequential path uses, so the
-	// aggregation can never diverge between the two.
-	f := &Farm{engines: engines, disp: disp, perSrv: sc.perSrv}
-	return f.Finish(lastFree(engines))
-}
-
-// RunSources runs one server per source: server i serves exactly the jobs
-// srcs[i] delivers, the routing having been decided by construction (a
-// sharded trace, per-server scenario generators). Servers simulate in
-// parallel, each pulling bounded chunks, and aggregate deterministically in
-// server order. Sources are consumed from their current position; sources
-// exposing Err() error surface their failure. Like Run's preassigned path,
-// per-server job-buffer memory is one chunk, so week-long per-server
-// streams run in O(k·chunk).
-func RunSources(cfg queue.Config, srcs []queue.JobSource) (Result, error) {
-	k := len(srcs)
-	if k < 1 {
-		return Result{}, fmt.Errorf("farm: no job sources")
-	}
-	for s, src := range srcs {
-		if src == nil {
-			return Result{}, fmt.Errorf("farm: nil job source for server %d", s)
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	engines := make([]*queue.Engine, k)
-	perSrv := make([]int, k)
-	errs := make([]error, k)
-	// One pull buffer per pool executor (calls sharing a worker id are
-	// sequential, so per-worker slices need no locking), carved from one
-	// backing array.
-	pool := par.Default()
-	workers := pool.Size()
-	if workers > k {
-		workers = k
-	}
-	bufs := make([]queue.Job, workers*stream.DefaultChunk)
-	pool.Run(k, 0, func(w, s int) {
-		buf := bufs[w*stream.DefaultChunk : (w+1)*stream.DefaultChunk]
-		eng, err := queue.NewEngine(cfg, 0)
-		if err != nil {
-			errs[s] = err
-			return
-		}
-		engines[s] = eng
-		src := srcs[s]
-		served := 0
-		for errs[s] == nil {
-			n, ok := src.Next(buf)
-			for i := 0; i < n; i++ {
-				if _, err := eng.Process(buf[i]); err != nil {
-					errs[s] = fmt.Errorf("farm: server %d job %d: %w", s, served+i, err)
-					break
-				}
-			}
-			served += n
-			if !ok {
-				break
-			}
-		}
-		perSrv[s] = served
-		if errs[s] == nil {
-			if err := sourceErr(src); err != nil {
-				errs[s] = fmt.Errorf("farm: server %d source: %w", s, err)
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	f := &Farm{engines: engines, perSrv: perSrv}
-	return f.Finish(lastFree(engines))
 }

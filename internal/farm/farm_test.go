@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"sleepscale/internal/queue"
@@ -222,8 +221,8 @@ func TestFinishEmptyFarm(t *testing.T) {
 	}
 }
 
-// sequentialRun replays Run's sequential path explicitly (dispatch one job at
-// a time through a Farm), as the reference for the parallel preassigned path.
+// sequentialRun replays Run explicitly (dispatch one job at a time through a
+// Farm), as the reference for the streamed and sliced parallel paths.
 func sequentialRun(t *testing.T, k int, cfg queue.Config, disp Dispatcher, jobs []queue.Job) Result {
 	t.Helper()
 	f, err := New(k, cfg, disp)
@@ -273,12 +272,13 @@ func requireResultsEqual(t *testing.T, got, want Result) {
 }
 
 // TestRunParallelMatchesSequentialRoundRobin pins the preassigned parallel
-// path to the sequential dispatch bit-for-bit.
+// path — the sliced driver's Preassign arm — to the sequential dispatch
+// bit-for-bit.
 func TestRunParallelMatchesSequentialRoundRobin(t *testing.T) {
 	jobs := expJobs(30000, 8, 5, 3)
 	for _, k := range []int{2, 4, 7} {
 		want := sequentialRun(t, k, testCfg(), &RoundRobin{}, jobs)
-		got, err := Run(k, testCfg(), &RoundRobin{}, jobs)
+		got, err := DispatchSource(k, testCfg(), &RoundRobin{}, &sliceSource{jobs: jobs}, DispatchOptions{Parallel: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestRunParallelMatchesSequentialRandom(t *testing.T) {
 	jobs := expJobs(30000, 8, 5, 4)
 	const k = 5
 	want := sequentialRun(t, k, testCfg(), &Random{Rng: rand.New(rand.NewSource(99))}, jobs)
-	got, err := Run(k, testCfg(), &Random{Rng: rand.New(rand.NewSource(99))}, jobs)
+	got, err := DispatchSource(k, testCfg(), &Random{Rng: rand.New(rand.NewSource(99))}, &sliceSource{jobs: jobs}, DispatchOptions{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,13 +318,14 @@ func (badPreassigner) Preassign(k int, jobs []queue.Job, dst []int) {
 }
 
 func TestRunParallelRejectsBadPreassign(t *testing.T) {
-	jobs := expJobs(100, 8, 5, 5)
-	if _, err := Run(3, testCfg(), &badPreassigner{}, jobs); err == nil {
+	src := &sliceSource{jobs: expJobs(100, 8, 5, 5)}
+	if _, err := DispatchSource(3, testCfg(), &badPreassigner{}, src, DispatchOptions{Parallel: true}); err == nil {
 		t.Fatal("out-of-range preassignment accepted")
 	}
 }
 
-// sliceSource adapts a job slice to queue.JobSource for RunSources tests.
+// sliceSource adapts a job slice to queue.JobSource for the streamed
+// dispatch tests.
 type sliceSource struct {
 	jobs []queue.Job
 	pos  int
@@ -336,103 +337,9 @@ func (s *sliceSource) Next(buf []queue.Job) (int, bool) {
 	return n, s.pos < len(s.jobs)
 }
 
-// TestRunSourcesMatchesPreassigned: feeding each server its round-robin
-// substream as a source must reproduce the dispatched run bit for bit — the
-// sources are just a streamed expression of the same routing.
-func TestRunSourcesMatchesPreassigned(t *testing.T) {
-	jobs := expJobs(30000, 8, 5, 11)
-	const k = 4
-	want, err := Run(k, testCfg(), &RoundRobin{}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs := make([][]queue.Job, k)
-	for i, j := range jobs {
-		subs[i%k] = append(subs[i%k], j)
-	}
-	srcs := make([]queue.JobSource, k)
-	for s := range srcs {
-		srcs[s] = &sliceSource{jobs: subs[s]}
-	}
-	got, err := RunSources(testCfg(), srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireResultsEqual(t, got, want)
-}
-
-func TestRunSourcesValidation(t *testing.T) {
-	if _, err := RunSources(testCfg(), nil); err == nil {
-		t.Error("empty source list accepted")
-	}
-	if _, err := RunSources(queue.Config{}, []queue.JobSource{&sliceSource{}}); err == nil {
-		t.Error("invalid config accepted")
-	}
-	if _, err := RunSources(testCfg(), []queue.JobSource{&sliceSource{}, nil}); err == nil {
-		t.Error("nil source accepted")
-	}
-}
-
 // failingFarmSource exposes a deferred error.
 type failingFarmSource struct{ sliceSource }
 
 func (f *failingFarmSource) Err() error { return errSynthetic }
 
 var errSynthetic = fmt.Errorf("synthetic farm source failure")
-
-func TestRunSourcesSurfacesSourceError(t *testing.T) {
-	srcs := []queue.JobSource{
-		&sliceSource{jobs: expJobs(10, 8, 5, 1)},
-		&failingFarmSource{sliceSource{jobs: expJobs(10, 8, 5, 2)}},
-	}
-	if _, err := RunSources(testCfg(), srcs); err == nil {
-		t.Fatal("source error not surfaced")
-	}
-}
-
-// TestPooledScratchStableAcrossRuns: the preassigned path's pooled scratch
-// and engines must not leak state between runs — repeated identical runs
-// stay bit-identical, including after an interleaved differently-shaped run.
-func TestPooledScratchStableAcrossRuns(t *testing.T) {
-	jobs := expJobs(20000, 8, 5, 21)
-	first, err := Run(4, testCfg(), &RoundRobin{}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Different shape in between re-dirties the pooled buffers.
-	if _, err := Run(7, testCfg(), &RoundRobin{}, jobs[:5000]); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Run(4, testCfg(), &RoundRobin{}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireResultsEqual(t, again, first)
-}
-
-// TestPooledScratchConcurrentRuns exercises pool handout under the race
-// detector: concurrent preassigned runs must not share scratch.
-func TestPooledScratchConcurrentRuns(t *testing.T) {
-	jobs := expJobs(8000, 8, 5, 31)
-	want, err := Run(3, testCfg(), &RoundRobin{}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	results := make([]Result, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g], errs[g] = Run(3, testCfg(), &RoundRobin{}, jobs)
-		}(g)
-	}
-	wg.Wait()
-	for g := range errs {
-		if errs[g] != nil {
-			t.Fatal(errs[g])
-		}
-		requireResultsEqual(t, results[g], want)
-	}
-}

@@ -10,7 +10,9 @@ import (
 // This file is the fleet-scale routing index: O(log k) per-job decisions for
 // the state-dependent dispatchers, proven bit-identical to their O(k) linear
 // scans. The sliced parallel driver builds one index per farm and routes every
-// job through it; DispatchOptions.LinearRouting opts back into the scans.
+// job of a homogeneous farm through it; farms whose servers run different
+// configurations, and dispatchers without an index, take the linear
+// RouteVirtual arm.
 //
 // The structures answer exactly the queries the linear comparators compute:
 //
@@ -262,8 +264,7 @@ type crossing struct {
 // configuration — exactly as Pick prices from live engines, so indexed
 // routing stays bit-identical to the sequential dispatch even when the
 // operating point switches between calls (the fleet coordinator's
-// epoch-boundary policy changes). The dispatcher's static Cfg field is never
-// consulted.
+// epoch-boundary policy changes).
 type lwlIndex struct {
 	freeAt []float64
 	anchor []float64

@@ -23,8 +23,8 @@ func deepCfg() queue.Config {
 }
 
 // indexedDispatchers returns fresh constructors for the disciplines that have
-// an O(log k) routing index, priced by cfg.
-func indexedDispatchers(cfg queue.Config) []struct {
+// an O(log k) routing index.
+func indexedDispatchers() []struct {
 	name string
 	mk   func() Dispatcher
 } {
@@ -33,28 +33,45 @@ func indexedDispatchers(cfg queue.Config) []struct {
 		mk   func() Dispatcher
 	}{
 		{"jsq", func() Dispatcher { return JSQ{} }},
-		{"lwl", func() Dispatcher { return &LeastWorkLeft{Cfg: cfg} }},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }},
 	}
+}
+
+// scanOnly hides a VirtualRouter's routing index: the wrapper is not one of
+// the exact types newRouteIndexFor recognizes, so the sliced driver routes
+// it on the linear arm with the wrapped dispatcher's own RouteVirtual — the
+// reference scan the index must match. Pick and Name are the wrapped
+// dispatcher's.
+type scanOnly struct{ Dispatcher }
+
+func (s scanOnly) RouteVirtual(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
+	return s.Dispatcher.(VirtualRouter).RouteVirtual(cfgs, freeAt, anchor, j)
+}
+
+// linearOnly forces a VirtualRouter onto the linear routing arm; other
+// dispatchers (the Preassigners) have only one sliced arm and pass through.
+func linearOnly(d Dispatcher) Dispatcher {
+	if _, ok := d.(VirtualRouter); ok {
+		return scanOnly{d}
+	}
+	return d
 }
 
 // TestRoutingIndexEquivalenceFullDispatch pins indexed routing to the linear
 // scans through complete simulations: for every dispatcher, seed and fleet
-// size, the sequential Pick dispatch, the sliced dispatch with LinearRouting
-// and the sliced dispatch through the index must produce bit-identical
-// results. k = 1 degenerates the tree to a single leaf; 7 is a non-power of
-// two (padded leaves in play); 1000 runs the descent ten levels deep.
+// size, the sequential Pick dispatch, the sliced dispatch on the linear arm
+// (the dispatcher wrapped by linearOnly) and the sliced dispatch through the
+// index must produce bit-identical results. k = 1 degenerates the tree to a
+// single leaf; 7 is a non-power of two (padded leaves in play); 1000 runs the
+// descent ten levels deep.
 func TestRoutingIndexEquivalenceFullDispatch(t *testing.T) {
 	for _, k := range []int{1, 7, 1000} {
 		jobs := 20000
 		if k >= 1000 {
 			jobs = 4000 // the O(k)-per-job reference paths dominate the cost
 		}
-		// The shared dispatchers() table prices least-work-left with
-		// testCfg; these farms run deepCfg, so build a fresh table. The
-		// lwl entry deliberately leaves Cfg zero: every dispatch path —
-		// Pick, the index, and the linear ConfigRouter arm — prices from
-		// the engines' live configuration, so the static field must not
-		// matter.
+		// Every dispatch path — Pick, the index and the linear arm — prices
+		// least-work-left from the engines' live configuration.
 		disps := []struct {
 			name string
 			mk   func() Dispatcher
@@ -79,8 +96,8 @@ func TestRoutingIndexEquivalenceFullDispatch(t *testing.T) {
 					t.Fatalf("k=%d seed=%d %s indexed: %v", k, seed, d.name, err)
 				}
 				requireResultsEqual(t, indexed, want)
-				linear, err := DispatchSource(k, deepCfg(), d.mk(), &sliceSource{jobs: stream},
-					DispatchOptions{Parallel: true, SliceJobs: 777, LinearRouting: true})
+				linear, err := DispatchSource(k, deepCfg(), linearOnly(d.mk()), &sliceSource{jobs: stream},
+					DispatchOptions{Parallel: true, SliceJobs: 777})
 				if err != nil {
 					t.Fatalf("k=%d seed=%d %s linear: %v", k, seed, d.name, err)
 				}
@@ -109,20 +126,12 @@ func shadowState(k int, seed int64) (freeAt, anchor []float64) {
 }
 
 // routeLinearReference advances one job through the linear-scan reference
-// path exactly as the sliced driver's uniform linear arm does: a
-// ConfigRouter prices from the live engine configuration snapshot, others
-// use their anchored scan (or plain RouteVirtual); then the driver's shadow
-// commit.
-func routeLinearReference(disp Dispatcher, engCfg queue.Config, cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
-	var s int
-	if crr, ok := disp.(ConfigRouter); ok {
-		s = crr.RouteVirtualConfigs(cfgs, freeAt, anchor, j)
-	} else if ar, ok := disp.(AnchoredRouter); ok {
-		s = ar.RouteVirtualAnchored(freeAt, anchor, j)
-	} else {
-		s = disp.(VirtualRouter).RouteVirtual(freeAt, j)
-	}
-	nf := engCfg.NextFreeAtAnchored(freeAt[s], anchor[s], j)
+// path exactly as the sliced driver's linear arm does: RouteVirtual over the
+// per-server configuration snapshot, then the shadow commit under the picked
+// server's configuration.
+func routeLinearReference(disp Dispatcher, cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
+	s := disp.(VirtualRouter).RouteVirtual(cfgs, freeAt, anchor, j)
+	nf := cfgs[s].NextFreeAtAnchored(freeAt[s], anchor[s], j)
 	freeAt[s], anchor[s] = nf, nf
 	return s
 }
@@ -131,11 +140,10 @@ func routeLinearReference(disp Dispatcher, engCfg queue.Config, cfgs []queue.Con
 // against the linear scans at fleet scale — k = 10,000, where a full farm
 // comparison would be dominated by engine accounting — asserting every routing
 // decision and the final shadow agree bitwise. The least-work-left cases
-// include a dispatcher Cfg differing from (or zeroed against) the engine
-// configuration: routing must price from the live engine configuration and
-// ignore the dispatcher's static field, exactly as the linear ConfigRouter
-// path does. One index instance is reused across all cases via reset, which
-// is the rebuild path the sliced driver exercises per call.
+// price two different engine configurations, both from the configuration
+// the index was reset with, exactly as the linear arm prices from its
+// snapshot. One index instance is reused across all seeds of a case via
+// reset, which is the rebuild path the sliced driver exercises per call.
 func TestRoutingIndexEquivalence10k(t *testing.T) {
 	const k = 10000
 	slowEng := deepCfg()
@@ -146,9 +154,8 @@ func TestRoutingIndexEquivalence10k(t *testing.T) {
 		engCfg queue.Config
 	}{
 		{"jsq", func() Dispatcher { return JSQ{} }, deepCfg()},
-		{"lwl", func() Dispatcher { return &LeastWorkLeft{Cfg: deepCfg()} }, deepCfg()},
-		{"lwl-stale-cfg", func() Dispatcher { return &LeastWorkLeft{Cfg: deepCfg()} }, slowEng},
-		{"lwl-zero-cfg", func() Dispatcher { return &LeastWorkLeft{} }, deepCfg()},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }, deepCfg()},
+		{"lwl-slow", func() Dispatcher { return &LeastWorkLeft{} }, slowEng},
 	}
 	for _, tc := range cases {
 		disp := tc.mk()
@@ -173,7 +180,7 @@ func TestRoutingIndexEquivalence10k(t *testing.T) {
 			copy(idxAnchor, linAnchor)
 			idx.reset(tc.engCfg)
 			for i, j := range stream {
-				want := routeLinearReference(disp, tc.engCfg, cfgs, linFree, linAnchor, j)
+				want := routeLinearReference(disp, cfgs, linFree, linAnchor, j)
 				got := idx.route(j)
 				if got != want {
 					t.Fatalf("%s seed=%d job %d (t=%g): indexed route %d, linear route %d",
@@ -198,7 +205,7 @@ func TestRoutingIndexRebuildAfterReset(t *testing.T) {
 	const k = 64
 	streamA := expJobs(8000, 400, 5, 7)
 	streamB := expJobs(5000, 250, 4, 8)
-	for _, d := range indexedDispatchers(deepCfg()) {
+	for _, d := range indexedDispatchers() {
 		f, err := New(k, deepCfg(), d.mk())
 		if err != nil {
 			t.Fatal(err)
@@ -248,10 +255,10 @@ func TestSlicedDispatchAgreesAcrossIdleSwitch(t *testing.T) {
 	for i := range tail {
 		tail[i].Arrival += switchAt + 0.5
 	}
-	for _, d := range indexedDispatchers(deepCfg()) {
-		serve := func(opts DispatchOptions) Summary {
+	for _, d := range indexedDispatchers() {
+		serve := func(disp Dispatcher, opts DispatchOptions) Summary {
 			t.Helper()
-			f, err := New(k, deepCfg(), d.mk())
+			f, err := New(k, deepCfg(), disp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,11 +281,11 @@ func TestSlicedDispatchAgreesAcrossIdleSwitch(t *testing.T) {
 			run(tail)
 			return f.FinishSummary(f.LastFree())
 		}
-		want := serve(DispatchOptions{})
-		if got := serve(DispatchOptions{Parallel: true, SliceJobs: 97}); got != want {
+		want := serve(d.mk(), DispatchOptions{})
+		if got := serve(d.mk(), DispatchOptions{Parallel: true, SliceJobs: 97}); got != want {
 			t.Fatalf("%s indexed diverges across idle switch:\n got %+v\nwant %+v", d.name, got, want)
 		}
-		if got := serve(DispatchOptions{Parallel: true, SliceJobs: 97, LinearRouting: true}); got != want {
+		if got := serve(linearOnly(d.mk()), DispatchOptions{Parallel: true, SliceJobs: 97}); got != want {
 			t.Fatalf("%s linear diverges across idle switch:\n got %+v\nwant %+v", d.name, got, want)
 		}
 	}

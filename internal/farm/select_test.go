@@ -31,7 +31,7 @@ func maskedPick(f *Farm, disp Dispatcher, healthy []int, j queue.Job) int {
 }
 
 // TestSelectViewMatchesMaskedScan pins the tentpole routing contract: serving
-// through a Select view — on the O(log k) index and both linear arms — routes
+// through a Select view — on the O(log k) index and the linear arm — routes
 // every job to exactly the server a masked linear scan over the full farm
 // (down servers skipped) would pick, with bit-identical responses.
 func TestSelectViewMatchesMaskedScan(t *testing.T) {
@@ -39,7 +39,7 @@ func TestSelectViewMatchesMaskedScan(t *testing.T) {
 	healthy := []int{0, 2, 3, 7, 8, 9, 14}
 	jobs := expJobs(4000, 10*float64(len(healthy)), 5, 11)
 
-	for _, d := range indexedDispatchers(deepCfg()) {
+	for _, d := range indexedDispatchers() {
 		// Reference: masked sequential scan over the full farm.
 		ref, err := New(k, deepCfg(), d.mk())
 		if err != nil {
@@ -57,7 +57,11 @@ func TestSelectViewMatchesMaskedScan(t *testing.T) {
 		}
 
 		for _, linear := range []bool{false, true} {
-			full, err := New(k, deepCfg(), d.mk())
+			disp := d.mk()
+			if linear {
+				disp = linearOnly(disp)
+			}
+			full, err := New(k, deepCfg(), disp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +73,7 @@ func TestSelectViewMatchesMaskedScan(t *testing.T) {
 			srv := make([]int, len(jobs))
 			view.RecordServe(resp, srv)
 			n, err := view.ServeSourceSliced(&sliceSource{jobs: jobs},
-				DispatchOptions{Parallel: true, SliceJobs: 333, LinearRouting: linear})
+				DispatchOptions{Parallel: true, SliceJobs: 333})
 			if err != nil {
 				t.Fatalf("%s linear=%v: %v", d.name, linear, err)
 			}
@@ -105,7 +109,7 @@ func TestSelectViewResize(t *testing.T) {
 		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 		{3, 11},
 	}
-	for _, d := range indexedDispatchers(deepCfg()) {
+	for _, d := range indexedDispatchers() {
 		reused, err := New(k, deepCfg(), d.mk())
 		if err != nil {
 			t.Fatal(err)

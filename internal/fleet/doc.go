@@ -1,15 +1,16 @@
-// Package fleet is the coordinator layer above the §6 farm runner: it owns
-// per-server (queue.Config, policy) state and makes epoch-boundary decisions
-// for a whole fleet, where core.RunFarmSource switches one fleet-wide policy.
-// Three capabilities extend the per-server policy table into cluster
-// management:
+// Package fleet is the farm-wide §6 epoch driver: it runs the
+// decide→serve→observe cycle of core.RunSource over a dispatched farm and
+// owns per-server (queue.Config, policy) state. In shared mode
+// (Config.PerServer false) one decision per epoch applies fleet-wide — the
+// homogeneous-cluster operating model of the scale-out studies. Three
+// capabilities extend the per-server policy table into cluster management:
 //
 //   - Per-server policies: with Config.PerServer, every server gets its own
 //     utilization predictor (fed the demand actually routed to it) and its
 //     own Strategy decision each epoch, so a skewed fleet runs a different
 //     (frequency, sleep-plan) pair per server. Routing prices each server
-//     from its own live configuration (farm.ConfigRouter / the heterogeneous
-//     sliced dispatch path).
+//     from its own live configuration (the sliced dispatch path's linear
+//     arm hands every farm.VirtualRouter the per-server configurations).
 //
 //   - Coordinated, staggered sleep: Config.Quorum = Q caps a rotating duty
 //     window of Q active servers to sleep states no deeper than C1, so deep
@@ -26,27 +27,33 @@
 //     a prefix Subfarm view — and unparks by queue.Engine.WakeAt, so an
 //     unparked server's first job pays the full deep-sleep wake latency.
 //
-// Invariants, enforced every epoch:
+// Invariants. Both hold when every epoch opens, and when an epoch with no
+// fault events closes; Config.Faults can break them mid-epoch:
 //
 //   - Quorum: at least min(Q, active) active servers' installed plans are no
 //     deeper than C1 (their DeepestState().CPU ≤ power.C1). The duty window
-//     rotates by Q per epoch over the active prefix, so deep sleep visits
-//     every server.
+//     rotates by Q per epoch over the active set, so deep sleep visits
+//     every server. A duty-window server that crashes mid-epoch leaves that
+//     epoch's record below quorum: the window is re-formed only when the
+//     next epoch opens.
 //
-//   - Park: the active set is always the prefix [0, active); routing never
-//     selects a parked server (the serving view contains only the prefix),
-//     and active ≥ max(MinActive, Quorum, 1). A parked server keeps draining
-//     already-accepted work at full speed, then idles into the deepest
-//     state; unparking wakes it at the epoch boundary, charging the wake
-//     latency and energy of the occupied phase before any new job starts.
+//   - Park: the active set is the first `active` healthy servers — the
+//     prefix [0, active), served through a prefix Subfarm view, when no
+//     server is down — and active ≥ max(MinActive, Quorum, 1) capped to the
+//     healthy count. Routing never selects a parked server. Crashes and
+//     repairs change the set mid-epoch, and any non-prefix set serves
+//     through a compact Select view. A parked server keeps draining already-accepted work at full speed,
+//     then idles into the deepest state; unparking wakes it at the epoch
+//     boundary, charging the wake latency and energy of the occupied phase
+//     before any new job starts.
 //
 // The epoch cycle is the exact decide→serve→observe loop of the batch
 // runners (the serve step runs on the sharded worker pool via
-// farm.ServeSourceSliced between policy switches), and with shared-mode
-// homogeneous decisions — no quorum, no parking — a Coordinator run is
-// bit-for-bit identical to core.RunFarmSource: same decision RNG stream,
-// same per-epoch records, same aggregates. The equivalence suite pins this
-// across seeds and fleet sizes.
+// farm.ServeSourceSliced between policy switches). A shared-mode run with
+// no quorum and no parking is the homogeneous farm epoch run: with one
+// server it matches core.RunSource bit for bit, and the equivalence suite
+// pins its per-epoch records and aggregates to recorded digests across
+// seeds, dispatchers and fleet sizes.
 //
 // Beyond the farm report's quantities, Report carries fleet rollups: peak
 // power, jobs per joule, and an energy-proportionality score comparing each

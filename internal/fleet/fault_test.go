@@ -202,8 +202,9 @@ func chaosEvents() []fault.Event {
 // TestFaultChaosConservation drives the scripted chaos week over every
 // dispatcher: the conservation ledger must close exactly, the per-epoch
 // energy deltas must telescope to the run totals through crash refunds, the
-// fleet partition must stay consistent every epoch, and the whole run must
-// be deterministic under a fixed seed.
+// fleet partition must stay consistent every epoch, every epoch that closes
+// with no fault events must hold the quorum, and the whole run must be
+// deterministic under a fixed seed.
 func TestFaultChaosConservation(t *testing.T) {
 	disps := []struct {
 		name string
@@ -215,8 +216,19 @@ func TestFaultChaosConservation(t *testing.T) {
 	}
 	jobs := fleetJobs(360, 30, 10, 77)
 	for _, d := range disps {
+		quiet := 0
 		run := func() *Report {
-			coord, err := New(chaosConfig(d.mk(), mustSchedule(t, chaosEvents()), 5))
+			cfg := chaosConfig(d.mk(), mustSchedule(t, chaosEvents()), 5)
+			cfg.Observer = func(fe Epoch) {
+				if fe.Crashes != 0 || fe.Repairs != 0 {
+					return
+				}
+				quiet++
+				if fe.Shallow < min(cfg.Quorum, fe.Active) {
+					t.Fatalf("%s: fault-free epoch %d breaks quorum: %+v", d.name, fe.Index, fe)
+				}
+			}
+			coord, err := New(cfg)
 			if err != nil {
 				t.Fatalf("%s: new: %v", d.name, err)
 			}
@@ -227,6 +239,9 @@ func TestFaultChaosConservation(t *testing.T) {
 			return rep
 		}
 		rep := run()
+		if quiet == 0 {
+			t.Fatalf("%s: every epoch saw a fault event — the quorum check never ran", d.name)
+		}
 		checkConservation(t, d.name, rep)
 		checkEnergyTelescope(t, d.name, rep)
 		if rep.Crashes != 3 || rep.Repairs != 3 {
@@ -435,6 +450,58 @@ func TestQuorumWiderThanHealthy(t *testing.T) {
 	}
 	if rep.PerServer[3].Jobs == 0 {
 		t.Fatal("survivor served nothing")
+	}
+}
+
+// TestQuorumDutyServerCrashMidEpoch pins where the quorum invariant holds
+// under faults. Server 0 opens the run in the one-server duty window and
+// crashes mid-epoch: the window is re-formed only when the next epoch opens,
+// so the crash epoch's record falls below min(Quorum, Active), and the next
+// epoch — no fault events — is back at quorum.
+func TestQuorumDutyServerCrashMidEpoch(t *testing.T) {
+	const q = 1
+	var coord *Coordinator
+	coord, err := New(Config{
+		Servers:      4,
+		FreqExponent: 1,
+		Profile:      power.Xeon(),
+		Trace:        flatTrace(8, 0.3),
+		EpochSlots:   2,
+		Strategy:     &staticStrategy{pol: policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeeperSleep)}},
+		Predictor:    predict.NewNaivePrevious(),
+		Seed:         1,
+		Dispatcher:   farm.JSQ{},
+		Quorum:       q,
+		Retry:        fault.RetryPolicy{Budget: 2, Backoff: 0.1},
+		Faults:       mustSchedule(t, []fault.Event{{Time: 1.0, Server: 0, Kind: fault.Crash}}),
+		Observer: func(fe Epoch) {
+			if fe.Index == 0 {
+				if p, _ := coord.Installed(0); p.Plan.DeepestState().CPU > power.C1 {
+					t.Fatalf("server 0 is not in the opening duty window: %v", p)
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := coord.Run(stream.Slice(fleetJobs(120, 15, 10, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, "duty-crash", rep)
+	crash, next := rep.FleetEpochs[0], rep.FleetEpochs[1]
+	if crash.Crashes != 1 || crash.Active != 3 {
+		t.Fatalf("crash epoch %+v: want one crash and 3 active servers", crash)
+	}
+	if crash.Shallow >= min(q, crash.Active) {
+		t.Fatalf("crash epoch %+v still at quorum: the duty-window server's crash must show", crash)
+	}
+	if next.Crashes != 0 || next.Repairs != 0 {
+		t.Fatalf("epoch after the crash saw fault events: %+v", next)
+	}
+	if next.Shallow < min(q, next.Active) {
+		t.Fatalf("epoch after the crash %+v is not back at quorum", next)
 	}
 }
 

@@ -36,7 +36,7 @@ type Config struct {
 	// decision RNG stream either way.
 	Strategy core.Strategy
 	// Predictor is the shared fleet predictor (PerServer false): it observes
-	// the trace's realized slot utilizations, exactly as in RunFarmSource.
+	// the trace's realized slot utilizations, exactly as in core.RunSource.
 	Predictor predict.Predictor
 	// NewPredictor builds one predictor per server (PerServer true). Each
 	// server's predictor observes the per-slot demand actually routed to
@@ -49,9 +49,9 @@ type Config struct {
 	// Seed drives the strategy's bootstrap resampling via core.DecideSeed.
 	Seed int64
 	// Dispatcher routes jobs over the active servers. It must support the
-	// sliced dispatch path (Preassigner or VirtualRouter); per-server
-	// policies additionally need a ConfigRouter or configuration-free
-	// dispatcher.
+	// sliced dispatch path (Preassigner or VirtualRouter); the driver hands
+	// every VirtualRouter each server's live configuration, so per-server
+	// policies route exactly.
 	Dispatcher farm.Dispatcher
 	// Options tunes the sliced serving path (slice size, worker bound).
 	Options farm.DispatchOptions
@@ -93,7 +93,10 @@ type Epoch struct {
 	Active int
 	Parked int
 	// Shallow counts active servers whose installed plan is no deeper than
-	// C1 — the quorum invariant is Shallow ≥ min(Quorum, Active).
+	// C1. The quorum invariant Shallow ≥ min(Quorum, Active) holds when every
+	// epoch opens, and when an epoch with no fault events closes: a duty-window
+	// server crashing mid-epoch leaves that epoch's record below quorum,
+	// because the window is re-formed only when the next epoch opens.
 	Shallow int
 	// Unparked counts servers woken this epoch, each paying a deep wake.
 	Unparked int
@@ -108,9 +111,12 @@ type Epoch struct {
 }
 
 // Report aggregates a coordinated fleet run. The embedded RunReport carries
-// the same fleet-wide quantities as core.FarmRunReport — in shared mode with
-// no quorum and no parking they are bit-identical to RunFarmSource's. The
-// report reuses the coordinator's storage: it is valid until the next Run.
+// the fleet-wide quantities: Jobs is the total served, MeanResponse the
+// job-weighted mean across servers, AvgPower the cluster's steady draw (the
+// sum of per-server average powers) and P95Response the worst per-server
+// 95th percentile. With one server in shared mode they match core.RunSource
+// bit for bit. The report reuses the coordinator's storage: it is valid
+// until the next Run.
 type Report struct {
 	core.RunReport
 	// Servers is the fleet size k.
@@ -551,7 +557,7 @@ func (c *Coordinator) openEpoch(epochStart float64) error {
 
 	// 3. Decide, consuming the decision RNG once per decision in active
 	// server order — shared mode consumes exactly one draw sequence per
-	// epoch, matching the homogeneous runner bit for bit. With every server
+	// epoch, as the single-server loop does. With every server
 	// down there is nobody to decide for: the RNG is not consumed and the
 	// previous recommendation stands in the epoch record.
 	if len(c.newAct) > 0 {
@@ -599,10 +605,10 @@ func (c *Coordinator) openEpoch(epochStart float64) error {
 
 	// 5. Install. The first epoch creates (or Resets) the farm under the
 	// first active server's configuration and only switches servers that
-	// differ — exactly the homogeneous runner's farm.New when every server
-	// agrees. Later epochs switch every active server at the boundary in
-	// server order, as the farm backend does, then park the newly parked;
-	// down servers are never touched (their engines reject clocked calls).
+	// differ — a plain farm.New when every server agrees. Later epochs switch
+	// every active server at the boundary in server order, then park the
+	// newly parked; down servers are never touched (their engines reject
+	// clocked calls).
 	if first {
 		qcfg0, err := c.resolve(c.newAct[0])
 		if err != nil {
@@ -827,7 +833,7 @@ func (c *Coordinator) closeEpoch(epochStart, epochEnd float64, rhos []float64, s
 		}
 	} else {
 		// The decided frequency, not a recomputed mean: (f·m)/m is not
-		// bit-equal to f, and shared mode is pinned to the farm runner.
+		// bit-equal to f, and shared mode's records are pinned bit for bit.
 		freq = c.recPol.Frequency
 		rep.PlanEpochs[c.recPol.Plan.Name]++
 	}
@@ -879,8 +885,7 @@ func (c *Coordinator) feedPerServer(served []queue.Job, srv []int, rhos []float6
 }
 
 // totalsAt sums cumulative counters over every server — parked ones too, so
-// epoch energy deltas account for the whole fleet — in server order, exactly
-// as the farm backend does.
+// epoch energy deltas account for the whole fleet — in server order.
 func (c *Coordinator) totalsAt(t float64) queue.Snapshot {
 	var sum queue.Snapshot
 	for s := 0; s < c.k; s++ {
@@ -896,8 +901,7 @@ func (c *Coordinator) totalsAt(t float64) queue.Snapshot {
 }
 
 // finish closes every server at the trace's end and folds the per-server
-// summaries into the fleet aggregates, mirroring farm.Finish's summation
-// order so shared-mode aggregates are bit-identical to RunFarmSource's.
+// summaries into the fleet aggregates in farm.Finish's summation order.
 func (c *Coordinator) finish(duration float64) {
 	rep := &c.report
 	if c.epoch > 0 {

@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"sleepscale/internal/colstore"
@@ -77,11 +81,101 @@ func runnerCfg(tr *trace.Trace, strat core.Strategy, seed int64) core.RunnerConf
 	}
 }
 
-// TestCoordinatorSharedMatchesRunFarmSource pins the tentpole equivalence:
-// a shared-mode coordinator with no quorum and no parking must reproduce
-// core.RunFarmSource bit for bit — every epoch record, every aggregate —
-// across seeds, fleet sizes and dispatchers, with an RNG-consuming strategy
-// so the decision stream itself is compared.
+// runDigest folds a run report's aggregates and every epoch record into an
+// FNV-64a hash, floats as raw IEEE-754 bits, so two runs compare bit for bit
+// through one constant.
+func runDigest(rep *core.RunReport) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	u := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	f := func(x float64) { u(math.Float64bits(x)) }
+	s := func(str string) {
+		u(uint64(len(str)))
+		h.Write([]byte(str))
+	}
+	s(rep.Strategy)
+	s(rep.Predictor)
+	u(uint64(rep.Jobs))
+	f(rep.MeanResponse)
+	f(rep.P95Response)
+	f(rep.AvgPower)
+	f(rep.Energy)
+	f(rep.Duration)
+	f(rep.MeanFrequency)
+	names := make([]string, 0, len(rep.PlanEpochs))
+	for name := range rep.PlanEpochs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		s(name)
+		u(uint64(rep.PlanEpochs[name]))
+	}
+	u(uint64(len(rep.Epochs)))
+	for _, e := range rep.Epochs {
+		u(uint64(e.Index))
+		f(e.Predicted)
+		f(e.Realized)
+		f(e.Policy.Frequency)
+		s(e.Policy.Plan.Name)
+		u(uint64(len(e.Policy.Plan.Phases)))
+		for _, ph := range e.Policy.Plan.Phases {
+			u(uint64(ph.State.CPU))
+			u(uint64(ph.State.Platform))
+			f(ph.Enter)
+		}
+		u(uint64(e.Jobs))
+		f(e.MeanDelay)
+		f(e.P95Delay)
+		f(e.Energy)
+		f(e.BusyTime)
+		f(e.WakeTime)
+		f(e.IdleTime)
+	}
+	return h.Sum64()
+}
+
+// sharedConfig is a shared-mode coordinator configuration — one decision per
+// epoch applied fleet-wide, no quorum, no parking — with runnerCfg's epoch
+// length and predictor.
+func sharedConfig(k int, tr *trace.Trace, strat core.Strategy, seed int64, disp farm.Dispatcher) Config {
+	return Config{
+		Servers:      k,
+		FreqExponent: 1,
+		Profile:      power.Xeon(),
+		Trace:        tr,
+		EpochSlots:   4,
+		Strategy:     strat,
+		Predictor:    predict.NewNaivePrevious(),
+		Seed:         seed,
+		Dispatcher:   disp,
+	}
+}
+
+// runShared runs one shared-mode coordinator over jobs.
+func runShared(t *testing.T, cfg Config, jobs []queue.Job) *Report {
+	t.Helper()
+	coord, err := New(cfg)
+	if err != nil {
+		t.Fatalf("k=%d %s: new: %v", cfg.Servers, cfg.Dispatcher.Name(), err)
+	}
+	rep, err := coord.Run(stream.Slice(jobs))
+	if err != nil {
+		t.Fatalf("k=%d %s: run: %v", cfg.Servers, cfg.Dispatcher.Name(), err)
+	}
+	return rep
+}
+
+// TestCoordinatorSharedMatchesRunFarmSource pins the farm's §6 epoch driver:
+// a shared-mode coordinator with no quorum and no parking must reproduce,
+// bit for bit, the per-epoch records and aggregates core.RunFarmSource — the
+// dedicated farm epoch runner shared mode replaced — produced for the same
+// runs. The runDigest constants were recorded from that runner across seeds,
+// fleet sizes and dispatchers, with an RNG-consuming strategy so the
+// decision stream itself is compared.
 func TestCoordinatorSharedMatchesRunFarmSource(t *testing.T) {
 	tr := flatTrace(12, 0.3)
 	cases := []struct {
@@ -89,67 +183,120 @@ func TestCoordinatorSharedMatchesRunFarmSource(t *testing.T) {
 		lambda float64
 		disp   func() farm.Dispatcher
 		name   string
+		digest [2]uint64 // seeds 1 and 2
 	}{
-		{1, 5, func() farm.Dispatcher { return farm.JSQ{} }, "jsq"},
-		{7, 35, func() farm.Dispatcher { return farm.JSQ{} }, "jsq"},
-		{7, 35, func() farm.Dispatcher { return &farm.RoundRobin{} }, "rr"},
-		{7, 35, func() farm.Dispatcher { return &farm.LeastWorkLeft{} }, "lwl"},
-		{1000, 2000, func() farm.Dispatcher { return farm.JSQ{} }, "jsq"},
+		{1, 5, func() farm.Dispatcher { return farm.JSQ{} }, "jsq", [2]uint64{0xdb8e0f1c8306522e, 0xde7a78cef8fcf574}},
+		{7, 35, func() farm.Dispatcher { return farm.JSQ{} }, "jsq", [2]uint64{0x79d52401aab398c9, 0x3fbbce0cd50bc35d}},
+		{7, 35, func() farm.Dispatcher { return &farm.RoundRobin{} }, "rr", [2]uint64{0x5712c5eb1e23ac37, 0x0c81c7c1580445dc}},
+		{7, 35, func() farm.Dispatcher { return &farm.LeastWorkLeft{} }, "lwl", [2]uint64{0xa403b44b146177e6, 0x3fbbce0cd50bc35d}},
+		{1000, 2000, func() farm.Dispatcher { return farm.JSQ{} }, "jsq", [2]uint64{0xc1b312fcbd457656, 0xba3e7f5819efb35b}},
 	}
 	for _, tc := range cases {
-		for _, seed := range []int64{1, 2} {
+		for i, seed := range []int64{1, 2} {
 			jobs := fleetJobs(int(tc.lambda*10), tc.lambda, 5, seed+10)
-			strat := newRngStrategy()
-
-			want, err := core.RunFarmSource(runnerCfg(tr, strat, seed), tc.k, tc.disp(), stream.Slice(jobs))
-			if err != nil {
-				t.Fatalf("k=%d %s seed=%d farm runner: %v", tc.k, tc.name, seed, err)
+			got := runShared(t, sharedConfig(tc.k, tr, newRngStrategy(), seed, tc.disp()), jobs)
+			if d := runDigest(&got.RunReport); d != tc.digest[i] {
+				t.Errorf("k=%d %s seed=%d: run digest %#016x, want %#016x", tc.k, tc.name, seed, d, tc.digest[i])
 			}
-
-			coord, err := New(Config{
-				Servers:      tc.k,
-				FreqExponent: 1,
-				Profile:      power.Xeon(),
-				Trace:        tr,
-				EpochSlots:   4,
-				Strategy:     strat,
-				Predictor:    predict.NewNaivePrevious(),
-				Seed:         seed,
-				Dispatcher:   tc.disp(),
-			})
-			if err != nil {
-				t.Fatalf("k=%d %s seed=%d new: %v", tc.k, tc.name, seed, err)
-			}
-			got, err := coord.Run(stream.Slice(jobs))
-			if err != nil {
-				t.Fatalf("k=%d %s seed=%d run: %v", tc.k, tc.name, seed, err)
-			}
-
-			if got.Jobs != want.Jobs || got.MeanResponse != want.MeanResponse ||
-				got.P95Response != want.P95Response || got.AvgPower != want.AvgPower ||
-				got.Energy != want.Energy || got.Duration != want.Duration ||
-				got.MeanFrequency != want.MeanFrequency {
-				t.Fatalf("k=%d %s seed=%d aggregates diverge:\n got %+v\nwant %+v",
-					tc.k, tc.name, seed, got.RunReport, want.RunReport)
-			}
-			if !reflect.DeepEqual(got.PlanEpochs, want.PlanEpochs) {
-				t.Fatalf("k=%d %s seed=%d plan epochs %v != %v", tc.k, tc.name, seed, got.PlanEpochs, want.PlanEpochs)
-			}
-			if len(got.Epochs) != len(want.Epochs) {
-				t.Fatalf("k=%d %s seed=%d epoch count %d != %d", tc.k, tc.name, seed, len(got.Epochs), len(want.Epochs))
-			}
-			for i := range got.Epochs {
-				if !reflect.DeepEqual(got.Epochs[i], want.Epochs[i]) {
-					t.Fatalf("k=%d %s seed=%d epoch %d diverges:\n got %+v\nwant %+v",
-						tc.k, tc.name, seed, i, got.Epochs[i], want.Epochs[i])
-				}
-			}
-			for i, fe := range got.FleetEpochs {
+			for _, fe := range got.FleetEpochs {
 				if fe.Active != tc.k || fe.Parked != 0 || fe.Unparked != 0 {
-					t.Fatalf("k=%d %s seed=%d epoch %d: unexpected fleet dims %+v", tc.k, tc.name, seed, i, fe)
+					t.Fatalf("k=%d %s seed=%d epoch %d: unexpected fleet dims %+v", tc.k, tc.name, seed, fe.Index, fe)
 				}
 			}
 		}
+	}
+}
+
+// TestCoordinatorSharedK1MatchesRunSource anchors the farm epoch driver to
+// the single-server runner: with one server, any dispatcher degenerates to
+// the same engine fed the same jobs under the same per-epoch switches, so the
+// shared coordinator must match core.RunSource bit for bit — every aggregate
+// and every epoch record, with an RNG-consuming strategy.
+func TestCoordinatorSharedK1MatchesRunSource(t *testing.T) {
+	tr := flatTrace(12, 0.3)
+	for _, seed := range []int64{1, 2} {
+		jobs := fleetJobs(50, 5, 5, seed+10)
+		want, err := core.RunSource(runnerCfg(tr, newRngStrategy(), seed), stream.Slice(jobs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, disp := range []farm.Dispatcher{farm.JSQ{}, &farm.LeastWorkLeft{}} {
+			got := runShared(t, sharedConfig(1, tr, newRngStrategy(), seed, disp), jobs)
+			if !reflect.DeepEqual(got.RunReport, want) {
+				t.Fatalf("%s seed=%d: k=1 coordinator diverges from RunSource:\n got %+v\nwant %+v",
+					disp.Name(), seed, got.RunReport, want)
+			}
+		}
+	}
+}
+
+// TestCoordinatorSharedBasics checks a shared-mode run's report shape and
+// accounting: the fleet identifies itself, and per-server jobs and draws sum
+// to the aggregates.
+func TestCoordinatorSharedBasics(t *testing.T) {
+	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
+	tr := flatTrace(20, 0.6)
+	cfg := sharedConfig(3, tr, &staticStrategy{pol: pol}, 1, &farm.RoundRobin{})
+	cfg.EpochSlots = 5
+	rep := runShared(t, cfg, fleetJobs(200, 9, 5, 4))
+	if rep.Jobs == 0 {
+		t.Fatal("no jobs served")
+	}
+	if rep.Servers != 3 || rep.Dispatcher != "round-robin" {
+		t.Errorf("report identifies %d servers / %q", rep.Servers, rep.Dispatcher)
+	}
+	if len(rep.Epochs) != 4 || len(rep.PerServer) != 3 {
+		t.Fatalf("shape: %d epochs, %d servers", len(rep.Epochs), len(rep.PerServer))
+	}
+	jobs, watts := 0, 0.0
+	for _, sr := range rep.PerServer {
+		jobs += sr.Jobs
+		watts += sr.AvgPower
+	}
+	if jobs != rep.Jobs {
+		t.Errorf("per-server jobs sum %d != total %d", jobs, rep.Jobs)
+	}
+	if watts != rep.AvgPower {
+		t.Errorf("AvgPower %v != per-server sum %v", rep.AvgPower, watts)
+	}
+}
+
+// TestCoordinatorSharedEpochEnergySumsToReportEnergy: at k = 3 under JSQ the
+// per-epoch energy and busy deltas of a shared-mode run telescope exactly to
+// the whole fleet's per-server totals, and so to the report's energy.
+func TestCoordinatorSharedEpochEnergySumsToReportEnergy(t *testing.T) {
+	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
+	cfg := sharedConfig(3, flatTrace(12, 0.4), &staticStrategy{pol: pol}, 1, farm.JSQ{})
+	cfg.EpochSlots = 3
+	rep := runShared(t, cfg, fleetJobs(60, 6, 5, 8))
+	if rep.Jobs == 0 || len(rep.Epochs) != 4 {
+		t.Fatalf("%d jobs over %d epochs", rep.Jobs, len(rep.Epochs))
+	}
+	checkEnergyTelescope(t, "shared", rep)
+	var energy float64
+	for _, e := range rep.Epochs {
+		energy += e.Energy
+	}
+	if math.Abs(energy-rep.Energy) > 1e-6*rep.Energy {
+		t.Fatalf("farm epoch energies sum to %g, report says %g", energy, rep.Energy)
+	}
+}
+
+// TestCoordinatorSharedScaleOutSpreadsLoad: with JSQ over more servers, the
+// same aggregate stream must yield a lower mean response while total power
+// grows sub-linearly (idle servers sleep) — the §7 scale-out story through
+// the epoch loop.
+func TestCoordinatorSharedScaleOutSpreadsLoad(t *testing.T) {
+	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
+	tr := flatTrace(100, 0.8)
+	jobs := fleetJobs(400, 4, 5, 21)
+	one := runShared(t, sharedConfig(1, tr, &staticStrategy{pol: pol}, 1, farm.JSQ{}), jobs)
+	four := runShared(t, sharedConfig(4, tr, &staticStrategy{pol: pol}, 1, farm.JSQ{}), jobs)
+	if four.MeanResponse >= one.MeanResponse {
+		t.Errorf("scale-out did not improve response: %v vs %v", four.MeanResponse, one.MeanResponse)
+	}
+	if four.AvgPower >= 4*one.AvgPower {
+		t.Errorf("4 servers draw %v W ≥ 4× one server's %v W — sleep not exploited", four.AvgPower, one.AvgPower)
 	}
 }
 
@@ -196,31 +343,19 @@ func TestCoordinatorRunIsRepeatable(t *testing.T) {
 
 // TestCoordinatorPerServerStaticMatchesShared: with a static strategy,
 // per-server decisions are identical to the shared decision, so everything
-// except the Predicted column must match the homogeneous farm runner.
+// except the Predicted column must match the shared-mode coordinator.
 func TestCoordinatorPerServerStaticMatchesShared(t *testing.T) {
 	tr := flatTrace(12, 0.4)
 	jobs := fleetJobs(400, 35, 5, 7)
 	pol := policy.Policy{Frequency: 0.8, Plan: policy.SingleState(power.DeepSleep)}
 	const k = 7
 
-	want, err := core.RunFarmSource(runnerCfg(tr, &staticStrategy{pol: pol}, 1), k, farm.JSQ{}, stream.Slice(jobs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := New(Config{
-		Servers: k, FreqExponent: 1, Profile: power.Xeon(), Trace: tr,
-		EpochSlots: 4, Strategy: &staticStrategy{pol: pol},
-		PerServer:    true,
-		NewPredictor: func() predict.Predictor { return predict.NewNaivePrevious() },
-		Seed:         1, Dispatcher: farm.JSQ{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := coord.Run(stream.Slice(jobs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runShared(t, sharedConfig(k, tr, &staticStrategy{pol: pol}, 1, farm.JSQ{}), jobs)
+	cfg := sharedConfig(k, tr, &staticStrategy{pol: pol}, 1, farm.JSQ{})
+	cfg.PerServer = true
+	cfg.Predictor = nil
+	cfg.NewPredictor = func() predict.Predictor { return predict.NewNaivePrevious() }
+	got := runShared(t, cfg, jobs)
 	if got.Jobs != want.Jobs || got.MeanResponse != want.MeanResponse ||
 		got.P95Response != want.P95Response || got.AvgPower != want.AvgPower ||
 		got.Energy != want.Energy {
@@ -491,6 +626,33 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(base()); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestCoordinatorSharedValidation: a shared-mode farm run rejects an empty
+// fleet, a missing dispatcher, a zero epoch length and a nil job source.
+func TestCoordinatorSharedValidation(t *testing.T) {
+	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
+	base := func() Config {
+		return sharedConfig(2, flatTrace(10, 0.3), &staticStrategy{pol: pol}, 1, farm.JSQ{})
+	}
+	for name, mut := range map[string]func(*Config){
+		"farm size 0":    func(c *Config) { c.Servers = 0 },
+		"nil dispatcher": func(c *Config) { c.Dispatcher = nil },
+		"epoch slots 0":  func(c *Config) { c.EpochSlots = 0 },
+	} {
+		cfg := base()
+		mut(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	coord, err := New(base())
+	if err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	if _, err := coord.Run(nil); err == nil {
+		t.Error("nil source accepted")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package par is the simulator's persistent worker-pool runtime: a sharded,
 // zero-spawn fan-out primitive shared by every parallel hot path (policy
-// selection, farm runs, per-source farms, time-sliced streaming dispatch).
+// selection and the farm's time-sliced streaming dispatch).
 //
 // SleepScale's premise is that the policy search loop is cheap enough to run
 // at runtime every epoch (paper §5–6), so the simulator's parallel drivers

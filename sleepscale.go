@@ -574,24 +574,16 @@ type (
 	// Dispatcher routes arriving jobs across a farm's servers.
 	Dispatcher = farm.Dispatcher
 	// Preassigner marks dispatchers whose routing is independent of server
-	// state; RunFarm simulates their servers in parallel.
+	// state; the time-sliced parallel mode of RunFarmSource preassigns them.
 	Preassigner = farm.Preassigner
-	// VirtualRouter marks state-dependent dispatchers (JSQ) that can route
-	// against a lightweight per-server availability shadow, unlocking the
+	// VirtualRouter marks state-dependent dispatchers (JSQ, PowerOfD,
+	// LeastWorkLeft) that can route against a lightweight per-server shadow —
+	// live configuration, availability and idle anchor — unlocking the
 	// time-sliced parallel mode of RunFarmSource.
 	VirtualRouter = farm.VirtualRouter
-	// AnchoredRouter marks VirtualRouters (LeastWorkLeft) whose shadow
-	// routing also tracks per-server idle anchors, so wake-up pricing stays
-	// exact across mid-run config switches taken during an idle period.
-	AnchoredRouter = farm.AnchoredRouter
-	// ConfigRouter marks AnchoredRouters (LeastWorkLeft) that price each
-	// server from its own live configuration, which heterogeneous fleets —
-	// per-server policies — require for exact routing.
-	ConfigRouter = farm.ConfigRouter
 	// FarmDispatchOptions tunes RunFarmSource's streaming dispatch loop,
 	// including the persistent worker-pool bound of the parallel mode
-	// (Workers; 0 uses the whole GOMAXPROCS-sized pool) and the
-	// LinearRouting escape hatch that disables the O(log k) routing index.
+	// (Workers; 0 uses the whole GOMAXPROCS-sized pool).
 	FarmDispatchOptions = farm.DispatchOptions
 	// FarmSummary is the scalar fleet aggregate of a farm run — what
 	// Farm.FinishSummary returns on the steady-state reuse path.
@@ -619,13 +611,6 @@ func RunFarm(k int, cfg SimConfig, disp Dispatcher, jobs []Job) (FarmResult, err
 	return farm.Run(k, cfg, disp, jobs)
 }
 
-// RunFarmSources runs one server per job source (the routing decided by
-// construction), simulating servers in parallel with bounded per-server
-// chunk buffers.
-func RunFarmSources(cfg SimConfig, srcs []JobSource) (FarmResult, error) {
-	return farm.RunSources(cfg, srcs)
-}
-
 // RunFarmSource is the streaming k-way dispatch loop: jobs pulled from one
 // source in bounded chunks are routed through disp at their arrival
 // instants — JSQ sees accurate queue depths — without the stream ever being
@@ -636,22 +621,14 @@ func RunFarmSource(k int, cfg SimConfig, disp Dispatcher, src JobSource, opts Fa
 	return farm.DispatchSource(k, cfg, disp, src, opts)
 }
 
-// FarmRunReport aggregates a trace-driven epoch run over a farm.
-type FarmRunReport = core.FarmRunReport
-
-// RunFarmEpochs executes the §6 evaluation loop over a streamed farm: one
-// strategy decision per epoch applied fleet-wide, jobs routed through the
-// dispatcher at their arrival instants, farm-wide delay statistics feeding
-// the over-provisioning guard. With k = 1 it matches RunSource bit for bit.
-func RunFarmEpochs(cfg RunnerConfig, servers int, disp Dispatcher, src StreamSource) (FarmRunReport, error) {
-	return core.RunFarmSource(cfg, servers, disp, src)
-}
-
-// Fleet coordination: the layer above RunFarmEpochs that owns per-server
-// (configuration, policy) state — per-server strategy decisions, staggered
-// sleep quorums with deep-sleep rotation, and horizontal scaling that parks
-// and unparks whole servers. In shared mode with no quorum and no parking a
-// coordinated run is bit-identical to RunFarmEpochs.
+// Fleet coordination: the §6 evaluation loop over a streamed farm. In shared
+// mode (FleetConfig.PerServer false) one strategy decision per epoch applies
+// fleet-wide, jobs route through the dispatcher at their arrival instants
+// and farm-wide delay statistics feed the over-provisioning guard; with one
+// server it matches RunSource bit for bit. The coordinator owns per-server
+// (configuration, policy) state, which adds per-server strategy decisions,
+// staggered sleep quorums with deep-sleep rotation, and horizontal scaling
+// that parks and unparks whole servers.
 type (
 	// FleetConfig describes one coordinated fleet run: fleet size, trace,
 	// strategy, predictor (shared or per-server factory), dispatcher, and

@@ -238,8 +238,8 @@ func TestFacadeStrategies(t *testing.T) {
 // TestFacadeStreamedFarmDispatch exercises the streaming k-way dispatch
 // facade end to end: RunFarmSource must match RunFarm on the same stream
 // (sequentially and through the time-sliced parallel mode), a reusable
-// Farm must serve rewound sources via Reset+ServeSource, and RunFarmEpochs
-// must run the epoch loop over a dispatched farm.
+// Farm must serve rewound sources via Reset+ServeSource, and a shared-mode
+// fleet coordinator must run the epoch loop over a dispatched farm.
 func TestFacadeStreamedFarmDispatch(t *testing.T) {
 	pol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.DeepSleep)}
 	qcfg, err := pol.Config(sleepscale.Xeon(), 1)
@@ -292,8 +292,8 @@ func TestFacadeStreamedFarmDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := sleepscale.FileServerTrace(1, 1)
-	cfg := sleepscale.RunnerConfig{
-		Stats:        stats,
+	coord, err := sleepscale.NewFleetCoordinator(sleepscale.FleetConfig{
+		Servers:      2,
 		FreqExponent: 1,
 		Profile:      sleepscale.Xeon(),
 		Trace:        tr,
@@ -301,12 +301,16 @@ func TestFacadeStreamedFarmDispatch(t *testing.T) {
 		Predictor:    sleepscale.NewNaivePredictor(),
 		Strategy:     sleepscale.NewStaticStrategy(pol, "static"),
 		Seed:         1,
+		Dispatcher:   &sleepscale.RoundRobin{},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	src, err := sleepscale.NewTraceSource(stats, tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sleepscale.RunFarmEpochs(cfg, 2, &sleepscale.RoundRobin{}, src)
+	rep, err := coord.Run(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +321,9 @@ func TestFacadeStreamedFarmDispatch(t *testing.T) {
 }
 
 // TestFacadeFleetCoordinator drives the fleet layer through the public
-// facade: shared mode matches RunFarmEpochs exactly, the coordinated knobs
-// produce fleet rollups, and both log writers round-trip through colstore.
+// facade: a one-server shared-mode run matches RunSource exactly, the
+// coordinated knobs produce fleet rollups, and both log writers round-trip
+// through colstore.
 func TestFacadeFleetCoordinator(t *testing.T) {
 	stats, err := sleepscale.NewIdealizedStats(sleepscale.DNS())
 	if err != nil {
@@ -348,8 +353,11 @@ func TestFacadeFleetCoordinator(t *testing.T) {
 		Dispatcher:   sleepscale.JSQ{},
 	}
 
-	// Shared mode, no quorum, no parking: bit-identical to the §6 loop.
-	coord, err := sleepscale.NewFleetCoordinator(base)
+	// Shared mode, no quorum, no parking, one server: bit-identical to the
+	// single-server §6 loop.
+	one := base
+	one.Servers = 1
+	coord, err := sleepscale.NewFleetCoordinator(one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +365,7 @@ func TestFacadeFleetCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sleepscale.RunFarmEpochs(sleepscale.RunnerConfig{
-		Stats:        stats,
+	want, err := sleepscale.RunSource(sleepscale.RunnerConfig{
 		FreqExponent: 1,
 		Profile:      sleepscale.Xeon(),
 		Trace:        tr,
@@ -366,12 +373,12 @@ func TestFacadeFleetCoordinator(t *testing.T) {
 		Predictor:    sleepscale.NewNaivePredictor(),
 		Strategy:     sleepscale.NewStaticStrategy(pol, "static"),
 		Seed:         1,
-	}, 3, sleepscale.JSQ{}, newSrc())
+	}, newSrc())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Jobs != want.Jobs || rep.MeanResponse != want.MeanResponse || rep.Energy != want.Energy {
-		t.Errorf("shared coordinator diverges from RunFarmEpochs: jobs %d vs %d, E[R] %v vs %v, energy %v vs %v",
+		t.Errorf("shared coordinator diverges from RunSource: jobs %d vs %d, E[R] %v vs %v, energy %v vs %v",
 			rep.Jobs, want.Jobs, rep.MeanResponse, want.MeanResponse, rep.Energy, want.Energy)
 	}
 
