@@ -102,7 +102,7 @@ func main() {
 		}
 		return
 	}
-	if *coordinate || *quorum != 0 || *park || *faultsArg != "" || *mtbf > 0 || *mttr > 0 || *faultsOut != "" {
+	if *coordinate || *quorum != 0 || *park || *faultsArg != "" || *mtbf != 0 || *mttr != 0 || *faultsOut != "" {
 		log.Fatal("-coordinate, -quorum, -park, -faults, -mtbf/-mttr and -faults-out need -trace")
 	}
 	// The materialized job slice only exists outside -stream farm runs —
@@ -196,7 +196,7 @@ type fleetFlags struct {
 // for. A scripted -faults file and a seeded -mtbf/-mttr renewal process are
 // mutually exclusive.
 func (fc fleetFlags) buildFaults(k int, horizon float64, seed int64) (sleepscale.FaultSource, error) {
-	script, renewal := fc.faultsFile != "", fc.mtbf > 0 || fc.mttr > 0
+	script, renewal := fc.faultsFile != "", fc.mtbf != 0 || fc.mttr != 0
 	if !script && !renewal {
 		return nil, nil
 	}
@@ -234,7 +234,7 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 	if !fc.coordinate && (fc.quorum != 0 || fc.park) {
 		return fmt.Errorf("-quorum and -park need -coordinate")
 	}
-	if !fc.coordinate && (fc.faultsFile != "" || fc.mtbf > 0 || fc.mttr > 0 || fc.faultsOut != "") {
+	if !fc.coordinate && (fc.faultsFile != "" || fc.mtbf != 0 || fc.mttr != 0 || fc.faultsOut != "") {
 		return fmt.Errorf("-faults, -mtbf/-mttr and -faults-out need -coordinate")
 	}
 	for _, k := range sizes {

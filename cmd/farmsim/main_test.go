@@ -165,16 +165,25 @@ func TestRunTraceFarmCoordinated(t *testing.T) {
 }
 
 // TestRunTraceFarmRejectsBadFleetFlags pins the flag validation: a quorum
-// larger than the smallest fleet, and quorum/park without -coordinate.
+// larger than the smallest fleet, quorum/park or -mtbf without -coordinate,
+// and a negative -mtbf or -mttr, which must be rejected rather than read as
+// "no fault injection".
 func TestRunTraceFarmRejectsBadFleetFlags(t *testing.T) {
-	err := runTraceFarm([]int{4}, "email-store", 3, "jsq", 1, "",
-		fleetFlags{coordinate: true, quorum: 5})
-	if err == nil || !strings.Contains(err.Error(), "exceeds fleet size") {
-		t.Fatalf("quorum 5 over 4 servers: err = %v", err)
-	}
-	err = runTraceFarm([]int{4}, "email-store", 3, "jsq", 1, "", fleetFlags{quorum: 2})
-	if err == nil || !strings.Contains(err.Error(), "-coordinate") {
-		t.Fatalf("quorum without coordinate: err = %v", err)
+	for _, tc := range []struct {
+		name string
+		fc   fleetFlags
+		want string
+	}{
+		{"quorum 5 over 4 servers", fleetFlags{coordinate: true, quorum: 5}, "exceeds fleet size"},
+		{"quorum without coordinate", fleetFlags{quorum: 2}, "-coordinate"},
+		{"negative mtbf", fleetFlags{coordinate: true, mtbf: -5}, "must both be positive"},
+		{"negative mttr", fleetFlags{coordinate: true, mttr: -5}, "must both be positive"},
+		{"negative mtbf without coordinate", fleetFlags{mtbf: -5}, "-coordinate"},
+	} {
+		err := runTraceFarm([]int{4}, "email-store", 3, "jsq", 1, "", tc.fc)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -258,7 +258,7 @@
 //
 // Epochs serve through the farm's sliced driver between boundary switches
 // (heterogeneous configurations route on its linear arm, priced per server;
-// the active prefix serves as a Subfarm view), and with every dimension off
+// the active set serves as a Select view), and with every dimension off
 // the coordinator is the plain farm epoch loop — an equivalence suite pins
 // its records across dispatchers, seeds and k up to 1,000. Fleet epoch and
 // per-server rollup logs write to the columnar store

@@ -666,36 +666,3 @@ func TestRecordServeStreamOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestSubfarmPrefixServes: a prefix Subfarm routes only within the prefix
-// and shares engine state with its parent.
-func TestSubfarmPrefixServes(t *testing.T) {
-	jobs := expJobs(2000, 8, 5, 19)
-	f, err := New(4, testCfg(), JSQ{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := f.Subfarm(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := make([]int, len(jobs))
-	sub.RecordServe(nil, srv)
-	if _, err := sub.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range srv {
-		if s > 1 {
-			t.Fatalf("job %d routed to server %d outside the 2-prefix", i, s)
-		}
-	}
-	if f.Server(0).FreeAt() == 0 || f.Server(2).FreeAt() != 0 {
-		t.Fatal("subfarm serving did not share prefix engines (or leaked past the prefix)")
-	}
-	if _, err := f.Subfarm(0); err == nil {
-		t.Error("subfarm size 0 accepted")
-	}
-	if _, err := f.Subfarm(5); err == nil {
-		t.Error("oversized subfarm accepted")
-	}
-}

@@ -119,8 +119,8 @@
 // under that server's own phase schedule. Pricing is always live: the
 // routing index and the linear arm price from the engines' current
 // configurations exactly as the sequential Pick does, so mid-run switches
-// reprice immediately. Farm.Subfarm returns a prefix view and Farm.Select a
-// view over any ascending subset, both sharing the parent's engines, so a
-// coordinator can serve a shrunken active set without rebuilding state —
-// parked and crashed servers receive no work.
+// reprice immediately. Farm.Select returns a view over any ascending subset
+// of servers, sharing the parent's engines, so a coordinator can serve a
+// shrunken active set without rebuilding state — parked and crashed servers
+// receive no work.
 package farm

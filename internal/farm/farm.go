@@ -171,32 +171,18 @@ func (f *Farm) ServeSource(src queue.JobSource) (int, error) {
 // Server exposes server i's engine (for per-server policy switches).
 func (f *Farm) Server(i int) *queue.Engine { return f.engines[i] }
 
-// Subfarm returns a view over the first n servers: it shares the parent's
-// engines and dispatcher — dispatcher state (a round-robin cursor, a random
-// source) advances across parent and view alike — with its own job counters
-// and serving scratch. Serving through the view routes over servers [0, n)
-// only, which is how the fleet coordinator removes parked servers from
-// routing while its active set is a prefix (Select covers the rest); the
-// parent still finishes and reports all k engines. Views stay valid across
-// the parent's Reset.
-func (f *Farm) Subfarm(n int) (*Farm, error) {
-	if n < 1 || n > len(f.engines) {
-		return nil, fmt.Errorf("farm: subfarm size %d of a %d-server farm", n, len(f.engines))
-	}
-	return &Farm{engines: f.engines[:n], disp: f.disp, perSrv: make([]int, n)}, nil
-}
-
 // Select builds (or refills) a compact view over an arbitrary subset of the
 // farm's servers: idx names parent server indices in strictly ascending
-// order, and the view's server i is the parent's idx[i]. Like Subfarm the
-// view shares the parent's engines and dispatcher, with its own counters and
-// serving scratch — but the subset need not be a prefix, which is how the
-// fleet coordinator excludes crashed servers from routing while parked and
-// healthy servers keep arbitrary positions. Because the view is compact and
-// idx ascending, every dispatcher's lowest-index tie break resolves to the
-// lowest surviving parent index: routing through the view is exactly the
-// parent's routing with the excluded servers skipped, on the O(log k) index
-// and the linear arm alike.
+// order, and the view's server i is the parent's idx[i]. The view shares the
+// parent's engines and dispatcher — dispatcher state (a round-robin cursor,
+// a random source) advances across parent and view alike — with its own
+// counters and serving scratch; the parent still finishes and reports every
+// engine. This is how the fleet coordinator removes parked and crashed
+// servers from routing. Because the view is compact and idx ascending,
+// every dispatcher's lowest-index tie break resolves to the lowest surviving
+// parent index: routing through the view is exactly the parent's routing
+// with the excluded servers skipped, on the O(log k) index and the linear
+// arm alike.
 //
 // Pass the previous return value as view to reuse its storage (including the
 // sliced-dispatch scratch, which resizes in place when the subset size

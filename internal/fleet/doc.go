@@ -22,10 +22,10 @@
 //   - Horizontal scaling: Config.Park turns whole-server park/unpark into a
 //     policy dimension. The coordinator sizes the active prefix to the
 //     predicted fleet demand (ceil(W/ParkTargetRho), floored at
-//     max(MinActive, Quorum)), parks surplus servers — drain under a
-//     full-speed deepest-sleep configuration, then removal from routing via
-//     a prefix Subfarm view — and unparks by queue.Engine.WakeAt, so an
-//     unparked server's first job pays the full deep-sleep wake latency.
+//     max(1, Quorum)), parks surplus servers — drain under a full-speed
+//     deepest-sleep configuration, then removal from routing — and unparks
+//     by queue.Engine.WakeAt, so an unparked server's first job pays the
+//     full deep-sleep wake latency.
 //
 // Invariants. Both hold when every epoch opens, and when an epoch with no
 // fault events closes; Config.Faults can break them mid-epoch:
@@ -38,18 +38,20 @@
 //     next epoch opens.
 //
 //   - Park: the active set is the first `active` healthy servers — the
-//     prefix [0, active), served through a prefix Subfarm view, when no
-//     server is down — and active ≥ max(MinActive, Quorum, 1) capped to the
-//     healthy count. Routing never selects a parked server. Crashes and
-//     repairs change the set mid-epoch, and any non-prefix set serves
-//     through a compact Select view. A parked server keeps draining already-accepted work at full speed,
-//     then idles into the deepest state; unparking wakes it at the epoch
-//     boundary, charging the wake latency and energy of the occupied phase
-//     before any new job starts.
+//     prefix [0, active) when no server is down — and active ≥
+//     max(1, Quorum) capped to the healthy count. Crashes and repairs change
+//     the set mid-epoch. Every segment serves through a compact Select view
+//     over the active set, so routing never selects a parked or crashed
+//     server. A parked server keeps draining already-accepted work at full
+//     speed, then idles into the deepest state; unparking wakes it at the
+//     epoch boundary, charging the wake latency and energy of the occupied
+//     phase before any new job starts.
 //
 // The epoch cycle is the exact decide→serve→observe loop of the batch
-// runners (the serve step runs on the sharded worker pool via
-// farm.ServeSourceSliced between policy switches). A shared-mode run with
+// runners. The serve step is one path, fault injection or not: a segment
+// walker that cuts the epoch at fault events (none without Config.Faults)
+// and serves each segment on the sharded worker pool via
+// farm.ServeSourceSliced between policy switches. A shared-mode run with
 // no quorum and no parking is the homogeneous farm epoch run: with one
 // server it matches core.RunSource bit for bit, and the equivalence suite
 // pins its per-epoch records and aggregates to recorded digests across

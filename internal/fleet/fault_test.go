@@ -1,6 +1,10 @@
 package fleet
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -68,11 +72,51 @@ func checkEnergyTelescope(t *testing.T, tag string, rep *Report) {
 	}
 }
 
-// TestFaultFreeScheduleEquivalence pins the acceptance bar for the fault
-// wiring: a coordinator given an empty fault schedule must be bit-identical
-// — every epoch record, fleet epoch, per-server summary and aggregate — to
-// one with no fault source at all, across dispatchers, seeds and fleet
-// sizes, in shared and per-server+park+quorum modes alike.
+// fleetDigest extends runDigest over the fleet half of a report — every
+// fleet epoch field, every per-server summary and the fleet figures of
+// merit — so a whole coordinated run compares bit for bit through one
+// constant.
+func fleetDigest(rep *Report) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	u := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	f := func(x float64) { u(math.Float64bits(x)) }
+	u(runDigest(&rep.RunReport))
+	u(uint64(len(rep.FleetEpochs)))
+	for _, e := range rep.FleetEpochs {
+		for _, v := range []int{e.Index, e.Active, e.Parked, e.Shallow, e.Unparked,
+			e.Down, e.Crashes, e.Repairs, e.Lost, e.Dropped} {
+			u(uint64(v))
+		}
+		f(e.MeanFrequency)
+	}
+	u(uint64(len(rep.PerServer)))
+	for _, sum := range rep.PerServer {
+		u(uint64(sum.Jobs))
+		u(uint64(sum.Wakes))
+		for _, x := range []float64{sum.MeanResponse, sum.ResponseP95, sum.ResponseP99,
+			sum.AvgPower, sum.Energy, sum.Duration, sum.BusyTime, sum.WakeTime,
+			sum.IdleTime, sum.MeasuredUtilization} {
+			f(x)
+		}
+	}
+	f(rep.EnergyProportionality)
+	f(rep.JobsPerJoule)
+	f(rep.PeakPower)
+	return h.Sum64()
+}
+
+// TestFaultFreeScheduleEquivalence pins the fault-free coordinator across
+// dispatchers (the RNG-drawing pd2 and random included), seeds and fleet
+// sizes, in shared and per-server+park+quorum modes alike. A run with no
+// fault source must reproduce the fleetDigest constants — recorded when the
+// coordinator still had a dedicated fault-free serve path, so they prove
+// walking an empty timeline changed nothing — with a closed, loss-free
+// ledger; and a run given an empty fault schedule must be bit-identical to
+// it: every epoch record, fleet epoch, per-server summary and aggregate.
 func TestFaultFreeScheduleEquivalence(t *testing.T) {
 	tr := flatTrace(12, 0.3)
 	cases := []struct {
@@ -80,12 +124,22 @@ func TestFaultFreeScheduleEquivalence(t *testing.T) {
 		lambda float64
 		disp   func() farm.Dispatcher
 		name   string
+		digest [2][2]uint64 // [mode][seed]
 	}{
-		{1, 5, func() farm.Dispatcher { return farm.JSQ{} }, "jsq"},
-		{7, 35, func() farm.Dispatcher { return farm.JSQ{} }, "jsq"},
-		{7, 35, func() farm.Dispatcher { return &farm.RoundRobin{} }, "rr"},
-		{7, 35, func() farm.Dispatcher { return &farm.LeastWorkLeft{} }, "lwl"},
-		{1000, 2000, func() farm.Dispatcher { return farm.JSQ{} }, "jsq"},
+		{1, 5, func() farm.Dispatcher { return farm.JSQ{} }, "jsq",
+			[2][2]uint64{{0xcedbef4d03580459, 0x2efa366e96bbd4de}, {0xfdb3173c51f615ad, 0x78bd1c28b84e3aa5}}},
+		{7, 35, func() farm.Dispatcher { return farm.JSQ{} }, "jsq",
+			[2][2]uint64{{0x14bb50268bdd3b27, 0xcc2b61dc225a3ca9}, {0xe31e3d10821d6b5a, 0x8ff63c0b53ccd157}}},
+		{7, 35, func() farm.Dispatcher { return &farm.RoundRobin{} }, "rr",
+			[2][2]uint64{{0xefb405b29a9e1347, 0xb7fd61a2a6dbc85d}, {0x054bc30c16332d2f, 0x2f82500b63c61bee}}},
+		{7, 35, func() farm.Dispatcher { return &farm.LeastWorkLeft{} }, "lwl",
+			[2][2]uint64{{0xbe0c994b07133073, 0xcc2b61dc225a3ca9}, {0x72abd4bb8e39f851, 0xf832c400d2bbad0e}}},
+		{7, 35, func() farm.Dispatcher { return &farm.PowerOfD{D: 2, Rng: rand.New(rand.NewSource(55))} }, "pd2",
+			[2][2]uint64{{0x7269702757037fb8, 0x41f6f667e2bf3c5f}, {0x41f04315ce5ab01d, 0x3ba32ccc1662e75a}}},
+		{7, 35, func() farm.Dispatcher { return &farm.Random{Rng: rand.New(rand.NewSource(56))} }, "random",
+			[2][2]uint64{{0xbc29d655e36306e0, 0x11e08dc447a77841}, {0x0a006cd2c63eab3e, 0xa2c1391c8b8ba7dd}}},
+		{1000, 2000, func() farm.Dispatcher { return farm.JSQ{} }, "jsq",
+			[2][2]uint64{{0x02a41fd121584eee, 0x6e1b3b9a02f0efb1}, {0x3b7823d707a42c28, 0x01ce638c13c1f0ff}}},
 	}
 	modes := []struct {
 		name   string
@@ -97,8 +151,8 @@ func TestFaultFreeScheduleEquivalence(t *testing.T) {
 		{"persrv-park-quorum", true, true, 1},
 	}
 	for _, tc := range cases {
-		for _, mode := range modes {
-			for _, seed := range []int64{1, 2} {
+		for mi, mode := range modes {
+			for si, seed := range []int64{1, 2} {
 				jobs := fleetJobs(int(tc.lambda*10), tc.lambda, 5, seed+10)
 				mk := func(faults fault.Source) Config {
 					cfg := Config{
@@ -131,6 +185,14 @@ func TestFaultFreeScheduleEquivalence(t *testing.T) {
 				want, err := plain.Run(stream.Slice(jobs))
 				if err != nil {
 					t.Fatalf("k=%d %s seed=%d plain run: %v", tc.k, tag, seed, err)
+				}
+				if d := fleetDigest(want); d != tc.digest[mi][si] {
+					t.Errorf("k=%d %s seed=%d: fleet digest %#016x, want %#016x", tc.k, tag, seed, d, tc.digest[mi][si])
+				}
+				if want.Offered != want.Jobs || want.Completed != want.Jobs ||
+					want.Requeued != 0 || want.Dropped != 0 || want.Retries != 0 {
+					t.Fatalf("k=%d %s seed=%d fault-free ledger: jobs %d offered %d completed %d requeued %d dropped %d retries %d",
+						tc.k, tag, seed, want.Jobs, want.Offered, want.Completed, want.Requeued, want.Dropped, want.Retries)
 				}
 				faulty, err := New(mk(emptySchedule(t)))
 				if err != nil {

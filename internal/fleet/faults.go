@@ -3,17 +3,24 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sleepscale/internal/farm"
 	"sleepscale/internal/fault"
 	"sleepscale/internal/queue"
 )
 
-// This file holds the fault-mode half of the coordinator: the segment walker
-// that interleaves fault events with job arrivals inside an epoch, the
+// This file holds the coordinator's serve path: the segment walker that
+// interleaves fault events with job arrivals inside an epoch, the
 // crash/repair application, the in-flight ledger behind the conservation
-// invariant, and the bounded retry queue. None of it runs when Config.Faults
-// is nil.
+// invariant, and the bounded retry queue. A run without Config.Faults walks
+// an empty timeline: one segment per epoch and nothing to apply.
+
+// noFaults is the empty timeline New installs when Config.Faults is nil.
+type noFaults struct{}
+
+func (noFaults) Next([]fault.Event) (int, bool) { return 0, false }
+func (noFaults) Reset(int64)                    {}
 
 // pendJob tracks one job in flight on a server: dispatched, response known
 // analytically, completion not yet reached. If the server crashes before
@@ -23,10 +30,9 @@ import (
 // already published in that epoch's statistics; a later loss can no longer
 // be masked out of them, though the engine-side sample is still corrected).
 type pendJob struct {
-	arrival, size float64
-	completion    float64
-	attempt       int
-	respIdx       int
+	size, completion float64
+	attempt          int
+	respIdx          int
 }
 
 // retryJob is one lost job awaiting re-dispatch at its backed-off arrival.
@@ -52,25 +58,18 @@ func (c *Coordinator) resetFaults() {
 	for s := range c.pending {
 		c.pending[s] = c.pending[s][:0]
 	}
-	if c.cfg.Faults == nil {
-		return
-	}
 	c.cfg.Faults.Reset(c.cfg.Seed)
-	if c.faultCur == nil {
-		c.faultCur = fault.NewCursor(c.cfg.Faults)
-	} else {
-		c.faultCur.Reset(c.cfg.Faults)
-	}
+	c.faultCur.Reset(c.cfg.Faults)
 }
 
 // serveEpochFaults serves one epoch's collected jobs with the fault timeline
 // interleaved: the epoch is cut into segments at each event instant, every
 // segment's arrivals (offered jobs merged with due retries) are served over
-// the current healthy active view, and the event is applied at the cut. An
+// the current healthy active set, and the event is applied at the cut. An
 // event at exactly the epoch's start applies after openEpoch's boundary
-// decisions and before any arrival. With no events in the epoch there is a
-// single segment over the same prefix view the fault-free path uses, making
-// an empty timeline bit-identical to no injection at all.
+// decisions and before any arrival. An epoch with no events — every epoch
+// of a run without fault injection — is a single segment serving the
+// offered jobs in one pass.
 func (c *Coordinator) serveEpochFaults(epochStart, epochEnd float64) error {
 	c.eJobs = c.eJobs[:0]
 	c.eSrv = c.eSrv[:0]
@@ -87,10 +86,11 @@ func (c *Coordinator) serveEpochFaults(epochStart, epochEnd float64) error {
 		} else {
 			haveEv = false
 		}
-		// Merge offered jobs and due retries in arrival order; a retry whose
-		// backed-off arrival is already past re-enters at the segment start
-		// (ties go to the retry, then loss order via the heap).
-		c.segJobs = c.segJobs[:0]
+		// Merge offered jobs and due retries in arrival order onto the epoch
+		// accumulation; a retry whose backed-off arrival is already past
+		// re-enters at the segment start (ties go to the retry, then loss
+		// order via the heap).
+		base := len(c.eJobs)
 		c.segAtt = c.segAtt[:0]
 		for {
 			var ra float64
@@ -102,10 +102,10 @@ func (c *Coordinator) serveEpochFaults(epochStart, epochEnd float64) error {
 			switch {
 			case haveRetry && (!haveJob || ra <= c.epochJobs[pos].Arrival):
 				rj := c.popRetry()
-				c.segJobs = append(c.segJobs, queue.Job{Arrival: ra, Size: rj.size})
+				c.eJobs = append(c.eJobs, queue.Job{Arrival: ra, Size: rj.size})
 				c.segAtt = append(c.segAtt, rj.attempt)
 			case haveJob:
-				c.segJobs = append(c.segJobs, c.epochJobs[pos])
+				c.eJobs = append(c.eJobs, c.epochJobs[pos])
 				c.segAtt = append(c.segAtt, 0)
 				pos++
 			default:
@@ -113,7 +113,7 @@ func (c *Coordinator) serveEpochFaults(epochStart, epochEnd float64) error {
 			}
 		}
 	serve:
-		if err := c.serveSegment(); err != nil {
+		if err := c.serveSegment(base); err != nil {
 			return err
 		}
 		if !haveEv {
@@ -127,55 +127,46 @@ func (c *Coordinator) serveEpochFaults(epochStart, epochEnd float64) error {
 	}
 }
 
-// serveSegment routes the collected segment jobs over the healthy active
-// set and records each dispatch in the epoch accumulation and the in-flight
-// ledger. With no healthy server anywhere, arrivals are lost on arrival and
+// serveSegment routes the segment's jobs — the epoch accumulation from
+// base on — over the healthy active set through the reusable Select view,
+// writes each response and real server id into the accumulation in place,
+// and enters every dispatch in the in-flight ledger. With no healthy server
+// anywhere, arrivals are lost on arrival: they leave the accumulation and
 // run through the same retry budget as in-flight losses.
-func (c *Coordinator) serveSegment() error {
-	n := len(c.segJobs)
+func (c *Coordinator) serveSegment(base int) error {
+	seg := c.eJobs[base:]
+	n := len(seg)
 	if n == 0 {
 		return nil
 	}
 	if len(c.actList) == 0 {
-		for i := range c.segJobs {
+		for i, j := range seg {
 			c.epLost++
-			c.requeueLost(c.segJobs[i].Arrival, c.segJobs[i].Size, c.segAtt[i])
+			c.requeueLost(j.Arrival, j.Size, c.segAtt[i])
 		}
+		c.eJobs = c.eJobs[:base]
 		return nil
 	}
-	// A prefix active list serves through the same cached Subfarm as the
-	// fault-free path; any other shape goes through the reusable compact
-	// Select view.
-	var fv *farm.Farm
 	var err error
-	if last := c.actList[len(c.actList)-1]; last == len(c.actList)-1 {
-		fv, err = c.view(len(c.actList))
-	} else {
-		c.faultView, err = c.f.Select(c.faultView, c.actList)
-		fv = c.faultView
-	}
-	if err != nil {
+	if c.view, err = c.f.Select(c.view, c.actList); err != nil {
 		return err
 	}
-	c.segResp = resizeFloats(c.segResp, n)
-	c.segSrv = resizeIntsF(c.segSrv, n)
-	fv.RecordServe(c.segResp, c.segSrv)
-	c.src.jobs, c.src.pos = c.segJobs, 0
-	if _, err := fv.ServeSourceSliced(&c.src, c.cfg.Options); err != nil {
+	c.eResp = slices.Grow(c.eResp, n)[:base+n]
+	c.eSrv = slices.Grow(c.eSrv, n)[:base+n]
+	c.view.RecordServe(c.eResp[base:], c.eSrv[base:])
+	c.src.jobs, c.src.pos = seg, 0
+	if _, err := c.view.ServeSourceSliced(&c.src, farm.DispatchOptions{}); err != nil {
 		return fmt.Errorf("fleet: epoch %d: %w", c.epoch, err)
 	}
-	for i := 0; i < n; i++ {
-		real := c.actList[c.segSrv[i]]
-		j := c.segJobs[i]
+	for i := base; i < base+n; i++ {
+		real := c.actList[c.eSrv[i]]
+		c.eSrv[i] = real
 		c.pending[real] = append(c.pending[real], pendJob{
-			arrival: j.Arrival, size: j.Size,
-			completion: j.Arrival + c.segResp[i],
-			attempt:    c.segAtt[i],
-			respIdx:    len(c.eResp),
+			size:       c.eJobs[i].Size,
+			completion: c.eJobs[i].Arrival + c.eResp[i],
+			attempt:    c.segAtt[i-base],
+			respIdx:    i,
 		})
-		c.eJobs = append(c.eJobs, j)
-		c.eSrv = append(c.eSrv, real)
-		c.eResp = append(c.eResp, c.segResp[i])
 		c.eLost = append(c.eLost, false)
 	}
 	return nil
@@ -238,7 +229,6 @@ func (c *Coordinator) applyCrash(ev fault.Event) error {
 	c.parked[s] = false
 	c.healthy = removeSorted(c.healthy, s)
 	c.actList = removeSorted(c.actList, s)
-	c.active = len(c.actList)
 	c.faultLog = append(c.faultLog, ev)
 	if len(c.actList) == 0 && len(c.healthy) > 0 {
 		u := c.healthy[0]
@@ -247,7 +237,6 @@ func (c *Coordinator) applyCrash(ev fault.Event) error {
 		}
 		c.parked[u] = false
 		c.actList = append(c.actList, u)
-		c.active = 1
 		c.unpark++
 	}
 	return nil
@@ -269,7 +258,6 @@ func (c *Coordinator) applyRepair(ev fault.Event) error {
 	c.parked[s] = false
 	c.healthy = insertSorted(c.healthy, s)
 	c.actList = insertSorted(c.actList, s)
-	c.active = len(c.actList)
 	c.faultLog = append(c.faultLog, ev)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"sleepscale/internal/core"
 	"sleepscale/internal/eventlog"
@@ -44,8 +45,6 @@ type Config struct {
 	NewPredictor func() predict.Predictor
 	// PerServer selects per-server prediction and decisions.
 	PerServer bool
-	// WindowEpochs is the job-log window depth (default 3).
-	WindowEpochs int
 	// Seed drives the strategy's bootstrap resampling via core.DecideSeed.
 	Seed int64
 	// Dispatcher routes jobs over the active servers. It must support the
@@ -53,8 +52,6 @@ type Config struct {
 	// every VirtualRouter each server's live configuration, so per-server
 	// policies route exactly.
 	Dispatcher farm.Dispatcher
-	// Options tunes the sliced serving path (slice size, worker bound).
-	Options farm.DispatchOptions
 	// Quorum, when positive, keeps a rotating duty window of min(Quorum,
 	// active) servers no deeper than C1 each epoch. Must not exceed Servers.
 	Quorum int
@@ -62,10 +59,8 @@ type Config struct {
 	// ceil(predicted fleet demand / ParkTargetRho) each epoch.
 	Park bool
 	// ParkTargetRho is the per-active-server utilization the scaler aims at
-	// (default 0.7).
+	// (default 0.7). The active set never shrinks below max(1, Quorum).
 	ParkTargetRho float64
-	// MinActive floors the active set (default 1); the quorum floors it too.
-	MinActive int
 	// Observer, when set, sees every fleet epoch record as it closes —
 	// the hook the invariant checks and live dashboards use.
 	Observer func(Epoch)
@@ -73,14 +68,14 @@ type Config struct {
 	// the run: events apply at their exact instants, interleaved with job
 	// arrivals (an event on an epoch boundary belongs to the epoch it
 	// opens). Run rewinds the source with Reset(Seed) alongside the decision
-	// RNG, so every Run replays the same timeline. An empty or exhausted
-	// source leaves the run bit-identical to no fault injection at all —
-	// the equivalence suite pins this.
+	// RNG, so every Run replays the same timeline. A nil source walks an
+	// empty timeline through the same serve path, and an empty or exhausted
+	// source is bit-identical to it — the equivalence suite pins this.
 	Faults fault.Source
 	// Retry bounds failover re-dispatch of jobs lost in flight on a
-	// crashing server (fault mode only): each lost job is re-offered at
-	// loss instant + Backoff·attempt until it has been lost Budget times,
-	// then dropped. The zero policy drops every lost job outright.
+	// crashing server: each lost job is re-offered at loss instant +
+	// Backoff·attempt until it has been lost Budget times, then dropped.
+	// The zero policy drops every lost job outright.
 	Retry fault.RetryPolicy
 }
 
@@ -137,13 +132,14 @@ type Report struct {
 	EnergyProportionality float64
 	// JobsPerJoule is the fleet's performance-per-watt figure of merit.
 	JobsPerJoule float64
-	// Fault accounting, maintained only when Config.Faults is set. The
-	// conservation invariant holds exactly: Offered == Completed + Requeued
-	// + Dropped, where Requeued counts jobs still awaiting re-dispatch when
-	// the trace ended, and Completed equals the embedded Jobs count (every
-	// retained engine response is a completed job). Retries counts
-	// re-dispatch attempts; FaultEvents is the applied timeline in order
-	// (aliasing coordinator storage, valid until the next Run).
+	// Fault accounting, kept on every run (without fault injection every
+	// offered job completes). The conservation invariant holds exactly:
+	// Offered == Completed + Requeued + Dropped, where Requeued counts jobs
+	// still awaiting re-dispatch when the trace ended, and Completed equals
+	// the embedded Jobs count (every retained engine response is a completed
+	// job). Retries counts re-dispatch attempts; FaultEvents is the applied
+	// timeline in order (aliasing coordinator storage, valid until the next
+	// Run).
 	Offered, Completed, Requeued, Dropped int
 	Retries, Crashes, Repairs             int
 	FaultEvents                           []fault.Event
@@ -157,12 +153,12 @@ type Report struct {
 type Coordinator struct {
 	cfg     Config
 	k       int
-	lo      int // active-set floor: max(1, MinActive, Quorum)
+	lo      int // active-set floor: max(1, Quorum)
 	parkPol policy.Policy
 	parkCfg queue.Config
 
-	f     *farm.Farm
-	views map[int]*farm.Farm // prefix Subfarm per active-set size
+	f    *farm.Farm
+	view *farm.Farm // Select view over actList, refilled every segment
 
 	window    *eventlog.Window
 	decideSrc rand.Source
@@ -171,7 +167,6 @@ type Coordinator struct {
 
 	pols    []policy.Policy // installed policy per server
 	parked  []bool
-	active  int
 	rotor   int // quorum duty-window origin
 	epoch   int
 	unpark  int // servers woken at the current epoch's boundary
@@ -179,11 +174,10 @@ type Coordinator struct {
 	recPol  policy.Policy
 
 	// Healthy-set state. actList is the active healthy servers in strictly
-	// ascending order — always the prefix [0, active) without fault
-	// injection, so the list-driven epoch arithmetic reduces bit-identically
-	// to the prefix arithmetic the no-fault equivalence pins. healthy is
-	// every not-down server ascending; newAct/inPrev/inNew are openEpoch
-	// scratch. The remaining fault-mode state lives in faults.go.
+	// ascending order — always a prefix of the fleet without fault
+	// injection. healthy is every not-down server ascending;
+	// newAct/inPrev/inNew are openEpoch scratch. The segment walker's state
+	// lives in faults.go.
 	actList   []int
 	newAct    []int
 	inPrev    []bool
@@ -192,20 +186,16 @@ type Coordinator struct {
 	downSrv   []bool
 	downCount int
 
-	faultCur  *fault.Cursor
-	faultView *farm.Farm
-	faultLog  []fault.Event
-	pending   [][]pendJob
-	retryq    []retryJob
-	retrySeq  uint64
-	segJobs   []queue.Job
-	segAtt    []int
-	segResp   []float64
-	segSrv    []int
-	eJobs     []queue.Job
-	eSrv      []int
-	eResp     []float64
-	eLost     []bool
+	faultCur *fault.Cursor
+	faultLog []fault.Event
+	pending  [][]pendJob
+	retryq   []retryJob
+	retrySeq uint64
+	segAtt   []int
+	eJobs    []queue.Job
+	eSrv     []int
+	eResp    []float64
+	eLost    []bool
 
 	offered, completed, dropped       int
 	retries, crashes, repairs         int
@@ -222,8 +212,6 @@ type Coordinator struct {
 	cursor      *stream.Cursor
 	src         epochSource
 	epochJobs   []queue.Job
-	resp        []float64
-	srv         []int
 	demand      []float64 // active×slots per-server demand scratch
 	epochDelays metrics.Sample
 
@@ -246,6 +234,9 @@ func (s *epochSource) Next(buf []queue.Job) (int, bool) {
 	s.pos += n
 	return n, s.pos < len(s.jobs)
 }
+
+// windowEpochs is the job-log window depth, the batch runners' default.
+const windowEpochs = 3
 
 // New validates cfg and builds a coordinator.
 func New(cfg Config) (*Coordinator, error) {
@@ -286,18 +277,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.ParkTargetRho <= 0 || cfg.ParkTargetRho > 1 {
 		return nil, fmt.Errorf("fleet: park target utilization %g outside (0, 1]", cfg.ParkTargetRho)
 	}
-	if cfg.MinActive == 0 {
-		cfg.MinActive = 1
-	}
-	if cfg.MinActive < 1 || cfg.MinActive > cfg.Servers {
-		return nil, fmt.Errorf("fleet: min active %d outside [1, %d servers]", cfg.MinActive, cfg.Servers)
-	}
 	if err := cfg.Retry.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	windowEpochs := cfg.WindowEpochs
-	if windowEpochs <= 0 {
-		windowEpochs = 3
+	if cfg.Faults == nil {
+		cfg.Faults = noFaults{}
 	}
 	window, err := eventlog.NewWindow(windowEpochs)
 	if err != nil {
@@ -307,9 +291,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:         cfg,
 		k:           k,
-		lo:          maxInt(1, maxInt(cfg.MinActive, cfg.Quorum)),
+		lo:          max(1, cfg.Quorum),
 		window:      window,
-		views:       make(map[int]*farm.Farm),
 		pols:        make([]policy.Policy, k),
 		parked:      make([]bool, k),
 		phaseBufs:   make([][2][]queue.SleepPhase, k),
@@ -322,6 +305,7 @@ func New(cfg Config) (*Coordinator, error) {
 		healthy:     make([]int, 0, k),
 		downSrv:     make([]bool, k),
 		pending:     make([][]pendJob, k),
+		faultCur:    fault.NewCursor(cfg.Faults),
 	}
 	c.decideSrc = rand.NewSource(core.DecideSeed(cfg.Seed))
 	c.decideRng = rand.New(c.decideSrc)
@@ -333,6 +317,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: park policy: %w", err)
 	}
+	if c.f, err = farm.New(k, c.parkCfg, cfg.Dispatcher); err != nil {
+		return nil, err
+	}
 	if cfg.PerServer {
 		c.preds = make([]predict.Predictor, k)
 		for s := range c.preds {
@@ -343,13 +330,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.report.PerServer = make([]queue.Summary, k)
 	return c, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Installed reports server s's currently installed policy and whether it is
@@ -367,7 +347,9 @@ func (c *Coordinator) Run(src stream.Source) (*Report, error) {
 	if src == nil {
 		return nil, fmt.Errorf("fleet: coordinator needs a job source")
 	}
-	c.resetRun(src)
+	if err := c.resetRun(src); err != nil {
+		return nil, err
+	}
 	tr := c.cfg.Trace
 	slotSec := tr.SlotSeconds
 	nSlots := tr.Len()
@@ -390,20 +372,11 @@ func (c *Coordinator) Run(src stream.Source) (*Report, error) {
 			c.epochJobs = append(c.epochJobs, j)
 			c.cursor.Advance()
 		}
-		if c.cfg.Faults != nil {
-			if err := c.serveEpochFaults(epochStart, epochEnd); err != nil {
-				return nil, err
-			}
-			c.closeEpoch(epochStart, epochEnd, tr.Utilization[s0:s0+slots], slotSec,
-				c.eJobs, c.eSrv, c.eResp, c.eLost)
-			c.settleEpoch(epochEnd)
-		} else {
-			if err := c.serveEpoch(); err != nil {
-				return nil, err
-			}
-			c.closeEpoch(epochStart, epochEnd, tr.Utilization[s0:s0+slots], slotSec,
-				c.epochJobs, c.srv, c.resp, nil)
+		if err := c.serveEpochFaults(epochStart, epochEnd); err != nil {
+			return nil, err
 		}
+		c.closeEpoch(epochStart, epochEnd, tr.Utilization[s0:s0+slots], slotSec)
+		c.settleEpoch(epochEnd)
 	}
 	if err := stream.Err(src); err != nil {
 		return nil, fmt.Errorf("fleet: job source: %w", err)
@@ -413,10 +386,14 @@ func (c *Coordinator) Run(src stream.Source) (*Report, error) {
 }
 
 // resetRun rewinds all simulation state for a fresh trace replay, reusing
-// every buffer. Predictor state is deliberately not reset — see Coordinator.
-func (c *Coordinator) resetRun(src stream.Source) {
+// every buffer: every server restarts idle at t = 0 under the park
+// configuration, and the first epoch installs its decisions from there.
+// Predictor state is deliberately not reset — see Coordinator.
+func (c *Coordinator) resetRun(src stream.Source) error {
+	if err := c.f.Reset(c.parkCfg); err != nil {
+		return err
+	}
 	c.epoch = 0
-	c.active = c.k
 	c.rotor = 0
 	c.unpark = 0
 	for s := range c.parked {
@@ -474,6 +451,7 @@ func (c *Coordinator) resetRun(src stream.Source) {
 	rep.Dispatcher = c.cfg.Dispatcher.Name()
 	rep.PeakPower = float64(c.k) * c.cfg.Profile.ActivePower(1)
 	rep.EnergyProportionality, rep.JobsPerJoule = 0, 0
+	return nil
 }
 
 // openEpoch runs the top of the epoch cycle: predict per server, size the
@@ -482,12 +460,9 @@ func (c *Coordinator) resetRun(src stream.Source) {
 //
 // All of it is driven by explicit server lists — the previously active set
 // (actList as the epoch opens) and the healthy set — so crashed servers are
-// skipped everywhere. Without fault injection both lists are the ascending
-// prefixes [0, active) and [0, k), and every loop below visits exactly the
-// indices the prefix arithmetic did, in the same order, consuming the same
-// RNG draws: the no-fault equivalence tests pin this reduction bit for bit.
+// skipped everywhere. Without fault injection both lists are ascending
+// prefixes of the fleet.
 func (c *Coordinator) openEpoch(epochStart float64) error {
-	first := c.epoch == 0
 	perSrv := c.cfg.PerServer
 	prevAct := c.actList
 	c.epCrash, c.epRepair, c.epLost, c.epDrop = 0, 0, 0, 0
@@ -603,62 +578,30 @@ func (c *Coordinator) openEpoch(epochStart float64) error {
 		c.rotor += d
 	}
 
-	// 5. Install. The first epoch creates (or Resets) the farm under the
-	// first active server's configuration and only switches servers that
-	// differ — a plain farm.New when every server agrees. Later epochs switch
-	// every active server at the boundary in server order, then park the
-	// newly parked; down servers are never touched (their engines reject
-	// clocked calls).
-	if first {
-		qcfg0, err := c.resolve(c.newAct[0])
+	// 5. Install: switch every active server at the boundary in server
+	// order, waking the newly unparked first, then park the newly parked;
+	// down servers are never touched (their engines reject clocked calls).
+	// Run starts every server idle under the park configuration, so the
+	// first epoch installs through the same loop — a switch at t = 0 bills
+	// nothing.
+	for _, s := range c.newAct {
+		if !c.inPrev[s] { // unparking: pay the deep wake before the switch
+			if err := c.f.Server(s).WakeAt(epochStart); err != nil {
+				return fmt.Errorf("fleet: epoch %d server %d unpark: %w", c.epoch, s, err)
+			}
+		}
+		qcfg, err := c.resolve(s)
 		if err != nil {
 			return err
 		}
-		if c.f == nil {
-			f, err := farm.New(c.k, qcfg0, c.cfg.Dispatcher)
-			if err != nil {
-				return err
-			}
-			c.f = f
-		} else if err := c.f.Reset(qcfg0); err != nil {
-			return err
+		if err := c.f.Server(s).SetConfigAt(epochStart, qcfg); err != nil {
+			return fmt.Errorf("fleet: epoch %d server %d switch: %w", c.epoch, s, err)
 		}
-		for s := 1; s < c.k; s++ {
-			switch {
-			case c.parked[s]:
-				if err := c.f.Server(s).SetConfigAt(epochStart, c.parkCfg); err != nil {
-					return fmt.Errorf("fleet: epoch %d server %d park: %w", c.epoch, s, err)
-				}
-			case !polEqual(c.pols[s], c.pols[c.newAct[0]]):
-				qcfg, err := c.resolve(s)
-				if err != nil {
-					return err
-				}
-				if err := c.f.Server(s).SetConfigAt(epochStart, qcfg); err != nil {
-					return fmt.Errorf("fleet: epoch %d server %d switch: %w", c.epoch, s, err)
-				}
-			}
-		}
-	} else {
-		for _, s := range c.newAct {
-			if !c.inPrev[s] { // unparking: pay the deep wake before the switch
-				if err := c.f.Server(s).WakeAt(epochStart); err != nil {
-					return fmt.Errorf("fleet: epoch %d server %d unpark: %w", c.epoch, s, err)
-				}
-			}
-			qcfg, err := c.resolve(s)
-			if err != nil {
-				return err
-			}
-			if err := c.f.Server(s).SetConfigAt(epochStart, qcfg); err != nil {
-				return fmt.Errorf("fleet: epoch %d server %d switch: %w", c.epoch, s, err)
-			}
-		}
-		for _, s := range prevAct {
-			if !c.inNew[s] { // newly parked: drain fast, then deepest sleep
-				if err := c.f.Server(s).SetConfigAt(epochStart, c.parkCfg); err != nil {
-					return fmt.Errorf("fleet: epoch %d server %d park: %w", c.epoch, s, err)
-				}
+	}
+	for _, s := range prevAct {
+		if !c.inNew[s] { // newly parked: drain fast, then deepest sleep
+			if err := c.f.Server(s).SetConfigAt(epochStart, c.parkCfg); err != nil {
+				return fmt.Errorf("fleet: epoch %d server %d park: %w", c.epoch, s, err)
 			}
 		}
 	}
@@ -669,7 +612,6 @@ func (c *Coordinator) openEpoch(epochStart float64) error {
 		c.inNew[s] = false
 	}
 	c.actList = append(c.actList[:0], c.newAct...)
-	c.active = len(c.actList)
 	return nil
 }
 
@@ -695,13 +637,6 @@ func (c *Coordinator) resolve(s int) (queue.Config, error) {
 	}
 	*buf = qcfg.Phases // retain growth for reuse
 	return qcfg, nil
-}
-
-// polEqual reports whether two policies install the same configuration.
-// Plan names are assumed to identify plan contents, which holds for every
-// plan this package installs (capped plans are renamed).
-func polEqual(a, b policy.Policy) bool {
-	return a.Frequency == b.Frequency && a.Plan.Name == b.Plan.Name
 }
 
 // capPlan truncates a plan to its C1-or-shallower prefix, memoized by plan
@@ -730,60 +665,16 @@ func (c *Coordinator) capPlan(pl policy.SleepPlan) policy.SleepPlan {
 	return capped
 }
 
-// view returns the farm serving this epoch: the whole fleet, or the cached
-// prefix Subfarm over the m active servers.
-func (c *Coordinator) view(m int) (*farm.Farm, error) {
-	if m == c.k {
-		return c.f, nil
-	}
-	if v, ok := c.views[m]; ok {
-		return v, nil
-	}
-	v, err := c.f.Subfarm(m)
-	if err != nil {
-		return nil, err
-	}
-	c.views[m] = v
-	return v, nil
-}
-
-// serveEpoch routes and simulates the collected epoch jobs over the active
-// prefix, recording each job's response and server at its stream position.
-func (c *Coordinator) serveEpoch() error {
-	n := len(c.epochJobs)
-	c.resp = resizeFloats(c.resp, n)
-	c.srv = resizeIntsF(c.srv, n)
-	fv, err := c.view(c.active)
-	if err != nil {
-		return err
-	}
-	fv.RecordServe(c.resp, c.srv)
-	c.src.jobs, c.src.pos = c.epochJobs, 0
-	if _, err := fv.ServeSourceSliced(&c.src, c.cfg.Options); err != nil {
-		return fmt.Errorf("fleet: epoch %d: %w", c.epoch, err)
-	}
-	return nil
-}
-
-// closeEpoch runs the bottom of the epoch cycle: summarize delays in stream
-// order, log the window, feed the predictors, difference the fleet totals
-// and emit both epoch records. served/srv/resp describe the jobs actually
-// dispatched this epoch and the real server each went to — the offered
-// stream itself without faults, or the segment-walker's accumulation
-// (retries included, dispatch order) with them; lost, when non-nil, masks
-// responses of jobs later lost in flight out of the delay statistics.
-func (c *Coordinator) closeEpoch(epochStart, epochEnd float64, rhos []float64, slotSec float64,
-	served []queue.Job, srv []int, resp []float64, lost []bool) {
+// closeEpoch runs the bottom of the epoch cycle: summarize delays in
+// dispatch order, log the window, feed the predictors, difference the fleet
+// totals and emit both epoch records. The delays are the segment walker's
+// accumulation — every job dispatched this epoch, retries included — with
+// responses of jobs later lost in flight masked out.
+func (c *Coordinator) closeEpoch(epochStart, epochEnd float64, rhos []float64, slotSec float64) {
 	c.epochDelays.Reset()
-	if lost == nil {
-		for _, r := range resp {
+	for i, r := range c.eResp {
+		if !c.eLost[i] {
 			c.epochDelays.Add(r)
-		}
-	} else {
-		for i, r := range resp {
-			if !lost[i] {
-				c.epochDelays.Add(r)
-			}
 		}
 	}
 	c.window.PushJobs(c.epochJobs, epochStart)
@@ -797,7 +688,7 @@ func (c *Coordinator) closeEpoch(epochStart, epochEnd float64, rhos []float64, s
 		if len(rhos) > 0 {
 			realized /= float64(len(rhos))
 		}
-		c.feedPerServer(served, srv, rhos, epochStart, slotSec)
+		c.feedPerServer(rhos, epochStart, slotSec)
 	} else {
 		realized = core.FeedPredictor(c.cfg.Predictor, rhos)
 	}
@@ -828,8 +719,8 @@ func (c *Coordinator) closeEpoch(epochStart, epochEnd float64, rhos []float64, s
 			freq += c.pols[s].Frequency
 			rep.PlanEpochs[c.pols[s].Plan.Name]++
 		}
-		if c.active > 0 {
-			freq /= float64(c.active)
+		if len(c.actList) > 0 {
+			freq /= float64(len(c.actList))
 		}
 	} else {
 		// The decided frequency, not a recomputed mean: (f·m)/m is not
@@ -839,7 +730,7 @@ func (c *Coordinator) closeEpoch(epochStart, epochEnd float64, rhos []float64, s
 	}
 	c.freqSum += freq
 	fe := Epoch{
-		Index: c.epoch, Active: c.active, Parked: c.k - c.active - c.downCount,
+		Index: c.epoch, Active: len(c.actList), Parked: c.k - len(c.actList) - c.downCount,
 		Shallow: shallow, Unparked: c.unpark, MeanFrequency: freq,
 		Down: c.downCount, Crashes: c.epCrash, Repairs: c.epRepair,
 		Lost: c.epLost, Dropped: c.epDrop,
@@ -852,21 +743,18 @@ func (c *Coordinator) closeEpoch(epochStart, epochEnd float64, rhos []float64, s
 }
 
 // feedPerServer observes each active server's realized demand — the sizes
-// of the jobs routed to it, bucketed by arrival slot and normalized by the
-// slot length — into its predictor, in slot order. The demand matrix is
-// indexed by real server id, and only the currently active (healthy)
-// servers' rows are observed: demand routed to a server that crashed later
-// in the epoch stays unobserved, consistent with frozen-while-down
-// predictors. Without faults srv holds prefix view indices that equal real
-// ids, reducing to the original arithmetic exactly.
-func (c *Coordinator) feedPerServer(served []queue.Job, srv []int, rhos []float64, epochStart, slotSec float64) {
+// of the jobs routed to it this epoch, bucketed by arrival slot and
+// normalized by the slot length — into its predictor, in slot order. The
+// demand matrix is indexed by real server id, and only the currently active
+// (healthy) servers' rows are observed: demand routed to a server that
+// crashed later in the epoch stays unobserved, consistent with
+// frozen-while-down predictors.
+func (c *Coordinator) feedPerServer(rhos []float64, epochStart, slotSec float64) {
 	slots := len(rhos)
 	need := c.k * slots
-	c.demand = resizeFloats(c.demand, need)
-	for i := range c.demand {
-		c.demand[i] = 0
-	}
-	for i, j := range served {
+	c.demand = slices.Grow(c.demand[:0], need)[:need]
+	clear(c.demand)
+	for i, j := range c.eJobs {
 		slot := int((j.Arrival - epochStart) / slotSec)
 		if slot < 0 {
 			slot = 0
@@ -874,7 +762,7 @@ func (c *Coordinator) feedPerServer(served []queue.Job, srv []int, rhos []float6
 		if slot >= slots {
 			slot = slots - 1
 		}
-		c.demand[srv[i]*slots+slot] += j.Size
+		c.demand[c.eSrv[i]*slots+slot] += j.Size
 	}
 	for _, s := range c.actList {
 		row := c.demand[s*slots : (s+1)*slots]
@@ -907,24 +795,22 @@ func (c *Coordinator) finish(duration float64) {
 	if c.epoch > 0 {
 		rep.MeanFrequency = c.freqSum / float64(c.epoch)
 	}
-	if c.cfg.Faults != nil {
-		// Jobs still tracked in flight past the trace's end were accepted
-		// and complete (engines bill their service); fold them in so the
-		// conservation ledger closes: offered == completed + requeued +
-		// dropped, with completed matching the retained engine responses.
-		for s := range c.pending {
-			c.completed += len(c.pending[s])
-			c.pending[s] = c.pending[s][:0]
-		}
-		rep.Offered = c.offered
-		rep.Completed = c.completed
-		rep.Requeued = len(c.retryq)
-		rep.Dropped = c.dropped
-		rep.Retries = c.retries
-		rep.Crashes = c.crashes
-		rep.Repairs = c.repairs
-		rep.FaultEvents = c.faultLog
+	// Jobs still tracked in flight past the trace's end were accepted and
+	// complete (engines bill their service); fold them in so the
+	// conservation ledger closes: offered == completed + requeued + dropped,
+	// with completed matching the retained engine responses.
+	for s := range c.pending {
+		c.completed += len(c.pending[s])
+		c.pending[s] = c.pending[s][:0]
 	}
+	rep.Offered = c.offered
+	rep.Completed = c.completed
+	rep.Requeued = len(c.retryq)
+	rep.Dropped = c.dropped
+	rep.Retries = c.retries
+	rep.Crashes = c.crashes
+	rep.Repairs = c.repairs
+	rep.FaultEvents = c.faultLog
 	var respSum float64
 	for s := 0; s < c.k; s++ {
 		sum := c.f.Server(s).FinishSummary(duration)
@@ -954,18 +840,4 @@ func (c *Coordinator) finish(duration float64) {
 	if denom := rep.PeakPower * duration; denom > 0 {
 		rep.EnergyProportionality = 1 - dev/denom
 	}
-}
-
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeIntsF(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }

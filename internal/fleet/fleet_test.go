@@ -614,7 +614,6 @@ func TestNewValidation(t *testing.T) {
 		{"quorum exceeds fleet", func(c *Config) { c.Quorum = 5 }},
 		{"negative quorum", func(c *Config) { c.Quorum = -1 }},
 		{"park target above 1", func(c *Config) { c.ParkTargetRho = 1.5 }},
-		{"min active exceeds fleet", func(c *Config) { c.MinActive = 9 }},
 		{"zero epoch slots", func(c *Config) { c.EpochSlots = 0 }},
 	}
 	for _, tc := range cases {
