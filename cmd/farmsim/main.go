@@ -341,8 +341,8 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 	return nil
 }
 
-// loadFarmTrace resolves -trace: a synthetic day by name, or a file sniffed
-// as columnar (magic "SSCL") or CSV.
+// loadFarmTrace resolves -trace: a synthetic day by name, or a column or
+// CSV file.
 func loadFarmTrace(name string, seed int64) (*sleepscale.Trace, error) {
 	switch name {
 	case "email-store":
@@ -350,16 +350,7 @@ func loadFarmTrace(name string, seed int64) (*sleepscale.Trace, error) {
 	case "file-server":
 		return sleepscale.FileServerTrace(1, seed), nil
 	}
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var head [4]byte
-	if n, _ := f.ReadAt(head[:], 0); n == 4 && string(head[:]) == "SSCL" {
-		return trace.ReadCol(name)
-	}
-	return trace.ReadCSV(f)
+	return trace.ReadFile(name)
 }
 
 func parseSizes(arg string) ([]int, error) {

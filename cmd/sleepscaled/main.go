@@ -57,7 +57,6 @@ type options struct {
 	qos         float64
 	evalJobs    int
 	alpha       float64
-	window      int
 	seed        int64
 
 	checkpoint      string
@@ -88,7 +87,6 @@ func main() {
 	flag.Float64Var(&o.qos, "qos", 0.8, "QoS budget factor ρ_B for the mean-response constraint")
 	flag.IntVar(&o.evalJobs, "eval-jobs", 200, "bootstrap jobs per candidate policy evaluation")
 	flag.Float64Var(&o.alpha, "alpha", 0.1, "over-provisioning factor α")
-	flag.IntVar(&o.window, "window", 0, "job-log window in epochs (0 = runner default)")
 	flag.Int64Var(&o.seed, "seed", 1, "decision-stream seed")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint path (empty disables durability)")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 16, "checkpoint cadence in epochs")
@@ -200,7 +198,6 @@ func buildConfig(o options, out io.Writer) (sleepscale.ServeConfig, error) {
 			Profile:      prof,
 			Predictor:    pred,
 			Strategy:     strat,
-			WindowEpochs: o.window,
 			Seed:         o.seed,
 		},
 		CheckpointPath:  o.checkpoint,

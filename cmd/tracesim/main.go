@@ -29,10 +29,10 @@ func main() {
 	log.SetPrefix("tracesim: ")
 	var (
 		strategyName  = flag.String("strategy", "SS", "SS, SS(C3), DVFS, R2H(C3) or R2H(C6)")
-		predictorName = flag.String("predictor", "LC", "LC, LMS, NP, MA or Offline")
+		predictorName = flag.String("predictor", "LC", strings.Join(predictorNames, ", "))
 		epochMinutes  = flag.Int("T", 5, "policy update interval in minutes")
 		alpha         = flag.Float64("alpha", 0.35, "over-provisioning factor α")
-		traceName     = flag.String("trace", "email-store", "email-store, file-server or a CSV path")
+		traceName     = flag.String("trace", "email-store", "email-store, file-server, or a CSV or column file path")
 		workloadName  = flag.String("workload", "DNS", "DNS, Mail or Google")
 		rhoB          = flag.Float64("rhob", 0.8, "baseline peak design utilization")
 		days          = flag.Int("days", 1, "trace days to generate")
@@ -199,25 +199,9 @@ func loadTrace(name string, days int, seed int64, winStart, winEnd int) (*sleeps
 	case "file-server":
 		full = sleepscale.FileServerTrace(days, seed)
 	default:
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if isColFile(f) {
-			return trace.ReadCol(name)
-		}
-		return trace.ReadCSV(f)
+		return trace.ReadFile(name)
 	}
 	return full.DailyWindow(winStart, winEnd)
-}
-
-// isColFile sniffs the columnar magic ("SSCL") so -trace takes either
-// format without a flag. The reader is rewound after the peek.
-func isColFile(f *os.File) bool {
-	var head [4]byte
-	n, _ := f.ReadAt(head[:], 0)
-	return n == 4 && string(head[:]) == "SSCL"
 }
 
 // convertTrace writes tr in the format the destination extension names:
@@ -256,6 +240,9 @@ func buildStrategy(name string, spec sleepscale.Spec, qos sleepscale.QoS,
 	return nil, fmt.Errorf("unknown strategy %q", name)
 }
 
+// predictorNames lists the -predictor values buildPredictor accepts.
+var predictorNames = []string{"LC", "LC+seasonal", "LMS", "NP", "Offline"}
+
 func buildPredictor(name string, tr *sleepscale.Trace, daySlots int) (sleepscale.Predictor, error) {
 	switch name {
 	case "NP":
@@ -276,5 +263,5 @@ func buildPredictor(name string, tr *sleepscale.Trace, daySlots int) (sleepscale
 	case "Offline":
 		return sleepscale.NewOfflinePredictor(tr.Utilization), nil
 	}
-	return nil, fmt.Errorf("unknown predictor %q", name)
+	return nil, fmt.Errorf("unknown predictor %q (want %s)", name, strings.Join(predictorNames, ", "))
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -49,34 +48,6 @@ func TestLoadTraceSniffsFormat(t *testing.T) {
 	}
 }
 
-func TestIsColFile(t *testing.T) {
-	dir := t.TempDir()
-	csvPath := filepath.Join(dir, "t.csv")
-	if err := os.WriteFile(csvPath, []byte("slot,utilization\n0,0.5\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if isColFile(f) {
-		t.Fatal("CSV sniffed as columnar")
-	}
-	colPath := filepath.Join(dir, "t.col")
-	if err := sleepscale.EmailStoreTrace(1, 1).WriteCol(colPath); err != nil {
-		t.Fatal(err)
-	}
-	g, err := os.Open(colPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if !isColFile(g) {
-		t.Fatal("column file not sniffed")
-	}
-}
-
 func TestLoadTraceSynthetic(t *testing.T) {
 	tr, err := loadTrace("file-server", 1, 1, 120, 1200)
 	if err != nil {
@@ -87,5 +58,19 @@ func TestLoadTraceSynthetic(t *testing.T) {
 	}
 	if _, err := loadTrace("nope-does-not-exist", 1, 1, 0, 0); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestBuildPredictorNames pins -predictor's help to its parser: every name
+// the help lists builds.
+func TestBuildPredictorNames(t *testing.T) {
+	tr := sleepscale.EmailStoreTrace(1, 1)
+	for _, name := range predictorNames {
+		if _, err := buildPredictor(name, tr, 1080); err != nil {
+			t.Errorf("listed predictor %q: %v", name, err)
+		}
+	}
+	if _, err := buildPredictor("MA", tr, 1080); err == nil {
+		t.Error("unlisted predictor MA accepted")
 	}
 }

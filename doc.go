@@ -202,15 +202,17 @@
 // # Live serving
 //
 // SleepScale also runs as what the paper pitches: a long-lived runtime
-// controller. LiveRunner is the §6 epoch loop turned incremental — the same
-// epoch machine behind Run and RunSource driven one event at a time
-// (OfferJob/OfferSlot/Finish) by an unbounded telemetry stream, with no
-// materialized trace and the batch runners' exact semantics: for the same
+// controller. LiveRunner is the §6 epoch machine itself, driven one event
+// at a time (OfferJob/OfferSlot/Finish) by an unbounded telemetry stream
+// with no materialized trace. Run and RunSource are loops over it: they
+// offer each trace slot's arrivals and then the slot, so for the same
 // events, epochs, predictions and policy switches are bit-identical to a
-// batch run, and the steady-state loop does not allocate. At any epoch
-// boundary, State captures a resumable snapshot — engine totals, predictor
-// and policy-selection state, RNG cursors, queue backlog — and
-// RestoreLiveRunner resumes from it bit-identically.
+// batch run by construction, and the steady-state loop does not allocate.
+// Every epoch driver keeps the same job-log window, three epochs deep (one
+// constant, core.WindowEpochs). At any epoch boundary, State captures a
+// resumable snapshot — engine totals, predictor and policy-selection
+// state, RNG cursors, queue backlog — and RestoreLiveRunner resumes from
+// it bit-identically.
 //
 // The serve layer (internal/serve) wraps the runner into a daemon,
 // cmd/sleepscaled: jobs and slot telemetry arrive over a compact binary

@@ -110,6 +110,14 @@ type Reader struct {
 	ranges []float64
 }
 
+// HasMagic reports whether r starts with the column-file magic, so a loader
+// can take a column file or a text format under one name without a flag.
+func HasMagic(r io.ReaderAt) bool {
+	var head [4]byte
+	n, _ := r.ReadAt(head[:], 0)
+	return n == len(head) && binary.LittleEndian.Uint32(head[:]) == fileMagic
+}
+
 // Open opens the column file at path, memory-mapping it when the platform
 // allows; on any mapping failure it degrades to ReaderAt block reads over
 // the same file handle.

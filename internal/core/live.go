@@ -13,15 +13,20 @@ import (
 )
 
 // decideSeedSalt separates the strategy's bootstrap randomness from the
-// workload seed (historically runEpochs' rand.NewSource(cfg.Seed + 0x5157)).
+// workload seed (historically rand.NewSource(cfg.Seed + 0x5157)).
 const decideSeedSalt = 0x5157
 
 // DecideSeed maps a runner seed to the seed of the strategy's decision RNG.
 // Every epoch driver builds its decide stream as
-// rand.New(rand.NewSource(DecideSeed(cfg.Seed))) — the epoch loop's counting
-// wrapper is draw-transparent — so an external driver (the fleet coordinator)
-// seeding the same way reproduces the decision stream bit for bit.
+// rand.New(rand.NewSource(DecideSeed(cfg.Seed))) — the live runner's
+// counting wrapper is draw-transparent — so an external driver (the fleet
+// coordinator) seeding the same way reproduces the decision stream bit for
+// bit.
 func DecideSeed(seed int64) int64 { return seed + decideSeedSalt }
+
+// WindowEpochs is the depth, in epochs, of the job-log window every epoch
+// driver (batch, live and fleet) keeps for distribution prediction.
+const WindowEpochs = 3
 
 // countingSource is the runner's deterministic randomness source with a
 // draw cursor: it counts Int63 calls so a checkpoint can record (seed,
@@ -33,12 +38,11 @@ func DecideSeed(seed int64) int64 { return seed + decideSeedSalt }
 // draw advances the cursor by exactly one.
 type countingSource struct {
 	inner rand.Source
-	seed  int64
 	draws uint64
 }
 
 func newCountingSource(seed int64) *countingSource {
-	return &countingSource{inner: rand.NewSource(seed), seed: seed}
+	return &countingSource{inner: rand.NewSource(seed)}
 }
 
 // Int63 implements rand.Source.
@@ -49,7 +53,7 @@ func (s *countingSource) Int63() int64 {
 
 // Seed implements rand.Source, rewinding the cursor.
 func (s *countingSource) Seed(seed int64) {
-	s.seed, s.draws = seed, 0
+	s.draws = 0
 	s.inner.Seed(seed)
 }
 
@@ -61,12 +65,13 @@ func (s *countingSource) skipTo(draws uint64) {
 	}
 }
 
-// FeedPredictor is the one predictor-feed path shared by the batch runners,
-// the live serve loop and the fleet coordinator: it observes every realized
-// slot utilization of a just-finished epoch, in slot order, and returns their
-// mean — the epoch's realized utilization. All epoch drivers close epochs
-// through this function (batch and live via epochLoop.closeEpoch), so the
-// realized-utilization arithmetic cannot drift between them.
+// FeedPredictor is the one predictor-feed path shared by the single-server
+// runner and the fleet coordinator: it observes every realized slot
+// utilization of a just-finished epoch, in slot order, and returns their
+// mean — the epoch's realized utilization. Both epoch drivers close epochs
+// through this function (LiveRunner via closeEpoch, which Run and RunSource
+// drive too), so the realized-utilization arithmetic cannot drift between
+// them.
 func FeedPredictor(p predict.Predictor, rhos []float64) (realized float64) {
 	for _, rho := range rhos {
 		p.Observe(rho)
@@ -78,10 +83,10 @@ func FeedPredictor(p predict.Predictor, rhos []float64) (realized float64) {
 	return realized
 }
 
-// loopConfig parameterizes the incremental epoch machine. It is
-// RunnerConfig minus the trace (slots arrive incrementally) and minus the
-// workload statistics (jobs arrive from outside).
-type loopConfig struct {
+// LiveConfig configures a LiveRunner: a RunnerConfig minus the trace and the
+// generating workload — both jobs and telemetry slots arrive from outside,
+// unbounded.
+type LiveConfig struct {
 	// SlotSeconds is the telemetry slot length in seconds.
 	SlotSeconds float64
 	// EpochSlots is T: slots per policy epoch.
@@ -90,17 +95,24 @@ type loopConfig struct {
 	FreqExponent float64
 	// Profile supplies the power model.
 	Profile *power.Profile
-	// Predictor forecasts per-slot utilization.
+	// Predictor forecasts per-slot utilization. It must implement
+	// encoding.BinaryMarshaler/Unmarshaler for State/Restore to work (all
+	// predictors in internal/predict do).
 	Predictor predict.Predictor
 	// Strategy picks the per-epoch policy.
 	Strategy Strategy
-	// WindowEpochs is the job-log window depth (default 3).
-	WindowEpochs int
 	// Seed drives the strategy's bootstrap resampling.
 	Seed int64
+
+	// retainResponses keeps the raw per-job response sample for whole-run
+	// percentiles; RunSource sets it. Off (the serve daemon's mode) the
+	// engine folds responses into streaming moments only — O(1) memory over
+	// an unbounded run; Finish then reports exact counts, means and energy
+	// but zero whole-run percentiles (per-epoch P95s are unaffected).
+	retainResponses bool
 }
 
-func (c *loopConfig) validate() error {
+func (c *LiveConfig) validate() error {
 	if c.SlotSeconds <= 0 {
 		return fmt.Errorf("core: slot length %g ≤ 0", c.SlotSeconds)
 	}
@@ -116,29 +128,31 @@ func (c *loopConfig) validate() error {
 	return nil
 }
 
-// epochLoop is the incremental form of the §6 epoch loop: the same
-// decide→serve→observe cycle as the batch runners, advanced one telemetry
-// event at a time, with no materialized trace and no epoch horizon. Jobs
-// are offered as they arrive (OfferJob) and realized slot utilizations as
-// slots complete (OfferSlot); every EpochSlots-th slot closes an epoch and
-// yields its EpochRecord. The batch runners drive the same machine from a
-// trace and a job stream, so batch and live epoch accounting are one code
-// path and bit-identical by construction.
+// LiveRunner is the §6 epoch machine: the decide→serve→observe cycle,
+// advanced one telemetry event at a time with no materialized trace and no
+// epoch horizon. Offer jobs as they arrive (OfferJob) and realized slot
+// utilizations as slots complete (OfferSlot); every EpochSlots-th slot
+// closes an epoch — predict, decide, switch policy, serve, observe — and
+// yields its EpochRecord. Run and RunSource are loops that feed it a
+// trace's slots and a job stream, so batch and live epoch accounting are
+// one code path.
 //
 // A job is served once the slot containing its arrival completes — the
 // machine's only lookahead rule. It changes nothing observable (the engine
 // runs in virtual time and the policy in force is fixed at epoch open) and
-// it gives live feeds the batch runners' exact end-of-stream semantics:
-// jobs arriving past the last completed slot are never served, just as the
+// it gives live feeds the batch semantics at the end of the stream: jobs
+// arriving past the last completed slot are never served, just as the
 // batch loop leaves jobs beyond the trace unread.
 //
 // Steady state allocates nothing: the pending ring, per-epoch job log,
 // slot buffer, delay sample and the ping-pong policy-phase scratch are all
-// reused across epochs.
-type epochLoop struct {
-	cfg     loopConfig
-	backend *engineBackend
-	window  *eventlog.Window
+// reused across epochs, and memory stays O(pending + one epoch) however
+// long the runner runs. A runner restored from State continues
+// bit-identically to one that never stopped.
+type LiveRunner struct {
+	cfg    LiveConfig
+	eng    *queue.Engine // nil until the first epoch opens
+	window *eventlog.Window
 
 	decideSrc *countingSource
 	decideRng *rand.Rand
@@ -174,25 +188,19 @@ type epochLoop struct {
 	phaseBuf [2][]queue.SleepPhase
 }
 
-func newEpochLoop(cfg loopConfig, backend *engineBackend) (*epochLoop, error) {
+// NewLiveRunner validates cfg and returns a runner positioned before the
+// first slot.
+func NewLiveRunner(cfg LiveConfig) (*LiveRunner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if backend == nil {
-		return nil, fmt.Errorf("core: epoch loop needs a backend")
-	}
-	windowEpochs := cfg.WindowEpochs
-	if windowEpochs <= 0 {
-		windowEpochs = 3
-	}
-	window, err := eventlog.NewWindow(windowEpochs)
+	window, err := eventlog.NewWindow(WindowEpochs)
 	if err != nil {
 		return nil, err
 	}
-	src := newCountingSource(cfg.Seed + decideSeedSalt)
-	return &epochLoop{
+	src := newCountingSource(DecideSeed(cfg.Seed))
+	return &LiveRunner{
 		cfg:        cfg,
-		backend:    backend,
 		window:     window,
 		decideSrc:  src,
 		decideRng:  rand.New(src),
@@ -202,158 +210,180 @@ func newEpochLoop(cfg loopConfig, backend *engineBackend) (*epochLoop, error) {
 }
 
 // openEpoch runs the top of the epoch cycle: predict, decide, resolve and
-// install the policy at the epoch's start instant.
-func (l *epochLoop) openEpoch() error {
-	epochStart := float64(l.slot) * l.cfg.SlotSeconds
-	pred := ClampRho(l.cfg.Predictor.Predict())
-	pol, err := l.cfg.Strategy.Decide(DecideInput{
+// install the policy at the epoch's start instant. The first epoch creates
+// the engine.
+func (r *LiveRunner) openEpoch() error {
+	epochStart := float64(r.slot) * r.cfg.SlotSeconds
+	pred := ClampRho(r.cfg.Predictor.Predict())
+	pol, err := r.cfg.Strategy.Decide(DecideInput{
 		PredictedUtilization: pred,
-		Window:               l.window,
-		LastEpochMeanDelay:   l.lastMean,
-		LastEpochP95Delay:    l.lastP95,
-		LastEpochJobs:        l.lastJobs,
-		Rng:                  l.decideRng,
+		Window:               r.window,
+		LastEpochMeanDelay:   r.lastMean,
+		LastEpochP95Delay:    r.lastP95,
+		LastEpochJobs:        r.lastJobs,
+		Rng:                  r.decideRng,
 	})
 	if err != nil {
-		return fmt.Errorf("core: epoch %d decision: %w", l.epoch, err)
+		return fmt.Errorf("core: epoch %d decision: %w", r.epoch, err)
 	}
-	buf := &l.phaseBuf[l.epoch&1]
-	qcfg, err := pol.AppendConfig(l.cfg.Profile, l.cfg.FreqExponent, (*buf)[:0])
+	buf := &r.phaseBuf[r.epoch&1]
+	qcfg, err := pol.AppendConfig(r.cfg.Profile, r.cfg.FreqExponent, (*buf)[:0])
 	if err != nil {
-		return fmt.Errorf("core: epoch %d policy %v: %w", l.epoch, pol, err)
+		return fmt.Errorf("core: epoch %d policy %v: %w", r.epoch, pol, err)
 	}
 	*buf = qcfg.Phases // retain growth for reuse
-	if err := l.backend.applyPolicy(epochStart, qcfg); err != nil {
-		return fmt.Errorf("core: epoch %d switch: %w", l.epoch, err)
+	if r.eng == nil {
+		r.eng, err = queue.NewEngine(qcfg, 0)
+		if err == nil {
+			r.eng.SetRetainResponses(r.cfg.retainResponses)
+		}
+	} else {
+		err = r.eng.SetConfigAt(epochStart, qcfg)
 	}
-	l.curPol, l.curPred = pol, pred
-	l.epochOpen = true
-	l.epochDelays.Reset()
-	l.epochJobs = l.epochJobs[:0]
-	l.rhos = l.rhos[:0]
+	if err != nil {
+		return fmt.Errorf("core: epoch %d switch: %w", r.epoch, err)
+	}
+	r.curPol, r.curPred = pol, pred
+	r.epochOpen = true
+	r.epochDelays.Reset()
+	r.epochJobs = r.epochJobs[:0]
+	r.rhos = r.rhos[:0]
 	return nil
 }
 
-// OfferJob hands the machine one arriving job. Arrivals must be
-// non-decreasing; the job is buffered and served once the slot containing
-// its arrival completes.
-func (l *epochLoop) OfferJob(j queue.Job) error {
-	if j.Arrival < l.lastArrival {
-		return fmt.Errorf("core: job arrival %g before previous %g", j.Arrival, l.lastArrival)
+// OfferJob hands the runner one arriving job, served once the slot
+// containing its arrival completes. Arrivals must be non-decreasing and may
+// not fall in a slot that has already completed; a rejected job leaves the
+// runner untouched.
+func (r *LiveRunner) OfferJob(j queue.Job) error {
+	if j.Arrival < r.lastArrival {
+		return fmt.Errorf("core: job arrival %g before previous %g", j.Arrival, r.lastArrival)
 	}
-	l.lastArrival = j.Arrival
-	if l.pendHead > 0 && l.pendHead == len(l.pending) {
-		l.pending = l.pending[:0]
-		l.pendHead = 0
+	if open := float64(r.slot) * r.cfg.SlotSeconds; j.Arrival < open {
+		return fmt.Errorf("core: job arrival %g before the open slot's start %g: its slot has completed", j.Arrival, open)
 	}
-	l.pending = append(l.pending, j)
-	l.jobsOffered++
+	r.lastArrival = j.Arrival
+	if r.pendHead > 0 && r.pendHead == len(r.pending) {
+		r.pending = r.pending[:0]
+		r.pendHead = 0
+	}
+	r.pending = append(r.pending, j)
+	r.jobsOffered++
 	return nil
 }
 
-// OfferSlot hands the machine one completed telemetry slot's realized
+// OfferSlot hands the runner one completed telemetry slot's realized
 // utilization. Pending jobs the slot covers are served under the epoch's
-// policy; the EpochSlots-th slot closes the epoch and returns its record
-// with closed=true.
-func (l *epochLoop) OfferSlot(rho float64) (rec EpochRecord, closed bool, err error) {
-	if !l.epochOpen {
-		if err := l.openEpoch(); err != nil {
+// policy; closed reports whether the slot completed an epoch, in which case
+// rec is its record.
+func (r *LiveRunner) OfferSlot(rho float64) (rec EpochRecord, closed bool, err error) {
+	if !r.epochOpen {
+		if err := r.openEpoch(); err != nil {
 			return EpochRecord{}, false, err
 		}
 	}
-	slotEnd := float64(l.slot+1) * l.cfg.SlotSeconds
-	for l.pendHead < len(l.pending) {
-		j := l.pending[l.pendHead]
+	slotEnd := float64(r.slot+1) * r.cfg.SlotSeconds
+	for r.pendHead < len(r.pending) {
+		j := r.pending[r.pendHead]
 		if j.Arrival >= slotEnd {
 			break
 		}
-		resp, err := l.backend.process(j)
+		resp, err := r.eng.Process(j)
 		if err != nil {
-			return EpochRecord{}, false, fmt.Errorf("core: epoch %d job %d: %w", l.epoch, l.jobsServed, err)
+			return EpochRecord{}, false, fmt.Errorf("core: epoch %d job %d: %w", r.epoch, r.jobsServed, err)
 		}
-		l.epochDelays.Add(resp)
-		l.epochJobs = append(l.epochJobs, j)
-		l.pendHead++
-		l.jobsServed++
+		r.epochDelays.Add(resp)
+		r.epochJobs = append(r.epochJobs, j)
+		r.pendHead++
+		r.jobsServed++
 	}
-	if l.pendHead == len(l.pending) {
-		l.pending = l.pending[:0]
-		l.pendHead = 0
+	if r.pendHead == len(r.pending) {
+		r.pending = r.pending[:0]
+		r.pendHead = 0
 	}
-	l.slot++
-	l.rhos = append(l.rhos, rho)
-	if len(l.rhos) == l.cfg.EpochSlots {
-		return l.closeEpoch(), true, nil
+	r.slot++
+	r.rhos = append(r.rhos, rho)
+	if len(r.rhos) == r.cfg.EpochSlots {
+		return r.closeEpoch(), true, nil
 	}
 	return EpochRecord{}, false, nil
 }
 
 // closeEpoch runs the bottom of the epoch cycle: log the epoch's jobs,
-// feed the predictor, summarize delays and difference the backend totals.
-func (l *epochLoop) closeEpoch() EpochRecord {
-	epochStart := float64(l.slot-len(l.rhos)) * l.cfg.SlotSeconds
-	epochEnd := float64(l.slot) * l.cfg.SlotSeconds
+// feed the predictor, summarize delays and difference the engine totals.
+func (r *LiveRunner) closeEpoch() EpochRecord {
+	epochStart := float64(r.slot-len(r.rhos)) * r.cfg.SlotSeconds
+	epochEnd := float64(r.slot) * r.cfg.SlotSeconds
 	// PushJobs logs the epoch in the window's recycled ring buffers — no
 	// per-epoch slice allocations.
-	l.window.PushJobs(l.epochJobs, epochStart)
-	realized := FeedPredictor(l.cfg.Predictor, l.rhos)
+	r.window.PushJobs(r.epochJobs, epochStart)
+	realized := FeedPredictor(r.cfg.Predictor, r.rhos)
 	// The ceiling nearest-rank P95 matches the paper's epoch-budget
 	// accounting (the guard keys off it).
-	l.lastJobs = l.epochDelays.Count()
-	l.lastMean = l.epochDelays.Mean()
-	l.lastP95 = l.epochDelays.PercentileNearestRank(95)
-	tot := l.backend.totalsAt(epochEnd)
+	r.lastJobs = r.epochDelays.Count()
+	r.lastMean = r.epochDelays.Mean()
+	r.lastP95 = r.epochDelays.PercentileNearestRank(95)
+	tot := r.eng.TotalsAt(epochEnd)
 	rec := EpochRecord{
-		Index: l.epoch, Predicted: l.curPred, Realized: realized,
-		Policy: l.curPol, Jobs: l.lastJobs, MeanDelay: l.lastMean, P95Delay: l.lastP95,
-		Energy:   tot.Energy - l.prevTotals.Energy,
-		BusyTime: tot.BusyTime - l.prevTotals.BusyTime,
-		WakeTime: tot.WakeTime - l.prevTotals.WakeTime,
-		IdleTime: tot.IdleTime - l.prevTotals.IdleTime,
+		Index: r.epoch, Predicted: r.curPred, Realized: realized,
+		Policy: r.curPol, Jobs: r.lastJobs, MeanDelay: r.lastMean, P95Delay: r.lastP95,
+		Energy:   tot.Energy - r.prevTotals.Energy,
+		BusyTime: tot.BusyTime - r.prevTotals.BusyTime,
+		WakeTime: tot.WakeTime - r.prevTotals.WakeTime,
+		IdleTime: tot.IdleTime - r.prevTotals.IdleTime,
 	}
-	l.prevTotals = tot
-	l.planEpochs[l.curPol.Plan.Name]++
-	l.freqSum += l.curPol.Frequency
-	l.epoch++
-	l.epochOpen = false
+	r.prevTotals = tot
+	r.planEpochs[r.curPol.Plan.Name]++
+	r.freqSum += r.curPol.Frequency
+	r.epoch++
+	r.epochOpen = false
 	return rec
 }
 
-// FinishEpoch closes a partially-filled final epoch at the end of the
-// telemetry stream: if any slots are buffered the epoch closes short, just
-// as the batch loop's last epoch covers only the trace's remaining slots.
+// Epoch is the index of the epoch currently being assembled.
+func (r *LiveRunner) Epoch() int { return r.epoch }
+
+// Slot is the global index of the next telemetry slot.
+func (r *LiveRunner) Slot() int { return r.slot }
+
+// AtBoundary reports whether the runner sits exactly on an epoch boundary —
+// no epoch open, no slots buffered — the only instants at which State may
+// be captured.
+func (r *LiveRunner) AtBoundary() bool { return !r.epochOpen }
+
+// Finish ends the stream: a partially-filled final epoch is closed short
+// (rec/closed, exactly as a batch run's last epoch covers only the trace's
+// remaining slots), the engine is finalized at the last completed slot
+// boundary, and the whole-run aggregate is returned without its Epochs.
 // Pending jobs not covered by a completed slot are never served, matching
 // the batch semantics of leaving jobs beyond the trace unread.
-func (l *epochLoop) FinishEpoch() (rec EpochRecord, closed bool, err error) {
-	if !l.epochOpen {
-		return EpochRecord{}, false, nil
+func (r *LiveRunner) Finish() (rec EpochRecord, closed bool, report RunReport, err error) {
+	if r.epochOpen {
+		rec, closed = r.closeEpoch(), true
 	}
-	if len(l.rhos) == 0 {
-		// An epoch opened by a job offer alone cannot exist (openEpoch
-		// only runs from OfferSlot), so an open epoch always has slots.
-		l.epochOpen = false
-		return EpochRecord{}, false, nil
+	report = RunReport{
+		Strategy:   r.cfg.Strategy.Name(),
+		Predictor:  r.cfg.Predictor.Name(),
+		PlanEpochs: make(map[string]int, len(r.planEpochs)),
 	}
-	return l.closeEpoch(), true, nil
-}
-
-// atBoundary reports whether the machine sits exactly on an epoch boundary
-// — no epoch open, no slots buffered — the only instants at which its
-// state is checkpointable.
-func (l *epochLoop) atBoundary() bool { return !l.epochOpen }
-
-// duration is the simulated span covered by completed slots.
-func (l *epochLoop) duration() float64 { return float64(l.slot) * l.cfg.SlotSeconds }
-
-// fillReport folds the machine's whole-run aggregates into a report.
-func (l *epochLoop) fillReport(report *RunReport) {
-	if l.epoch > 0 {
-		report.MeanFrequency = l.freqSum / float64(l.epoch)
+	for name, n := range r.planEpochs {
+		report.PlanEpochs[name] = n
 	}
-	if report.PlanEpochs == nil {
-		report.PlanEpochs = make(map[string]int, len(l.planEpochs))
+	if r.epoch > 0 {
+		report.MeanFrequency = r.freqSum / float64(r.epoch)
 	}
-	for name, n := range l.planEpochs {
-		report.PlanEpochs[name] += n
+	if r.eng == nil {
+		return rec, closed, report, nil
 	}
+	res, err := r.eng.Finish(float64(r.slot) * r.cfg.SlotSeconds)
+	if err != nil {
+		return EpochRecord{}, false, RunReport{}, err
+	}
+	report.Jobs = res.Jobs
+	report.MeanResponse = res.MeanResponse
+	report.P95Response = res.ResponseP95
+	report.AvgPower = res.AvgPower
+	report.Energy = res.Energy
+	report.Duration = res.Duration
+	return rec, closed, report, nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sleepscale/internal/policy"
@@ -37,7 +39,7 @@ func liveConfig(t *testing.T, strat Strategy, pred predict.Predictor, seed int64
 		Predictor:       pred,
 		Strategy:        strat,
 		Seed:            seed,
-		RetainResponses: true,
+		retainResponses: true,
 	}
 }
 
@@ -204,7 +206,7 @@ func TestLiveRestoreEquivalence(t *testing.T) {
 	// are excluded from the restore contract (per-epoch P95s are exact).
 	mkConfig := func(seed int64) LiveConfig {
 		cfg := liveConfig(t, mkStrategy(), mkPredictor(), seed, 5)
-		cfg.RetainResponses = false
+		cfg.retainResponses = false
 		return cfg
 	}
 
@@ -299,7 +301,7 @@ func TestLiveRestorePendingJobs(t *testing.T) {
 	pol := policy.Policy{Frequency: 0.8, Plan: policy.SingleState(power.DeepSleep)}
 	mk := func() (*LiveRunner, error) {
 		cfg := liveConfig(t, &staticStrategy{pol: pol}, predict.NewNaivePrevious(), 7, 2)
-		cfg.RetainResponses = false
+		cfg.retainResponses = false
 		return NewLiveRunner(cfg)
 	}
 	jobs := []queue.Job{
@@ -359,7 +361,7 @@ func TestLiveRestorePendingJobs(t *testing.T) {
 		t.Fatalf("pending jobs in state = %d, want 3", len(snap.Pending))
 	}
 	restoreCfg := liveConfig(t, &staticStrategy{pol: pol}, predict.NewNaivePrevious(), 7, 2)
-	restoreCfg.RetainResponses = false
+	restoreCfg.retainResponses = false
 	restored, err := RestoreLiveRunner(restoreCfg, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -448,6 +450,85 @@ func TestLiveStateValidation(t *testing.T) {
 	}
 	if _, err := RestoreLiveRunner(cfg, nil); err == nil {
 		t.Error("nil state accepted")
+	}
+}
+
+// TestLiveRejectsJobInCompletedSlot pins OfferJob's slot check. After a job
+// at 5 s and seven 60 s slots (T = 5, so epoch 1 is open at slot 7), a job
+// whose slot has already completed is refused with an error naming its
+// arrival and the open slot's start, and the runner goes on exactly as if it
+// had never been offered; a job exactly at the open slot's start is
+// accepted and served.
+func TestLiveRejectsJobInCompletedSlot(t *testing.T) {
+	pol := policy.Policy{Frequency: 0.8, Plan: policy.SingleState(power.DeepSleep)}
+	run := func(t *testing.T, late *queue.Job) (RunReport, error) {
+		t.Helper()
+		r, err := NewLiveRunner(liveConfig(t, &staticStrategy{pol: pol}, predict.NewNaivePrevious(), 1, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.OfferJob(queue.Job{Arrival: 5, Size: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		var recs []EpochRecord
+		slots := func(n int) {
+			for i := 0; i < n; i++ {
+				rec, closed, err := r.OfferSlot(0.3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if closed {
+					recs = append(recs, rec)
+				}
+			}
+		}
+		slots(7)
+		var offerErr error
+		if late != nil {
+			offerErr = r.OfferJob(*late)
+		}
+		slots(5)
+		rec, closed, rep, err := r.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if closed {
+			recs = append(recs, rec)
+		}
+		rep.Epochs = recs
+		return rep, offerErr
+	}
+	ref, _ := run(t, nil)
+	for _, c := range []struct {
+		name    string
+		arrival float64
+		accept  bool
+	}{
+		{"before the open epoch", 100, false},
+		{"in a completed slot of the open epoch", 310, false},
+		{"at the open slot's start", 420, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := run(t, &queue.Job{Arrival: c.arrival, Size: 0.5})
+			if c.accept {
+				if err != nil {
+					t.Fatalf("job at %g refused: %v", c.arrival, err)
+				}
+				if rep.Jobs != ref.Jobs+1 {
+					t.Fatalf("served %d jobs, want %d", rep.Jobs, ref.Jobs+1)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("job at %g in a completed slot accepted", c.arrival)
+			}
+			for _, want := range []string{fmt.Sprint(c.arrival), "420"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %s", err, want)
+				}
+			}
+			requireReportsIdentical(t, rep, ref)
+		})
 	}
 }
 

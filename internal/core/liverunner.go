@@ -8,152 +8,8 @@ import (
 	"sleepscale/internal/eventlog"
 	"sleepscale/internal/policy"
 	"sleepscale/internal/power"
-	"sleepscale/internal/predict"
 	"sleepscale/internal/queue"
 )
-
-// LiveConfig configures a LiveRunner: a RunnerConfig minus the trace and the
-// generating workload — in live mode both jobs and telemetry slots arrive
-// from outside, unbounded.
-type LiveConfig struct {
-	// SlotSeconds is the telemetry slot length in seconds.
-	SlotSeconds float64
-	// EpochSlots is T: slots per policy epoch.
-	EpochSlots int
-	// FreqExponent is the workload's β.
-	FreqExponent float64
-	// Profile supplies the power model.
-	Profile *power.Profile
-	// Predictor forecasts per-slot utilization. It must implement
-	// encoding.BinaryMarshaler/Unmarshaler for State/Restore to work (all
-	// predictors in internal/predict do).
-	Predictor predict.Predictor
-	// Strategy picks the per-epoch policy.
-	Strategy Strategy
-	// WindowEpochs is the job-log window depth (default 3).
-	WindowEpochs int
-	// Seed drives the strategy's bootstrap resampling.
-	Seed int64
-	// RetainResponses keeps the raw per-job response sample for whole-run
-	// percentiles. Off (the default, and the serve daemon's mode) the
-	// engine folds responses into streaming moments only — O(1) memory over
-	// an unbounded run; Finish then reports exact counts, means and energy
-	// but zero whole-run percentiles (per-epoch P95s are unaffected).
-	RetainResponses bool
-}
-
-func (c LiveConfig) loopConfig() loopConfig {
-	return loopConfig{
-		SlotSeconds:  c.SlotSeconds,
-		EpochSlots:   c.EpochSlots,
-		FreqExponent: c.FreqExponent,
-		Profile:      c.Profile,
-		Predictor:    c.Predictor,
-		Strategy:     c.Strategy,
-		WindowEpochs: c.WindowEpochs,
-		Seed:         c.Seed,
-	}
-}
-
-func (c LiveConfig) windowEpochs() int {
-	if c.WindowEpochs <= 0 {
-		return 3
-	}
-	return c.WindowEpochs
-}
-
-// LiveRunner is the live-serving form of the §6 runner: the same epoch
-// machine the batch runners replay traces through, driven one event at a
-// time. Offer jobs as they arrive and realized slot utilizations as slots
-// complete; every EpochSlots-th slot closes an epoch — predict, decide,
-// switch policy, serve, observe — and yields its EpochRecord. The loop is
-// allocation-free at steady state and holds O(pending + one epoch) memory
-// however long it runs.
-//
-// Determinism contract: a LiveRunner fed the jobs and slots of a batch run's
-// trace produces bit-identical epoch records to Run/RunSource (they share
-// the machine), and a runner restored from State continues bit-identically
-// to one that never stopped.
-type LiveRunner struct {
-	cfg     LiveConfig
-	loop    *epochLoop
-	backend *engineBackend
-}
-
-// NewLiveRunner validates cfg and returns a runner positioned before the
-// first slot.
-func NewLiveRunner(cfg LiveConfig) (*LiveRunner, error) {
-	backend := &engineBackend{discardResponses: !cfg.RetainResponses}
-	loop, err := newEpochLoop(cfg.loopConfig(), backend)
-	if err != nil {
-		return nil, err
-	}
-	return &LiveRunner{cfg: cfg, loop: loop, backend: backend}, nil
-}
-
-// OfferJob hands the runner one arriving job. Arrivals must be
-// non-decreasing; the job is served once the slot containing its arrival
-// completes.
-func (r *LiveRunner) OfferJob(j queue.Job) error { return r.loop.OfferJob(j) }
-
-// OfferSlot hands the runner one completed telemetry slot's realized
-// utilization; closed reports whether the slot completed an epoch, in which
-// case rec is its record.
-func (r *LiveRunner) OfferSlot(rho float64) (rec EpochRecord, closed bool, err error) {
-	return r.loop.OfferSlot(rho)
-}
-
-// Epoch is the index of the epoch currently being assembled.
-func (r *LiveRunner) Epoch() int { return r.loop.epoch }
-
-// Slot is the global index of the next telemetry slot.
-func (r *LiveRunner) Slot() int { return r.loop.slot }
-
-// JobsOffered counts jobs ever offered; JobsServed counts those served.
-func (r *LiveRunner) JobsOffered() int64 { return r.loop.jobsOffered }
-
-// JobsServed counts jobs served so far.
-func (r *LiveRunner) JobsServed() int64 { return r.loop.jobsServed }
-
-// AtBoundary reports whether the runner sits exactly on an epoch boundary —
-// the only instants at which State may be captured.
-func (r *LiveRunner) AtBoundary() bool { return r.loop.atBoundary() }
-
-// Duration is the simulated span covered by completed slots, seconds.
-func (r *LiveRunner) Duration() float64 { return r.loop.duration() }
-
-// Finish ends the stream: a partially-filled final epoch is closed short
-// (rec/closed, exactly as a batch run's last epoch covers only the trace's
-// remaining slots), the engine is finalized at the last completed slot
-// boundary, and the whole-run aggregate is returned. Pending jobs not
-// covered by a completed slot are never served, matching the batch
-// semantics of leaving jobs beyond the trace unread.
-func (r *LiveRunner) Finish() (rec EpochRecord, closed bool, report RunReport, err error) {
-	rec, closed, err = r.loop.FinishEpoch()
-	if err != nil {
-		return EpochRecord{}, false, RunReport{}, err
-	}
-	report = RunReport{
-		Strategy:   r.cfg.Strategy.Name(),
-		Predictor:  r.cfg.Predictor.Name(),
-		PlanEpochs: make(map[string]int),
-	}
-	r.loop.fillReport(&report)
-	if r.backend.eng == nil {
-		return rec, closed, report, nil
-	}
-	res, err := r.backend.eng.Finish(r.loop.duration())
-	if err != nil {
-		return EpochRecord{}, false, RunReport{}, err
-	}
-	report.Jobs = res.Jobs
-	report.MeanResponse = res.MeanResponse
-	report.P95Response = res.ResponseP95
-	report.AvgPower = res.AvgPower
-	report.Energy = res.Energy
-	report.Duration = res.Duration
-	return rec, closed, report, nil
-}
 
 // LivePhase is one serialized sleep-plan phase of the policy in force.
 type LivePhase struct {
@@ -212,10 +68,9 @@ type LiveState struct {
 // encoding.BinaryMarshaler. The runner is not mutated; the returned state
 // shares no memory with it.
 func (r *LiveRunner) State() (*LiveState, error) {
-	l := r.loop
-	if !l.atBoundary() {
+	if !r.AtBoundary() {
 		return nil, fmt.Errorf("core: live state: epoch %d open (%d/%d slots); state is only capturable at epoch boundaries",
-			l.epoch, len(l.rhos), l.cfg.EpochSlots)
+			r.epoch, len(r.rhos), r.cfg.EpochSlots)
 	}
 	bm, ok := r.cfg.Predictor.(encoding.BinaryMarshaler)
 	if !ok {
@@ -226,38 +81,38 @@ func (r *LiveRunner) State() (*LiveState, error) {
 		return nil, err
 	}
 	st := &LiveState{
-		Epoch:       l.epoch,
-		Slot:        l.slot,
-		LastArrival: l.lastArrival,
-		JobsOffered: l.jobsOffered,
-		JobsServed:  l.jobsServed,
-		Pending:     append([]queue.Job(nil), l.pending[l.pendHead:]...),
-		LastMean:    l.lastMean,
-		LastP95:     l.lastP95,
-		LastJobs:    l.lastJobs,
-		FreqSum:     l.freqSum,
-		RngDraws:    l.decideSrc.draws,
+		Epoch:       r.epoch,
+		Slot:        r.slot,
+		LastArrival: r.lastArrival,
+		JobsOffered: r.jobsOffered,
+		JobsServed:  r.jobsServed,
+		Pending:     append([]queue.Job(nil), r.pending[r.pendHead:]...),
+		LastMean:    r.lastMean,
+		LastP95:     r.lastP95,
+		LastJobs:    r.lastJobs,
+		FreqSum:     r.freqSum,
+		RngDraws:    r.decideSrc.draws,
 		Predictor:   blob,
-		Window:      l.window.State(),
-		PrevTotals:  l.prevTotals,
+		Window:      r.window.State(),
+		PrevTotals:  r.prevTotals,
 	}
-	for name := range l.planEpochs {
+	for name := range r.planEpochs {
 		st.PlanNames = append(st.PlanNames, name)
 	}
 	sort.Strings(st.PlanNames)
 	for _, name := range st.PlanNames {
-		st.PlanCounts = append(st.PlanCounts, int64(l.planEpochs[name]))
+		st.PlanCounts = append(st.PlanCounts, int64(r.planEpochs[name]))
 	}
-	if r.backend.eng != nil {
+	if r.eng != nil {
 		st.HasEngine = true
-		st.CurFrequency = l.curPol.Frequency
-		st.CurPlanName = l.curPol.Plan.Name
-		for _, ph := range l.curPol.Plan.Phases {
+		st.CurFrequency = r.curPol.Frequency
+		st.CurPlanName = r.curPol.Plan.Name
+		for _, ph := range r.curPol.Plan.Phases {
 			st.CurPhases = append(st.CurPhases, LivePhase{
 				CPU: int(ph.State.CPU), Platform: int(ph.State.Platform), Enter: ph.Enter,
 			})
 		}
-		st.Engine = r.backend.eng.State()
+		st.Engine = r.eng.State()
 	}
 	return st, nil
 }
@@ -283,9 +138,9 @@ func RestoreLiveRunner(cfg LiveConfig, st *LiveState) (*LiveRunner, error) {
 	if len(st.PlanNames) != len(st.PlanCounts) {
 		return nil, fmt.Errorf("core: restore: %d plan names, %d counts", len(st.PlanNames), len(st.PlanCounts))
 	}
-	if st.Window.Capacity != cfg.windowEpochs() {
-		return nil, fmt.Errorf("core: restore: window capacity %d, config wants %d",
-			st.Window.Capacity, cfg.windowEpochs())
+	if st.Window.Capacity != WindowEpochs {
+		return nil, fmt.Errorf("core: restore: window capacity %d, want %d",
+			st.Window.Capacity, WindowEpochs)
 	}
 	bu, ok := cfg.Predictor.(encoding.BinaryUnmarshaler)
 	if !ok {
@@ -298,20 +153,18 @@ func RestoreLiveRunner(cfg LiveConfig, st *LiveState) (*LiveRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := r.loop
-	l.window = window
-	l.decideSrc.skipTo(st.RngDraws)
-	l.epoch, l.slot = st.Epoch, st.Slot
-	l.lastArrival = st.LastArrival
-	l.jobsOffered, l.jobsServed = st.JobsOffered, st.JobsServed
-	l.pending = append(l.pending[:0], st.Pending...)
-	l.pendHead = 0
-	l.lastMean, l.lastP95, l.lastJobs = st.LastMean, st.LastP95, st.LastJobs
-	l.freqSum = st.FreqSum
+	r.window = window
+	r.decideSrc.skipTo(st.RngDraws)
+	r.epoch, r.slot = st.Epoch, st.Slot
+	r.lastArrival = st.LastArrival
+	r.jobsOffered, r.jobsServed = st.JobsOffered, st.JobsServed
+	r.pending = append(r.pending[:0], st.Pending...)
+	r.lastMean, r.lastP95, r.lastJobs = st.LastMean, st.LastP95, st.LastJobs
+	r.freqSum = st.FreqSum
 	for i, name := range st.PlanNames {
-		l.planEpochs[name] = int(st.PlanCounts[i])
+		r.planEpochs[name] = int(st.PlanCounts[i])
 	}
-	l.prevTotals = st.PrevTotals
+	r.prevTotals = st.PrevTotals
 	if st.HasEngine {
 		pol := policy.Policy{
 			Frequency: st.CurFrequency,
@@ -333,8 +186,8 @@ func RestoreLiveRunner(cfg LiveConfig, st *LiveState) (*LiveRunner, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.backend.eng = eng
-		l.curPol = pol
+		r.eng = eng
+		r.curPol = pol
 	}
 	return r, nil
 }

@@ -8,7 +8,6 @@ import (
 	"sleepscale/internal/policy"
 	"sleepscale/internal/power"
 	"sleepscale/internal/predict"
-	"sleepscale/internal/queue"
 	"sleepscale/internal/stream"
 	"sleepscale/internal/trace"
 	"sleepscale/internal/workload"
@@ -60,9 +59,6 @@ type RunnerConfig struct {
 	Predictor predict.Predictor
 	// Strategy picks the per-epoch policy.
 	Strategy Strategy
-	// WindowEpochs is how many past epochs of job logs to retain for
-	// distribution prediction (default 3).
-	WindowEpochs int
 	// Seed drives workload generation and bootstrap resampling.
 	Seed int64
 }
@@ -165,21 +161,13 @@ func Run(cfg RunnerConfig) (RunReport, error) {
 	return RunSource(cfg, src)
 }
 
-// validateRunner is the configuration check shared by Run and RunSource.
+// validateRunner checks the trace before Run touches cfg.Stats; the rest
+// of the configuration is LiveConfig's to validate.
 func validateRunner(cfg RunnerConfig) error {
 	if cfg.Trace == nil || cfg.Trace.Len() == 0 {
 		return fmt.Errorf("core: runner needs a non-empty trace")
 	}
-	if err := cfg.Trace.Validate(); err != nil {
-		return err
-	}
-	if cfg.EpochSlots < 1 {
-		return fmt.Errorf("core: epoch slots %d < 1", cfg.EpochSlots)
-	}
-	if cfg.Predictor == nil || cfg.Strategy == nil {
-		return fmt.Errorf("core: runner needs a predictor and a strategy")
-	}
-	return nil
+	return cfg.Trace.Validate()
 }
 
 // RunSource is the streaming evaluation loop: identical epoch accounting to
@@ -190,135 +178,71 @@ func validateRunner(cfg RunnerConfig) error {
 // source is consumed from its current position (Reset it first for
 // reproducibility); cfg.Seed seeds only the strategy's bootstrap
 // randomness. Jobs arriving at or after the trace's end are left unread.
+//
+// The loop replays the trace slot by slot through a LiveRunner — the same
+// epoch machine the serve daemon drives from sockets — offering each slot's
+// arrivals from the chunk cursor and then the slot's realized utilization,
+// so batch and live epoch accounting can never drift.
 func RunSource(cfg RunnerConfig, src stream.Source) (RunReport, error) {
 	if err := validateRunner(cfg); err != nil {
 		return RunReport{}, err
 	}
-	report := RunReport{
-		Strategy:   cfg.Strategy.Name(),
-		Predictor:  cfg.Predictor.Name(),
-		PlanEpochs: make(map[string]int),
-	}
-	backend := &engineBackend{}
-	if err := runEpochs(cfg, src, backend, &report); err != nil {
-		return RunReport{}, err
-	}
-	res, err := backend.eng.Finish(cfg.Trace.Duration())
-	if err != nil {
-		return RunReport{}, err
-	}
-	report.Jobs = res.Jobs
-	report.MeanResponse = res.MeanResponse
-	report.P95Response = res.ResponseP95
-	report.AvgPower = res.AvgPower
-	report.Energy = res.Energy
-	report.Duration = res.Duration
-	return report, nil
-}
-
-// engineBackend is the single server the epoch loop drives. applyPolicy
-// installs the epoch's configuration — the first call creates the engine —
-// and process serves one job, returning its response time. totalsAt reports
-// the cumulative counters as of time t (idle priced to t without billing
-// it), which the loop differences at epoch boundaries for per-epoch energy
-// accounting; it is only called after the first applyPolicy.
-// discardResponses (the live runner's default) folds responses into
-// streaming moments on creation, so an unbounded run holds O(1) response
-// memory. Farm-wide epoch runs are the fleet coordinator's (internal/fleet).
-type engineBackend struct {
-	eng              *queue.Engine
-	discardResponses bool
-}
-
-func (b *engineBackend) applyPolicy(epochStart float64, qcfg queue.Config) error {
-	if b.eng == nil {
-		eng, err := queue.NewEngine(qcfg, 0)
-		if err != nil {
-			return err
-		}
-		if b.discardResponses {
-			eng.SetRetainResponses(false)
-		}
-		b.eng = eng
-		return nil
-	}
-	return b.eng.SetConfigAt(epochStart, qcfg)
-}
-
-func (b *engineBackend) process(j queue.Job) (float64, error) { return b.eng.Process(j) }
-
-func (b *engineBackend) totalsAt(t float64) queue.Snapshot { return b.eng.TotalsAt(t) }
-
-// runEpochs is RunSource's §6 epoch loop: it replays the trace slot by slot
-// through the incremental epochLoop machine, offering each slot's arrivals
-// from the chunk cursor and then the slot's realized utilization. The
-// machine — the same one the live serving subsystem drives from sockets —
-// predicts, decides, installs the policy on the backend, serves, logs the
-// window and feeds the predictor, so batch and live epoch accounting can
-// never drift. It fills report.Epochs, PlanEpochs and MeanFrequency; closing
-// out the backend and the aggregate report fields is the caller's job. cfg
-// must already have passed validateRunner.
-func runEpochs(cfg RunnerConfig, src stream.Source, backend *engineBackend, report *RunReport) error {
 	if src == nil {
-		return fmt.Errorf("core: runner needs a job source")
+		return RunReport{}, fmt.Errorf("core: runner needs a job source")
 	}
-	loop, err := newEpochLoop(loopConfig{
-		SlotSeconds:  cfg.Trace.SlotSeconds,
-		EpochSlots:   cfg.EpochSlots,
-		FreqExponent: cfg.FreqExponent,
-		Profile:      cfg.Profile,
-		Predictor:    cfg.Predictor,
-		Strategy:     cfg.Strategy,
-		WindowEpochs: cfg.WindowEpochs,
-		Seed:         cfg.Seed,
-	}, backend)
+	r, err := NewLiveRunner(LiveConfig{
+		SlotSeconds:     cfg.Trace.SlotSeconds,
+		EpochSlots:      cfg.EpochSlots,
+		FreqExponent:    cfg.FreqExponent,
+		Profile:         cfg.Profile,
+		Predictor:       cfg.Predictor,
+		Strategy:        cfg.Strategy,
+		Seed:            cfg.Seed,
+		retainResponses: true,
+	})
 	if err != nil {
-		return err
+		return RunReport{}, err
 	}
-
-	slotSec := cfg.Trace.SlotSeconds
 	nSlots := cfg.Trace.Len()
-	nEpochs := (nSlots + cfg.EpochSlots - 1) / cfg.EpochSlots
-	report.Epochs = make([]EpochRecord, 0, nEpochs)
+	epochs := make([]EpochRecord, 0, (nSlots+cfg.EpochSlots-1)/cfg.EpochSlots)
 
-	// The chunk cursor and the machine's per-epoch job log are the run's
+	// The chunk cursor and the runner's per-epoch job log are the run's
 	// only job buffers: one chunk of lookahead plus one epoch of arrivals,
 	// however long the trace. Jobs arriving at or after the trace's end are
 	// never offered, so they stay unread in the source.
 	cursor := stream.NewCursor(src)
-	for s := 0; s < nSlots; s++ {
-		slotEnd := float64(s+1) * slotSec
+	for s, rho := range cfg.Trace.Utilization {
+		slotEnd := float64(s+1) * cfg.Trace.SlotSeconds
 		for {
 			j, ok := cursor.Peek()
 			if !ok || j.Arrival >= slotEnd {
 				break
 			}
-			if err := loop.OfferJob(j); err != nil {
-				return err
+			if err := r.OfferJob(j); err != nil {
+				return RunReport{}, err
 			}
 			cursor.Advance()
 		}
-		rec, closed, err := loop.OfferSlot(cfg.Trace.Utilization[s])
+		rec, closed, err := r.OfferSlot(rho)
 		if err != nil {
-			return err
+			return RunReport{}, err
 		}
 		if closed {
-			report.Epochs = append(report.Epochs, rec)
+			epochs = append(epochs, rec)
 		}
 	}
-	rec, closed, err := loop.FinishEpoch()
+	if err := stream.Err(src); err != nil {
+		return RunReport{}, fmt.Errorf("core: job source: %w", err)
+	}
+	rec, closed, report, err := r.Finish()
 	if err != nil {
-		return err
+		return RunReport{}, err
 	}
 	if closed {
-		report.Epochs = append(report.Epochs, rec)
+		epochs = append(epochs, rec)
 	}
-
-	if err := stream.Err(src); err != nil {
-		return fmt.Errorf("core: job source: %w", err)
-	}
-	loop.fillReport(report)
-	return nil
+	report.Epochs = epochs
+	return report, nil
 }
 
 // ClampRho clamps a utilization forecast to the runner's working range

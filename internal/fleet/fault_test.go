@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sleepscale/internal/core"
 	"sleepscale/internal/farm"
 	"sleepscale/internal/fault"
 	"sleepscale/internal/policy"
@@ -648,6 +649,133 @@ func TestParkCrossesCrashBoundary(t *testing.T) {
 	}
 	if again := run(); !reflect.DeepEqual(rep, again) {
 		t.Fatal("same seed, different report")
+	}
+}
+
+// cycleStrategy hands out its policies in call order, so consecutive
+// decisions differ and a plan resolved over a live one changes billing.
+type cycleStrategy struct {
+	pols []policy.Policy
+	n    int
+}
+
+func (s *cycleStrategy) Name() string { return "cycle-test" }
+func (s *cycleStrategy) Decide(core.DecideInput) (policy.Policy, error) {
+	p := s.pols[s.n%len(s.pols)]
+	s.n++
+	return p, nil
+}
+
+// TestMissedInstallKeepsLivePhases pins the phase scratch behind a server
+// that misses an install. The single server is installed at epoch 1
+// (t = 2), crashes at t = 3 and is still down when epoch 2 opens (t = 4),
+// so it misses that install; it rejoins at t = 4.5 under epoch 1's C6S3
+// plan, idle from t = 5.5 once its 1 s wake is paid. Epoch 3's install
+// (t = 6) must resolve into the buffer the engine is not reading, because
+// its SetConfigAt first bills that idle under epoch 1's phases. The server's totals must match an
+// independent engine replay of the same calls in which every install
+// resolves into a fresh slice.
+func TestMissedInstallKeepsLivePhases(t *testing.T) {
+	pols := []policy.Policy{
+		{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)},
+		{Frequency: 1, Plan: policy.SingleState(power.DeeperSleep)},
+		{Frequency: 0.8, Plan: policy.SingleState(power.OperatingIdle)},
+		{Frequency: 0.6, Plan: policy.SingleState(power.Sleep)},
+	}
+	jobs := []queue.Job{
+		{Arrival: 0.5, Size: 0.2}, {Arrival: 1.0, Size: 0.2},
+		{Arrival: 6.5, Size: 0.2}, {Arrival: 7.0, Size: 0.2},
+		{Arrival: 9.5, Size: 0.2}, {Arrival: 11.0, Size: 0.2},
+	}
+	profile := power.Xeon()
+	strat := &cycleStrategy{pols: pols}
+	coord, err := New(Config{
+		Servers:      1,
+		FreqExponent: 1,
+		Profile:      profile,
+		Trace:        flatTrace(12, 0.2),
+		EpochSlots:   2,
+		Strategy:     strat,
+		Predictor:    predict.NewNaivePrevious(),
+		Seed:         1,
+		Dispatcher:   farm.JSQ{},
+		Faults: mustSchedule(t, []fault.Event{
+			{Time: 3, Server: 0, Kind: fault.Crash},
+			{Time: 4.5, Server: 0, Kind: fault.Repair},
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := coord.Run(stream.Slice(jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, "missed-install", rep)
+	if rep.Completed != len(jobs) || rep.Retries != 0 {
+		t.Fatalf("completed %d, retried %d; want all %d served, none in flight at the crash",
+			rep.Completed, rep.Retries, len(jobs))
+	}
+	if rep.FleetEpochs[1].Crashes != 1 || rep.FleetEpochs[2].Repairs != 1 {
+		t.Fatalf("crash in %+v, repair in %+v; want epochs 1 and 2", rep.FleetEpochs[1], rep.FleetEpochs[2])
+	}
+	// Down at epoch 2's open, the server got no decision there.
+	if strat.n != 5 {
+		t.Fatalf("strategy decided %d times, want 5 (epoch 2 skipped)", strat.n)
+	}
+
+	// The replay starts under the fleet's park configuration. The down
+	// epoch 2 decides nothing, so epochs 0, 1, 3, 4 and 5 install the
+	// strategy's policies in call order.
+	resolve := func(p policy.Policy) queue.Config {
+		t.Helper()
+		qcfg, err := p.Config(profile, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qcfg
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err := queue.NewEngine(resolve(policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeeperSleep)}), 0)
+	must(err)
+	serve := func(js ...queue.Job) {
+		t.Helper()
+		for _, j := range js {
+			_, err := eng.Process(j)
+			must(err)
+		}
+	}
+	must(eng.SetConfigAt(0, resolve(pols[0])))
+	serve(jobs[0], jobs[1])
+	must(eng.SetConfigAt(2, resolve(pols[1])))
+	must(eng.CrashAt(3, 0))
+	must(eng.RejoinAt(4.5))
+	must(eng.SetConfigAt(6, resolve(pols[2])))
+	serve(jobs[2], jobs[3])
+	must(eng.SetConfigAt(8, resolve(pols[3])))
+	serve(jobs[4])
+	must(eng.SetConfigAt(10, resolve(pols[0])))
+	serve(jobs[5])
+	want := eng.FinishSummary(12)
+
+	got := rep.PerServer[0]
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"energy", got.Energy, want.Energy},
+		{"busy", got.BusyTime, want.BusyTime},
+		{"wake", got.WakeTime, want.WakeTime},
+		{"idle", got.IdleTime, want.IdleTime},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("%s: fleet %v, replay %v", c.name, c.got, c.want)
+		}
 	}
 }
 

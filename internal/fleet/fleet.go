@@ -202,10 +202,14 @@ type Coordinator struct {
 	epCrash, epRepair, epLost, epDrop int
 
 	// phaseBufs is the per-server ping-pong phase scratch: AppendConfig
-	// fills the buffer the previous epoch is NOT using, because the engine
-	// still reads the old phase slice while closing out the old idle
-	// schedule inside SetConfigAt.
+	// fills the buffer the server's engine is NOT reading, because the
+	// engine still reads the old phase slice while closing out the old
+	// idle schedule inside SetConfigAt. phaseSlot[s] names the buffer
+	// server s's next install fills and flips on every install — not with
+	// the epoch parity, since a server that is down at a boundary misses
+	// that epoch's install and keeps its older phases live.
 	phaseBufs   [][2][]queue.SleepPhase
+	phaseSlot   []uint8
 	cappedPlans map[string]policy.SleepPlan
 	rawPred     []float64
 
@@ -234,9 +238,6 @@ func (s *epochSource) Next(buf []queue.Job) (int, bool) {
 	s.pos += n
 	return n, s.pos < len(s.jobs)
 }
-
-// windowEpochs is the job-log window depth, the batch runners' default.
-const windowEpochs = 3
 
 // New validates cfg and builds a coordinator.
 func New(cfg Config) (*Coordinator, error) {
@@ -283,7 +284,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Faults == nil {
 		cfg.Faults = noFaults{}
 	}
-	window, err := eventlog.NewWindow(windowEpochs)
+	window, err := eventlog.NewWindow(core.WindowEpochs)
 	if err != nil {
 		return nil, err
 	}
@@ -296,6 +297,7 @@ func New(cfg Config) (*Coordinator, error) {
 		pols:        make([]policy.Policy, k),
 		parked:      make([]bool, k),
 		phaseBufs:   make([][2][]queue.SleepPhase, k),
+		phaseSlot:   make([]uint8, k),
 		cappedPlans: make(map[string]policy.SleepPlan),
 		rawPred:     make([]float64, k),
 		actList:     make([]int, 0, k),
@@ -628,14 +630,16 @@ func (c *Coordinator) decide(pred float64) (policy.Policy, error) {
 }
 
 // resolve materializes server s's installed policy into a queue.Config using
-// the server's ping-pong phase scratch.
+// the server's ping-pong phase scratch, flipping its slot for the next
+// install.
 func (c *Coordinator) resolve(s int) (queue.Config, error) {
-	buf := &c.phaseBufs[s][c.epoch&1]
+	buf := &c.phaseBufs[s][c.phaseSlot[s]]
 	qcfg, err := c.pols[s].AppendConfig(c.cfg.Profile, c.cfg.FreqExponent, (*buf)[:0])
 	if err != nil {
 		return queue.Config{}, fmt.Errorf("fleet: epoch %d server %d policy %v: %w", c.epoch, s, c.pols[s], err)
 	}
 	*buf = qcfg.Phases // retain growth for reuse
+	c.phaseSlot[s] ^= 1
 	return qcfg, nil
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -424,6 +425,43 @@ func TestServeStopGraceful(t *testing.T) {
 		t.Fatal(done, err)
 	}
 	requireSameLog(t, cfg.EpochLogPath, refLog)
+}
+
+// TestServeRejectsLateJob pins the runner's slot check at the wire: with
+// 60 s slots and T = 5, a job arriving after seven slots in a slot that has
+// already completed fails Serve with the runner's error, instead of failing
+// later in the engine (100 s) or being served silently (310 s).
+func TestServeRejectsLateJob(t *testing.T) {
+	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
+	for _, late := range []float64{100, 310} {
+		var buf bytes.Buffer
+		w := NewWireWriter(&buf)
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(w.Job(queue.Job{Arrival: 5, Size: 0.5}))
+		for i := 0; i < 7; i++ {
+			must(w.Slot(0.3))
+		}
+		must(w.Job(queue.Job{Arrival: late, Size: 0.5}))
+		for i := 0; i < 5; i++ {
+			must(w.Slot(0.3))
+		}
+		must(w.End())
+		srv, err := NewServer(Config{Runner: liveCfg(t,
+			&strategy.Static{Policy: pol, Label: "static"}, predict.NewNaivePrevious(), 1)})
+		must(err)
+		_, done, err := srv.Serve(&buf)
+		if err == nil || done {
+			t.Fatalf("late job at %g: Serve done=%v err=%v, want the slot error", late, done, err)
+		}
+		if want := fmt.Sprintf("job arrival %g before the open slot's start 420", late); !strings.Contains(err.Error(), want) {
+			t.Fatalf("late job at %g: error %q, want it to contain %q", late, err, want)
+		}
+	}
 }
 
 // stopReader calls srv.Stop once stopAfter bytes have been read, then keeps

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"os"
 
 	"sleepscale/internal/colstore"
 )
@@ -52,6 +53,20 @@ func ReadCol(path string) (*Trace, error) {
 	}
 	defer r.Close()
 	return FromColReader(r)
+}
+
+// ReadFile loads the trace file at path in either format: a column file,
+// recognized by its magic, or CSV.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if colstore.HasMagic(f) {
+		return ReadCol(path)
+	}
+	return ReadCSV(f)
 }
 
 // FromColReader materializes the trace held by an open column reader.

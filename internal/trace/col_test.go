@@ -3,9 +3,12 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sleepscale/internal/colstore"
 )
 
 func TestColRoundTrip(t *testing.T) {
@@ -25,6 +28,61 @@ func TestColRoundTrip(t *testing.T) {
 		if math.Float64bits(got.Utilization[i]) != math.Float64bits(tr.Utilization[i]) {
 			t.Fatalf("slot %d: %v != %v", i, got.Utilization[i], tr.Utilization[i])
 		}
+	}
+}
+
+// TestReadFileSniffsFormat pins the loader's format check: a CSV file is not
+// taken for columnar, a column file is recognized and read bit-exact, and a
+// missing file is an error.
+func TestReadFileSniffsFormat(t *testing.T) {
+	tr := EmailStore(1, 1)
+	dir := t.TempDir()
+	csvPath := filepath.Join(dir, "t.csv")
+	f, err := os.Create(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteCSV(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	colPath := filepath.Join(dir, "t.col")
+	if err := tr.WriteCol(colPath); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path, name string
+		col        bool
+	}{
+		{csvPath, "csv", false},
+		{colPath, tr.Name, true},
+	} {
+		f, err := os.Open(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sniffed := colstore.HasMagic(f)
+		f.Close()
+		if sniffed != c.col {
+			t.Fatalf("%s: column magic %v, want %v", c.path, sniffed, c.col)
+		}
+		got, err := ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != c.name || got.Len() != tr.Len() {
+			t.Fatalf("%s: read %q with %d slots, want %q with %d", c.path, got.Name, got.Len(), c.name, tr.Len())
+		}
+		for i := range tr.Utilization {
+			if math.Float64bits(got.Utilization[i]) != math.Float64bits(tr.Utilization[i]) {
+				t.Fatalf("%s: slot %d: %v != %v", c.path, i, got.Utilization[i], tr.Utilization[i])
+			}
+		}
+	}
+	if _, err := ReadFile(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("missing file accepted")
 	}
 }
 

@@ -430,7 +430,8 @@ type (
 	Strategy = core.Strategy
 	// DecideInput is what a Strategy may consult.
 	DecideInput = core.DecideInput
-	// RunnerConfig describes one trace-driven evaluation run.
+	// RunnerConfig describes one trace-driven evaluation run: a trace and
+	// a job source fed through one LiveRunner.
 	RunnerConfig = core.RunnerConfig
 	// RunReport aggregates a trace-driven run.
 	RunReport = core.RunReport
@@ -502,10 +503,11 @@ func NewStaticStrategy(p Policy, label string) Strategy {
 
 // Live serving: SleepScale as a long-running controller (cmd/sleepscaled).
 type (
-	// LiveConfig configures the incremental live epoch runner.
+	// LiveConfig configures the §6 epoch machine: slot geometry, power
+	// model, predictor, strategy and seed.
 	LiveConfig = core.LiveConfig
-	// LiveRunner advances the §6 epoch loop one job/slot at a time — the
-	// batch runners' epoch machine driven by an unbounded telemetry stream.
+	// LiveRunner is the §6 epoch machine, advanced one job/slot at a time;
+	// Run and RunSource are loops that feed it a trace.
 	LiveRunner = core.LiveRunner
 	// LiveState is a LiveRunner's resumable epoch-boundary state.
 	LiveState = core.LiveState
