@@ -476,12 +476,13 @@ func dispatchStats(b *testing.B) sleepscale.Stats {
 	return stats
 }
 
-// BenchmarkFarmDispatchSteadyState measures the streaming k-way dispatch
-// loop on a reused farm: one op resets four JSQ-dispatched servers and
-// re-serves a rewound stationary stream through the farm-owned chunk
-// buffer. allocs/op must stay at 0 — CI gates the budget on it via
-// BENCH_farm.json, the farm-level analogue of the evaluator's and stream
-// generator's zero-allocation contracts.
+// BenchmarkFarmDispatchSteadyState measures the farm's serve loop on a small
+// reused farm: one op resets four JSQ-dispatched servers and re-serves a
+// rewound stationary stream, each job routed over the shadow by the linear
+// scan and served at once (the inline arm, below both the pooling and the
+// index thresholds). allocs/op must stay at 0 — CI gates the budget on it
+// via BENCH_farm.json, the farm-level analogue of the evaluator's and
+// stream generator's zero-allocation contracts.
 func BenchmarkFarmDispatchSteadyState(b *testing.B) {
 	stats := dispatchStats(b)
 	// The single-server stream at ρ = 0.3 spread over 4 servers: ~10k jobs.
@@ -519,16 +520,15 @@ func BenchmarkFarmDispatchSteadyState(b *testing.B) {
 	b.ReportMetric(float64(jobs), "jobs")
 }
 
-// BenchmarkFarmDispatchParallelJSQ measures the time-sliced parallel JSQ
-// mode in steady state — routing against the freeAt shadow, concurrent
-// per-server simulation on the persistent worker pool, deterministic merge —
+// BenchmarkFarmDispatchParallelJSQ measures JSQ dispatch in steady state
 // over a 16-server farm: one op resets the farm and re-serves a rewound
-// stationary stream through the farm-owned sliced scratch. With workers
-// parked between slices and every buffer (slice, routing table, substream
-// backing, shadow, cursor, engines) reused, allocs/op must stay at 0 — CI
-// gates the budget via BENCH_farm.json (the committed baseline was 191
-// allocs / 1.96 MB per op when each call spawned its own goroutines and
-// scratch).
+// stationary stream through the farm-owned scratch. A 16-server farm sits
+// below the pooling threshold and at the index threshold, so the serve loop
+// routes through the O(log k) index and serves each job inline; the name
+// dates from when this farm size ran the time-sliced parallel mode. With every buffer reused,
+// allocs/op must stay at 0 — CI gates the budget via BENCH_farm.json (the
+// committed baseline was 191 allocs / 1.96 MB per op when each call
+// spawned its own goroutines and scratch).
 func BenchmarkFarmDispatchParallelJSQ(b *testing.B) {
 	stats := dispatchStats(b)
 	horizon := stats.Inter.Mean() * 40000
@@ -545,8 +545,7 @@ func BenchmarkFarmDispatchParallelJSQ(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := sleepscale.FarmDispatchOptions{Parallel: true}
-	if _, err := f.ServeSourceSliced(src, opts); err != nil { // warm scratch + pool
+	if _, err := f.ServeSource(src); err != nil { // warm scratch + pool
 		b.Fatal(err)
 	}
 	f.FinishSummary(f.LastFree()) // warm the percentile scratch too
@@ -558,7 +557,7 @@ func BenchmarkFarmDispatchParallelJSQ(b *testing.B) {
 			b.Fatal(err)
 		}
 		src.Reset(1)
-		if _, err := f.ServeSourceSliced(src, opts); err != nil {
+		if _, err := f.ServeSource(src); err != nil {
 			b.Fatal(err)
 		}
 		watts = f.FinishSummary(f.LastFree()).TotalAvgPower
@@ -595,10 +594,11 @@ func farm10k(b *testing.B, disp sleepscale.Dispatcher) (*sleepscale.Farm, interf
 
 // BenchmarkFarmDispatch10k measures fleet-scale streamed dispatch: one op
 // resets a 10,000-server farm and re-serves a rewound stationary stream
-// through the time-sliced parallel mode, with JSQ and LeastWorkLeft routed
-// through the O(log k) index. Steady-state allocs/op must stay at 0 — CI
-// gates the budget via BENCH_farm.json. Before the index, routing alone was
-// a Θ(k) scan per job (~10^8 float compares per op at this scale).
+// through the serve loop — pooled slices when the pool has two or more
+// executors, inline otherwise — with JSQ and LeastWorkLeft routed through
+// the O(log k) index. Steady-state allocs/op must stay at 0 — CI gates the
+// budget via BENCH_farm.json. Before the index, routing alone was a Θ(k)
+// scan per job (~10^8 float compares per op at this scale).
 func BenchmarkFarmDispatch10k(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -609,8 +609,7 @@ func BenchmarkFarmDispatch10k(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			f, src, cfg := farm10k(b, tc.disp())
-			opts := sleepscale.FarmDispatchOptions{Parallel: true}
-			if _, err := f.ServeSourceSliced(src, opts); err != nil { // warm scratch + index + pool
+			if _, err := f.ServeSource(src); err != nil { // warm scratch + index + pool
 				b.Fatal(err)
 			}
 			f.FinishSummary(f.LastFree())
@@ -622,7 +621,7 @@ func BenchmarkFarmDispatch10k(b *testing.B) {
 					b.Fatal(err)
 				}
 				src.Reset(1)
-				if _, err := f.ServeSourceSliced(src, opts); err != nil {
+				if _, err := f.ServeSource(src); err != nil {
 					b.Fatal(err)
 				}
 				watts = f.FinishSummary(f.LastFree()).TotalAvgPower
@@ -636,8 +635,9 @@ func BenchmarkFarmDispatch10k(b *testing.B) {
 // epoch-boundary machinery at k = 1,000: one op replays a short trace
 // through per-server predictions and policy decisions, a 250-server
 // staggered-sleep quorum whose duty window rotates every epoch (plans
-// capped to ≤C1, the rest re-installed deep), and the sliced serving path
-// between switches. With every coordinator buffer — predictions, ping-pong
+// capped to ≤C1, the rest re-installed deep), and the farm's serve loop
+// between switches (the linear arm, since per-server policies make the
+// farm non-uniform). With every coordinator buffer — predictions, ping-pong
 // phase scratch, memoized capped plans, epoch job/response slices, the
 // report's record storage — reused across runs, warm allocs/op must stay
 // at 0; CI gates the budget via BENCH_fleet.json.
@@ -705,8 +705,8 @@ func BenchmarkFleetCoordinatedEpoch(b *testing.B) {
 // two failure patterns (every 10th server down, then the neighboring
 // tenth) so the O(log k) routing index rebinds to a churned healthy set
 // each serve — the farm-layer path a fleet crash and repair exercises. View
-// refills, index rebinds and the sliced serving scratch all reuse warm
-// storage: steady-state allocs/op must stay at 0 — CI gates the budget via
+// refills, index rebinds and the serving scratch all reuse warm storage:
+// steady-state allocs/op must stay at 0 — CI gates the budget via
 // BENCH_fault.json.
 func BenchmarkFaultFailoverRouting(b *testing.B) {
 	const k = 1000
@@ -736,7 +736,6 @@ func BenchmarkFaultFailoverRouting(b *testing.B) {
 			idxB = append(idxB, s)
 		}
 	}
-	opts := sleepscale.FarmDispatchOptions{Parallel: true}
 	var viewA, viewB *sleepscale.Farm
 	op := func() float64 {
 		if err := f.Reset(cfg); err != nil {
@@ -747,7 +746,7 @@ func BenchmarkFaultFailoverRouting(b *testing.B) {
 			b.Fatal(serr)
 		}
 		src.Reset(1)
-		if _, serr = viewA.ServeSourceSliced(src, opts); serr != nil {
+		if _, serr = viewA.ServeSource(src); serr != nil {
 			b.Fatal(serr)
 		}
 		if err := f.Reset(cfg); err != nil {
@@ -757,12 +756,12 @@ func BenchmarkFaultFailoverRouting(b *testing.B) {
 			b.Fatal(serr)
 		}
 		src.Reset(2)
-		if _, serr = viewB.ServeSourceSliced(src, opts); serr != nil {
+		if _, serr = viewB.ServeSource(src); serr != nil {
 			b.Fatal(serr)
 		}
 		return f.FinishSummary(f.LastFree()).TotalAvgPower
 	}
-	op() // warm views, index, pool and sliced scratch
+	op() // warm views, index, pool and serving scratch
 	var watts float64
 	b.ReportAllocs()
 	b.ResetTimer()

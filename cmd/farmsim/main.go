@@ -6,17 +6,17 @@
 // Usage:
 //
 //	farmsim -mode farm -sizes 1,2,4,8 -dispatch jsq -lambda 4 -mu 5
-//	farmsim -mode farm -stream -parallel -sizes 4,16 -dispatch pd2
+//	farmsim -mode farm -stream -sizes 4,16,1000 -dispatch pd2
 //	farmsim -mode chip -sizes 1,2,4 -lambda 14 -mu 5
 //
 // With -stream the farm mode never materializes the job stream: jobs are
-// pulled from a stationary source in bounded chunks through the streaming
-// dispatch loop (the state-dependent dispatchers included), and -parallel
-// adds the time-sliced parallel simulation on the persistent worker pool —
-// bit-identical to the sequential dispatch. In that mode jsq and lwl route
-// through an O(log k) index over the availability shadow. Dispatchers: jsq,
-// rr, random, pd<d> (power-of-d choices) and lwl (least work left,
-// wake-aware).
+// pulled from a stationary source in bounded chunks. Either way jobs run
+// through the farm's one serve loop, which simulates the servers of a
+// large farm concurrently on the persistent worker pool, bit-identical to
+// serving one job at a time, and routes jsq and lwl through an O(log k)
+// index over the availability shadow. Dispatchers: jsq, rr, random, pd<d>
+// (power-of-d choices) and lwl (least work left, wake-aware). -stream and
+// -dispatch apply to -mode farm only; -mode chip rejects them.
 //
 // With -trace the farm instead runs the epoch-policy loop over a
 // utilization trace (synthetic name, CSV or columnar path) — the fleet
@@ -70,7 +70,6 @@ func main() {
 		jobs       = flag.Int("jobs", 50000, "jobs to simulate")
 		seed       = flag.Int64("seed", 1, "seed")
 		streaming  = flag.Bool("stream", false, "farm mode: pull jobs from a streaming source (O(chunk) memory) instead of materializing")
-		parallel   = flag.Bool("parallel", false, "with -stream: time-sliced parallel simulation (bit-identical results)")
 		traceArg   = flag.String("trace", "", "run the epoch-policy farm over this utilization trace (email-store, file-server, or a CSV/columnar path) instead of the stationary sweep")
 		epochT     = flag.Int("T", 5, "with -trace: trace slots per policy epoch")
 		epochsOut  = flag.String("epochs-out", "", "with -trace: append per-epoch records to this column file (query with colq)")
@@ -105,6 +104,11 @@ func main() {
 	if *coordinate || *quorum != 0 || *park || *faultsArg != "" || *mtbf != 0 || *mttr != 0 || *faultsOut != "" {
 		log.Fatal("-coordinate, -quorum, -park, -faults, -mtbf/-mttr and -faults-out need -trace")
 	}
+	dispatchSet := false
+	flag.Visit(func(f *flag.Flag) { dispatchSet = dispatchSet || f.Name == "dispatch" })
+	if err := checkMode(*mode, *streaming, dispatchSet); err != nil {
+		log.Fatal(err)
+	}
 	// The materialized job slice only exists outside -stream farm runs —
 	// materializing it anyway would do exactly the work the flag avoids.
 	var stream []sleepscale.Job
@@ -138,8 +142,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				res, err = sleepscale.RunFarmSource(k, cfg, disp, src,
-					sleepscale.FarmDispatchOptions{Parallel: *parallel})
+				res, err = sleepscale.RunFarmSource(k, cfg, disp, src)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -174,10 +177,24 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("%6d  %10.4f  %10.4f  %12.2f\n", k, res.MeanResponse, res.ResponseP95, res.AvgPower)
-		default:
-			log.Fatalf("unknown mode %q", *mode)
 		}
 	}
+}
+
+// checkMode validates -mode before any jobs are generated: farm and chip
+// are the modes, and -stream and an explicitly set -dispatch apply to the
+// farm alone (a chip materializes its stream and has no dispatcher).
+func checkMode(mode string, streaming, dispatchSet bool) error {
+	switch mode {
+	case "farm":
+		return nil
+	case "chip":
+		if streaming || dispatchSet {
+			return fmt.Errorf("-stream and -dispatch need -mode farm")
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown mode %q (want farm or chip)", mode)
 }
 
 // fleetFlags carries the -coordinate family into the trace runner.

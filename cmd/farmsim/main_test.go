@@ -187,6 +187,39 @@ func TestRunTraceFarmRejectsBadFleetFlags(t *testing.T) {
 	}
 }
 
+// TestCheckMode pins the -mode validation: chip mode rejects the farm-only
+// -stream and an explicitly set -dispatch, and an unknown mode is rejected
+// before any jobs are generated.
+func TestCheckMode(t *testing.T) {
+	for _, tc := range []struct {
+		mode        string
+		stream      bool
+		dispatchSet bool
+		want        string // "" accepts
+	}{
+		{"farm", false, false, ""},
+		{"farm", true, true, ""},
+		{"chip", false, false, ""},
+		{"chip", true, false, "need -mode farm"},
+		{"chip", false, true, "need -mode farm"},
+		{"chip", true, true, "need -mode farm"},
+		{"rack", false, false, "unknown mode"},
+		{"", false, false, "unknown mode"},
+	} {
+		err := checkMode(tc.mode, tc.stream, tc.dispatchSet)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("mode %q stream=%v dispatch=%v rejected: %v", tc.mode, tc.stream, tc.dispatchSet, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("mode %q stream=%v dispatch=%v: err = %v, want one mentioning %q",
+				tc.mode, tc.stream, tc.dispatchSet, err, tc.want)
+		}
+	}
+}
+
 func TestLoadFarmTraceSniffs(t *testing.T) {
 	dir := t.TempDir()
 	colPath := filepath.Join(dir, "t.col")

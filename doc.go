@@ -56,12 +56,12 @@
 //     buffers. Residency is tallied into a phase-indexed slice; the
 //     name-keyed map only materializes in Finish.
 //   - Evaluator owns one engine and a shared job stream; each Evaluate(cfg)
-//     returns a SimSummary — plain scalars, safe to keep across further
+//     returns a scalar summary — plain values, safe to keep across further
 //     calls. Results that alias evaluator storage (Responses) are only
 //     valid until the next Evaluate.
-//   - Every parallel driver — Manager.Select and the sliced mode of
-//     RunFarmSource — executes on one process-wide
-//     persistent worker pool (internal/par): workers start once, park
+//   - Every parallel driver — Manager.Select and the pooled arm of the
+//     farm's serve loop — executes on one process-wide persistent worker
+//     pool (internal/par): workers start once, park
 //     between submissions, pull work from an atomic ticket counter (or own
 //     a fixed index shard with work stealing, keeping each engine on the
 //     same cache-hot worker) and resynchronize through a reusable barrier,
@@ -72,14 +72,12 @@
 //   - Manager.Select gives each pool executor one pooled Evaluator and
 //     one sleep-phase scratch buffer, so scoring a candidate costs zero
 //     allocations once the pool is warm. Manager.Evaluate remains the thin
-//     one-shot wrapper, and SimulateSummary is its standalone analogue: a
-//     pooled one-shot Simulate returning the scalar SimSummary with the
-//     warm path's allocation profile.
-//   - A Farm owns its dispatch scratch: Reset + ServeSourceSliced reuses
-//     every buffer, simulating servers in parallel and merging per-server
-//     results in server order, so the outcome is bit-identical to sequential
-//     dispatch. One-shot RunFarm and RunFarmSource calls build fresh
-//     engines, so their results never alias reused storage.
+//     one-shot wrapper.
+//   - A Farm owns its serving scratch: Reset + ServeSource reuses every
+//     buffer. Large farms simulate their servers in parallel and merge
+//     per-server results in server order, so the outcome is bit-identical
+//     to serving one job at a time. One-shot RunFarm and RunFarmSource calls
+//     build fresh engines, so their results never alias reused storage.
 //   - SimulateMultiCore recycles whole k-core simulators through an internal
 //     pool; MultiCoreSimulator.Reset supports the same reuse directly.
 //
@@ -99,15 +97,14 @@
 //     behind Stats.TraceJobs — one generation core, two drivers, so the
 //     streamed and materialized streams are bit-identical for equal seeds.
 //   - RunSource accepts any StreamSource: NewTraceSource,
-//     NewCSVTraceSource (row-at-a-time CSV replay), NewStationarySource,
-//     and the scenario generators NewMMPPSource (on/off bursts),
+//     NewColTraceSource (columnar trace replay), NewStationarySource, and
+//     the scenario generators NewMMPPSource (on/off bursts),
 //     NewFlashCrowdSource (spike-and-decay overlays) and NewDiurnalSource
 //     (sinusoidal modulation).
 //   - MergeSources, ScaleRateSource and SpliceSources compose sources into
 //     scenarios (a trace baseline plus a burst overlay, a mid-week flash
 //     crowd); Reset(seed) replays any composition deterministically.
-//   - SimulateSource and RunFarmSource are the streaming counterparts of
-//     Simulate and RunFarm.
+//   - RunFarmSource is the streaming counterpart of RunFarm.
 //
 // CI gates the streaming loop too: BenchmarkStreamSourceSteadyState must
 // report 0 allocs/op, and BenchmarkStreamRunWeekTrace records a full 7-day
@@ -117,49 +114,45 @@
 //
 // RunFarmSource closes the gap between the two: one streamed source,
 // k servers, a real dispatcher. Jobs are pulled in bounded chunks and
-// routed at their arrival instants with the per-server engines advancing in
-// virtual-time order, so state-dependent dispatchers see accurate queue
-// depths without the stream ever being materialized. Besides RoundRobin,
-// RandomDispatch and JSQ, the package ships PowerOfD (d random choices,
-// join the least backlogged of the sample) and LeastWorkLeft (earliest
-// completion, wake-up latency included — the wake-aware refinement of JSQ).
-// Dispatchers advertise how they may be parallelized:
+// routed at their arrival instants, so state-dependent dispatchers see
+// accurate queue depths without the stream ever being materialized.
+// Besides RoundRobin, RandomDispatch and JSQ, the package ships PowerOfD
+// (d random choices, join the least backlogged of the sample) and
+// LeastWorkLeft (earliest completion, wake-up latency included — the
+// wake-aware refinement of JSQ).
 //
-//   - Preassigner (round-robin, random): routing is state-independent, so
-//     assignments preassign and servers simulate concurrently.
-//   - VirtualRouter (JSQ, PowerOfD, LeastWorkLeft): routing depends only on
-//     each server's configuration, work-completion time and idle anchor,
-//     which the driver tracks as a scalar shadow advanced by
-//     SimConfig.NextFreeAtAnchored — an exact mirror of the engine's
-//     availability arithmetic. RouteVirtual receives every server's live
-//     configuration, so LeastWorkLeft's sleep-state wake pricing stays exact
-//     across per-server policies and mid-run config switches.
+// Every Dispatcher states its rule once, as RouteVirtual over a scalar
+// shadow of each server's configuration, work-completion time and idle
+// anchor, advanced by SimConfig.NextFreeAtAnchored — an exact mirror of the
+// engine's availability arithmetic. RouteVirtual receives every server's
+// live configuration, so LeastWorkLeft's sleep-state wake pricing stays
+// exact across per-server policies and mid-run config switches.
 //
-// On a homogeneous farm the driver routes JSQ and LeastWorkLeft through an
-// O(log k) index over the shadow (a tournament tree, plus per-phase idle
-// bitsets and a wake-crossing heap for LeastWorkLeft), making a
-// 10,000-server farm dispatchable at interactive speed; the index is
-// bit-identical to the linear scan — an equivalence suite pins every
-// decision up to k = 10,000 — which routes everything else.
+// The farm has one serve loop, Farm.ServeSource (RunFarm and RunFarmSource
+// run it too), and it picks its arms from what it observes, never from an
+// option. A small farm, or a call with one executor, serves each job the
+// moment it is routed. From 256 servers up, the stream is cut into slices
+// that route serially and simulate concurrently on the persistent worker
+// pool. From 16 servers up, a uniform farm routes JSQ and LeastWorkLeft
+// through an O(log k) index over the shadow (a tournament tree, plus
+// per-phase idle bitsets and a wake-crossing heap for LeastWorkLeft),
+// making a 10,000-server farm dispatchable at interactive speed; the index
+// is bit-identical to the linear scan, which routes everything else. Every
+// arm gives the same result bit for bit — a test oracle that reads live
+// engines, digests recorded from the loop the shadow replaced, and a golden
+// snapshot pin this across dispatchers, seeds, farm sizes and pool sizes.
+// Steady-state callers hold a Farm and drive Reset + ServeSource +
+// FinishSummary, whose farm-owned scratch makes the whole loop
+// allocation-free once warm; the fleet coordinator's shared mode layers the
+// §6 epoch loop on top: one strategy decision per epoch applied fleet-wide,
+// farm-wide delay statistics feeding the over-provisioning guard (with
+// k = 1 it matches RunSource bit for bit).
 //
-// FarmDispatchOptions.Parallel enables the time-sliced parallel mode: the
-// stream is cut into slices at dispatch-forced synchronization points, each
-// slice routes serially and simulates concurrently on the persistent worker
-// pool (FarmDispatchOptions.Workers bounds the executors), and the merge is
-// bit-identical to the sequential dispatch — the determinism contract
-// equivalence tests and a golden snapshot pin down across dispatchers,
-// seeds and pool sizes. Steady-state callers hold a Farm and drive
-// Reset + ServeSourceSliced + FinishSummary, whose farm-owned scratch makes
-// the whole loop allocation-free once warm; the fleet coordinator's shared
-// mode layers the §6 epoch loop on top: one strategy decision per epoch
-// applied fleet-wide, farm-wide delay statistics feeding the
-// over-provisioning guard (with k = 1 it matches RunSource bit for bit).
-//
-// CI gates this path as well — BenchmarkFarmDispatchSteadyState (the
-// Reset+ServeSource loop), BenchmarkFarmDispatchParallelJSQ (the pooled
-// sliced loop, formerly 191 allocs/op when it spawned workers per slice)
-// and BenchmarkFarmDispatch10k (the 10,000-server indexed dispatch, JSQ
-// and LeastWorkLeft) must all hold 0 allocs/op in BENCH_farm.json,
+// CI gates this path as well — BenchmarkFarmDispatchSteadyState and
+// BenchmarkFarmDispatchParallelJSQ (the loop's inline arm on 4 and 16
+// servers; the latter formerly 191 allocs/op when it spawned workers per
+// slice) and BenchmarkFarmDispatch10k (the 10,000-server indexed dispatch,
+// JSQ and LeastWorkLeft) must all hold 0 allocs/op in BENCH_farm.json,
 // BenchmarkSelectParallel carries a hard allocs/op floor in
 // BENCH_selection.json — and every bench snapshot doubles as a regression
 // baseline: cmd/benchsnap -baseline fails the build when a benchmark
@@ -182,7 +175,7 @@
 // totals — Engine.TotalsAt splits idle periods at epoch boundaries without
 // perturbing the run). Replay is wired into the streaming layer:
 // NewColTraceSource feeds the shared trace generator (bit-identical to
-// NewTraceSource and NewCSVTraceSource for equal seeds) and
+// NewTraceSource for equal seeds) and
 // NewColJobsSource replays a recorded stream verbatim, so a production
 // incident replays exactly on any machine. eventlog.Window tees per-epoch
 // job logs into the same format, one block per epoch.
@@ -211,8 +204,8 @@
 // Every epoch driver keeps the same job-log window, three epochs deep (one
 // constant, core.WindowEpochs). At any epoch boundary, State captures a
 // resumable snapshot — engine totals, predictor and policy-selection
-// state, RNG cursors, queue backlog — and RestoreLiveRunner resumes from
-// it bit-identically.
+// state, RNG cursors, queue backlog — from which a restored runner resumes
+// bit-identically.
 //
 // The serve layer (internal/serve) wraps the runner into a daemon,
 // cmd/sleepscaled: jobs and slot telemetry arrive over a compact binary
@@ -258,7 +251,7 @@
 //     enables: energy proportionality (measured energy vs the ideal
 //     load-proportional line) and jobs per joule.
 //
-// Epochs serve through the farm's sliced driver between boundary switches
+// Epochs serve through the farm's serve loop between boundary switches
 // (heterogeneous configurations route on its linear arm, priced per server;
 // the active set serves as a Select view), and with every dimension off
 // the coordinator is the plain farm epoch loop — an equivalence suite pins
@@ -280,8 +273,7 @@
 // Everything above assumes k permanently healthy servers; the fault layer
 // (internal/fault) drops that assumption. A fault.Source is a replayable,
 // seed-deterministic crash/repair event stream — scripted schedules
-// (NewFaultSchedule, ParseFaultSchedule: "<time> <server> crash|repair"
-// per line) or seeded per-server MTBF/MTTR renewal processes
+// (ParseFaultSchedule: "<time> <server> crash|repair" per line) or seeded per-server MTBF/MTTR renewal processes
 // (NewFaultRenewal) — with the same Reset(seed) contract as the workload
 // sources: one seed, one outage timeline, replayable event for event.
 //

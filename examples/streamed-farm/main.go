@@ -3,14 +3,11 @@
 // stream. Jobs are pulled from composed generators (a day/night sinusoid
 // merged with spike-and-decay flash crowds) in 256-job chunks and routed by
 // JSQ at their arrival instants, so peak job-buffer memory is O(chunk)
-// however long the week (the MB figures below are dominated by the
-// per-server response samples the results carry, not by the stream).
-// The demo runs the week twice — once through the
-// sequential streaming dispatch, once through the time-sliced parallel mode
-// on the persistent worker pool (workers started once, woken per slice,
-// resynchronized by a reusable barrier — no goroutine is spawned per slice)
-// — reports the wall-clock speedup, and checks the two runs are
-// bit-identical, the pooled parallel mode's determinism contract.
+// however long the week (the MB figure below is dominated by the
+// per-server response samples the result carries, not by the stream).
+// The demo dispatches the week once, records the composed stream to a
+// columnar job log, replays the log through the same dispatch, and checks
+// the replay is bit-identical to the live run.
 package main
 
 import (
@@ -49,36 +46,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	run := func(parallel bool) (sleepscale.FarmResult, float64, time.Duration) {
-		scenario := buildScenario(stats)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		res, err := sleepscale.RunFarmSource(servers, cfg, sleepscale.JSQ{}, scenario,
-			sleepscale.FarmDispatchOptions{Parallel: parallel})
-		if err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		return res, float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20), elapsed
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	live, err := sleepscale.RunFarmSource(servers, cfg, sleepscale.JSQ{}, buildScenario(stats))
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	seq, seqMB, seqT := run(false)
-	fmt.Printf("sequential dispatch %8d jobs  %.4f s mean response  %7.1f W  %6.1f MB  %v\n",
-		seq.Jobs, seq.MeanResponse, seq.TotalAvgPower, seqMB, seqT.Round(time.Millisecond))
-
-	par, parMB, parT := run(true)
-	fmt.Printf("parallel (pooled)   %8d jobs  %.4f s mean response  %7.1f W  %6.1f MB  %v\n",
-		par.Jobs, par.MeanResponse, par.TotalAvgPower, parMB, parT.Round(time.Millisecond))
-
-	if seq.Jobs != par.Jobs || seq.MeanResponse != par.MeanResponse ||
-		seq.Energy != par.Energy || seq.TotalAvgPower != par.TotalAvgPower {
-		log.Fatal("parallel JSQ diverged from the sequential dispatch")
-	}
-	fmt.Printf("sequential == parallel: bit-identical merge; %.2fx wall-clock speedup on %d CPUs\n",
-		seqT.Seconds()/parT.Seconds(), runtime.GOMAXPROCS(0))
+	liveT := time.Since(start)
+	runtime.ReadMemStats(&after)
+	fmt.Printf("live dispatch       %8d jobs  %.4f s mean response  %7.1f W  %6.1f MB  %v\n",
+		live.Jobs, live.MeanResponse, live.TotalAvgPower,
+		float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), liveT.Round(time.Millisecond))
 
 	// Record the composed stream to a columnar job log, then replay the
 	// week from the memory-mapped file. Replay skips the generators
@@ -103,17 +83,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	start := time.Now()
-	replay, err := sleepscale.RunFarmSource(servers, cfg, sleepscale.JSQ{}, replaySrc,
-		sleepscale.FarmDispatchOptions{})
+	start = time.Now()
+	replay, err := sleepscale.RunFarmSource(servers, cfg, sleepscale.JSQ{}, replaySrc)
 	if err != nil {
 		log.Fatal(err)
 	}
 	replayT := time.Since(start)
 	fmt.Printf("columnar replay     %8d jobs  %.4f s mean response  %7.1f W  %9s  %v\n",
 		replay.Jobs, replay.MeanResponse, replay.TotalAvgPower, "(mmap)", replayT.Round(time.Millisecond))
-	if replay.Jobs != n || replay.Jobs != seq.Jobs || replay.MeanResponse != seq.MeanResponse ||
-		replay.Energy != seq.Energy || replay.TotalAvgPower != seq.TotalAvgPower {
+	if replay.Jobs != n || replay.Jobs != live.Jobs || replay.MeanResponse != live.MeanResponse ||
+		replay.Energy != live.Energy || replay.TotalAvgPower != live.TotalAvgPower {
 		log.Fatal("columnar replay diverged from the live dispatch")
 	}
 	fmt.Println("recorded replay == live: bit-identical dispatch from the column file")
@@ -123,7 +102,7 @@ func main() {
 	// the flash crowds are what spill jobs down the fleet. The share
 	// gradient below is that packing made visible.
 	fmt.Printf("job share by server (JSQ packs low indices, the tail sleeps):\n ")
-	for _, share := range par.JobShare {
+	for _, share := range live.JobShare {
 		fmt.Printf(" %.3f", share)
 	}
 	fmt.Println()
@@ -131,8 +110,8 @@ func main() {
 
 // buildScenario composes the week: a diurnal baseline swinging between
 // night and day rates, merged with flash crowds spiking every ~8 hours and
-// decaying over ten minutes. Each call returns a fresh source so the two
-// dispatch modes replay the identical stream.
+// decaying over ten minutes. Each call returns a fresh source, so the live
+// dispatch and the recording see the identical stream.
 func buildScenario(stats sleepscale.Stats) sleepscale.StreamSource {
 	diurnal, err := sleepscale.NewDiurnalSource(sleepscale.DiurnalConfig{
 		BaseRate: 1.0, // night trough, jobs/s across the whole farm

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,63 +28,55 @@ func dispatchers() []struct {
 	}
 }
 
-// TestDispatchSourceMatchesRun pins the streamed dispatch loop — sequential
-// and time-sliced parallel — to the materialized farm.Run reference bit for
-// bit, across every dispatcher (power-of-d and least-work-left included),
-// three seeds, and pool sizes 1, 2 and GOMAXPROCS (via DispatchOptions.
-// Workers). This is the determinism contract of the pooled parallel mode:
-// slicing, the persistent worker pool and its interleaving must never change
-// a single routing decision or metric.
+// TestDispatchSourceMatchesRun pins the streamed dispatch (DispatchSource)
+// and the materialized one (Run) to the oracle bit for bit, across every
+// dispatcher (power-of-d and least-work-left included) and three seeds, and
+// pins ServeSource on both serving arms with pool bounds 1, 2 and the whole
+// pool. Slicing, the persistent worker pool and its interleaving must never
+// change a single routing decision or metric.
 func TestDispatchSourceMatchesRun(t *testing.T) {
-	const k = 4
-	for _, seed := range []int64{1, 2, 3} {
-		jobs := expJobs(20000, 10, 5, seed)
-		for _, d := range dispatchers() {
-			want := sequentialRun(t, k, testCfg(), d.mk(), jobs)
+	for _, k := range []int{4, 300} {
+		for _, seed := range []int64{1, 2, 3} {
+			jobs := expJobs(6000, 2*float64(k), 5, seed)
+			for _, d := range dispatchers() {
+				want := refRun(t, k, testCfg(), d.mk(), jobs)
 
-			seq, err := DispatchSource(k, testCfg(), d.mk(), &sliceSource{jobs: jobs}, DispatchOptions{})
-			if err != nil {
-				t.Fatalf("seed %d %s sequential: %v", seed, d.name, err)
-			}
-			requireResultsEqual(t, seq, want)
-
-			// 0 = the whole process-wide pool (GOMAXPROCS executors).
-			for _, workers := range []int{1, 2, 0} {
-				// Odd slice size straddles chunk boundaries on purpose.
-				par, err := DispatchSource(k, testCfg(), d.mk(), &sliceSource{jobs: jobs},
-					DispatchOptions{Parallel: true, SliceJobs: 777, Workers: workers})
+				got, err := DispatchSource(k, testCfg(), d.mk(), &sliceSource{jobs: jobs})
 				if err != nil {
-					t.Fatalf("seed %d %s parallel workers=%d: %v", seed, d.name, workers, err)
+					t.Fatalf("k=%d seed %d %s: %v", k, seed, d.name, err)
 				}
-				requireResultsEqual(t, par, want)
+				requireResultsEqual(t, got, want)
+				if got, err = Run(k, testCfg(), d.mk(), jobs); err != nil {
+					t.Fatalf("k=%d seed %d %s run: %v", k, seed, d.name, err)
+				}
+				requireResultsEqual(t, got, want)
+
+				// 0 = the whole process-wide pool (GOMAXPROCS executors).
+				for _, workers := range []int{1, 2, 0} {
+					arm := serveArm{name: fmt.Sprintf("workers=%d", workers), workers: workers, sliceJobs: 777}
+					requireResultsEqual(t, serveArmRun(t, k, testCfg(), d.mk(), jobs, arm), want)
+				}
 			}
 		}
 	}
 }
 
-// TestDispatchParallelSliceSizeInvariance: the slice size tunes barrier
-// frequency only — results must be identical for any choice, including
-// slices smaller than the pull chunk.
+// TestDispatchParallelSliceSizeInvariance: the pooled arm's slice size tunes
+// barrier frequency only — results must be identical for any choice,
+// including slices smaller than the pull chunk.
 func TestDispatchParallelSliceSizeInvariance(t *testing.T) {
-	jobs := expJobs(12000, 10, 5, 8)
-	const k = 3
-	want, err := DispatchSource(k, testCfg(), JSQ{}, &sliceSource{jobs: jobs}, DispatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sliceJobs := range []int{0, 1, 100, 12000, 50000} {
-		got, err := DispatchSource(k, testCfg(), JSQ{}, &sliceSource{jobs: jobs},
-			DispatchOptions{Parallel: true, SliceJobs: sliceJobs})
-		if err != nil {
-			t.Fatalf("slice %d: %v", sliceJobs, err)
-		}
-		requireResultsEqual(t, got, want)
+	const k = 300
+	jobs := expJobs(6000, 2*k, 5, 8)
+	want := refRun(t, k, testCfg(), JSQ{}, jobs)
+	for _, sliceJobs := range []int{0, 1, 100, 6000, 50000} {
+		arm := serveArm{name: fmt.Sprintf("slice %d", sliceJobs), sliceJobs: sliceJobs}
+		requireResultsEqual(t, serveArmRun(t, k, testCfg(), JSQ{}, jobs, arm), want)
 	}
 }
 
-// TestJSQVirtualRouterMatchesPick: the freeAt-shadow routing must replicate
-// Pick against live engines decision for decision, and the shadow recursion
-// must track the engines' FreeAt exactly.
+// TestJSQVirtualRouterMatchesPick: JSQ's shadow routing must replicate the
+// oracle's pick against live engines decision for decision, and the shadow
+// recursion must track the engines' FreeAt exactly.
 func TestJSQVirtualRouterMatchesPick(t *testing.T) {
 	jobs := expJobs(5000, 12, 5, 13)
 	const k = 4
@@ -95,12 +88,11 @@ func TestJSQVirtualRouterMatchesPick(t *testing.T) {
 	freeAt := make([]float64, k)
 	for i, j := range jobs {
 		virtual := (JSQ{}).RouteVirtual(nil, freeAt, nil, j)
-		_, picked, err := f.Process(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if virtual != picked {
+		if picked := refPick(f, JSQ{}, j); virtual != picked {
 			t.Fatalf("job %d: virtual route %d, engine pick %d", i, virtual, picked)
+		}
+		if _, err := f.Server(virtual).Process(j); err != nil {
+			t.Fatal(err)
 		}
 		freeAt[virtual] = cfg.NextFreeAt(freeAt[virtual], j)
 		if got := f.Server(virtual).FreeAt(); got != freeAt[virtual] {
@@ -110,15 +102,14 @@ func TestJSQVirtualRouterMatchesPick(t *testing.T) {
 }
 
 // TestDispatchParallelJSQGolden is the checked-in determinism snapshot for
-// the parallel JSQ merge: a fixed-seed stream across 5 servers must
-// reproduce these exact aggregates. Regenerate deliberately with
-// go test ./internal/farm -run ParallelJSQGolden -v and copy the logged
-// values in.
+// JSQ dispatch, first recorded from the time-sliced parallel merge: a
+// fixed-seed stream across 5 servers must reproduce these exact aggregates.
+// Regenerate deliberately with go test ./internal/farm -run
+// ParallelJSQGolden -v and copy the logged values in.
 func TestDispatchParallelJSQGolden(t *testing.T) {
 	jobs := expJobs(30000, 18, 5, 2014)
 	const k = 5
-	res, err := DispatchSource(k, testCfg(), JSQ{}, &sliceSource{jobs: jobs},
-		DispatchOptions{Parallel: true, SliceJobs: 1000})
+	res, err := DispatchSource(k, testCfg(), JSQ{}, &sliceSource{jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,163 +152,154 @@ func TestDispatchParallelJSQGolden(t *testing.T) {
 
 func TestDispatchSourceValidation(t *testing.T) {
 	src := func() queue.JobSource { return &sliceSource{jobs: expJobs(10, 8, 5, 1)} }
-	if _, err := DispatchSource(0, testCfg(), JSQ{}, src(), DispatchOptions{}); err == nil {
+	if _, err := DispatchSource(0, testCfg(), JSQ{}, src()); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := DispatchSource(2, testCfg(), nil, src(), DispatchOptions{}); err == nil {
+	if _, err := DispatchSource(2, testCfg(), nil, src()); err == nil {
 		t.Error("nil dispatcher accepted")
 	}
-	if _, err := DispatchSource(2, testCfg(), JSQ{}, nil, DispatchOptions{}); err == nil {
+	if _, err := DispatchSource(2, testCfg(), JSQ{}, nil); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := DispatchSource(2, queue.Config{}, JSQ{}, src(), DispatchOptions{}); err == nil {
+	if _, err := DispatchSource(2, queue.Config{}, JSQ{}, src()); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := DispatchSource(2, queue.Config{}, JSQ{}, src(), DispatchOptions{Parallel: true}); err == nil {
-		t.Error("invalid config accepted in parallel mode")
-	}
 }
 
-// pickOnly is a dispatcher with neither Preassign nor RouteVirtual: the
-// parallel mode must reject it rather than silently serialize.
-type pickOnly struct{}
-
-func (pickOnly) Pick(f *Farm, _ queue.Job) int { return 0 }
-func (pickOnly) Name() string                  { return "pick-only" }
-
-func TestDispatchParallelRejectsPlainDispatcher(t *testing.T) {
-	src := &sliceSource{jobs: expJobs(10, 8, 5, 1)}
-	if _, err := DispatchSource(2, testCfg(), pickOnly{}, src, DispatchOptions{Parallel: true}); err == nil {
-		t.Fatal("plain Pick dispatcher accepted in parallel mode")
-	}
-	// Sequentially it is fine.
-	if _, err := DispatchSource(2, testCfg(), pickOnly{}, &sliceSource{jobs: expJobs(10, 8, 5, 1)}, DispatchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// badRouter routes out of range through the virtual path.
+// badRouter routes every job out of range.
 type badRouter struct{ JSQ }
 
 func (badRouter) RouteVirtual(_ []queue.Config, freeAt, _ []float64, _ queue.Job) int {
 	return len(freeAt)
 }
 
+// TestDispatchParallelRejectsBadRoute: an out-of-range route is an error on
+// both serving arms.
 func TestDispatchParallelRejectsBadRoute(t *testing.T) {
-	src := &sliceSource{jobs: expJobs(100, 8, 5, 5)}
-	if _, err := DispatchSource(3, testCfg(), badRouter{}, src, DispatchOptions{Parallel: true}); err == nil {
-		t.Fatal("out-of-range virtual route accepted")
+	for _, k := range []int{3, 300} {
+		for _, arm := range serveArms {
+			f, err := New(k, testCfg(), badRouter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.workers, f.sliceJobs = arm.workers, arm.sliceJobs
+			if _, err := f.ServeSource(&sliceSource{jobs: expJobs(100, 8, 5, 5)}); err == nil {
+				t.Fatalf("k=%d %s: out-of-range route accepted", k, arm.name)
+			}
+		}
 	}
 }
 
 func TestDispatchSourceSurfacesSourceError(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
+	for _, k := range []int{2, 300} {
 		src := &failingFarmSource{sliceSource{jobs: expJobs(10, 8, 5, 2)}}
-		if _, err := DispatchSource(2, testCfg(), JSQ{}, src, DispatchOptions{Parallel: parallel}); err == nil {
-			t.Errorf("parallel=%v: source error not surfaced", parallel)
+		if _, err := DispatchSource(k, testCfg(), JSQ{}, src); err == nil {
+			t.Errorf("k=%d: source error not surfaced", k)
 		}
 	}
 }
 
 // TestServeSourceSlicedWarmReuse: a persistent farm driving Reset +
-// ServeSourceSliced over a rewound stream — the steady-state pattern the
-// pooled parallel benchmark measures — must reproduce the one-shot
-// DispatchSource result exactly, run after run.
+// ServeSource over a rewound stream — the steady-state pattern the farm
+// benchmarks measure — must reproduce the one-shot DispatchSource result
+// exactly, run after run, on both serving arms.
 func TestServeSourceSlicedWarmReuse(t *testing.T) {
-	jobs := expJobs(20000, 12, 5, 41)
-	const k = 4
-	want, err := DispatchSource(k, testCfg(), JSQ{}, &sliceSource{jobs: jobs},
-		DispatchOptions{Parallel: true, SliceJobs: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(k, testCfg(), JSQ{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 3; run++ {
-		if err := f.Reset(testCfg()); err != nil {
-			t.Fatal(err)
-		}
-		served, err := f.ServeSourceSliced(&sliceSource{jobs: jobs},
-			DispatchOptions{Parallel: true, SliceJobs: 1000})
+	for _, k := range []int{4, 300} {
+		jobs := expJobs(20000, 3*float64(k), 5, 41)
+		want, err := DispatchSource(k, testCfg(), JSQ{}, &sliceSource{jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if served != len(jobs) {
-			t.Fatalf("run %d served %d jobs, want %d", run, served, len(jobs))
+		f, err := New(k, testCfg(), JSQ{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sum := f.FinishSummary(f.LastFree())
-		if sum.Jobs != want.Jobs || sum.MeanResponse != want.MeanResponse ||
-			sum.TotalAvgPower != want.TotalAvgPower || sum.Energy != want.Energy {
-			t.Fatalf("run %d summary diverged from one-shot dispatch:\n got %+v\nwant Jobs=%d Mean=%.17g Power=%.17g Energy=%.17g",
-				run, sum, want.Jobs, want.MeanResponse, want.TotalAvgPower, want.Energy)
+		f.sliceJobs = 1000
+		for run := 0; run < 3; run++ {
+			if err := f.Reset(testCfg()); err != nil {
+				t.Fatal(err)
+			}
+			served, err := f.ServeSource(&sliceSource{jobs: jobs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if served != len(jobs) {
+				t.Fatalf("k=%d run %d served %d jobs, want %d", k, run, served, len(jobs))
+			}
+			sum := f.FinishSummary(f.LastFree())
+			if sum.Jobs != want.Jobs || sum.MeanResponse != want.MeanResponse ||
+				sum.TotalAvgPower != want.TotalAvgPower || sum.Energy != want.Energy {
+				t.Fatalf("k=%d run %d summary diverged from one-shot dispatch:\n got %+v\nwant Jobs=%d Mean=%.17g Power=%.17g Energy=%.17g",
+					k, run, sum, want.Jobs, want.MeanResponse, want.TotalAvgPower, want.Energy)
+			}
 		}
 	}
 }
 
-// TestServeSourceSlicedZeroAllocSteadyState pins the pooled parallel mode's
-// allocation contract: once the farm's sliced scratch and the worker pool
-// are warm, Reset + ServeSourceSliced + FinishSummary allocates nothing.
-// Skipped under -race: the instrumented scheduler makes pool-side
-// allocation counts meaningless (the non-race CI bench gate enforces the
-// same contract via BENCH_farm.json).
+// TestServeSourceSlicedZeroAllocSteadyState pins the serve loop's allocation
+// contract on both serving arms: once the farm's scratch and the worker pool
+// are warm, Reset + ServeSource + FinishSummary allocates nothing. Skipped
+// under -race: the instrumented scheduler makes pool-side allocation counts
+// meaningless (the non-race CI bench gate enforces the same contract via
+// BENCH_farm.json).
 func TestServeSourceSlicedZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	jobs := expJobs(8000, 12, 5, 43)
-	f, err := New(4, testCfg(), JSQ{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &sliceSource{jobs: jobs}
-	opts := DispatchOptions{Parallel: true, SliceJobs: 1000}
-	if _, err := f.ServeSourceSliced(src, opts); err != nil { // warm scratch + pool
-		t.Fatal(err)
-	}
-	cfg := testCfg()
-	avg := testing.AllocsPerRun(3, func() {
-		if err := f.Reset(cfg); err != nil {
+	for _, k := range []int{4, 300} {
+		jobs := expJobs(8000, 3*float64(k), 5, 43)
+		f, err := New(k, testCfg(), JSQ{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		src.pos = 0
-		if _, err := f.ServeSourceSliced(src, opts); err != nil {
+		f.sliceJobs = 1000
+		src := &sliceSource{jobs: jobs}
+		if _, err := f.ServeSource(src); err != nil { // warm scratch + pool
 			t.Fatal(err)
 		}
-		_ = f.FinishSummary(f.LastFree())
-	})
-	if avg != 0 {
-		t.Errorf("steady-state sliced dispatch allocates %.1f/run, want 0", avg)
+		cfg := testCfg()
+		avg := testing.AllocsPerRun(3, func() {
+			if err := f.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			src.pos = 0
+			if _, err := f.ServeSource(src); err != nil {
+				t.Fatal(err)
+			}
+			_ = f.FinishSummary(f.LastFree())
+		})
+		if avg != 0 {
+			t.Errorf("k=%d: steady-state dispatch allocates %.1f/run, want 0", k, avg)
+		}
 	}
 }
 
 // TestServeSourceSlicedPartialFailureConsistency: when an engine fails mid
-// substream (a poisoned job), the farm's per-server counters must still
-// agree with what each engine actually processed — a retained Farm stays
-// internally consistent after an error return, like the sequential path.
+// substream (a poisoned job), the count ServeSource returns must equal the
+// jobs the engines actually served, on both serving arms — a retained Farm
+// stays internally consistent after an error return.
 func TestServeSourceSlicedPartialFailureConsistency(t *testing.T) {
-	jobs := expJobs(3000, 10, 5, 71)
-	jobs[1500].Size = -1 // poison one job mid-stream
-	const k = 3
-	f, err := New(k, testCfg(), JSQ{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := f.ServeSourceSliced(&sliceSource{jobs: jobs},
-		DispatchOptions{Parallel: true, SliceJobs: 500})
-	if err == nil {
-		t.Fatal("poisoned stream accepted")
-	}
-	total := 0
-	for s := 0; s < k; s++ {
-		if got, want := f.perSrv[s], f.Server(s).Snapshot().Jobs; got != want {
-			t.Errorf("server %d: perSrv %d != engine jobs %d after failure", s, got, want)
+	for _, k := range []int{3, 300} {
+		for _, arm := range serveArms {
+			jobs := expJobs(3000, 3*float64(k), 5, 71)
+			jobs[1500].Size = -1 // poison one job mid-stream
+			f, err := New(k, testCfg(), JSQ{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.workers, f.sliceJobs = arm.workers, 500
+			served, err := f.ServeSource(&sliceSource{jobs: jobs})
+			if err == nil {
+				t.Fatalf("k=%d %s: poisoned stream accepted", k, arm.name)
+			}
+			total := 0
+			for s := 0; s < k; s++ {
+				total += f.Server(s).Snapshot().Jobs
+			}
+			if served != total || served < 1000 {
+				t.Errorf("k=%d %s: served %d, engines hold %d", k, arm.name, served, total)
+			}
 		}
-		total += f.perSrv[s]
-	}
-	if served != total {
-		t.Errorf("served %d != per-server total %d", served, total)
 	}
 }
 
@@ -380,12 +362,26 @@ func TestPowerOfDProperties(t *testing.T) {
 	}
 }
 
+// shadowOf reads f's engines into the per-server shadow RouteVirtual takes:
+// live configurations, availability and idle anchors.
+func shadowOf(f *Farm) (cfgs []queue.Config, freeAt, anchor []float64) {
+	cfgs = make([]queue.Config, f.Size())
+	freeAt = make([]float64, f.Size())
+	anchor = make([]float64, f.Size())
+	for s := range cfgs {
+		cfgs[s] = f.Server(s).Config()
+		freeAt[s] = f.Server(s).FreeAt()
+		anchor[s] = f.Server(s).IdleAnchor()
+	}
+	return cfgs, freeAt, anchor
+}
+
 // TestLeastWorkLeftPricesFirstWakeAfterIdleSwitch is the regression test for
 // the mispriced idle anchor: a SetConfigAt during an idle period restarts the
 // sleep-entry clock at the switch instant while freeAt stays at the last
 // departure. Pricing the first wake from freeAt instead of the moved anchor
-// charges a wake latency the engine will never pay — and here that made Pick
-// route to the busier server.
+// charges a wake latency the engine will never pay — and here that made the
+// rule route to the busier server.
 func TestLeastWorkLeftPricesFirstWakeAfterIdleSwitch(t *testing.T) {
 	cfg := testCfg()
 	cfg.Phases[0].EnterAfter = 3 // sleep entered 3 s after the queue empties
@@ -416,23 +412,21 @@ func TestLeastWorkLeftPricesFirstWakeAfterIdleSwitch(t *testing.T) {
 	if done := f.Server(0).NextFreeAt(j); done != 14 {
 		t.Fatalf("server 0 priced at %g, want 14 (no wake inside the restarted pre-sleep window)", done)
 	}
-	if got := lwl.Pick(f, j); got != 0 {
-		t.Fatalf("Pick routed to server %d, want 0: the first wake after the idle switch is mispriced", got)
+	cfgs, freeAt, anchor := shadowOf(f)
+	if got := lwl.RouteVirtual(cfgs, freeAt, anchor, j); got != 0 {
+		t.Fatalf("RouteVirtual routed to server %d, want 0: the first wake after the idle switch is mispriced", got)
 	}
-	// The engine confirms the pricing: serving on server 0 departs at 14.
-	resp, err := f.Server(0).Process(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp != 1 {
-		t.Fatalf("response %g, want 1 (start at arrival, no wake)", resp)
+	// The serve loop confirms the pricing: it routes to server 0, which
+	// starts at arrival with no wake.
+	if resp, srv := serveOne(t, f, j); srv != 0 || resp != 1 {
+		t.Fatalf("served on server %d with response %g, want server 0 and 1 (start at arrival, no wake)", srv, resp)
 	}
 }
 
 // TestLeastWorkLeftPricesWakeups: with one server mid-job and the others
 // deep asleep behind a long wake latency, least-work-left routes a new
 // arrival to the nearly-free busy server — the decision JSQ (backlog only)
-// gets wrong — and its virtual routing mirrors Pick.
+// gets wrong — and its shadow routing agrees with the oracle's engine read.
 func TestLeastWorkLeftPricesWakeups(t *testing.T) {
 	cfg := testCfg()
 	cfg.Phases[0].WakeLatency = 5 // sleeping servers pay 5 s to wake
@@ -443,29 +437,22 @@ func TestLeastWorkLeftPricesWakeups(t *testing.T) {
 	}
 	// Server 0 takes a 1 s job at t=1: one idle second of sleep, a 5 s
 	// wake, service from t=6, free at t=7.
-	if _, srv, err := f.Process(queue.Job{Arrival: 1, Size: 1}); err != nil || srv != 0 {
-		t.Fatalf("first job: srv=%d err=%v", srv, err)
+	if _, srv := serveOne(t, f, queue.Job{Arrival: 1, Size: 1}); srv != 0 {
+		t.Fatalf("first job: srv=%d", srv)
 	}
 	// At t=6.9 server 0 is still busy (free at 7) but finishing within
 	// 0.1 s; servers 1 and 2 are asleep and would pay 5 s of wake. JSQ
 	// would route to an idle server (backlog 0); LWL must keep it on 0.
 	j := queue.Job{Arrival: 6.9, Size: 1}
-	if got := (JSQ{}).Pick(f, j); got == 0 {
+	cfgs, freeAt, anchor := shadowOf(f)
+	if got := (JSQ{}).RouteVirtual(cfgs, freeAt, anchor, j); got == 0 {
 		t.Fatalf("JSQ picked the busy server, the scenario is not discriminating")
 	}
-	if got := lwl.Pick(f, j); got != 0 {
-		t.Errorf("LWL picked server %d, want the nearly-free busy server 0", got)
-	}
-	cfgs := make([]queue.Config, 3)
-	freeAt := make([]float64, 3)
-	anchor := make([]float64, 3)
-	for s := range cfgs {
-		cfgs[s] = f.Server(s).Config()
-		freeAt[s] = f.Server(s).FreeAt()
-		anchor[s] = f.Server(s).IdleAnchor()
-	}
 	if got := lwl.RouteVirtual(cfgs, freeAt, anchor, j); got != 0 {
-		t.Errorf("LWL virtual route %d, want 0", got)
+		t.Errorf("LWL virtual route %d, want the nearly-free busy server 0", got)
+	}
+	if got := refPick(f, lwl, j); got != 0 {
+		t.Errorf("LWL oracle picked server %d, want 0", got)
 	}
 }
 
@@ -545,16 +532,16 @@ func hetConfigs() []queue.Config {
 	return []queue.Config{a, b, c}
 }
 
-// hetFarm builds a 3-server farm with per-server configurations.
-func hetFarm(t *testing.T, disp Dispatcher) *Farm {
+// hetFarm builds a k-server farm whose servers cycle through hetConfigs.
+func hetFarm(t *testing.T, k int, disp Dispatcher) *Farm {
 	t.Helper()
 	cfgs := hetConfigs()
-	f, err := New(len(cfgs), cfgs[0], disp)
+	f, err := New(k, cfgs[0], disp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := 1; s < len(cfgs); s++ {
-		if err := f.Server(s).SetConfigAt(0, cfgs[s]); err != nil {
+	for s := 1; s < k; s++ {
+		if err := f.Server(s).SetConfigAt(0, cfgs[s%len(cfgs)]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -564,8 +551,8 @@ func hetFarm(t *testing.T, disp Dispatcher) *Farm {
 // TestServeSourceSlicedHeterogeneousMatchesSequential pins the per-server
 // configuration routing path — the linear arm's RouteVirtual over the
 // configuration snapshot, which least-work-left prices from and JSQ and
-// power-of-d ignore — to the sequential Pick dispatch over live engines, bit
-// for bit.
+// power-of-d ignore — to the oracle over live engines, bit for bit, on both
+// serving arms.
 func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 	disps := []struct {
 		name string
@@ -575,30 +562,37 @@ func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 		{"pd2", func() Dispatcher { return &PowerOfD{D: 2, Rng: rand.New(rand.NewSource(42))} }},
 		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }},
 	}
-	for _, seed := range []int64{1, 2} {
-		jobs := expJobs(20000, 6, 5, seed)
-		for _, d := range disps {
-			// Sequential reference: Pick consults each engine's live config.
-			want := sequentialHet(t, d.mk(), jobs)
-			got := hetFarm(t, d.mk())
-			// Odd slice size straddles slice boundaries on purpose.
-			if _, err := got.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{SliceJobs: 777}); err != nil {
-				t.Fatalf("%s seed %d sliced: %v", d.name, seed, err)
+	for _, k := range []int{3, 300} {
+		n := 20000
+		if k >= 300 {
+			n = 5000 // the O(k)-per-job oracle dominates the cost
+		}
+		for _, seed := range []int64{1, 2} {
+			jobs := expJobs(n, 2*float64(k), 5, seed)
+			for _, d := range disps {
+				want := refHet(t, k, d.mk(), jobs)
+				for _, arm := range serveArms {
+					got := hetFarm(t, k, d.mk())
+					got.workers, got.sliceJobs = arm.workers, arm.sliceJobs
+					if _, err := got.ServeSource(&sliceSource{jobs: jobs}); err != nil {
+						t.Fatalf("%s k=%d seed %d %s: %v", d.name, k, seed, arm.name, err)
+					}
+					res, err := got.Finish(got.LastFree())
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireResultsEqual(t, res, want)
+				}
 			}
-			res, err := got.Finish(got.LastFree())
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireResultsEqual(t, res, want)
 		}
 	}
 }
 
-// TestServeSourceSlicedHeterogeneousServesWrappedRouter: a VirtualRouter
-// wrapper gets no routing index, so the driver routes it on the linear arm —
+// TestServeSourceSlicedHeterogeneousServesWrappedRouter: a wrapped
+// dispatcher gets no routing index, so the loop routes it on the linear arm —
 // which hands every RouteVirtual the per-server configuration snapshot. Over
 // a heterogeneous farm the wrapped JSQ and least-work-left must therefore
-// serve exactly as the sequential Pick dispatch does.
+// serve exactly as the oracle does.
 func TestServeSourceSlicedHeterogeneousServesWrappedRouter(t *testing.T) {
 	jobs := expJobs(5000, 6, 5, 3)
 	for _, d := range []struct {
@@ -608,9 +602,9 @@ func TestServeSourceSlicedHeterogeneousServesWrappedRouter(t *testing.T) {
 		{"jsq", func() Dispatcher { return scanOnly{JSQ{}} }},
 		{"lwl", func() Dispatcher { return scanOnly{&LeastWorkLeft{}} }},
 	} {
-		want := sequentialHet(t, d.mk(), jobs)
-		got := hetFarm(t, d.mk())
-		if _, err := got.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{SliceJobs: 333}); err != nil {
+		want := refHet(t, 3, d.mk(), jobs)
+		got := hetFarm(t, 3, d.mk())
+		if _, err := got.ServeSource(&sliceSource{jobs: jobs}); err != nil {
 			t.Fatalf("%s: heterogeneous farm rejected a wrapped router: %v", d.name, err)
 		}
 		res, err := got.Finish(got.LastFree())
@@ -621,48 +615,24 @@ func TestServeSourceSlicedHeterogeneousServesWrappedRouter(t *testing.T) {
 	}
 }
 
-// sequentialHet serves jobs through Pick over a fresh heterogeneous farm:
-// the reference the sliced heterogeneous paths must reproduce.
-func sequentialHet(t *testing.T, disp Dispatcher, jobs []queue.Job) Result {
-	t.Helper()
-	ref := hetFarm(t, disp)
-	for i, j := range jobs {
-		if _, _, err := ref.Process(j); err != nil {
-			t.Fatalf("%s job %d: %v", disp.Name(), i, err)
-		}
-	}
-	res, err := ref.Finish(ref.LastFree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // TestRecordServeStreamOrder: RecordServe must land every response and
-// server pick at the job's stream position, across slices.
+// server pick at the job's stream position, on both serving arms and across
+// slices.
 func TestRecordServeStreamOrder(t *testing.T) {
-	jobs := expJobs(5000, 8, 5, 17)
-	ref := hetFarm(t, JSQ{})
-	wantResp := make([]float64, len(jobs))
-	wantSrv := make([]int, len(jobs))
-	for i, j := range jobs {
-		r, s, err := ref.Process(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantResp[i], wantSrv[i] = r, s
-	}
-
-	f := hetFarm(t, JSQ{})
-	resp := make([]float64, len(jobs))
-	srv := make([]int, len(jobs))
-	f.RecordServe(resp, srv)
-	if _, err := f.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{SliceJobs: 333}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if resp[i] != wantResp[i] || srv[i] != wantSrv[i] {
-			t.Fatalf("job %d: got (%.17g, %d), want (%.17g, %d)", i, resp[i], srv[i], wantResp[i], wantSrv[i])
+	for _, k := range []int{3, 300} {
+		jobs := expJobs(5000, 2.5*float64(k), 5, 17)
+		ref := hetFarm(t, k, JSQ{})
+		wantResp, wantSrv := refServe(t, ref, JSQ{}, jobs)
+		for _, arm := range serveArms {
+			f := hetFarm(t, k, JSQ{})
+			f.workers, f.sliceJobs = arm.workers, 333
+			resp := make([]float64, len(jobs))
+			srv := make([]int, len(jobs))
+			f.RecordServe(resp, srv)
+			if _, err := f.ServeSource(&sliceSource{jobs: jobs}); err != nil {
+				t.Fatal(err)
+			}
+			requireServeMatches(t, fmt.Sprintf("k=%d %s", k, arm.name), f, resp, srv, ref, wantResp, wantSrv)
 		}
 	}
 }

@@ -5,61 +5,44 @@ import (
 	"math/rand"
 
 	"sleepscale/internal/queue"
-	"sleepscale/internal/stream"
 )
 
-// Dispatcher routes each arriving job to one of k servers.
+// Dispatcher routes each arriving job to one of k servers. Its one rule,
+// RouteVirtual, reads a lightweight per-server shadow instead of live
+// engines: for server i, cfgs[i] is its live configuration, freeAt[i] the
+// time its accepted work completes, and anchor[i] the start of its current
+// idle schedule (queue.Engine.IdleAnchor), which differs from freeAt only for
+// a server reconfigured (SetConfigAt) while idle and not served since. The
+// farm keeps the shadow exact, so routing can be decided serially while the
+// servers' full energy-accounting simulation runs concurrently. Dispatchers
+// that ignore server state (round-robin, random) read only len(freeAt);
+// those that compare backlogs alone (JSQ, PowerOfD) ignore cfgs and anchor.
 type Dispatcher interface {
-	// Pick returns the index of the server that should serve j.
-	Pick(f *Farm, j queue.Job) int
+	// RouteVirtual returns the index of the server that should serve j.
+	RouteVirtual(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int
 	// Name identifies the dispatcher in reports.
 	Name() string
-}
-
-// Preassigner is the optional fast path for dispatchers whose routing does
-// not depend on server state (round-robin, random — not JSQ): Preassign
-// computes the server index for every job of a sorted slice up front, which
-// lets the sliced driver simulate the per-server substreams in parallel and
-// merge the results deterministically. Preassign must consume exactly the same
-// dispatcher state (counters, randomness) as the equivalent sequence of Pick
-// calls, so the two paths route identically.
-type Preassigner interface {
-	Preassign(k int, jobs []queue.Job, dst []int)
 }
 
 // RoundRobin cycles through servers in order.
 type RoundRobin struct{ next int }
 
-// Pick implements Dispatcher.
-func (r *RoundRobin) Pick(f *Farm, _ queue.Job) int {
-	i := r.next % f.Size()
+// RouteVirtual implements Dispatcher.
+func (r *RoundRobin) RouteVirtual(_ []queue.Config, freeAt, _ []float64, _ queue.Job) int {
+	i := r.next % len(freeAt)
 	r.next++
 	return i
-}
-
-// Preassign implements Preassigner.
-func (r *RoundRobin) Preassign(k int, jobs []queue.Job, dst []int) {
-	for i := range jobs {
-		dst[i] = r.next % k
-		r.next++
-	}
 }
 
 // Name implements Dispatcher.
 func (r *RoundRobin) Name() string { return "round-robin" }
 
-// Random routes uniformly at random.
+// Random routes uniformly at random: one Rng draw per job, in arrival order.
 type Random struct{ Rng *rand.Rand }
 
-// Pick implements Dispatcher.
-func (r *Random) Pick(f *Farm, _ queue.Job) int { return r.Rng.Intn(f.Size()) }
-
-// Preassign implements Preassigner; it draws from the Rng in arrival order,
-// matching the Pick sequence draw for draw.
-func (r *Random) Preassign(k int, jobs []queue.Job, dst []int) {
-	for i := range jobs {
-		dst[i] = r.Rng.Intn(k)
-	}
+// RouteVirtual implements Dispatcher.
+func (r *Random) RouteVirtual(_ []queue.Config, freeAt, _ []float64, _ queue.Job) int {
+	return r.Rng.Intn(len(freeAt))
 }
 
 // Name implements Dispatcher.
@@ -69,11 +52,11 @@ func (r *Random) Name() string { return "random" }
 // at the arrival instant (ties break toward the lowest index).
 type JSQ struct{}
 
-// Pick implements Dispatcher.
-func (JSQ) Pick(f *Farm, j queue.Job) int {
-	best, bestWork := 0, f.engines[0].Backlog(j.Arrival)
-	for i := 1; i < len(f.engines); i++ {
-		if w := f.engines[i].Backlog(j.Arrival); w < bestWork {
+// RouteVirtual implements Dispatcher.
+func (JSQ) RouteVirtual(_ []queue.Config, freeAt, _ []float64, j queue.Job) int {
+	best, bestWork := 0, shadowBacklog(freeAt[0], j.Arrival)
+	for i := 1; i < len(freeAt); i++ {
+		if w := shadowBacklog(freeAt[i], j.Arrival); w < bestWork {
 			best, bestWork = i, w
 		}
 	}
@@ -83,20 +66,29 @@ func (JSQ) Pick(f *Farm, j queue.Job) int {
 // Name implements Dispatcher.
 func (JSQ) Name() string { return "jsq" }
 
+// shadowBacklog mirrors Engine.Backlog for the freeAt shadow.
+func shadowBacklog(freeAt, t float64) float64 {
+	if freeAt <= t {
+		return 0
+	}
+	return freeAt - t
+}
+
 // Farm is a cluster of identical single-server queues.
 type Farm struct {
 	engines []*queue.Engine
 	disp    Dispatcher
-	perSrv  []int
-	// chunk is the farm-owned pull buffer of ServeSource, allocated on
+	// sc is the reusable scratch of ServeSource, held by value and filled on
 	// first use so repeated Reset+ServeSource cycles are allocation-free.
-	chunk []queue.Job
-	// sl is the reusable scratch of ServeSourceSliced, allocated on first
-	// use so repeated sliced parallel runs are allocation-free too.
-	sl *slicedState
-	// recResp/recSrv, when armed via RecordServe, receive each sliced-served
-	// job's response time and server index at the job's stream position;
-	// recBase is the running stream offset within one serve call.
+	sc serveState
+	// sliceJobs (jobs routed per slice; 0 picks defaultSliceJobs) and
+	// workers (the executor bound; 0 uses the whole pool) tune the pooled
+	// arm. Results do not depend on either; only tests set them.
+	sliceJobs int
+	workers   int
+	// recResp/recSrv, when armed via RecordServe, receive each served job's
+	// response time and server index at the job's stream position; recBase
+	// is the stream position of the batch being served.
 	recResp []float64
 	recSrv  []int
 	recBase int
@@ -111,7 +103,7 @@ func New(k int, cfg queue.Config, disp Dispatcher) (*Farm, error) {
 	if disp == nil {
 		return nil, fmt.Errorf("farm: nil dispatcher")
 	}
-	f := &Farm{disp: disp, perSrv: make([]int, k)}
+	f := &Farm{disp: disp, engines: make([]*queue.Engine, 0, k)}
 	for i := 0; i < k; i++ {
 		eng, err := queue.NewEngine(cfg, 0)
 		if err != nil {
@@ -126,46 +118,17 @@ func New(k int, cfg queue.Config, disp Dispatcher) (*Farm, error) {
 func (f *Farm) Size() int { return len(f.engines) }
 
 // Reset rewinds every server to start idle at time 0 under cfg, exactly as a
-// fresh New would, reusing all engine buffers, and zeroes the job counters —
-// so one farm can serve many streamed runs without allocating. Dispatcher
-// state (a round-robin cursor, a random source) is not touched: reseed or
-// rebuild the dispatcher for reproducible replays; JSQ is stateless.
+// fresh New would, reusing all engine buffers — so one farm can serve many
+// streamed runs without allocating. Dispatcher state (a round-robin cursor,
+// a random source) is not touched: reseed or rebuild the dispatcher for
+// reproducible replays; JSQ is stateless.
 func (f *Farm) Reset(cfg queue.Config) error {
 	for _, eng := range f.engines {
 		if err := eng.Reset(cfg, 0); err != nil {
 			return err
 		}
 	}
-	for i := range f.perSrv {
-		f.perSrv[i] = 0
-	}
 	return nil
-}
-
-// ServeSource dispatches every job src delivers — from its current position,
-// in chunk-sized pulls — through the farm's dispatcher, returning the number
-// served. This is the sequential streaming dispatch loop: engines advance in
-// virtual-time (arrival) order, so state-dependent dispatchers like JSQ see
-// accurate queue depths, and peak job-buffer memory is one farm-owned chunk
-// however long the stream. Deferred source errors are the caller's to check
-// (DispatchSource does).
-func (f *Farm) ServeSource(src queue.JobSource) (int, error) {
-	if f.chunk == nil {
-		f.chunk = make([]queue.Job, stream.DefaultChunk)
-	}
-	served := 0
-	for {
-		n, ok := src.Next(f.chunk)
-		for i := 0; i < n; i++ {
-			if _, _, err := f.Process(f.chunk[i]); err != nil {
-				return served + i, fmt.Errorf("farm: job %d: %w", served+i, err)
-			}
-		}
-		served += n
-		if !ok {
-			return served, nil
-		}
-	}
 }
 
 // Server exposes server i's engine (for per-server policy switches).
@@ -176,18 +139,17 @@ func (f *Farm) Server(i int) *queue.Engine { return f.engines[i] }
 // order, and the view's server i is the parent's idx[i]. The view shares the
 // parent's engines and dispatcher — dispatcher state (a round-robin cursor,
 // a random source) advances across parent and view alike — with its own
-// counters and serving scratch; the parent still finishes and reports every
-// engine. This is how the fleet coordinator removes parked and crashed
-// servers from routing. Because the view is compact and idx ascending,
-// every dispatcher's lowest-index tie break resolves to the lowest surviving
-// parent index: routing through the view is exactly the parent's routing
-// with the excluded servers skipped, on the O(log k) index and the linear
-// arm alike.
+// serving scratch; the parent still finishes and reports every engine. This
+// is how the fleet coordinator removes parked and crashed servers from
+// routing. Because the view is compact and idx ascending, every dispatcher's
+// lowest-index tie break resolves to the lowest surviving parent index:
+// routing through the view is exactly the parent's routing with the
+// excluded servers skipped, on the O(log k) index and the linear arm alike.
 //
 // Pass the previous return value as view to reuse its storage (including the
-// sliced-dispatch scratch, which resizes in place when the subset size
-// changes); pass nil to start one. The view stays valid until the parent's
-// engines are replaced — Reset keeps it alive.
+// serving scratch, which resizes in place when the subset size changes);
+// pass nil to start one. The view stays valid until the parent's engines are
+// replaced — Reset keeps it alive.
 func (f *Farm) Select(view *Farm, idx []int) (*Farm, error) {
 	if len(idx) == 0 {
 		return nil, fmt.Errorf("farm: empty server selection")
@@ -205,38 +167,18 @@ func (f *Farm) Select(view *Farm, idx []int) (*Farm, error) {
 		prev = s
 		view.engines = append(view.engines, f.engines[s])
 	}
-	view.perSrv = resizeInts(view.perSrv, len(idx))
-	for i := range view.perSrv {
-		view.perSrv[i] = 0
-	}
 	return view, nil
 }
 
-// RecordServe arms per-job recording for subsequent sliced serves: every job
-// the next ServeSourceSliced call simulates writes its response time to
-// resp[i] and its routed server index to srv[i], where i is the job's
-// position in the served stream (restarting at 0 each call). Either slice
-// may be nil to skip that column; both must cover every job the call serves.
-// Recording stays armed until the next RecordServe; RecordServe(nil, nil)
-// disarms, returning the serve path to zero recording overhead.
+// RecordServe arms per-job recording for subsequent serves: every job the
+// next ServeSource call simulates writes its response time to resp[i] and
+// its routed server index to srv[i], where i is the job's position in the
+// served stream (restarting at 0 each call). Either slice may be nil to skip
+// that column; both must cover every job the call serves. Recording stays
+// armed until the next RecordServe; RecordServe(nil, nil) disarms, returning
+// the serve path to zero recording overhead.
 func (f *Farm) RecordServe(resp []float64, srv []int) {
 	f.recResp, f.recSrv = resp, srv
-}
-
-// Process dispatches and serves one job, returning its response time and
-// the chosen server. Jobs must arrive in non-decreasing order.
-func (f *Farm) Process(j queue.Job) (response float64, server int, err error) {
-	server = f.disp.Pick(f, j)
-	if server < 0 || server >= len(f.engines) {
-		return 0, 0, fmt.Errorf("farm: dispatcher %s picked server %d of %d",
-			f.disp.Name(), server, len(f.engines))
-	}
-	resp, err := f.engines[server].Process(j)
-	if err != nil {
-		return 0, server, err
-	}
-	f.perSrv[server]++
-	return resp, server, nil
 }
 
 // Result aggregates a farm run.
@@ -256,9 +198,13 @@ type Result struct {
 	JobShare []float64
 }
 
-// Finish closes every server at time at and aggregates.
+// Finish closes every server at time at and aggregates. Job shares count
+// every job each engine served, through this farm or any Select view of it.
 func (f *Farm) Finish(at float64) (Result, error) {
-	out := Result{JobShare: make([]float64, len(f.engines))}
+	out := Result{
+		PerServer: make([]queue.Result, 0, len(f.engines)),
+		JobShare:  make([]float64, len(f.engines)),
+	}
 	var respSum float64
 	for _, eng := range f.engines {
 		res, err := eng.Finish(at)
@@ -273,8 +219,8 @@ func (f *Farm) Finish(at float64) (Result, error) {
 	}
 	if out.Jobs > 0 {
 		out.MeanResponse = respSum / float64(out.Jobs)
-		for i := range f.perSrv {
-			out.JobShare[i] = float64(f.perSrv[i]) / float64(out.Jobs)
+		for i, res := range out.PerServer {
+			out.JobShare[i] = float64(res.Jobs) / float64(out.Jobs)
 		}
 	}
 	return out, nil
@@ -318,29 +264,9 @@ func (f *Farm) FinishSummary(at float64) Summary {
 
 // LastFree reports the latest work-completion time across the farm's servers
 // — the natural Finish instant of a drained stream.
-func (f *Farm) LastFree() float64 { return lastFree(f.engines) }
-
-// Run is a convenience: dispatch a whole sorted job stream job by job and
-// finish at the last departure across servers. Engines are fresh per call,
-// so the returned Result never aliases reused storage; DispatchSource is the
-// streamed (and optionally parallel) counterpart.
-func Run(k int, cfg queue.Config, disp Dispatcher, jobs []queue.Job) (Result, error) {
-	f, err := New(k, cfg, disp)
-	if err != nil {
-		return Result{}, err
-	}
-	for i, j := range jobs {
-		if _, _, err := f.Process(j); err != nil {
-			return Result{}, fmt.Errorf("farm: job %d: %w", i, err)
-		}
-	}
-	return f.Finish(lastFree(f.engines))
-}
-
-// lastFree reports the latest departure across engines.
-func lastFree(engines []*queue.Engine) float64 {
+func (f *Farm) LastFree() float64 {
 	last := 0.0
-	for _, eng := range engines {
+	for _, eng := range f.engines {
 		if t := eng.FreeAt(); t > last {
 			last = t
 		}
@@ -348,21 +274,35 @@ func lastFree(engines []*queue.Engine) float64 {
 	return last
 }
 
-// resizeInts returns s with length n, reusing capacity; contents are
-// unspecified (callers overwrite).
-func resizeInts(s []int, n int) []int {
+// Run is a convenience: dispatch a whole sorted job stream, served in place
+// by the farm's one serve loop, and finish at the last departure across
+// servers. Engines are fresh per call, so the returned Result never aliases
+// reused storage; DispatchSource is the streamed counterpart.
+func Run(k int, cfg queue.Config, disp Dispatcher, jobs []queue.Job) (Result, error) {
+	f, err := New(k, cfg, disp)
+	if err != nil {
+		return Result{}, err
+	}
+	if _, err := f.serve(nil, jobs); err != nil {
+		return Result{}, err
+	}
+	return f.Finish(f.LastFree())
+}
+
+// resize returns s with length n, reusing its capacity; the contents are
+// unspecified (callers overwrite or clear them).
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
 // bucketByServer fills backing with jobs grouped into contiguous per-server
 // substreams — a counting sort on assign that preserves arrival order within
-// each server, the time-sliced dispatch driver's per-slice fan-out step.
-// counts must already tally assign; offsets
-// (length k+1) and fill are scratch, overwritten. On return,
-// backing[offsets[s]:offsets[s+1]] is server s's substream.
+// each server, the pooled arm's per-slice fan-out step. counts must already
+// tally assign; offsets (length k+1) and fill are scratch, overwritten. On
+// return, backing[offsets[s]:offsets[s+1]] is server s's substream.
 func bucketByServer(jobs []queue.Job, assign, counts, offsets, fill []int, backing []queue.Job) {
 	k := len(counts)
 	offsets[0] = 0

@@ -152,6 +152,20 @@ func TestScaleOutSleepOpportunity(t *testing.T) {
 	}
 }
 
+// serveOne serves one job through f's serve loop, returning its response
+// time and server.
+func serveOne(t *testing.T, f *Farm, j queue.Job) (float64, int) {
+	t.Helper()
+	var resp [1]float64
+	var srv [1]int
+	f.RecordServe(resp[:], srv[:])
+	defer f.RecordServe(nil, nil)
+	if _, err := f.ServeSource(&sliceSource{jobs: []queue.Job{j}}); err != nil {
+		t.Fatal(err)
+	}
+	return resp[0], srv[0]
+}
+
 func TestPerServerPolicySwitch(t *testing.T) {
 	f, err := New(2, testCfg(), &RoundRobin{})
 	if err != nil {
@@ -160,27 +174,16 @@ func TestPerServerPolicySwitch(t *testing.T) {
 	// Slow server 1 down mid-run; its queued jobs take twice as long.
 	slow := testCfg()
 	slow.Frequency = 0.5
-	if _, _, err := f.Process(queue.Job{Arrival: 0, Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := f.Process(queue.Job{Arrival: 0.1, Size: 1}); err != nil {
-		t.Fatal(err)
-	}
+	serveOne(t, f, queue.Job{Arrival: 0, Size: 1})
+	serveOne(t, f, queue.Job{Arrival: 0.1, Size: 1})
 	if err := f.Server(1).SetConfigAt(2, slow); err != nil {
 		t.Fatal(err)
 	}
-	resp, srv, err := f.Process(queue.Job{Arrival: 3, Size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv != 0 { // round robin: third job goes to server 0
+	if _, srv := serveOne(t, f, queue.Job{Arrival: 3, Size: 1}); srv != 0 {
+		// round robin: third job goes to server 0
 		t.Fatalf("job went to server %d", srv)
 	}
-	_ = resp
-	resp, srv, err = f.Process(queue.Job{Arrival: 3, Size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, srv := serveOne(t, f, queue.Job{Arrival: 3, Size: 1})
 	if srv != 1 {
 		t.Fatalf("job went to server %d", srv)
 	}
@@ -221,32 +224,6 @@ func TestFinishEmptyFarm(t *testing.T) {
 	}
 }
 
-// sequentialRun replays Run explicitly (dispatch one job at a time through a
-// Farm), as the reference for the streamed and sliced parallel paths.
-func sequentialRun(t *testing.T, k int, cfg queue.Config, disp Dispatcher, jobs []queue.Job) Result {
-	t.Helper()
-	f, err := New(k, cfg, disp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range jobs {
-		if _, _, err := f.Process(j); err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-	last := 0.0
-	for i := 0; i < f.Size(); i++ {
-		if ft := f.Server(i).FreeAt(); ft > last {
-			last = ft
-		}
-	}
-	res, err := f.Finish(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 func requireResultsEqual(t *testing.T, got, want Result) {
 	t.Helper()
 	if got.Jobs != want.Jobs || got.MeanResponse != want.MeanResponse ||
@@ -271,56 +248,87 @@ func requireResultsEqual(t *testing.T, got, want Result) {
 	}
 }
 
-// TestRunParallelMatchesSequentialRoundRobin pins the preassigned parallel
-// path — the sliced driver's Preassign arm — to the sequential dispatch
-// bit-for-bit.
+// TestRunParallelMatchesSequentialRoundRobin pins round-robin routing, on
+// farm.Run and on both serving arms, to the oracle bit for bit.
 func TestRunParallelMatchesSequentialRoundRobin(t *testing.T) {
-	jobs := expJobs(30000, 8, 5, 3)
-	for _, k := range []int{2, 4, 7} {
-		want := sequentialRun(t, k, testCfg(), &RoundRobin{}, jobs)
-		got, err := DispatchSource(k, testCfg(), &RoundRobin{}, &sliceSource{jobs: jobs}, DispatchOptions{Parallel: true})
+	for _, k := range []int{2, 4, 7, 300} {
+		jobs := expJobs(30000, 2*float64(k), 5, 3)
+		want := refRun(t, k, testCfg(), &RoundRobin{}, jobs)
+		got, err := Run(k, testCfg(), &RoundRobin{}, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireResultsEqual(t, got, want)
+		for _, arm := range serveArms {
+			requireResultsEqual(t, serveArmRun(t, k, testCfg(), &RoundRobin{}, jobs, arm), want)
+		}
 	}
 }
 
 // TestRunParallelMatchesSequentialRandom does the same for the random
-// dispatcher: Preassign must consume the Rng exactly as Pick would.
+// dispatcher: RouteVirtual must consume the Rng exactly as the oracle does.
 func TestRunParallelMatchesSequentialRandom(t *testing.T) {
-	jobs := expJobs(30000, 8, 5, 4)
-	const k = 5
-	want := sequentialRun(t, k, testCfg(), &Random{Rng: rand.New(rand.NewSource(99))}, jobs)
-	got, err := DispatchSource(k, testCfg(), &Random{Rng: rand.New(rand.NewSource(99))}, &sliceSource{jobs: jobs}, DispatchOptions{Parallel: true})
+	mk := func() Dispatcher { return &Random{Rng: rand.New(rand.NewSource(99))} }
+	for _, k := range []int{5, 300} {
+		jobs := expJobs(30000, 2*float64(k), 5, 4)
+		want := refRun(t, k, testCfg(), mk(), jobs)
+		got, err := Run(k, testCfg(), mk(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireResultsEqual(t, got, want)
+		for _, arm := range serveArms {
+			requireResultsEqual(t, serveArmRun(t, k, testCfg(), mk(), jobs, arm), want)
+		}
+	}
+}
+
+// serveArmRun serves jobs through a fresh farm's ServeSource driven as arm
+// and finishes at the last departure.
+func serveArmRun(t *testing.T, k int, cfg queue.Config, disp Dispatcher, jobs []queue.Job, arm serveArm) Result {
+	t.Helper()
+	f, err := New(k, cfg, disp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireResultsEqual(t, got, want)
-}
-
-// TestRunJSQStaysSequential: JSQ routing depends on queue state, so it must
-// not implement the preassigned fast path.
-func TestRunJSQStaysSequential(t *testing.T) {
-	if _, ok := interface{}(JSQ{}).(Preassigner); ok {
-		t.Fatal("JSQ must not implement Preassigner: its routing is state-dependent")
+	f.workers, f.sliceJobs = arm.workers, arm.sliceJobs
+	if _, err := f.ServeSource(&sliceSource{jobs: jobs}); err != nil {
+		t.Fatalf("%s %s: %v", disp.Name(), arm.name, err)
 	}
-}
-
-// TestRunParallelRejectsBadPreassign: an out-of-range preassignment must
-// surface as an error, mirroring the sequential dispatcher check.
-type badPreassigner struct{ RoundRobin }
-
-func (badPreassigner) Preassign(k int, jobs []queue.Job, dst []int) {
-	for i := range jobs {
-		dst[i] = k // out of range
+	res, err := f.Finish(f.LastFree())
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }
 
-func TestRunParallelRejectsBadPreassign(t *testing.T) {
-	src := &sliceSource{jobs: expJobs(100, 8, 5, 5)}
-	if _, err := DispatchSource(3, testCfg(), &badPreassigner{}, src, DispatchOptions{Parallel: true}); err == nil {
-		t.Fatal("out-of-range preassignment accepted")
+// TestFinishJobShareCountsSelectViews: jobs served through a Select view
+// count toward the parent farm's job shares, which come from what each
+// engine served.
+func TestFinishJobShareCountsSelectViews(t *testing.T) {
+	f, err := New(3, testCfg(), JSQ{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := f.Select(nil, []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := view.ServeSource(&sliceSource{jobs: expJobs(1000, 12, 5, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Finish(f.LastFree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Jobs != 1000 || res.PerServer[1].Jobs != 0 || res.PerServer[0].Jobs == 0 || res.PerServer[2].Jobs == 0 {
+		t.Fatalf("per-server jobs %d/%d/%d of %d, want all on servers 0 and 2",
+			res.PerServer[0].Jobs, res.PerServer[1].Jobs, res.PerServer[2].Jobs, res.Jobs)
+	}
+	for i, share := range res.JobShare {
+		if want := float64(res.PerServer[i].Jobs) / float64(res.Jobs); share != want {
+			t.Errorf("server %d share %v, want %v (%d of %d jobs)", i, share, want, res.PerServer[i].Jobs, res.Jobs)
+		}
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 
 // This file is the fleet-scale routing index: O(log k) per-job decisions for
 // the state-dependent dispatchers, proven bit-identical to their O(k) linear
-// scans. The sliced parallel driver builds one index per farm and routes every
-// job of a homogeneous farm through it; farms whose servers run different
-// configurations, and dispatchers without an index, take the linear
-// RouteVirtual arm.
+// scans. The serve loop builds one index per farm and routes every job of a
+// uniform farm of at least indexFrom servers through it, on the inline and
+// pooled arms alike. Smaller farms (where the scan is cheaper), farms whose
+// servers run different configurations, and dispatchers without an index
+// take the linear RouteVirtual arm.
 //
 // The structures answer exactly the queries the linear comparators compute:
 //
@@ -37,16 +38,16 @@ import (
 // expression operation for operation (the equivalence suite in index_test.go
 // pins this across seeds, dispatchers and fleet sizes).
 
-// routeIndex is the O(log k) routing core the sliced driver consults. route
+// routeIndex is the O(log k) routing core the serve loop consults. route
 // both decides the server for j and commits the shadow advance — it writes
-// the new freeAt/anchor through the driver's shadow slices, so the
-// post-barrier engine resync still compares clean. reset rebuilds from the
-// shadow (after Farm.Reset, a new stream, or a resync mismatch); jobs within
-// one run must arrive in non-decreasing order, as everywhere else.
+// the new freeAt/anchor through the farm's shadow slices, so the pooled
+// arm's post-barrier engine resync still compares clean. reset rebuilds from
+// the shadow (after Farm.Reset, a new stream, or a resync mismatch); jobs
+// within one run must arrive in non-decreasing order, as everywhere else.
 type routeIndex interface {
 	reset(engCfg queue.Config)
 	route(j queue.Job) int
-	// rebind re-aliases the index to new shadow slices after the driver
+	// rebind re-aliases the index to new shadow slices after the farm
 	// resized them (a Select view's server count changed); the caller must
 	// reset before routing again.
 	rebind(freeAt, anchor []float64)
@@ -57,7 +58,7 @@ type routeIndex interface {
 // wrapper embedding JSQ or LeastWorkLeft would inherit a promoted index
 // constructor while overriding RouteVirtual, and the index would silently
 // route by the embedded semantics instead of the override. The returned index
-// routes against — and writes through — the driver's freeAt/anchor shadow
+// routes against — and writes through — the farm's freeAt/anchor shadow
 // slices, which must stay aliased for the index's lifetime.
 func newRouteIndexFor(disp Dispatcher, freeAt, anchor []float64) routeIndex {
 	switch disp.(type) {
@@ -89,12 +90,8 @@ func (t *minTree) init(k int) {
 		base <<= 1
 	}
 	t.k, t.base = k, base
-	if cap(t.key) < base {
-		t.key = make([]float64, base)
-		t.win = make([]int32, base)
-	}
-	t.key = t.key[:base]
-	t.win = t.win[:base]
+	t.key = resize(t.key, base)
+	t.win = resize(t.win, base)
 	for i := k; i < base; i++ {
 		t.key[i] = math.Inf(1)
 	}
@@ -164,7 +161,7 @@ func (t *minTree) leftmostLE(bound float64) int {
 // idle servers tie at backlog zero, linear scan keeps the first), the tree
 // minimum otherwise (backlog freeAt−t orders as freeAt).
 type jsqIndex struct {
-	freeAt []float64 // the driver's shadow, written through
+	freeAt []float64 // the farm's shadow, written through
 	anchor []float64
 	engCfg queue.Config
 	tree   minTree
@@ -202,19 +199,10 @@ type bucketBits struct {
 }
 
 func (b *bucketBits) init(words, sumWords int) {
-	b.bits = resizeUint64(b.bits, words)
-	b.sum = resizeUint64(b.sum, sumWords)
-}
-
-func resizeUint64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	b.bits = resize(b.bits, words)
+	b.sum = resize(b.sum, sumWords)
+	clear(b.bits)
+	clear(b.sum)
 }
 
 func (b *bucketBits) set(s int) {
@@ -261,14 +249,14 @@ type crossing struct {
 // exactly as the linear scan's strict-less loop resolves them.
 //
 // Pricing uses the configuration passed to reset — the engines' live shared
-// configuration — exactly as Pick prices from live engines, so indexed
-// routing stays bit-identical to the sequential dispatch even when the
+// configuration — exactly as the linear arm prices from its per-server
+// snapshot, so indexed routing stays bit-identical to the scan even when the
 // operating point switches between calls (the fleet coordinator's
 // epoch-boundary policy changes).
 type lwlIndex struct {
 	freeAt []float64
 	anchor []float64
-	engCfg queue.Config // the reset configuration: live pricing, like Pick
+	engCfg queue.Config // the reset configuration: live pricing
 
 	tree     minTree
 	buckets  []bucketBits // len(price.Phases) + 1
@@ -294,14 +282,11 @@ func (x *lwlIndex) reset(engCfg queue.Config) {
 	x.tree.build()
 
 	nb := len(x.engCfg.Phases) + 1
-	if cap(x.buckets) < nb {
-		x.buckets = make([]bucketBits, nb)
-	}
-	x.buckets = x.buckets[:nb]
+	x.buckets = resize(x.buckets, nb)
 	words := (k + 63) / 64
 	sumWords := (words + 63) / 64
-	x.wakes = resizeFloats(x.wakes, nb)
-	x.enters = resizeFloats(x.enters, nb-1)
+	x.wakes = resize(x.wakes, nb)
+	x.enters = resize(x.enters, nb-1)
 	for b := range x.buckets {
 		x.buckets[b].init(words, sumWords)
 		if b > 0 {
@@ -309,37 +294,13 @@ func (x *lwlIndex) reset(engCfg queue.Config) {
 			x.enters[b-1] = x.engCfg.Phases[b-1].EnterAfter
 		}
 	}
-	x.bucketOf = resizeInt32(x.bucketOf, k)
-	x.gen = resizeUint32(x.gen, k)
+	x.bucketOf = resize(x.bucketOf, k)
+	x.gen = resize(x.gen, k)
+	clear(x.gen)
 	for s := range x.bucketOf {
 		x.bucketOf[s] = -1
 	}
 	x.heap = x.heap[:0]
-}
-
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func resizeUint32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		s = make([]uint32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 func (x *lwlIndex) route(j queue.Job) int {

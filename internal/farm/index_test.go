@@ -37,67 +37,35 @@ func indexedDispatchers() []struct {
 	}
 }
 
-// scanOnly hides a VirtualRouter's routing index: the wrapper is not one of
-// the exact types newRouteIndexFor recognizes, so the sliced driver routes
-// it on the linear arm with the wrapped dispatcher's own RouteVirtual — the
-// reference scan the index must match. Pick and Name are the wrapped
-// dispatcher's.
+// scanOnly hides a dispatcher's routing index: the wrapper is not one of the
+// exact types newRouteIndexFor recognizes, so the serve loop routes it on
+// the linear arm with the wrapped dispatcher's own (promoted) RouteVirtual —
+// the reference scan the index must match.
 type scanOnly struct{ Dispatcher }
-
-func (s scanOnly) RouteVirtual(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
-	return s.Dispatcher.(VirtualRouter).RouteVirtual(cfgs, freeAt, anchor, j)
-}
-
-// linearOnly forces a VirtualRouter onto the linear routing arm; other
-// dispatchers (the Preassigners) have only one sliced arm and pass through.
-func linearOnly(d Dispatcher) Dispatcher {
-	if _, ok := d.(VirtualRouter); ok {
-		return scanOnly{d}
-	}
-	return d
-}
 
 // TestRoutingIndexEquivalenceFullDispatch pins indexed routing to the linear
 // scans through complete simulations: for every dispatcher, seed and fleet
-// size, the sequential Pick dispatch, the sliced dispatch on the linear arm
-// (the dispatcher wrapped by linearOnly) and the sliced dispatch through the
-// index must produce bit-identical results. k = 1 degenerates the tree to a
-// single leaf; 7 is a non-power of two (padded leaves in play); 1000 runs the
-// descent ten levels deep.
+// size, the oracle, DispatchSource on the linear arm (the dispatcher wrapped
+// in scanOnly) and DispatchSource as built must produce bit-identical
+// results. Below indexFrom both dispatches scan; at k = 64 the index routes
+// inline, and at k = 1000 on the pooled arm when the pool has two or more
+// executors, its descent ten levels deep.
 func TestRoutingIndexEquivalenceFullDispatch(t *testing.T) {
-	for _, k := range []int{1, 7, 1000} {
+	for _, k := range []int{1, 7, 64, 1000} {
 		jobs := 20000
 		if k >= 1000 {
 			jobs = 4000 // the O(k)-per-job reference paths dominate the cost
 		}
-		// Every dispatch path — Pick, the index and the linear arm — prices
-		// least-work-left from the engines' live configuration.
-		disps := []struct {
-			name string
-			mk   func() Dispatcher
-		}{
-			{"round-robin", func() Dispatcher { return &RoundRobin{} }},
-			{"random", func() Dispatcher { return &Random{Rng: rand.New(rand.NewSource(77))} }},
-			{"jsq", func() Dispatcher { return JSQ{} }},
-			{"pd2", func() Dispatcher { return &PowerOfD{D: 2, Rng: rand.New(rand.NewSource(55))} }},
-			{"pd3", func() Dispatcher { return &PowerOfD{D: 3, Rng: rand.New(rand.NewSource(56))} }},
-			{"lwl", func() Dispatcher { return &LeastWorkLeft{} }},
-		}
 		for _, seed := range []int64{1, 2, 3} {
 			stream := expJobs(jobs, 10*float64(k), 5, seed)
-			for _, d := range disps {
-				want, err := DispatchSource(k, deepCfg(), d.mk(), &sliceSource{jobs: stream}, DispatchOptions{})
-				if err != nil {
-					t.Fatalf("k=%d seed=%d %s sequential: %v", k, seed, d.name, err)
-				}
-				indexed, err := DispatchSource(k, deepCfg(), d.mk(), &sliceSource{jobs: stream},
-					DispatchOptions{Parallel: true, SliceJobs: 777})
+			for _, d := range dispatchers() {
+				want := refRun(t, k, deepCfg(), d.mk(), stream)
+				indexed, err := DispatchSource(k, deepCfg(), d.mk(), &sliceSource{jobs: stream})
 				if err != nil {
 					t.Fatalf("k=%d seed=%d %s indexed: %v", k, seed, d.name, err)
 				}
 				requireResultsEqual(t, indexed, want)
-				linear, err := DispatchSource(k, deepCfg(), linearOnly(d.mk()), &sliceSource{jobs: stream},
-					DispatchOptions{Parallel: true, SliceJobs: 777})
+				linear, err := DispatchSource(k, deepCfg(), scanOnly{d.mk()}, &sliceSource{jobs: stream})
 				if err != nil {
 					t.Fatalf("k=%d seed=%d %s linear: %v", k, seed, d.name, err)
 				}
@@ -126,11 +94,11 @@ func shadowState(k int, seed int64) (freeAt, anchor []float64) {
 }
 
 // routeLinearReference advances one job through the linear-scan reference
-// path exactly as the sliced driver's linear arm does: RouteVirtual over the
+// path exactly as the pooled arm's linear routing does: RouteVirtual over the
 // per-server configuration snapshot, then the shadow commit under the picked
 // server's configuration.
 func routeLinearReference(disp Dispatcher, cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
-	s := disp.(VirtualRouter).RouteVirtual(cfgs, freeAt, anchor, j)
+	s := disp.RouteVirtual(cfgs, freeAt, anchor, j)
 	nf := cfgs[s].NextFreeAtAnchored(freeAt[s], anchor[s], j)
 	freeAt[s], anchor[s] = nf, nf
 	return s
@@ -139,13 +107,30 @@ func routeLinearReference(disp Dispatcher, cfgs []queue.Config, freeAt, anchor [
 // TestRoutingIndexEquivalence10k drives the indexes decision by decision
 // against the linear scans at fleet scale — k = 10,000, where a full farm
 // comparison would be dominated by engine accounting — asserting every routing
-// decision and the final shadow agree bitwise. The least-work-left cases
-// price two different engine configurations, both from the configuration
-// the index was reset with, exactly as the linear arm prices from its
-// snapshot. One index instance is reused across all seeds of a case via
-// reset, which is the rebuild path the sliced driver exercises per call.
+// decision and the final shadow agree bitwise.
 func TestRoutingIndexEquivalence10k(t *testing.T) {
-	const k = 10000
+	requireIndexMatchesScan(t, 10000, 2000, 300)
+}
+
+// TestRoutingIndexEquivalenceBelowThreshold drives the indexes decision by
+// decision at k ∈ {1, 7}: below indexFrom full dispatch never reaches them,
+// but a one-leaf tree and padded leaves must still route exactly.
+func TestRoutingIndexEquivalenceBelowThreshold(t *testing.T) {
+	for _, k := range []int{1, 7} {
+		requireIndexMatchesScan(t, k, 4000, 2*float64(k))
+	}
+}
+
+// requireIndexMatchesScan routes n-job streams at rate lambda through each
+// index and through routeLinearReference over a randomized shadow of k
+// servers, failing on the first differing decision or final shadow. The
+// least-work-left cases price two different engine configurations, both from
+// the configuration the index was reset with, exactly as the linear arm
+// prices from its snapshot. One index instance is reused across all seeds of
+// a case via reset, which is the rebuild path the serve loop exercises per
+// call.
+func requireIndexMatchesScan(t *testing.T, k, n int, lambda float64) {
+	t.Helper()
 	slowEng := deepCfg()
 	slowEng.Frequency = 0.8
 	cases := []struct {
@@ -166,7 +151,7 @@ func TestRoutingIndexEquivalence10k(t *testing.T) {
 		var idx routeIndex
 		var idxFree, idxAnchor []float64
 		for _, seed := range []int64{1, 2, 3} {
-			stream := expJobs(2000, 300, 5, seed)
+			stream := expJobs(n, lambda, 5, seed)
 			linFree, linAnchor := shadowState(k, seed*101)
 			if idx == nil {
 				idxFree = make([]float64, k)
@@ -183,14 +168,14 @@ func TestRoutingIndexEquivalence10k(t *testing.T) {
 				want := routeLinearReference(disp, cfgs, linFree, linAnchor, j)
 				got := idx.route(j)
 				if got != want {
-					t.Fatalf("%s seed=%d job %d (t=%g): indexed route %d, linear route %d",
-						tc.name, seed, i, j.Arrival, got, want)
+					t.Fatalf("k=%d %s seed=%d job %d (t=%g): indexed route %d, linear route %d",
+						k, tc.name, seed, i, j.Arrival, got, want)
 				}
 			}
 			for s := range linFree {
 				if idxFree[s] != linFree[s] || idxAnchor[s] != linAnchor[s] {
-					t.Fatalf("%s seed=%d: shadow diverges at server %d: indexed (%.17g, %.17g) linear (%.17g, %.17g)",
-						tc.name, seed, s, idxFree[s], idxAnchor[s], linFree[s], linAnchor[s])
+					t.Fatalf("k=%d %s seed=%d: shadow diverges at server %d: indexed (%.17g, %.17g) linear (%.17g, %.17g)",
+						k, tc.name, seed, s, idxFree[s], idxAnchor[s], linFree[s], linAnchor[s])
 				}
 			}
 		}
@@ -200,43 +185,47 @@ func TestRoutingIndexEquivalence10k(t *testing.T) {
 // TestRoutingIndexRebuildAfterReset is the index lifecycle property: a warm
 // farm Reset and re-served — same stream or a different one — must match a
 // fresh farm bit for bit, which forces the cached index (and the anchored
-// shadow) to rebuild correctly instead of leaking state across runs.
+// shadow) to rebuild correctly instead of leaking state across runs. k = 64
+// routes through the index inline; k = 300 on the pooled arm when the pool
+// has two or more executors.
 func TestRoutingIndexRebuildAfterReset(t *testing.T) {
-	const k = 64
-	streamA := expJobs(8000, 400, 5, 7)
-	streamB := expJobs(5000, 250, 4, 8)
-	for _, d := range indexedDispatchers() {
-		f, err := New(k, deepCfg(), d.mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		serve := func(stream []queue.Job) Summary {
-			t.Helper()
-			if err := f.Reset(deepCfg()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.ServeSourceSliced(&sliceSource{jobs: stream}, DispatchOptions{Parallel: true, SliceJobs: 333}); err != nil {
-				t.Fatalf("%s: %v", d.name, err)
-			}
-			return f.FinishSummary(f.LastFree())
-		}
-		fresh := func(stream []queue.Job) Summary {
-			t.Helper()
-			res, err := DispatchSource(k, deepCfg(), d.mk(), &sliceSource{jobs: stream}, DispatchOptions{})
+	for _, k := range []int{64, 300} {
+		streamA := expJobs(8000, 6*float64(k), 5, 7)
+		streamB := expJobs(5000, 4*float64(k), 4, 8)
+		for _, d := range indexedDispatchers() {
+			f, err := New(k, deepCfg(), d.mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return Summary{Jobs: res.Jobs, MeanResponse: res.MeanResponse, TotalAvgPower: res.TotalAvgPower, Energy: res.Energy}
-		}
-		wantA, wantB := fresh(streamA), fresh(streamB)
-		// Warm runs: A, then B (different stream through the same index),
-		// then A again (rebuild after serving something else).
-		for i, c := range []struct {
-			stream []queue.Job
-			want   Summary
-		}{{streamA, wantA}, {streamB, wantB}, {streamA, wantA}} {
-			if got := serve(c.stream); got != c.want {
-				t.Fatalf("%s run %d: warm farm %+v, fresh farm %+v", d.name, i, got, c.want)
+			f.sliceJobs = 333
+			serve := func(stream []queue.Job) Summary {
+				t.Helper()
+				if err := f.Reset(deepCfg()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.ServeSource(&sliceSource{jobs: stream}); err != nil {
+					t.Fatalf("%s: %v", d.name, err)
+				}
+				return f.FinishSummary(f.LastFree())
+			}
+			fresh := func(stream []queue.Job) Summary {
+				t.Helper()
+				res, err := DispatchSource(k, deepCfg(), d.mk(), &sliceSource{jobs: stream})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Summary{Jobs: res.Jobs, MeanResponse: res.MeanResponse, TotalAvgPower: res.TotalAvgPower, Energy: res.Energy}
+			}
+			wantA, wantB := fresh(streamA), fresh(streamB)
+			// Warm runs: A, then B (different stream through the same index),
+			// then A again (rebuild after serving something else).
+			for i, c := range []struct {
+				stream []queue.Job
+				want   Summary
+			}{{streamA, wantA}, {streamB, wantB}, {streamA, wantA}} {
+				if got := serve(c.stream); got != c.want {
+					t.Fatalf("k=%d %s run %d: warm farm %+v, fresh farm %+v", k, d.name, i, got, c.want)
+				}
 			}
 		}
 	}
@@ -244,74 +233,93 @@ func TestRoutingIndexRebuildAfterReset(t *testing.T) {
 
 // TestSlicedDispatchAgreesAcrossIdleSwitch pins the anchored shadow: after a
 // SetConfigAt lands during an idle period (the idle anchor moves past
-// freeAt), the sliced dispatch — indexed and linear — must still route
-// exactly as the sequential Pick path. Before the anchor shadow both virtual
-// paths assumed anchor == freeAt and diverged here.
+// freeAt), the serve loop — indexed and linear, inline and pooled — must
+// still route exactly as the oracle reading live engines. Before the anchor
+// shadow both virtual paths assumed anchor == freeAt and diverged here.
 func TestSlicedDispatchAgreesAcrossIdleSwitch(t *testing.T) {
-	const k = 8
-	warm := expJobs(600, 40, 5, 3)
-	tail := expJobs(600, 40, 5, 4)
-	switchAt := warm[len(warm)-1].Arrival + 1.5 // inside the idle gap for most servers
-	for i := range tail {
-		tail[i].Arrival += switchAt + 0.5
-	}
-	for _, d := range indexedDispatchers() {
-		serve := func(disp Dispatcher, opts DispatchOptions) Summary {
-			t.Helper()
-			f, err := New(k, deepCfg(), disp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(stream []queue.Job) {
+	for _, k := range []int{8, 64, 300} {
+		warm := expJobs(600, 5*float64(k), 5, 3)
+		tail := expJobs(600, 5*float64(k), 5, 4)
+		switchAt := warm[len(warm)-1].Arrival + 1.5 // inside the idle gap for most servers
+		for i := range tail {
+			tail[i].Arrival += switchAt + 0.5
+		}
+		for _, d := range indexedDispatchers() {
+			serve := func(disp Dispatcher, oracle bool) Summary {
 				t.Helper()
-				if opts.Parallel {
-					if _, err := f.ServeSourceSliced(&sliceSource{jobs: stream}, opts); err != nil {
-						t.Fatalf("%s: %v", d.name, err)
-					}
-				} else if _, err := f.ServeSource(&sliceSource{jobs: stream}); err != nil {
-					t.Fatalf("%s: %v", d.name, err)
-				}
-			}
-			run(warm)
-			for s := 0; s < k; s++ {
-				if err := f.Server(s).SetConfigAt(switchAt, deepCfg()); err != nil {
+				f, err := New(k, deepCfg(), disp)
+				if err != nil {
 					t.Fatal(err)
 				}
+				f.sliceJobs = 97
+				run := func(stream []queue.Job) {
+					t.Helper()
+					if oracle {
+						refServe(t, f, disp, stream)
+					} else if _, err := f.ServeSource(&sliceSource{jobs: stream}); err != nil {
+						t.Fatalf("%s: %v", d.name, err)
+					}
+				}
+				run(warm)
+				for s := 0; s < k; s++ {
+					if err := f.Server(s).SetConfigAt(switchAt, deepCfg()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				run(tail)
+				return f.FinishSummary(f.LastFree())
 			}
-			run(tail)
-			return f.FinishSummary(f.LastFree())
-		}
-		want := serve(d.mk(), DispatchOptions{})
-		if got := serve(d.mk(), DispatchOptions{Parallel: true, SliceJobs: 97}); got != want {
-			t.Fatalf("%s indexed diverges across idle switch:\n got %+v\nwant %+v", d.name, got, want)
-		}
-		if got := serve(linearOnly(d.mk()), DispatchOptions{Parallel: true, SliceJobs: 97}); got != want {
-			t.Fatalf("%s linear diverges across idle switch:\n got %+v\nwant %+v", d.name, got, want)
+			want := serve(d.mk(), true)
+			if got := serve(d.mk(), false); got != want {
+				t.Fatalf("k=%d %s diverges across idle switch:\n got %+v\nwant %+v", k, d.name, got, want)
+			}
+			if got := serve(scanOnly{d.mk()}, false); got != want {
+				t.Fatalf("k=%d %s linear diverges across idle switch:\n got %+v\nwant %+v", k, d.name, got, want)
+			}
 		}
 	}
 }
 
-// TestSlicedDispatchStaysPooled fails if the sliced parallel mode's per-slice
-// fan-out ran inline serial on a multi-executor pool — the silent degradation
-// the run-queue pool redesign removed. On a single-executor default pool the
-// parallel path is structurally serial, so there is nothing to assert.
+// TestSlicedDispatchStaysPooled pins which serving arm runs, through the
+// worker pool's counters: a one-executor call and a farm below inlineBelow
+// never submit to the pool, and a farm at or above it, on a pool with two or
+// more executors, submits every slice to the pool and runs none inline — the
+// silent degradation the run-queue pool redesign removed.
 func TestSlicedDispatchStaysPooled(t *testing.T) {
 	pool := par.Default()
-	if pool.Size() < 2 {
-		t.Skipf("default pool has %d executor(s); parallel path is structurally serial here", pool.Size())
-	}
-	before := pool.Stats()
+	const sliceJobs = 512
 	jobs := expJobs(20000, 40, 5, 9)
-	if _, err := DispatchSource(16, deepCfg(), JSQ{}, &sliceSource{jobs: jobs},
-		DispatchOptions{Parallel: true, SliceJobs: 512}); err != nil {
-		t.Fatal(err)
-	}
-	after := pool.Stats()
-	if after.Inline != before.Inline {
-		t.Errorf("sliced dispatch ran %d slice barriers inline serial on a %d-executor pool",
-			after.Inline-before.Inline, pool.Size())
-	}
-	if after.Pooled == before.Pooled {
-		t.Error("sliced dispatch never reached the worker pool")
+	slices := int64((len(jobs) + sliceJobs - 1) / sliceJobs)
+	for _, tc := range []struct {
+		name    string
+		k       int
+		workers int
+		pooled  int64
+	}{
+		{"one executor", 300, 1, 0},
+		{"below inlineBelow", 16, 0, 0},
+		{"above inlineBelow", 300, 0, slices},
+	} {
+		if tc.pooled > 0 && pool.Size() < 2 {
+			t.Logf("%s: default pool has %d executor(s); the pooled arm is unreachable here", tc.name, pool.Size())
+			continue
+		}
+		f, err := New(tc.k, deepCfg(), JSQ{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.workers, f.sliceJobs = tc.workers, sliceJobs
+		before := pool.Stats()
+		if _, err := f.ServeSource(&sliceSource{jobs: jobs}); err != nil {
+			t.Fatal(err)
+		}
+		after := pool.Stats()
+		if after.Inline != before.Inline {
+			t.Errorf("%s: %d slice barriers ran inline serial on a %d-executor pool",
+				tc.name, after.Inline-before.Inline, pool.Size())
+		}
+		if got := after.Pooled - before.Pooled; got != tc.pooled {
+			t.Errorf("%s: %d pool submissions, want %d", tc.name, got, tc.pooled)
+		}
 	}
 }

@@ -30,68 +30,90 @@ func maskedPick(f *Farm, disp Dispatcher, healthy []int, j queue.Job) int {
 	return best
 }
 
+// servers lists the indices s in [0, k) with keep(s).
+func servers(k int, keep func(s int) bool) []int {
+	var out []int
+	for s := 0; s < k; s++ {
+		if keep(s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // TestSelectViewMatchesMaskedScan pins the tentpole routing contract: serving
-// through a Select view — on the O(log k) index and the linear arm — routes
-// every job to exactly the server a masked linear scan over the full farm
-// (down servers skipped) would pick, with bit-identical responses.
+// through a Select view — on the O(log k) index and the linear arm, inline
+// and pooled — routes every job to exactly the server a masked linear scan
+// over the full farm (down servers skipped) would pick, with bit-identical
+// responses. The 7-server view scans; the 67-server view routes through the
+// index inline, and the 480-server view on the pooled arm when the pool has
+// two or more executors.
 func TestSelectViewMatchesMaskedScan(t *testing.T) {
-	const k = 16
-	healthy := []int{0, 2, 3, 7, 8, 9, 14}
-	jobs := expJobs(4000, 10*float64(len(healthy)), 5, 11)
+	for _, tc := range []struct {
+		k       int
+		healthy []int
+	}{
+		{16, []int{0, 2, 3, 7, 8, 9, 14}},
+		{100, servers(100, func(s int) bool { return s%3 != 1 })},
+		{600, servers(600, func(s int) bool { return s%5 != 2 })},
+	} {
+		k, healthy := tc.k, tc.healthy
+		jobs := expJobs(4000, 10*float64(len(healthy)), 5, 11)
 
-	for _, d := range indexedDispatchers() {
-		// Reference: masked sequential scan over the full farm.
-		ref, err := New(k, deepCfg(), d.mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		refResp := make([]float64, len(jobs))
-		refSrv := make([]int, len(jobs))
-		for i, j := range jobs {
-			s := maskedPick(ref, ref.disp, healthy, j)
-			r, err := ref.engines[s].Process(j)
-			if err != nil {
-				t.Fatalf("%s ref job %d: %v", d.name, i, err)
-			}
-			refResp[i], refSrv[i] = r, s
-		}
-
-		for _, linear := range []bool{false, true} {
-			disp := d.mk()
-			if linear {
-				disp = linearOnly(disp)
-			}
-			full, err := New(k, deepCfg(), disp)
+		for _, d := range indexedDispatchers() {
+			// Reference: masked sequential scan over the full farm.
+			ref, err := New(k, deepCfg(), d.mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			view, err := full.Select(nil, healthy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp := make([]float64, len(jobs))
-			srv := make([]int, len(jobs))
-			view.RecordServe(resp, srv)
-			n, err := view.ServeSourceSliced(&sliceSource{jobs: jobs},
-				DispatchOptions{Parallel: true, SliceJobs: 333})
-			if err != nil {
-				t.Fatalf("%s linear=%v: %v", d.name, linear, err)
-			}
-			if n != len(jobs) {
-				t.Fatalf("%s linear=%v served %d of %d", d.name, linear, n, len(jobs))
-			}
-			for i := range jobs {
-				if got := healthy[srv[i]]; got != refSrv[i] {
-					t.Fatalf("%s linear=%v job %d routed to %d, masked scan picked %d", d.name, linear, i, got, refSrv[i])
+			refResp := make([]float64, len(jobs))
+			refSrv := make([]int, len(jobs))
+			for i, j := range jobs {
+				s := maskedPick(ref, ref.disp, healthy, j)
+				r, err := ref.engines[s].Process(j)
+				if err != nil {
+					t.Fatalf("%s ref job %d: %v", d.name, i, err)
 				}
-				if resp[i] != refResp[i] {
-					t.Fatalf("%s linear=%v job %d response %g != %g", d.name, linear, i, resp[i], refResp[i])
-				}
+				refResp[i], refSrv[i] = r, s
 			}
-			// Engine-level totals agree server for server.
-			for _, s := range healthy {
-				if g, w := full.engines[s].Snapshot(), ref.engines[s].Snapshot(); g != w {
-					t.Fatalf("%s linear=%v server %d totals %+v != %+v", d.name, linear, s, g, w)
+
+			for _, linear := range []bool{false, true} {
+				disp := d.mk()
+				if linear {
+					disp = scanOnly{disp}
+				}
+				full, err := New(k, deepCfg(), disp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				view, err := full.Select(nil, healthy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				view.sliceJobs = 333
+				resp := make([]float64, len(jobs))
+				srv := make([]int, len(jobs))
+				view.RecordServe(resp, srv)
+				n, err := view.ServeSource(&sliceSource{jobs: jobs})
+				if err != nil {
+					t.Fatalf("k=%d %s linear=%v: %v", k, d.name, linear, err)
+				}
+				if n != len(jobs) {
+					t.Fatalf("k=%d %s linear=%v served %d of %d", k, d.name, linear, n, len(jobs))
+				}
+				for i := range jobs {
+					if got := healthy[srv[i]]; got != refSrv[i] {
+						t.Fatalf("k=%d %s linear=%v job %d routed to %d, masked scan picked %d", k, d.name, linear, i, got, refSrv[i])
+					}
+					if resp[i] != refResp[i] {
+						t.Fatalf("k=%d %s linear=%v job %d response %g != %g", k, d.name, linear, i, resp[i], refResp[i])
+					}
+				}
+				// Engine-level totals agree server for server.
+				for _, s := range healthy {
+					if g, w := full.engines[s].Snapshot(), ref.engines[s].Snapshot(); g != w {
+						t.Fatalf("k=%d %s linear=%v server %d totals %+v != %+v", k, d.name, linear, s, g, w)
+					}
 				}
 			}
 		}
@@ -100,14 +122,16 @@ func TestSelectViewMatchesMaskedScan(t *testing.T) {
 
 // TestSelectViewResize drives one reused view through subsets of different
 // sizes — the crash/repair cadence — checking the resized scratch and the
-// rebound routing index stay bit-identical to fresh views.
+// rebound routing index stay bit-identical to fresh views, as the view moves
+// between the pooled and inline arms and between the index and the scan.
 func TestSelectViewResize(t *testing.T) {
-	const k = 12
+	const k = 400
 	phases := [][]int{
-		{0, 1, 2, 3, 4, 5, 6, 7},
-		{0, 2, 4, 6, 8},
-		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		servers(k, func(s int) bool { return s < 300 }),
+		servers(k, func(s int) bool { return s%2 == 0 }),
+		servers(k, func(s int) bool { return s <= 10 }),
 		{3, 11},
+		servers(k, func(s int) bool { return s >= 50 }),
 	}
 	for _, d := range indexedDispatchers() {
 		reused, err := New(k, deepCfg(), d.mk())
@@ -131,10 +155,11 @@ func TestSelectViewResize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			view.sliceJobs = 256
 			respA := make([]float64, len(jobs))
 			srvA := make([]int, len(jobs))
 			view.RecordServe(respA, srvA)
-			if _, err := view.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{Parallel: true, SliceJobs: 256}); err != nil {
+			if _, err := view.ServeSource(&sliceSource{jobs: jobs}); err != nil {
 				t.Fatalf("%s phase %d reused: %v", d.name, pi, err)
 			}
 
@@ -142,10 +167,11 @@ func TestSelectViewResize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			fv.sliceJobs = 256
 			respB := make([]float64, len(jobs))
 			srvB := make([]int, len(jobs))
 			fv.RecordServe(respB, srvB)
-			if _, err := fv.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{Parallel: true, SliceJobs: 256}); err != nil {
+			if _, err := fv.ServeSource(&sliceSource{jobs: jobs}); err != nil {
 				t.Fatalf("%s phase %d fresh: %v", d.name, pi, err)
 			}
 			for i := range jobs {

@@ -9,8 +9,8 @@
 //     utilization predictor (fed the demand actually routed to it) and its
 //     own Strategy decision each epoch, so a skewed fleet runs a different
 //     (frequency, sleep-plan) pair per server. Routing prices each server
-//     from its own live configuration (the sliced dispatch path's linear
-//     arm hands every farm.VirtualRouter the per-server configurations).
+//     from its own live configuration (the farm serve loop's linear arm
+//     hands every farm.Dispatcher the per-server configurations).
 //
 //   - Coordinated, staggered sleep: Config.Quorum = Q caps a rotating duty
 //     window of Q active servers to sleep states no deeper than C1, so deep
@@ -50,8 +50,9 @@
 // The epoch cycle is the exact decide→serve→observe loop of the batch
 // runners. The serve step is one path, fault injection or not: a segment
 // walker that cuts the epoch at fault events (none without Config.Faults)
-// and serves each segment on the sharded worker pool via
-// farm.ServeSourceSliced between policy switches. A shared-mode run with
+// and serves each segment through farm.Farm.ServeSource between policy
+// switches — inline on small fleets, on the sharded worker pool from the
+// farm's pooling threshold up. A shared-mode run with
 // no quorum and no parking is the homogeneous farm epoch run: with one
 // server it matches core.RunSource bit for bit, and the equivalence suite
 // pins its per-epoch records and aggregates to recorded digests across

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"sleepscale/internal/farm"
 	"sleepscale/internal/fault"
 	"sleepscale/internal/queue"
 )
@@ -155,7 +154,7 @@ func (c *Coordinator) serveSegment(base int) error {
 	c.eSrv = slices.Grow(c.eSrv, n)[:base+n]
 	c.view.RecordServe(c.eResp[base:], c.eSrv[base:])
 	c.src.jobs, c.src.pos = seg, 0
-	if _, err := c.view.ServeSourceSliced(&c.src, farm.DispatchOptions{}); err != nil {
+	if _, err := c.view.ServeSource(&c.src); err != nil {
 		return fmt.Errorf("fleet: epoch %d: %w", c.epoch, err)
 	}
 	for i := base; i < base+n; i++ {

@@ -47,10 +47,9 @@ type Config struct {
 	PerServer bool
 	// Seed drives the strategy's bootstrap resampling via core.DecideSeed.
 	Seed int64
-	// Dispatcher routes jobs over the active servers. It must support the
-	// sliced dispatch path (Preassigner or VirtualRouter); the driver hands
-	// every VirtualRouter each server's live configuration, so per-server
-	// policies route exactly.
+	// Dispatcher routes jobs over the active servers. The farm hands its
+	// RouteVirtual each server's live configuration, so per-server policies
+	// route exactly.
 	Dispatcher farm.Dispatcher
 	// Quorum, when positive, keeps a rotating duty window of min(Quorum,
 	// active) servers no deeper than C1 each epoch. Must not exceed Servers.
@@ -465,7 +464,7 @@ func (c *Coordinator) resetRun(src stream.Source) error {
 // skipped everywhere. Without fault injection both lists are ascending
 // prefixes of the fleet.
 func (c *Coordinator) openEpoch(epochStart float64) error {
-	perSrv := c.cfg.PerServer
+	perServer := c.cfg.PerServer
 	prevAct := c.actList
 	c.epCrash, c.epRepair, c.epLost, c.epDrop = 0, 0, 0, 0
 
@@ -473,7 +472,7 @@ func (c *Coordinator) openEpoch(epochStart float64) error {
 	// while parked, so feeding them would only teach them zeros. Down
 	// servers' predictors are frozen the same way.
 	var sharedPred float64
-	if perSrv {
+	if perServer {
 		for _, s := range prevAct {
 			c.rawPred[s] = core.ClampRho(c.preds[s].Predict())
 		}
@@ -489,7 +488,7 @@ func (c *Coordinator) openEpoch(epochStart float64) error {
 	m := h
 	if c.cfg.Park {
 		w := 0.0
-		if perSrv {
+		if perServer {
 			for _, s := range prevAct {
 				w += c.rawPred[s]
 			}
@@ -518,7 +517,7 @@ func (c *Coordinator) openEpoch(epochStart float64) error {
 	for _, s := range c.newAct {
 		c.inNew[s] = true
 		if !c.inPrev[s] { // servers about to unpark need forecasts too
-			if perSrv {
+			if perServer {
 				c.rawPred[s] = core.ClampRho(c.preds[s].Predict())
 			}
 			c.parked[s] = false
@@ -538,7 +537,7 @@ func (c *Coordinator) openEpoch(epochStart float64) error {
 	// down there is nobody to decide for: the RNG is not consumed and the
 	// previous recommendation stands in the epoch record.
 	if len(c.newAct) > 0 {
-		if perSrv {
+		if perServer {
 			sum := 0.0
 			for _, s := range c.newAct {
 				pol, err := c.decide(c.rawPred[s])

@@ -270,7 +270,7 @@ func (s *Simulator) Process(j queue.Job) (float64, error) {
 	s.lastSeen = j.Arrival
 	svc := j.Size / s.cfg.speed()
 
-	// Pick the core: among idle cores the most recently idled (shallowest
+	// Choose the core: among idle cores the most recently idled (shallowest
 	// state, cheapest wake); with none idle, the earliest to free (FCFS).
 	best, bestIdle := -1, false
 	for i := range s.cores {

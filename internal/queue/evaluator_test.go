@@ -310,49 +310,3 @@ func TestEvaluatorZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("steady-state Evaluate allocates %v/op across %d configs, want 0", allocs, len(cases))
 	}
 }
-
-// TestSimulateSummaryMatchesSimulate: the pooled one-shot path must agree
-// with Simulate bit for bit on every scalar, across plan shapes and the
-// warm-up option — the cold path with the warm path's allocation profile.
-func TestSimulateSummaryMatchesSimulate(t *testing.T) {
-	jobs := evalJobs(t, 3000, 77)
-	for _, opts := range []queue.Options{{}, {Warmup: 400}} {
-		for _, tc := range evaluatorCases() {
-			res, err := queue.Simulate(jobs, tc.cfg, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			sum, err := queue.SimulateSummary(jobs, tc.cfg, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			requireSummaryEqualsResult(t, sum, res)
-		}
-	}
-	// Error paths surface like Simulate's.
-	if _, err := queue.SimulateSummary(jobs, queue.Config{}, queue.Options{}); err == nil {
-		t.Error("invalid config accepted")
-	}
-}
-
-// TestSimulateSummaryZeroAllocSteadyState pins the pooled one-shot path's
-// contract: once the evaluator pool is warm, SimulateSummary allocates
-// nothing.
-func TestSimulateSummaryZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	jobs := evalJobs(t, 2000, 78)
-	cfg := goldenConfig()
-	if _, err := queue.SimulateSummary(jobs, cfg, queue.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(5, func() {
-		if _, err := queue.SimulateSummary(jobs, cfg, queue.Options{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state SimulateSummary allocates %.1f/run, want 0", avg)
-	}
-}

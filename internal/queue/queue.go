@@ -759,20 +759,6 @@ func Simulate(jobs []Job, cfg Config, opts Options) (Result, error) {
 	return eng.Finish(eng.freeAt)
 }
 
-// SimulateSummary is the pooled one-shot variant of Simulate: the same
-// Algorithm 1 run over the same stream, but the engine — and with it the
-// response sample, the sorted percentile scratch and the residency tally —
-// is drawn from the evaluator pool and returned to it, and the result is the
-// scalar Summary, which never aliases pooled storage. Cold-path callers that
-// need only aggregates (no residency map, no raw sample) therefore simulate
-// with the warm path's allocation profile: zero steady-state allocations
-// once the pool is warm. The scalar fields are bit-identical to Simulate's.
-func SimulateSummary(jobs []Job, cfg Config, opts Options) (Summary, error) {
-	ev := GetEvaluator(jobs, opts)
-	defer ev.Release()
-	return ev.Evaluate(cfg)
-}
-
 // JobSource is the minimal pull interface the streaming drivers consume: it
 // fills buf with the next jobs in non-decreasing arrival order, returning
 // the count and whether more may follow (the stream package's Source
@@ -780,42 +766,6 @@ func SimulateSummary(jobs []Job, cfg Config, opts Options) (Summary, error) {
 // the drivers check after exhaustion.
 type JobSource interface {
 	Next(buf []Job) (n int, ok bool)
-}
-
-// sourceChunk sizes the drivers' pull buffers: the job-stream memory
-// high-water mark of a streamed run, independent of stream length.
-const sourceChunk = 256
-
-// SimulateSource is Simulate for streams that are never materialized: it
-// serves jobs pulled from src in chunk-sized batches under cfg, starting
-// idle at time 0 and ending the measurement at the last departure. Peak
-// job-buffer memory is one chunk regardless of stream length.
-func SimulateSource(src JobSource, cfg Config, opts Options) (Result, error) {
-	eng, err := NewEngine(cfg, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	var buf [sourceChunk]Job
-	served := 0
-	for {
-		n, ok := src.Next(buf[:])
-		for i := 0; i < n; i++ {
-			if _, err := eng.Process(buf[i]); err != nil {
-				return Result{}, fmt.Errorf("job %d: %w", served+i, err)
-			}
-		}
-		served += n
-		if !ok {
-			break
-		}
-	}
-	if es, ok := src.(interface{ Err() error }); ok {
-		if err := es.Err(); err != nil {
-			return Result{}, fmt.Errorf("queue: job source: %w", err)
-		}
-	}
-	eng.trimWarmup(opts)
-	return eng.Finish(eng.freeAt)
 }
 
 // run feeds a whole sorted stream through the engine and applies the warm-up

@@ -519,73 +519,6 @@ func TestWarmupLongerThanRunKeepsFullSample(t *testing.T) {
 	}
 }
 
-// chunkedSource adapts a job slice to JobSource with deliberately awkward
-// chunk boundaries, for SimulateSource equivalence.
-type chunkedSource struct {
-	jobs []Job
-	pos  int
-	step int
-}
-
-func (s *chunkedSource) Next(buf []Job) (int, bool) {
-	lim := s.step
-	if lim > len(buf) {
-		lim = len(buf)
-	}
-	n := copy(buf[:lim], s.jobs[s.pos:])
-	s.pos += n
-	return n, s.pos < len(s.jobs)
-}
-
-// TestSimulateSourceMatchesSimulate pins the streaming batch driver to the
-// materialized Simulate bit for bit, across chunk shapes and warm-up trims.
-func TestSimulateSourceMatchesSimulate(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	jobs := make([]Job, 5000)
-	tnow := 0.0
-	for i := range jobs {
-		tnow += rng.ExpFloat64() * 2
-		jobs[i] = Job{Arrival: tnow, Size: rng.ExpFloat64() * 0.5}
-	}
-	for _, opts := range []Options{{}, {Warmup: 100}} {
-		want, err := Simulate(jobs, handCfg(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, step := range []int{1, 7, 100000} {
-			got, err := SimulateSource(&chunkedSource{jobs: jobs, step: step}, handCfg(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Jobs != want.Jobs || got.MeanResponse != want.MeanResponse ||
-				got.ResponseP95 != want.ResponseP95 || got.Energy != want.Energy ||
-				got.Duration != want.Duration || got.Wakes != want.Wakes {
-				t.Fatalf("step %d warmup %d diverges:\n got %+v\nwant %+v",
-					step, opts.Warmup, got, want)
-			}
-		}
-	}
-}
-
-// erroringSource exposes a deferred error after its jobs run out.
-type erroringSource struct{ n int }
-
-func (s *erroringSource) Next(buf []Job) (int, bool) {
-	if s.n >= 3 || len(buf) == 0 {
-		return 0, false
-	}
-	buf[0] = Job{Arrival: float64(s.n), Size: 0.1}
-	s.n++
-	return 1, true
-}
-func (s *erroringSource) Err() error { return errors.New("synthetic source failure") }
-
-func TestSimulateSourceSurfacesSourceError(t *testing.T) {
-	if _, err := SimulateSource(&erroringSource{}, handCfg(), Options{}); err == nil {
-		t.Fatal("source error not surfaced")
-	}
-}
-
 // TestNextFreeAtMatchesEngine pins the dispatch shadow recursion to the
 // engine bit for bit: over a random multi-phase stream, Config.NextFreeAt
 // applied to the previous FreeAt must land exactly on the engine's FreeAt

@@ -10,11 +10,10 @@ import (
 )
 
 // ColTrace replays a KindTrace column file through the trace-driven
-// generation core — the columnar counterpart of CSVTrace, and bit-identical
-// to it (and to the materialized Trace source) for equal seeds, since all
-// three feed the same generator. On a mapped file a replay touches no
-// per-slot parsing and no per-chunk allocation: slots stream out of
-// zero-copy column views.
+// generation core — bit-identical to the materialized Trace source for
+// equal seeds, since both feed the same generator. On a mapped file a
+// replay touches no per-slot parsing and no per-chunk allocation: slots
+// stream out of zero-copy column views.
 func ColTrace(r *colstore.Reader, st workload.Stats, seed int64) (Source, error) {
 	s := r.Schema()
 	if s.Kind != colstore.KindTrace {

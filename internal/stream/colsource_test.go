@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -36,14 +35,10 @@ func jobsEqualBits(t *testing.T, label string, got, want []queue.Job) {
 }
 
 // TestColTraceMatchesCSVAndMaterialized pins the determinism contract: for
-// equal seeds, the columnar trace replay is bit-identical to the CSV replay
-// and to the materialized-trace source, across seeds and across Reset.
+// equal seeds, the columnar trace replay is bit-identical to the
+// materialized-trace source, across seeds and across Reset.
 func TestColTraceMatchesCSVAndMaterialized(t *testing.T) {
 	tr := trace.EmailStore(1, 3)
-	var csvBuf bytes.Buffer
-	if err := tr.WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
 	colPath := filepath.Join(t.TempDir(), "t.col")
 	if err := tr.WriteCol(colPath); err != nil {
 		t.Fatal(err)
@@ -67,16 +62,6 @@ func TestColTraceMatchesCSVAndMaterialized(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatal("empty reference stream")
 		}
-
-		csv, err := CSVTrace(bytes.NewReader(csvBuf.Bytes()), st, tr.SlotSeconds, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotCSV, err := Collect(csv, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobsEqualBits(t, "csv", gotCSV, want)
 
 		col, err := ColTrace(r, st, seed)
 		if err != nil {

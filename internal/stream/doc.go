@@ -18,7 +18,8 @@
 // is what makes streamed runs reproducible and comparable against
 // materialized ones.
 //
-// Sources that can fail mid-stream (CSV replay hitting a malformed row)
+// Sources that can fail mid-stream (a column trace replay hitting an
+// out-of-range slot)
 // additionally expose Err() error; the free function Err checks any source
 // for it. Drivers must check Err after exhaustion — a failing source simply
 // ends early.
@@ -33,8 +34,6 @@
 //   - Trace / workload.TraceGen: the streaming port of
 //     workload.Stats.TraceJobs — bit-identical to the materialized stream,
 //     one generation core, two drivers.
-//   - CSVTrace: row-at-a-time replay of a WriteCSV-format utilization
-//     trace through the same generation core (trace.SlotReader).
 //   - Stationary: a fixed-rate stream from workload statistics, the
 //     streaming analogue of Stats.Jobs bounded by a time horizon.
 //   - MMPP: a two-state (on/off) Markov-modulated Poisson process — the

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"io"
 	"math/rand"
 
 	"sleepscale/internal/queue"
@@ -125,34 +124,6 @@ func Collect(src Source, chunk int) ([]queue.Job, error) {
 // to the materialized stream for equal seeds, in O(1) generator state.
 func Trace(st workload.Stats, tr *trace.Trace, seed int64) (Source, error) {
 	return st.NewTraceGen(tr.Utilization, tr.SlotSeconds, seed)
-}
-
-// CSVTrace replays a WriteCSV-format utilization trace row at a time
-// through the trace-driven generation core, never materializing the trace:
-// the memory high-water mark is one CSV row plus the generator cursor.
-// Reset seeks r back to the start.
-func CSVTrace(r io.ReadSeeker, st workload.Stats, slotSeconds float64, seed int64) (Source, error) {
-	feed := &csvFeed{r: r}
-	if err := feed.ResetSlots(); err != nil {
-		return nil, err
-	}
-	return st.NewTraceGenFeed(feed, slotSeconds, seed)
-}
-
-// csvFeed adapts a seekable CSV stream to workload.SlotFeed.
-type csvFeed struct {
-	r  io.ReadSeeker
-	sr *trace.SlotReader
-}
-
-func (f *csvFeed) NextSlot() (float64, bool, error) { return f.sr.Next() }
-
-func (f *csvFeed) ResetSlots() error {
-	if _, err := f.r.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	f.sr = trace.NewSlotReader(f.r)
-	return nil
 }
 
 // Stationary is a fixed-rate source: cumulative inter-arrival samples and

@@ -1,10 +1,8 @@
 package stream_test
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"sleepscale/internal/dist"
@@ -128,41 +126,6 @@ func TestTraceSourceMatchesTraceJobs(t *testing.T) {
 	}
 	got := checkSourceContract(t, src, seed, "trace")
 	requireJobsEqual(t, got, want, "trace vs TraceJobs")
-}
-
-func TestCSVTraceSourceMatchesTraceSource(t *testing.T) {
-	st := fittedDNS(t)
-	tr := testTrace(t)
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	const seed = 9
-	direct, err := stream.Trace(st, tr, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustCollect(t, direct, 0)
-	src, err := stream.CSVTrace(bytes.NewReader(buf.Bytes()), st, tr.SlotSeconds, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := checkSourceContract(t, src, seed, "csv")
-	requireJobsEqual(t, got, want, "csv vs trace")
-}
-
-func TestCSVTraceSourceSurfacesParseError(t *testing.T) {
-	st := fittedDNS(t)
-	src, err := stream.CSVTrace(strings.NewReader("0,0.5\n1,bogus\n"), st, 60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stream.Collect(src, 0); err == nil {
-		t.Fatal("malformed CSV row did not surface")
-	}
-	if stream.Err(src) == nil {
-		t.Fatal("Err() nil after parse failure")
-	}
 }
 
 func TestStationarySource(t *testing.T) {

@@ -26,35 +26,14 @@ import (
 type (
 	// Profile is a CPU + platform power profile.
 	Profile = power.Profile
-	// CPUState is one of C0(a), C0(i), C1, C3, C6.
-	CPUState = power.CPUState
-	// PlatformState is one of S0(a), S0(i), S3.
-	PlatformState = power.PlatformState
 	// State is a combined CPU + platform power state such as C6S3.
 	State = power.State
-)
-
-// CPU power states (Table 1).
-const (
-	C0a = power.C0a
-	C0i = power.C0i
-	C1  = power.C1
-	C3  = power.C3
-	C6  = power.C6
-)
-
-// Platform power states (Table 3).
-const (
-	S0a = power.S0a
-	S0i = power.S0i
-	S3  = power.S3
 )
 
 // Combined states studied throughout the paper.
 var (
 	Active        = power.Active
 	OperatingIdle = power.OperatingIdle
-	Halt          = power.Halt
 	Sleep         = power.Sleep
 	DeepSleep     = power.DeepSleep
 	DeeperSleep   = power.DeeperSleep
@@ -91,24 +70,12 @@ type (
 	// configurations against one shared job stream with zero steady-state
 	// allocations.
 	Evaluator = queue.Evaluator
-	// SimSummary is the scalar aggregate an Evaluator returns per candidate.
-	SimSummary = queue.Summary
 )
 
 // Simulate runs Algorithm 1: serve jobs (sorted by arrival) under cfg,
 // starting idle at time zero.
 func Simulate(jobs []Job, cfg SimConfig, opts SimOptions) (SimResult, error) {
 	return queue.Simulate(jobs, cfg, opts)
-}
-
-// SimulateSummary is the pooled one-shot variant of Simulate: the engine and
-// its buffers (response sample, sorted percentile scratch) are drawn from
-// the evaluator pool, and the scalar SimSummary — bit-identical to
-// Simulate's aggregates, never aliasing pooled storage — is returned. Cold
-// one-shot calls that need no residency map or raw sample run with zero
-// steady-state allocations.
-func SimulateSummary(jobs []Job, cfg SimConfig, opts SimOptions) (SimSummary, error) {
-	return queue.SimulateSummary(jobs, cfg, opts)
 }
 
 // NewEngine returns a resumable simulator starting idle at time start.
@@ -128,8 +95,6 @@ type (
 	Model = analytic.Model
 	// ModelSleepState is the (Pᵢ, τᵢ, wᵢ) triple of one low-power state.
 	ModelSleepState = analytic.SleepState
-	// MG1Model extends Model to general service-time distributions.
-	MG1Model = analytic.MG1Model
 )
 
 // Policies and QoS (paper §5.1).
@@ -148,25 +113,15 @@ type (
 	PercentileQoS = policy.PercentileQoS
 	// PolicySpace is the candidate grid the manager sweeps.
 	PolicySpace = policy.Space
-	// Evaluation couples a policy with measured metrics and feasibility.
-	Evaluation = policy.Evaluation
-	// PolicyMetrics is the measured behaviour of one policy.
-	PolicyMetrics = policy.Metrics
 )
 
 // SingleState returns the plan entering s as soon as the queue empties.
 func SingleState(s State) SleepPlan { return policy.SingleState(s) }
 
-// DelayedState returns the plan entering s after tau idle seconds.
-func DelayedState(s State, tau float64) SleepPlan { return policy.DelayedState(s, tau) }
-
 // Sequence returns a plan walking the given phases in order.
 func Sequence(name string, phases ...PlanPhase) SleepPlan {
 	return policy.Sequence(name, phases...)
 }
-
-// NoSleep returns the empty plan (DVFS-only idling).
-func NoSleep() SleepPlan { return policy.NoSleep() }
 
 // DefaultPlans returns SleepScale's standard five single-state candidates.
 func DefaultPlans() []SleepPlan { return policy.DefaultPlans() }
@@ -254,46 +209,19 @@ func NewTraceSource(st Stats, tr *Trace, seed int64) (StreamSource, error) {
 	return stream.Trace(st, tr, seed)
 }
 
-// NewCSVTraceSource replays a WriteCSV-format utilization trace row at a
-// time through the trace-driven generator; Reset seeks r back to the start.
-func NewCSVTraceSource(r io.ReadSeeker, st Stats, slotSeconds float64, seed int64) (StreamSource, error) {
-	return stream.CSVTrace(r, st, slotSeconds, seed)
-}
-
 // Columnar store: the binary trace/event format of internal/colstore —
 // zero-copy mmap replay, append-only epoch logs, block-skipping
 // aggregation (see cmd/colq for the query CLI).
-type (
-	// ColReader is an open column file; Open memory-maps when possible.
-	ColReader = colstore.Reader
-	// ColWriter is an append-only column-file writer bound to a file.
-	ColWriter = colstore.FileWriter
-	// ColSchema describes a column file's kind and columns.
-	ColSchema = colstore.Schema
-	// ColQuery is one aggregation (optionally grouped and filtered) over a
-	// column file, skipping blocks from their min/max footers.
-	ColQuery = colstore.Query
-	// ColFilter is one closed-interval row predicate of a ColQuery.
-	ColFilter = colstore.Filter
-	// ColResult reports a query's groups and block-skipping statistics.
-	ColResult = colstore.Result
-)
+// ColReader is an open column file; Open memory-maps when possible.
+type ColReader = colstore.Reader
 
 // OpenCol opens the column file at path for reading, memory-mapped when the
 // platform allows, with a ReaderAt fallback otherwise.
 func OpenCol(path string) (*ColReader, error) { return colstore.Open(path) }
 
-// CreateCol starts a new column file at path under the given schema.
-func CreateCol(path string, s ColSchema) (*ColWriter, error) { return colstore.Create(path, s) }
-
-// AppendCol reopens the column file at path for appending (creating it if
-// absent); the schema must match the file's.
-func AppendCol(path string, s ColSchema) (*ColWriter, error) { return colstore.Append(path, s) }
-
 // NewColTraceSource replays a KindTrace column file through the
-// trace-driven generator — bit-identical to NewCSVTraceSource and
-// NewTraceSource for equal seeds, with zero per-slot parsing on a mapped
-// file.
+// trace-driven generator — bit-identical to NewTraceSource for equal seeds,
+// with zero per-slot parsing on a mapped file.
 func NewColTraceSource(r *ColReader, st Stats, seed int64) (StreamSource, error) {
 	return stream.ColTrace(r, st, seed)
 }
@@ -372,15 +300,6 @@ func SliceSource(jobs []Job) StreamSource { return stream.Slice(jobs) }
 // (chunk < 1 picks the default).
 func CollectSource(src StreamSource, chunk int) ([]Job, error) { return stream.Collect(src, chunk) }
 
-// SourceErr reports a source's deferred mid-stream failure, if any.
-func SourceErr(src StreamSource) error { return stream.Err(src) }
-
-// SimulateSource is Simulate for streams that are never materialized: peak
-// job-buffer memory is one chunk regardless of stream length.
-func SimulateSource(src JobSource, cfg SimConfig, opts SimOptions) (SimResult, error) {
-	return queue.SimulateSource(src, cfg, opts)
-}
-
 // Utilization traces (paper Figure 7).
 type (
 	// Trace is a per-slot utilization sequence.
@@ -428,8 +347,6 @@ type (
 	Manager = core.Manager
 	// Strategy picks one policy per epoch.
 	Strategy = core.Strategy
-	// DecideInput is what a Strategy may consult.
-	DecideInput = core.DecideInput
 	// RunnerConfig describes one trace-driven evaluation run: a trace and
 	// a job source fed through one LiveRunner.
 	RunnerConfig = core.RunnerConfig
@@ -509,8 +426,6 @@ type (
 	// LiveRunner is the §6 epoch machine, advanced one job/slot at a time;
 	// Run and RunSource are loops that feed it a trace.
 	LiveRunner = core.LiveRunner
-	// LiveState is a LiveRunner's resumable epoch-boundary state.
-	LiveState = core.LiveState
 	// ServeConfig configures one daemon serve session.
 	ServeConfig = serve.Config
 	// ServeServer drives a LiveRunner from a wire event stream: jobs and
@@ -527,12 +442,6 @@ type (
 
 // NewLiveRunner starts a fresh live epoch runner.
 func NewLiveRunner(cfg LiveConfig) (*LiveRunner, error) { return core.NewLiveRunner(cfg) }
-
-// RestoreLiveRunner resumes a live runner from a captured epoch-boundary
-// state, bit-identically to a runner that never stopped.
-func RestoreLiveRunner(cfg LiveConfig, st *LiveState) (*LiveRunner, error) {
-	return core.RestoreLiveRunner(cfg, st)
-}
 
 // NewServeServer starts a fresh daemon serve session.
 func NewServeServer(cfg ServeConfig) (*ServeServer, error) { return serve.NewServer(cfg) }
@@ -552,12 +461,6 @@ func WriteServeCheckpoint(path string, c *ServeCheckpoint) error {
 	return serve.WriteCheckpoint(path, c)
 }
 
-// LoadServeCheckpoint reads a daemon checkpoint, falling back to the rotated
-// previous snapshot when the primary is damaged.
-func LoadServeCheckpoint(path string) (*ServeCheckpoint, error) {
-	return serve.LoadCheckpoint(path)
-}
-
 // SliceSlots adapts a materialized utilization trace to a SlotFeed.
 func SliceSlots(utilization []float64) SlotFeed { return workload.SliceSlots(utilization) }
 
@@ -573,29 +476,16 @@ type (
 	Farm = farm.Farm
 	// FarmResult aggregates a farm run.
 	FarmResult = farm.Result
-	// Dispatcher routes arriving jobs across a farm's servers.
+	// Dispatcher routes arriving jobs across a farm's servers: one rule,
+	// RouteVirtual, over each server's live configuration, availability and
+	// idle anchor.
 	Dispatcher = farm.Dispatcher
-	// Preassigner marks dispatchers whose routing is independent of server
-	// state; the time-sliced parallel mode of RunFarmSource preassigns them.
-	Preassigner = farm.Preassigner
-	// VirtualRouter marks state-dependent dispatchers (JSQ, PowerOfD,
-	// LeastWorkLeft) that can route against a lightweight per-server shadow —
-	// live configuration, availability and idle anchor — unlocking the
-	// time-sliced parallel mode of RunFarmSource.
-	VirtualRouter = farm.VirtualRouter
-	// FarmDispatchOptions tunes RunFarmSource's streaming dispatch loop,
-	// including the persistent worker-pool bound of the parallel mode
-	// (Workers; 0 uses the whole GOMAXPROCS-sized pool).
-	FarmDispatchOptions = farm.DispatchOptions
-	// FarmSummary is the scalar fleet aggregate of a farm run — what
-	// Farm.FinishSummary returns on the steady-state reuse path.
-	FarmSummary = farm.Summary
 	// RoundRobin, RandomDispatch, JSQ, PowerOfD and LeastWorkLeft are the
 	// provided dispatchers. PowerOfD samples D servers and joins the least
 	// backlogged; LeastWorkLeft routes to the earliest completion,
-	// wake-up latency included. Both are VirtualRouters, so they ride the
-	// time-sliced parallel mode bit-identically to sequential dispatch —
-	// JSQ and LeastWorkLeft through an O(log k) routing index there.
+	// wake-up latency included. On large uniform farms JSQ and
+	// LeastWorkLeft route through an O(log k) index, bit-identically to
+	// their linear scans.
 	RoundRobin     = farm.RoundRobin
 	RandomDispatch = farm.Random
 	JSQ            = farm.JSQ
@@ -615,12 +505,11 @@ func RunFarm(k int, cfg SimConfig, disp Dispatcher, jobs []Job) (FarmResult, err
 
 // RunFarmSource is the streaming k-way dispatch loop: jobs pulled from one
 // source in bounded chunks are routed through disp at their arrival
-// instants — JSQ sees accurate queue depths — without the stream ever being
-// materialized. opts.Parallel enables the time-sliced parallel mode
-// (bit-identical to the sequential dispatch) for dispatchers implementing
-// Preassigner or VirtualRouter.
-func RunFarmSource(k int, cfg SimConfig, disp Dispatcher, src JobSource, opts FarmDispatchOptions) (FarmResult, error) {
-	return farm.DispatchSource(k, cfg, disp, src, opts)
+// instants without the stream ever being materialized. Large farms
+// simulate their servers concurrently on the persistent worker pool, with
+// results bit-identical to serving one job at a time.
+func RunFarmSource(k int, cfg SimConfig, disp Dispatcher, src JobSource) (FarmResult, error) {
+	return farm.DispatchSource(k, cfg, disp, src)
 }
 
 // Fleet coordination: the §6 evaluation loop over a streamed farm. In shared
@@ -667,8 +556,6 @@ func WriteFleetServerLog(path string, rep *FleetReport) error { return fleet.Wri
 type (
 	// FaultEvent is one crash or repair at an exact simulated instant.
 	FaultEvent = fault.Event
-	// FaultKind distinguishes crash from repair.
-	FaultKind = fault.Kind
 	// FaultSource is a replayable fault-event stream, the failure-side
 	// sibling of StreamSource.
 	FaultSource = fault.Source
@@ -683,15 +570,6 @@ type (
 	// FaultRetryPolicy bounds failover re-dispatch of jobs lost in flight.
 	FaultRetryPolicy = fault.RetryPolicy
 )
-
-// Fault event kinds.
-const (
-	FaultCrash  = fault.Crash
-	FaultRepair = fault.Repair
-)
-
-// NewFaultSchedule validates and wraps a scripted event list.
-func NewFaultSchedule(events []FaultEvent) (*FaultSchedule, error) { return fault.NewSchedule(events) }
 
 // ParseFaultSchedule parses the "<time> <server> crash|repair" schedule
 // format ('#' comments, blank lines ignored).

@@ -236,10 +236,10 @@ func TestFacadeStrategies(t *testing.T) {
 }
 
 // TestFacadeStreamedFarmDispatch exercises the streaming k-way dispatch
-// facade end to end: RunFarmSource must match RunFarm on the same stream
-// (sequentially and through the time-sliced parallel mode), a reusable
-// Farm must serve rewound sources via Reset+ServeSource, and a shared-mode
-// fleet coordinator must run the epoch loop over a dispatched farm.
+// facade end to end: RunFarmSource must match RunFarm on the same stream,
+// a reusable Farm must serve rewound sources via Reset+ServeSource, and a
+// shared-mode fleet coordinator must run the epoch loop over a dispatched
+// farm.
 func TestFacadeStreamedFarmDispatch(t *testing.T) {
 	pol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.DeepSleep)}
 	qcfg, err := pol.Config(sleepscale.Xeon(), 1)
@@ -257,15 +257,12 @@ func TestFacadeStreamedFarmDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []sleepscale.FarmDispatchOptions{{}, {Parallel: true, SliceJobs: 512}} {
-		got, err := sleepscale.RunFarmSource(3, qcfg, sleepscale.JSQ{}, sleepscale.SliceSource(jobs), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Jobs != want.Jobs || got.MeanResponse != want.MeanResponse || got.Energy != want.Energy {
-			t.Errorf("parallel=%v: streamed dispatch diverges from RunFarm: %+v vs %+v",
-				opts.Parallel, got, want)
-		}
+	got, err := sleepscale.RunFarmSource(3, qcfg, sleepscale.JSQ{}, sleepscale.SliceSource(jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Jobs != want.Jobs || got.MeanResponse != want.MeanResponse || got.Energy != want.Energy {
+		t.Errorf("streamed dispatch diverges from RunFarm: %+v vs %+v", got, want)
 	}
 
 	// Reusable farm: Reset + ServeSource over a rewound source.
