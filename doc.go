@@ -58,7 +58,9 @@
 //   - Evaluator owns one engine and a shared job stream; each Evaluate(cfg)
 //     returns a scalar summary — plain values, safe to keep across further
 //     calls. Results that alias evaluator storage (Responses) are only
-//     valid until the next Evaluate.
+//     valid until the next Evaluate. Its tail percentiles come from an O(n)
+//     selection over the response sample, never a sort; with retention off
+//     it keeps response moments only and reports no tail.
 //   - Every parallel driver — Manager.Select and the pooled arm of the
 //     farm's serve loop — executes on one process-wide persistent worker
 //     pool (internal/par): workers start once, park
@@ -71,8 +73,10 @@
 //     may use; results are identical for every bound.
 //   - Manager.Select gives each pool executor one pooled Evaluator and
 //     one sleep-phase scratch buffer, so scoring a candidate costs zero
-//     allocations once the pool is warm. Manager.Evaluate remains the thin
-//     one-shot wrapper.
+//     allocations once the pool is warm. It scores only what the QoS
+//     reads: under MeanResponseQoS the evaluators keep response moments
+//     alone, so its evaluations report P95/P99 as 0. Manager.Evaluate
+//     remains the thin one-shot wrapper and reports full metrics.
 //   - A Farm owns its serving scratch: Reset + ServeSource reuses every
 //     buffer. Large farms simulate their servers in parallel and merge
 //     per-server results in server order, so the outcome is bit-identical

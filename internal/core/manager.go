@@ -101,6 +101,12 @@ func (m *Manager) evaluateInto(ev *queue.Evaluator, p policy.Policy, buf []queue
 // frequency grid's stability floor. When no policy is feasible the policy
 // with the smallest QoS violation is returned — the closest the server can
 // get to restoring its target.
+//
+// The evaluations carry what the QoS reads. Under MeanResponseQoS the
+// candidates are scored from response moments alone, so AvgPower,
+// MeanResponse and Feasible match Evaluate bit for bit while P95Response
+// and P99Response read 0; every other QoS gets all four metrics. Call
+// Evaluate for a policy's full metrics.
 func (m *Manager) Select(jobs []queue.Job, rho float64) (policy.Evaluation, []policy.Evaluation, error) {
 	if err := m.Validate(); err != nil {
 		return policy.Evaluation{}, nil, err
@@ -119,6 +125,9 @@ func (m *Manager) Select(jobs []queue.Job, rho float64) (policy.Evaluation, []po
 	// Parallelism bounds the executors; every bound — including 1, the
 	// inline serial loop — scores candidates into per-index slots, so the
 	// selection is bit-identical regardless of pool size or interleaving.
+	// A QoS that reads no tail scores moments only: no candidate's response
+	// sample is stored or ordered.
+	tail := readsTail(m.QoS)
 	pool := par.Default()
 	workers := m.Parallelism
 	if workers <= 0 || workers > pool.Size() {
@@ -145,6 +154,7 @@ func (m *Manager) Select(jobs []queue.Job, rho float64) (policy.Evaluation, []po
 		st := &states[w]
 		if st.ev == nil {
 			st.ev = queue.GetEvaluator(jobs, queue.Options{})
+			st.ev.SetRetainResponses(tail)
 		}
 		evals[i], st.phases, errs[i] = m.evaluateInto(st.ev, pols[i], st.phases)
 	})
@@ -164,7 +174,7 @@ func (m *Manager) Select(jobs []queue.Job, rho float64) (policy.Evaluation, []po
 // the closed-form Appendix results for Poisson(λ) arrivals and exponential
 // service at maximum rate µ, with no simulation. Policies whose metrics the
 // closed forms cannot produce under the configured QoS (multi-state plans
-// under a percentile constraint) are rejected with an error.
+// under any QoS that reads the tail) are rejected with an error.
 func (m *Manager) SelectIdealized(lambda, mu float64) (policy.Evaluation, []policy.Evaluation, error) {
 	if err := m.Validate(); err != nil {
 		return policy.Evaluation{}, nil, err
@@ -172,7 +182,7 @@ func (m *Manager) SelectIdealized(lambda, mu float64) (policy.Evaluation, []poli
 	if lambda <= 0 || mu <= 0 || lambda >= mu {
 		return policy.Evaluation{}, nil, fmt.Errorf("core: idealized needs 0 < λ < µ, got λ=%g µ=%g", lambda, mu)
 	}
-	_, needTail := m.QoS.(policy.PercentileQoS)
+	needTail := readsTail(m.QoS)
 	rho := lambda / mu
 	pols := m.Space.Policies(rho, 1) // closed forms assume CPU-bound scaling
 	evals := make([]policy.Evaluation, 0, len(pols))
@@ -217,6 +227,14 @@ func (m *Manager) SelectIdealized(lambda, mu float64) (policy.Evaluation, []poli
 		return policy.Evaluation{}, nil, err
 	}
 	return best, evals, nil
+}
+
+// readsTail reports whether qos may read a response percentile. Only
+// MeanResponseQoS is known to read the mean alone; every other QoS, a
+// caller-defined one included, gets exact tails.
+func readsTail(qos policy.QoS) bool {
+	_, meanOnly := qos.(policy.MeanResponseQoS)
+	return !meanOnly
 }
 
 // pickBest returns the feasible minimum-power evaluation, falling back to

@@ -327,28 +327,112 @@ func TestRaceToHaltCostsMore(t *testing.T) {
 }
 
 // TestSelectMatchesEvaluatePerPolicy pins the pooled-evaluator Select path to
-// the public thin-wrapper Evaluate bit-for-bit: reusable kernels must not
-// change what any candidate scores.
+// the public thin-wrapper Evaluate bit-for-bit, one QoS family at a time:
+// reusable kernels must not change what any candidate scores. A QoS that
+// reads the tail gets all four metrics. MeanResponseQoS scores from response
+// moments alone, so its evaluations carry power, mean and feasibility, and
+// their P95/P99 read exactly 0.
 func TestSelectMatchesEvaluatePerPolicy(t *testing.T) {
+	mu := workload.DNS().MaxServiceRate()
+	meanQoS, _ := policy.NewMeanResponseQoS(0.8, mu)
+	tailQoS, _ := policy.NewPercentileQoS(0.8, mu, 0.95)
+	jobs := dnsJobs(t, 0.3, 3000, 11)
+	for _, tc := range []struct {
+		name string
+		qos  policy.QoS
+		tail bool
+	}{
+		{"percentile", tailQoS, true},
+		{"mean", meanQoS, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := dnsManager(t, tc.qos)
+			m.Space.FreqStep = 0.1 // keep the per-policy reference sweep quick
+			_, evals, err := m.Select(jobs, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(evals) == 0 {
+				t.Fatal("no evaluations")
+			}
+			for _, e := range evals {
+				ref, err := m.Evaluate(jobs, e.Policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ref.Metrics
+				if !tc.tail {
+					if e.Metrics.P95Response != 0 || e.Metrics.P99Response != 0 {
+						t.Fatalf("policy %v: mean-only Select reported a tail: %+v", e.Policy, e.Metrics)
+					}
+					want.P95Response, want.P99Response = 0, 0
+				}
+				if !sameMetricBits(e.Metrics, want) || e.Feasible != ref.Feasible {
+					t.Fatalf("policy %v: Select gave %+v, Evaluate gave %+v", e.Policy, e, ref)
+				}
+			}
+		})
+	}
+}
+
+// sameMetricBits compares two metric sets bit for bit.
+func sameMetricBits(a, b policy.Metrics) bool {
+	return math.Float64bits(a.AvgPower) == math.Float64bits(b.AvgPower) &&
+		math.Float64bits(a.MeanResponse) == math.Float64bits(b.MeanResponse) &&
+		math.Float64bits(a.P95Response) == math.Float64bits(b.P95Response) &&
+		math.Float64bits(a.P99Response) == math.Float64bits(b.P99Response)
+}
+
+// TestMeanOnlySelectLeavesEvaluatorsFull checks that a mean-only Select,
+// which scores on pooled evaluators with retention off, hands none of them
+// back in that mode: afterwards Manager.Evaluate and a freshly pooled
+// evaluator must equal queue.Simulate bit for bit, percentiles included.
+func TestMeanOnlySelectLeavesEvaluatorsFull(t *testing.T) {
 	mu := workload.DNS().MaxServiceRate()
 	qos, _ := policy.NewMeanResponseQoS(0.8, mu)
 	jobs := dnsJobs(t, 0.3, 3000, 11)
 	m := dnsManager(t, qos)
-	m.Space.FreqStep = 0.1 // keep the per-policy reference sweep quick
-	_, evals, err := m.Select(jobs, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evals) == 0 {
-		t.Fatal("no evaluations")
-	}
-	for _, e := range evals {
-		ref, err := m.Evaluate(jobs, e.Policy)
+	m.Space.FreqStep = 0.1
+	for _, workers := range []int{1, 0} {
+		m.Parallelism = workers
+		best, _, err := m.Select(jobs, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Metrics != ref.Metrics || e.Feasible != ref.Feasible {
-			t.Fatalf("policy %v: Select gave %+v, Evaluate gave %+v", e.Policy, e, ref)
+		cfg, err := best.Policy.Config(m.Profile, m.FreqExponent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := queue.Simulate(jobs, cfg, queue.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := policy.Metrics{
+			AvgPower: res.AvgPower, MeanResponse: res.MeanResponse,
+			P95Response: res.ResponseP95, P99Response: res.ResponseP99,
+		}
+		if want.P95Response == 0 {
+			t.Fatal("reference run has no tail to compare")
+		}
+		ref, err := m.Evaluate(jobs, best.Policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMetricBits(ref.Metrics, want) {
+			t.Fatalf("Parallelism %d: Evaluate after Select gave %+v, Simulate gave %+v", workers, ref.Metrics, want)
+		}
+		ev := queue.GetEvaluator(jobs, queue.Options{})
+		sum, err := ev.Evaluate(cfg)
+		ev.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := policy.Metrics{
+			AvgPower: sum.AvgPower, MeanResponse: sum.MeanResponse,
+			P95Response: sum.ResponseP95, P99Response: sum.ResponseP99,
+		}
+		if !sameMetricBits(got, want) {
+			t.Fatalf("Parallelism %d: pooled evaluator after Select gave %+v, Simulate gave %+v", workers, got, want)
 		}
 	}
 }

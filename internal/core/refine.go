@@ -52,7 +52,7 @@ func (m *Manager) refinePlan(plan policy.SleepPlan, lambda, mu float64) (policy.
 			return policy.Metrics{}, err
 		}
 		met := policy.Metrics{AvgPower: ep, MeanResponse: er}
-		if _, tail := m.QoS.(policy.PercentileQoS); tail {
+		if readsTail(m.QoS) {
 			p95, err := am.ResponseQuantile(0.95)
 			if err != nil {
 				return policy.Metrics{}, err

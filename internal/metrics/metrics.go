@@ -133,14 +133,15 @@ func (s *Stream) String() string {
 // It keeps every observation; the SleepScale evaluator works with runs of
 // roughly 10⁴–10⁶ jobs, which fits comfortably in memory.
 //
-// Observations are stored in insertion order; order statistics (Percentile,
-// FractionAbove) are served from a lazily maintained sorted scratch copy, so
-// querying a percentile never disturbs insertion order. Reset and TrimFront
-// keep the underlying capacity, making a Sample reusable with zero
+// Observations are stored in insertion order. Percentile and
+// PercentileNearestRank select their order statistics in O(n) from a
+// scratch permutation of the observations, so a query never sorts and never
+// disturbs insertion order; FractionAbove is one linear count. Reset and
+// TrimFront keep the underlying capacity, making a Sample reusable with zero
 // steady-state allocations.
 type Sample struct {
 	xs      []float64 // insertion order, never reordered
-	scratch []float64 // ascending copy, rebuilt lazily for order statistics
+	scratch []float64 // a permutation of xs that selection reorders in place
 	dirty   bool      // scratch is stale relative to xs
 	Stream
 }
@@ -209,11 +210,12 @@ func (s *Sample) TrimBack(n int) {
 // internal storage; callers must not modify it.
 func (s *Sample) Values() []float64 { return s.xs }
 
-// sortedValues returns the ascending scratch copy, rebuilding it if stale.
-func (s *Sample) sortedValues() []float64 {
+// scratchValues returns the selection scratch, re-copying xs when it is
+// stale. Selection only permutes it, so further queries on an unchanged
+// sample reuse it without copying.
+func (s *Sample) scratchValues() []float64 {
 	if s.dirty || len(s.scratch) != len(s.xs) {
 		s.scratch = append(s.scratch[:0], s.xs...)
-		sort.Float64s(s.scratch)
 		s.dirty = false
 	}
 	return s.scratch
@@ -222,24 +224,29 @@ func (s *Sample) sortedValues() []float64 {
 // Percentile reports the p-th percentile (0 ≤ p ≤ 100) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
+	n := len(s.xs)
+	if n == 0 {
 		return 0
 	}
-	xs := s.sortedValues()
+	xs := s.scratchValues()
 	if p <= 0 {
-		return xs[0]
+		return selectKth(xs, 0)
 	}
 	if p >= 100 {
-		return xs[len(xs)-1]
+		return selectKth(xs, n-1)
 	}
-	rank := p / 100 * float64(len(xs)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	lower := selectKth(xs, lo)
 	if lo == hi {
-		return xs[lo]
+		return lower
 	}
+	// Selection left nothing smaller than xs[lo] above it, so the next
+	// order statistic is the minimum of that part.
+	upper := minOf(xs[lo+1:])
 	frac := rank - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
+	return lower*(1-frac) + upper*frac
 }
 
 // PercentileNearestRank reports the p-th percentile by the ceiling nearest-rank
@@ -250,7 +257,6 @@ func (s *Sample) PercentileNearestRank(p float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	xs := s.sortedValues()
 	idx := int(math.Ceil(p/100*float64(n))) - 1
 	if idx < 0 {
 		idx = 0
@@ -258,7 +264,7 @@ func (s *Sample) PercentileNearestRank(p float64) float64 {
 	if idx >= n {
 		idx = n - 1
 	}
-	return xs[idx]
+	return selectKth(s.scratchValues(), idx)
 }
 
 // FractionAbove reports the fraction of observations strictly greater than or
@@ -267,10 +273,83 @@ func (s *Sample) FractionAbove(x float64) float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	xs := s.sortedValues()
-	// First index with value >= x.
-	i := sort.SearchFloat64s(xs, x)
-	return float64(len(xs)-i) / float64(len(xs))
+	n := 0
+	for _, v := range s.xs {
+		if v >= x {
+			n++
+		}
+	}
+	return float64(n) / float64(len(s.xs))
+}
+
+// less is the order sort.Float64s sorts by: ascending, NaNs first. The order
+// statistics follow it, so they equal a lookup in the sorted sample.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectKth reorders xs in place so that xs[k] holds its k-th smallest value
+// (0-based), nothing before k is greater and nothing after k is smaller, and
+// returns xs[k]. It is Hoare's FIND with a median-of-three pivot, O(n)
+// expected. Should the partitions stop shrinking — total work past 8n, which
+// only adversarial orders reach — the remaining range is sorted instead, so
+// the worst case stays O(n log n).
+func selectKth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for work := 0; lo < hi; {
+		if work += hi - lo + 1; work > 8*len(xs) {
+			sort.Float64s(xs[lo : hi+1])
+			break
+		}
+		p := median3(xs[lo], xs[lo+(hi-lo)/2], xs[hi])
+		i, j := lo, hi
+		for i <= j {
+			for less(xs[i], p) {
+				i++
+			}
+			for less(p, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] ≤ p ≤ xs[i..hi], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
+}
+
+// median3 returns the median of three values under less.
+func median3(a, b, c float64) float64 {
+	if less(b, a) {
+		a, b = b, a
+	}
+	if less(c, b) {
+		b = c
+		if less(b, a) {
+			b = a
+		}
+	}
+	return b
+}
+
+// minOf returns the smallest element of a non-empty slice under less.
+func minOf(xs []float64) float64 {
+	m := xs[0]
+	for _, v := range xs[1:] {
+		if less(v, m) {
+			m = v
+		}
+	}
+	return m
 }
 
 // WeightedTally accumulates time-weighted occupancy per named bucket, e.g.

@@ -262,6 +262,158 @@ func TestSamplePercentileAgainstSort(t *testing.T) {
 	}
 }
 
+// sortRef is the sort-based order-statistic code Sample used before O(n)
+// selection replaced it, kept as the reference the selection must match bit
+// for bit. It mirrors a sample's observations in insertion order.
+type sortRef struct{ xs []float64 }
+
+func (r *sortRef) add(x float64) { r.xs = append(r.xs, x) }
+
+func (r *sortRef) trimFront(n int) { r.xs = r.xs[min(max(n, 0), len(r.xs)):] }
+
+func (r *sortRef) trimBack(n int) { r.xs = r.xs[:len(r.xs)-min(max(n, 0), len(r.xs))] }
+
+func (r *sortRef) sorted() []float64 {
+	xs := append([]float64(nil), r.xs...)
+	sort.Float64s(xs)
+	return xs
+}
+
+func (r *sortRef) percentile(p float64) float64 {
+	if len(r.xs) == 0 {
+		return 0
+	}
+	xs := r.sorted()
+	if p <= 0 {
+		return xs[0]
+	}
+	if p >= 100 {
+		return xs[len(xs)-1]
+	}
+	rank := p / 100 * float64(len(xs)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return xs[lo]
+	}
+	frac := rank - float64(lo)
+	return xs[lo]*(1-frac) + xs[hi]*frac
+}
+
+func (r *sortRef) nearestRank(p float64) float64 {
+	n := len(r.xs)
+	if n == 0 {
+		return 0
+	}
+	xs := r.sorted()
+	idx := int(math.Ceil(p/100*float64(n))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= n {
+		idx = n - 1
+	}
+	return xs[idx]
+}
+
+func (r *sortRef) fractionAbove(x float64) float64 {
+	if len(r.xs) == 0 {
+		return 0
+	}
+	xs := r.sorted()
+	i := sort.SearchFloat64s(xs, x)
+	return float64(len(xs)-i) / float64(len(xs))
+}
+
+// requireRefBits compares every order statistic of s at ps, FractionAbove
+// at xs, and the insertion-order values against the sorted reference, bit
+// for bit.
+func requireRefBits(t *testing.T, s *Sample, r *sortRef, ps, xs []float64) {
+	t.Helper()
+	if len(s.Values()) != len(r.xs) || s.Count() != len(r.xs) {
+		t.Fatalf("sample holds %d values (count %d), reference %d", len(s.Values()), s.Count(), len(r.xs))
+	}
+	for i, v := range s.Values() {
+		if math.Float64bits(v) != math.Float64bits(r.xs[i]) {
+			t.Fatalf("Values()[%d] = %v, want %v: insertion order disturbed", i, v, r.xs[i])
+		}
+	}
+	for _, p := range ps {
+		if got, want := s.Percentile(p), r.percentile(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: Percentile(%v) = %v (%#x), sorted reference %v (%#x)",
+				len(r.xs), p, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if got, want := s.PercentileNearestRank(p), r.nearestRank(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: PercentileNearestRank(%v) = %v, sorted reference %v", len(r.xs), p, got, want)
+		}
+	}
+	for _, x := range xs {
+		if got, want := s.FractionAbove(x), r.fractionAbove(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: FractionAbove(%v) = %v, sorted reference %v", len(r.xs), x, got, want)
+		}
+	}
+}
+
+// TestSampleSelectionMatchesSortBits pins the O(n) order statistics to the
+// sort-based code they replaced, bit for bit: heavy ties and continuous
+// values, every n from 1 to 40 plus 199–201 and 2,000, the percentiles the
+// repo reads plus the edges and a random one, each queried twice in mixed
+// order on one sample, with Add, TrimFront, TrimBack and Reset between
+// rounds of queries.
+func TestSampleSelectionMatchesSortBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ties := []float64{0.25, 1.5, 4}
+	var sizes []int
+	for n := 1; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 199, 200, 201, 2000)
+	for _, tied := range []bool{true, false} {
+		draw := func() float64 {
+			if tied {
+				return ties[rng.Intn(len(ties))]
+			}
+			return rng.NormFloat64()
+		}
+		for _, n := range sizes {
+			s, ref := NewSample(0), &sortRef{}
+			add := func(k int) {
+				for i := 0; i < k; i++ {
+					x := draw()
+					s.Add(x)
+					ref.add(x)
+				}
+			}
+			add(n)
+			for round := 0; round < 5; round++ {
+				ps := []float64{0, 0.5, 50, 95, 99, 99.9, 100, 100 * rng.Float64()}
+				mixed := make([]float64, 0, 2*len(ps))
+				for _, i := range rng.Perm(2 * len(ps)) {
+					mixed = append(mixed, ps[i%len(ps)])
+				}
+				xs := append([]float64{rng.NormFloat64(), -1, 10}, ties...)
+				requireRefBits(t, s, ref, mixed, xs)
+				switch k := len(ref.xs); rng.Intn(4) {
+				case 0:
+					add(1 + rng.Intn(n))
+				case 1:
+					m := rng.Intn(k + 1)
+					s.TrimFront(m)
+					ref.trimFront(m)
+				case 2:
+					m := rng.Intn(k + 1)
+					s.TrimBack(m)
+					ref.trimBack(m)
+				default:
+					s.Reset()
+					ref.xs = ref.xs[:0]
+					add(n)
+				}
+			}
+		}
+	}
+}
+
 func TestWeightedTally(t *testing.T) {
 	w := NewWeightedTally()
 	w.Add("C0iS0i", 3)

@@ -215,6 +215,83 @@ func TestGetEvaluatorPoolRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEvaluatorMomentsOnly pins the moments-only mode the policy manager
+// scores mean-only QoS candidates in: every field except the tail equals
+// Simulate bit for bit, the tail reads 0, no response value is kept, and a
+// warm-up, which needs the sample to trim, is an error rather than a silently
+// emptied mean.
+func TestEvaluatorMomentsOnly(t *testing.T) {
+	jobs := evalJobs(t, 3000, 42)
+	ev := queue.NewEvaluator(jobs, queue.Options{})
+	ev.SetRetainResponses(false)
+	for _, tc := range evaluatorCases() {
+		res, err := queue.Simulate(jobs, tc.cfg, queue.Options{})
+		if err != nil {
+			t.Fatalf("%s: Simulate: %v", tc.name, err)
+		}
+		sum, err := ev.Evaluate(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: Evaluate: %v", tc.name, err)
+		}
+		if sum.ResponseP95 != 0 || sum.ResponseP99 != 0 || len(ev.Responses().Values()) != 0 {
+			t.Fatalf("%s: moments-only run kept a tail: P95 %g P99 %g, %d values",
+				tc.name, sum.ResponseP95, sum.ResponseP99, len(ev.Responses().Values()))
+		}
+		res.ResponseP95, res.ResponseP99 = 0, 0
+		t.Run(tc.name, func(t *testing.T) {
+			requireSummaryEqualsResult(t, sum, res)
+		})
+	}
+
+	cfg := goldenConfig()
+	warm := queue.Options{Warmup: 100}
+	ev.SetStream(jobs, warm)
+	if sum, err := ev.Evaluate(cfg); err == nil {
+		t.Fatalf("moments-only Evaluate with a warm-up succeeded: %+v", sum)
+	}
+	ev.SetRetainResponses(true)
+	sum, err := ev.Evaluate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := queue.Simulate(jobs, cfg, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSummaryEqualsResult(t, sum, res)
+}
+
+// TestEvaluatorReleaseRestoresRetention checks that an evaluator released in
+// moments-only mode comes back from the pool keeping the full sample, so no
+// later GetEvaluator user inherits a tail of zeros.
+func TestEvaluatorReleaseRestoresRetention(t *testing.T) {
+	jobs := evalJobs(t, 800, 3)
+	cfg := goldenConfig()
+	want, err := queue.Simulate(jobs, cfg, queue.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev *queue.Evaluator
+	reused := 0
+	for i := 0; i < 20; i++ {
+		ev := queue.GetEvaluator(jobs, queue.Options{})
+		if ev == prev {
+			reused++
+		}
+		sum, err := ev.Evaluate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSummaryEqualsResult(t, sum, want)
+		ev.SetRetainResponses(false)
+		ev.Release()
+		prev = ev
+	}
+	if reused == 0 {
+		t.Fatal("the pool never handed a released evaluator back; nothing was checked")
+	}
+}
+
 // TestEngineResetMatchesFresh checks Reset against NewEngine for the
 // resumable (mid-run config switch) use, including residency carry.
 func TestEngineResetMatchesFresh(t *testing.T) {

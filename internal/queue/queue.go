@@ -815,11 +815,22 @@ func (ev *Evaluator) SetStream(jobs []Job, opts Options) {
 	ev.opts = opts
 }
 
+// SetRetainResponses chooses what later Evaluate calls keep of the
+// responses. By default (true) the raw sample is kept and every Summary field
+// is reported, exactly as Simulate reports it. Moments only (false) stores,
+// copies and orders nothing per response: Jobs and MeanResponse stay exact,
+// ResponseP95/P99 read 0, Responses holds no values, and Evaluate rejects a
+// warm-up, which needs the sample to trim. Release restores the default.
+func (ev *Evaluator) SetRetainResponses(retain bool) { ev.eng.SetRetainResponses(retain) }
+
 // Evaluate runs Algorithm 1 for one candidate configuration over the shared
 // stream, exactly as Simulate(jobs, cfg, opts) would, and returns the scalar
-// summary. The result is a value: it stays valid across further Evaluate
-// calls.
+// summary (moments only after SetRetainResponses(false)). The result is a
+// value: it stays valid across further Evaluate calls.
 func (ev *Evaluator) Evaluate(cfg Config) (Summary, error) {
+	if ev.opts.Warmup > 0 && ev.eng.discardResponses {
+		return Summary{}, errors.New("queue: a warm-up trim needs the response sample, but retention is off")
+	}
 	if err := ev.eng.Reset(cfg, 0); err != nil {
 		return Summary{}, err
 	}
@@ -847,10 +858,11 @@ func GetEvaluator(jobs []Job, opts Options) *Evaluator {
 }
 
 // Release drops the evaluator's stream reference (so the pool does not pin
-// caller job slices) and returns it to the pool; the internal buffers are
-// kept for the next GetEvaluator.
+// caller job slices), restores response retention, and returns it to the
+// pool; the internal buffers are kept for the next GetEvaluator.
 func (ev *Evaluator) Release() {
 	ev.jobs = nil
 	ev.opts = Options{}
+	ev.eng.SetRetainResponses(true)
 	evaluatorPool.Put(ev)
 }
