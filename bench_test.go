@@ -636,11 +636,12 @@ func BenchmarkFarmDispatch10k(b *testing.B) {
 // through per-server predictions and policy decisions, a 250-server
 // staggered-sleep quorum whose duty window rotates every epoch (plans
 // capped to ≤C1, the rest re-installed deep), and the farm's serve loop
-// between switches (the linear arm, since per-server policies make the
-// farm non-uniform). With every coordinator buffer — predictions, ping-pong
-// phase scratch, memoized capped plans, epoch job/response slices, the
-// report's record storage — reused across runs, warm allocs/op must stay
-// at 0; CI gates the budget via BENCH_fleet.json.
+// between switches (JSQ's O(log k) index, which prices each server of the
+// non-uniform farm from its own configuration). With every coordinator
+// buffer — predictions, ping-pong phase scratch, memoized capped plans,
+// epoch job/response slices, the report's record storage — reused across
+// runs, warm allocs/op must stay at 0; CI gates the budget via
+// BENCH_fleet.json.
 func BenchmarkFleetCoordinatedEpoch(b *testing.B) {
 	const k = 1000
 	tr := &sleepscale.Trace{

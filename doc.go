@@ -137,11 +137,12 @@
 // option. A small farm, or a call with one executor, serves each job the
 // moment it is routed. From 256 servers up, the stream is cut into slices
 // that route serially and simulate concurrently on the persistent worker
-// pool. From 16 servers up, a uniform farm routes JSQ and LeastWorkLeft
-// through an O(log k) index over the shadow (a tournament tree, plus
-// per-phase idle bitsets and a wake-crossing heap for LeastWorkLeft),
-// making a 10,000-server farm dispatchable at interactive speed; the index
-// is bit-identical to the linear scan, which routes everything else. Every
+// pool. From 16 servers up, JSQ routes through an O(log k) index over the
+// shadow (a tournament tree) whatever configurations the servers run, and
+// LeastWorkLeft through its own (adding per-phase idle bitsets and a
+// wake-crossing heap) while every server runs one configuration, making a
+// 10,000-server farm dispatchable at interactive speed; the index is
+// bit-identical to the linear scan, which routes everything else. Every
 // arm gives the same result bit for bit — a test oracle that reads live
 // engines, digests recorded from the loop the shadow replaced, and a golden
 // snapshot pin this across dispatchers, seeds, farm sizes and pool sizes.
@@ -256,10 +257,11 @@
 //     load-proportional line) and jobs per joule.
 //
 // Epochs serve through the farm's serve loop between boundary switches
-// (heterogeneous configurations route on its linear arm, priced per server;
-// the active set serves as a Select view), and with every dimension off
-// the coordinator is the plain farm epoch loop — an equivalence suite pins
-// its records across dispatchers, seeds and k up to 1,000. Fleet epoch and
+// (heterogeneous configurations are priced per server: JSQ keeps its
+// O(log k) index, and other dispatchers scan; the active set serves as a
+// Select view), and with every dimension off the coordinator is the plain
+// farm epoch loop — an equivalence suite pins its records across
+// dispatchers, seeds and k up to 1,000. Fleet epoch and
 // per-server rollup logs write to the columnar store
 // (WriteFleetEpochLog/WriteFleetServerLog); cmd/farmsim -coordinate
 // (-quorum, -park) drives the coordinator from the command line, and

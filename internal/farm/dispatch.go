@@ -76,38 +76,6 @@ func (l *LeastWorkLeft) RouteVirtual(cfgs []queue.Config, freeAt, anchor []float
 // Name implements Dispatcher.
 func (l *LeastWorkLeft) Name() string { return "least-work-left" }
 
-// configsEqual reports whether two engine configurations are identical,
-// phases included. The fast path is the homogeneous farm's: engines switched
-// from one shared resolved policy alias the same phase slice, so the slice
-// headers match and no element compare runs.
-func configsEqual(a, b *queue.Config) bool {
-	if a.Frequency != b.Frequency || a.FreqExponent != b.FreqExponent ||
-		a.ActivePower != b.ActivePower || a.IdlePower != b.IdlePower ||
-		len(a.Phases) != len(b.Phases) {
-		return false
-	}
-	if len(a.Phases) == 0 || &a.Phases[0] == &b.Phases[0] {
-		return true
-	}
-	for i := range a.Phases {
-		if a.Phases[i] != b.Phases[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// uniform reports whether every engine runs cfg, server 0's configuration.
-func (f *Farm) uniform(cfg *queue.Config) bool {
-	for _, eng := range f.engines[1:] {
-		ec := eng.Config()
-		if !configsEqual(cfg, &ec) {
-			return false
-		}
-	}
-	return true
-}
-
 // defaultSliceJobs is the pooled arm's synchronization granularity: jobs
 // routed per slice between barriers. Larger slices amortize the barrier; the
 // slice buffer (not the stream) is the arm's memory high-water mark.
@@ -121,11 +89,12 @@ const defaultSliceJobs = 4096
 // either way (a heterogeneous k = 1,000 farm: 85 ms inline, 83 ms pooled).
 const inlineBelow = 256
 
-// indexFrom is the farm size from which a uniform farm routes through the
-// dispatcher's O(log k) index instead of the linear scan, because below it
-// the index costs more than the scan it replaces. Set from medians of 5
-// runs on a 2-core x86 VM at GOMAXPROCS 1 (the inline arm serving about
-// 10k jobs of a stationary stream at total ρ = 0.3): JSQ's scan took
+// indexFrom is the farm size from which the serve loop routes through the
+// dispatcher's O(log k) index, when the index accepts the farm's
+// configurations, instead of the linear scan, because below it the index
+// costs more than the scan it replaces. Set from medians of 5 runs on a
+// 2-core x86 VM at GOMAXPROCS 1 (the inline arm serving about 10k jobs of
+// a uniform farm's stationary stream at total ρ = 0.3): JSQ's scan took
 // 0.93 ms and its index 1.08 ms at k = 8, they tied at k = 16 (1.12 vs
 // 1.14 ms), and the index won from there (1.62 vs 1.21 ms at k = 32);
 // least-work-left's index already won at k = 8 (1.83 vs 1.53 ms) and
@@ -168,7 +137,7 @@ func sourceErr(src queue.JobSource) error {
 }
 
 // serveState is the farm-owned reusable scratch of ServeSource: the
-// freeAt/anchor shadow, the linear arm's configuration snapshot, the routing
+// freeAt/anchor shadow, the per-server configuration snapshot, the routing
 // index, the pull buffer, and the pooled arm's routing table,
 // bucketed-substream backing, per-server counters, merge offsets and stored
 // worker closure. Each piece is allocated by the first call that needs it
@@ -180,9 +149,9 @@ type serveState struct {
 	shadow []float64
 	freeAt []float64
 	anchor []float64
-	// cfgs is the per-server configuration snapshot of the linear routing
-	// arm: RouteVirtual and the shadow advance price each server from its
-	// own entry. Refilled on every call that routes without the index.
+	// cfgs is the per-server configuration snapshot: RouteVirtual, the
+	// index and the shadow advance price each server from its own entry.
+	// Refilled on every call.
 	cfgs []queue.Config
 	// idx is the dispatcher's O(log k) routing index over the shadow, built
 	// on first use (the farm's dispatcher never changes) and rebuilt per
@@ -217,10 +186,10 @@ type serveState struct {
 // farm's one serve loop. Routing reads the freeAt/anchor shadow, never the
 // engines, and the loop picks its arms from what the call can observe:
 //
-//   - Routing: a uniform farm of at least indexFrom servers routes JSQ and
-//     LeastWorkLeft through the O(log k) index; every other farm and
-//     dispatcher calls RouteVirtual over a per-server configuration
-//     snapshot (the linear arm).
+//   - Routing: a farm of at least indexFrom servers routes JSQ, and
+//     LeastWorkLeft while every server runs one configuration, through the
+//     O(log k) index; every other farm and dispatcher calls RouteVirtual
+//     over the per-server configuration snapshot (the linear arm).
 //   - Serving: with one executor, or on a farm smaller than inlineBelow,
 //     each job is served the moment it is routed (the inline arm).
 //     Otherwise the stream is cut into slices, each routed serially and
@@ -261,7 +230,7 @@ func (f *Farm) serve(src queue.JobSource, jobs []queue.Job) (int, error) {
 	for s, eng := range f.engines {
 		sc.freeAt[s], sc.anchor[s] = eng.FreeAt(), eng.IdleAnchor()
 	}
-	ridx, cfg := f.router()
+	ridx := f.router()
 	executors := par.Default().Size()
 	if f.workers > 0 && f.workers < executors {
 		executors = f.workers
@@ -295,7 +264,7 @@ func (f *Farm) serve(src queue.JobSource, jobs []queue.Job) (int, error) {
 			var n int
 			var err error
 			if pooled {
-				n, err = f.serveSlice(batch, ridx, cfg)
+				n, err = f.serveSlice(batch, ridx)
 			} else {
 				n, err = f.routeServe(batch, ridx)
 			}
@@ -310,32 +279,29 @@ func (f *Farm) serve(src queue.JobSource, jobs []queue.Job) (int, error) {
 	}
 }
 
-// router picks the routing arm. A uniform farm of at least indexFrom servers
-// whose dispatcher has an index routes through it, reset from the shadow and
-// priced by the shared configuration router returns. Every other farm —
-// smaller, running per-server configurations, or behind a dispatcher without
-// an index — gets a nil index and a fresh per-server configuration snapshot
-// for the linear arm.
-func (f *Farm) router() (routeIndex, queue.Config) {
+// router snapshots every server's configuration, then picks the routing
+// arm: a farm of at least indexFrom servers whose dispatcher has an index
+// routes through it, reset from the shadow, if the index accepts the
+// snapshot. Every other farm — smaller, behind a dispatcher without an
+// index, or running configurations its index cannot price — gets nil and
+// routes by the linear scan over the snapshot.
+func (f *Farm) router() routeIndex {
 	sc := &f.sc
 	k := len(f.engines)
-	if k >= indexFrom {
-		if sc.idx == nil {
-			sc.idx = newRouteIndexFor(f.disp, sc.freeAt, sc.anchor)
-		}
-		if sc.idx != nil {
-			cfg := f.engines[0].Config()
-			if f.uniform(&cfg) {
-				sc.idx.reset(cfg)
-				return sc.idx, cfg
-			}
-		}
-	}
 	sc.cfgs = resize(sc.cfgs, k)
 	for s, eng := range f.engines {
 		sc.cfgs[s] = eng.Config()
 	}
-	return nil, queue.Config{}
+	if k < indexFrom {
+		return nil
+	}
+	if sc.idx == nil {
+		sc.idx = newRouteIndexFor(f.disp, sc.freeAt, sc.anchor)
+	}
+	if sc.idx != nil && sc.idx.reset(sc.cfgs) {
+		return sc.idx
+	}
+	return nil
 }
 
 // routeServe is the inline arm's step: it routes and serves jobs one by one,
@@ -422,7 +388,7 @@ func (f *Farm) pooled(sliceJobs int) {
 // configuration — then advances the servers' substreams in parallel, and the
 // pool's reusable barrier resynchronizes the shadow from the engines before
 // the next slice. It returns how many jobs the engines served.
-func (f *Farm) serveSlice(slice []queue.Job, ridx routeIndex, cfg queue.Config) (int, error) {
+func (f *Farm) serveSlice(slice []queue.Job, ridx routeIndex) (int, error) {
 	k := len(f.engines)
 	sc := &f.sc
 	assign := sc.assign[:len(slice)]
@@ -499,7 +465,7 @@ func (f *Farm) serveSlice(slice []queue.Job, ridx routeIndex, cfg queue.Config) 
 		}
 	}
 	if dirty && ridx != nil {
-		ridx.reset(cfg)
+		ridx.reset(sc.cfgs) // accepted before, so accepted again
 	}
 	return served, nil
 }

@@ -549,9 +549,10 @@ func hetFarm(t *testing.T, k int, disp Dispatcher) *Farm {
 }
 
 // TestServeSourceSlicedHeterogeneousMatchesSequential pins the per-server
-// configuration routing path — the linear arm's RouteVirtual over the
-// configuration snapshot, which least-work-left prices from and JSQ and
-// power-of-d ignore — to the oracle over live engines, bit for bit, on both
+// configuration routing paths — the linear arm's RouteVirtual over the
+// configuration snapshot, which least-work-left prices from and power-of-d
+// ignores, and at k = 300 JSQ's index, which advances each server under its
+// own snapshot entry — to the oracle over live engines, bit for bit, on both
 // serving arms.
 func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 	disps := []struct {

@@ -43,9 +43,10 @@
 //     routed serially against the shadow, the per-server substreams then
 //     advance concurrently on the persistent worker pool, and the barrier
 //     resynchronizes the shadow from the engines before the next slice.
-//   - Index. A uniform farm of at least indexFrom (16) servers routes JSQ
-//     and LeastWorkLeft through an O(log k) index over the shadow; every
-//     other farm and dispatcher takes the linear arm, RouteVirtual over a
+//   - Index. A farm of at least indexFrom (16) servers routes JSQ, over any
+//     mix of configurations, and LeastWorkLeft, while every server runs one
+//     configuration, through an O(log k) index over the shadow; every other
+//     farm and dispatcher takes the linear arm, RouteVirtual over the
 //     per-server configuration snapshot.
 //
 // Both thresholds come from dev-VM measurements, given in their comments.
@@ -72,11 +73,17 @@
 // O(log k) state updates per decision are paid. The index is an
 // implementation detail with a hard bit-identity contract — every decision
 // equals the linear scan's, tie-breaks included — pinned by an equivalence
-// suite up to k = 10,000 and gated in BenchmarkFarmDispatch10k. The linear
-// arm serves small and heterogeneous farms, PowerOfD (which inspects only
-// its d sampled servers) and every dispatcher without an index; the index is
-// gated on exact dispatcher types, so a wrapper overriding RouteVirtual
-// always routes by its own scan.
+// suite up to k = 10,000, over uniform farms and the fleet's configuration
+// mixes, by a fuzz target against the scan, and gated in
+// BenchmarkFarmDispatch10k. Each index is reset per call with the farm's
+// per-server configuration snapshot and says whether it can price it: JSQ's
+// pick reads only freeAt and its shadow advance prices each server from its
+// own entry, so it accepts every snapshot; LeastWorkLeft's buckets hold one
+// wake ladder, so it accepts only a uniform one. The linear arm serves small
+// farms, LeastWorkLeft over mixed configurations, PowerOfD (which inspects
+// only its d sampled servers) and every dispatcher without an index; the
+// index is gated on exact dispatcher types, so a wrapper overriding
+// RouteVirtual always routes by its own scan.
 //
 // # Persistent worker pool and steady-state reuse
 //
@@ -104,9 +111,12 @@
 // The loop also serves fleets whose servers run different configurations —
 // the substrate of the fleet coordinator (internal/fleet). Farm.Server
 // exposes each engine for per-server SetConfigAt/WakeAt at epoch
-// boundaries; the per-call uniformity scan notices differing configurations
-// and takes the linear arm, whose configuration snapshot lets every
-// dispatcher price each candidate under that server's own phase schedule.
+// boundaries. Every call snapshots the engines' configurations: JSQ's index
+// advances each server under its own entry, and the linear arm hands the
+// snapshot to RouteVirtual, so every dispatcher prices each candidate under
+// that server's own phase schedule. A JSQ fleet of at least indexFrom
+// servers therefore routes in O(log k) however its per-server policies
+// differ; LeastWorkLeft over differing configurations takes the linear arm.
 // Pricing is always live: the index and the linear arm price from the
 // engines' current configurations, so mid-run switches reprice immediately.
 // Farm.Select returns a view over any ascending subset of servers, sharing

@@ -9,30 +9,40 @@ import (
 
 // This file is the fleet-scale routing index: O(log k) per-job decisions for
 // the state-dependent dispatchers, proven bit-identical to their O(k) linear
-// scans. The serve loop builds one index per farm and routes every job of a
-// uniform farm of at least indexFrom servers through it, on the inline and
-// pooled arms alike. Smaller farms (where the scan is cheaper), farms whose
-// servers run different configurations, and dispatchers without an index
-// take the linear RouteVirtual arm.
+// scans. The serve loop builds one index per farm and resets it on every call
+// from the shadow and the farm's per-server configuration snapshot; a farm of
+// at least indexFrom servers routes every job through it, on the inline and
+// pooled arms alike, whenever the index accepts the snapshot. JSQ's index
+// accepts any mix of configurations, because its pick reads only freeAt and
+// each server's shadow advances under its own entry. Least-work-left's index
+// prices wake-ups from one configuration, so it accepts only a uniform
+// snapshot. Smaller farms (where the scan is cheaper), least-work-left over
+// mixed configurations, and dispatchers without an index take the linear
+// RouteVirtual arm.
 //
 // The structures answer exactly the queries the linear comparators compute:
 //
 //   - JSQ picks the least-backlogged server, ties toward the lowest index.
 //     Backlog at arrival t is max(0, freeAt−t), so every idle server
 //     (freeAt ≤ t) ties at zero and the lowest-index idle server wins; with
-//     no idle server the winner is the minimum (freeAt, index) pair. A
-//     tournament tree over freeAt serves both: a leftmost-descent for the
-//     lowest-index leaf with key ≤ t, the root winner for the busy minimum.
+//     no idle server the winner is the lowest index among the servers whose
+//     backlog freeAt−t is minimal. A tournament tree over freeAt serves
+//     both: a leftmost-descent for the lowest-index leaf with key ≤ t, the
+//     root winner for the busy minimum. Distinct freeAts can round to one
+//     backlog, so a busy pick also asks whether the next float above the
+//     minimum prices the same; if so, it finds the largest tying key
+//     (lastTie) and descends to the lowest index at or below it.
 //
 //   - Least-work-left picks the earliest completion of the arriving job.
 //     Busy servers (freeAt ≥ t) complete at freeAt + svc — the same
-//     tournament-tree minimum, with idle keys lifted to +Inf and extracted
-//     lazily as t advances. Idle servers complete at (t + wake) + svc, where
-//     wake depends only on the sleep phase occupied at t: all idle servers in
-//     one phase bucket tie, so the lowest index per bucket is the only
-//     candidate, held in a two-level bitset per bucket. Servers migrate
-//     between buckets at anchor + EnterAfter boundaries, tracked by a lazy
-//     min-heap of crossings invalidated by per-server generations.
+//     tournament-tree minimum and rounding-tie check, with idle keys lifted
+//     to +Inf and extracted lazily as t advances. Idle servers complete at
+//     (t + wake) + svc, where wake depends only on the sleep phase occupied
+//     at t: all idle servers in one phase bucket tie, so the lowest index
+//     per bucket is the only candidate, held in a two-level bitset per
+//     bucket. Servers migrate between buckets at the first instant whose
+//     rounded offset from the anchor reaches EnterAfter (entryTime), tracked
+//     by a lazy min-heap of crossings invalidated by per-server generations.
 //
 // Every floating-point expression below mirrors the corresponding linear-scan
 // expression operation for operation (the equivalence suite in index_test.go
@@ -42,10 +52,13 @@ import (
 // both decides the server for j and commits the shadow advance — it writes
 // the new freeAt/anchor through the farm's shadow slices, so the pooled
 // arm's post-barrier engine resync still compares clean. reset rebuilds from
-// the shadow (after Farm.Reset, a new stream, or a resync mismatch); jobs
-// within one run must arrive in non-decreasing order, as everywhere else.
+// the shadow (after Farm.Reset, a new stream, or a resync mismatch) for the
+// per-server configuration snapshot cfgs, which the index may keep until the
+// next reset, and reports whether the index prices that snapshot exactly; on
+// false the caller must route by the linear scan. Jobs within one run must
+// arrive in non-decreasing order, as everywhere else.
 type routeIndex interface {
-	reset(engCfg queue.Config)
+	reset(cfgs []queue.Config) bool
 	route(j queue.Job) int
 	// rebind re-aliases the index to new shadow slices after the farm
 	// resized them (a Select view's server count changed); the caller must
@@ -157,13 +170,56 @@ func (t *minTree) leftmostLE(bound float64) int {
 	return n - t.base
 }
 
+// nextUp returns the least float64 above the finite x.
+func nextUp(x float64) float64 { return fromOrdered(ordered(x) + 1) }
+
+// ordered maps x to an integer of the same order, so that adjacent floats map
+// to adjacent integers (both zeros map to 0).
+func ordered(x float64) int64 {
+	b := int64(math.Float64bits(x))
+	if b < 0 {
+		b = math.MinInt64 - b
+	}
+	return b
+}
+
+// fromOrdered inverts ordered (0 maps back to +0).
+func fromOrdered(o int64) float64 {
+	if o < 0 {
+		o = math.MinInt64 - o
+	}
+	return math.Float64frombits(uint64(o))
+}
+
+// lastTie returns the largest finite key k ≥ lo with price(k) == price(lo),
+// for a price non-decreasing in its key: a binary search over the float64
+// bit patterns in value order, at most 64 probes. The indexes call it only
+// when the float just above lo already ties.
+func lastTie(lo float64, price func(float64) float64) float64 {
+	want := price(lo)
+	// price(a) == want; b is the first pattern known not to tie, or +Inf.
+	a, b := ordered(lo), ordered(math.MaxFloat64)+1
+	for uint64(b-a) > 1 {
+		m := a + int64(uint64(b-a)/2)
+		if price(fromOrdered(m)) == want {
+			a = m
+		} else {
+			b = m
+		}
+	}
+	return fromOrdered(a)
+}
+
 // jsqIndex indexes JSQ routing: leftmostLE(t) when any server is idle (all
-// idle servers tie at backlog zero, linear scan keeps the first), the tree
-// minimum otherwise (backlog freeAt−t orders as freeAt).
+// idle servers tie at backlog zero, linear scan keeps the first), otherwise
+// the lowest index among the busy servers of minimal backlog freeAt−t, which
+// orders as freeAt up to rounding ties. The pick never reads a
+// configuration; the shadow advance prices server s from cfgs[s], so any mix
+// of configurations routes exactly.
 type jsqIndex struct {
 	freeAt []float64 // the farm's shadow, written through
 	anchor []float64
-	engCfg queue.Config
+	cfgs   []queue.Config // the reset snapshot, one entry per server
 	tree   minTree
 }
 
@@ -171,19 +227,26 @@ func (x *jsqIndex) rebind(freeAt, anchor []float64) {
 	x.freeAt, x.anchor = freeAt, anchor
 }
 
-func (x *jsqIndex) reset(engCfg queue.Config) {
-	x.engCfg = engCfg
+func (x *jsqIndex) reset(cfgs []queue.Config) bool {
+	x.cfgs = cfgs
 	x.tree.init(len(x.freeAt))
 	copy(x.tree.key, x.freeAt)
 	x.tree.build()
+	return true
 }
 
 func (x *jsqIndex) route(j queue.Job) int {
-	s := x.tree.leftmostLE(j.Arrival)
+	t := j.Arrival
+	s := x.tree.leftmostLE(t)
 	if s < 0 {
 		s = x.tree.min()
+		if key := x.tree.key[s]; nextUp(key)-t == key-t {
+			// Distinct freeAts round to one backlog; the scan keeps the
+			// lowest index among them.
+			s = x.tree.leftmostLE(lastTie(key, func(k float64) float64 { return k - t }))
+		}
 	}
-	nf := x.engCfg.NextFreeAtAnchored(x.freeAt[s], x.anchor[s], j)
+	nf := x.cfgs[s].NextFreeAtAnchored(x.freeAt[s], x.anchor[s], j)
 	x.freeAt[s], x.anchor[s] = nf, nf
 	x.tree.key[s] = nf
 	x.tree.update(s)
@@ -243,20 +306,21 @@ type crossing struct {
 // keyed by freeAt (idle keys +Inf, extracted lazily as t passes freeAt);
 // idle servers live in one bitset per wake-pricing bucket — bucket 0 is the
 // pre-sleep window (wake 0), bucket p+1 is price.Phases[p] — migrating at
-// anchor+EnterAfter boundaries via the crossing heap. The candidates at
+// entryTime boundaries via the crossing heap. The candidates at
 // arrival t are the busy minimum (done = freeAt + svc) and each non-empty
 // bucket's lowest index (done = (t + wake) + svc), compared by (done, index)
 // exactly as the linear scan's strict-less loop resolves them.
 //
-// Pricing uses the configuration passed to reset — the engines' live shared
-// configuration — exactly as the linear arm prices from its per-server
-// snapshot, so indexed routing stays bit-identical to the scan even when the
-// operating point switches between calls (the fleet coordinator's
-// epoch-boundary policy changes).
+// Pricing uses the configuration every entry of the reset snapshot shares —
+// the engines' live configuration — exactly as the linear arm prices from
+// its per-server snapshot, so indexed routing stays bit-identical to the scan
+// even when the operating point switches between calls (the fleet
+// coordinator's epoch-boundary policy changes). A snapshot with two distinct
+// configurations is refused: the buckets hold one wake ladder.
 type lwlIndex struct {
 	freeAt []float64
 	anchor []float64
-	engCfg queue.Config // the reset configuration: live pricing
+	cfg    queue.Config // the reset snapshot's one configuration: live pricing
 
 	tree     minTree
 	buckets  []bucketBits // len(price.Phases) + 1
@@ -271,8 +335,13 @@ func (x *lwlIndex) rebind(freeAt, anchor []float64) {
 	x.freeAt, x.anchor = freeAt, anchor
 }
 
-func (x *lwlIndex) reset(engCfg queue.Config) {
-	x.engCfg = engCfg
+func (x *lwlIndex) reset(cfgs []queue.Config) bool {
+	for s := 1; s < len(cfgs); s++ {
+		if !configsEqual(&cfgs[0], &cfgs[s]) {
+			return false
+		}
+	}
+	x.cfg = cfgs[0]
 	k := len(x.freeAt)
 	x.tree.init(k)
 	// Every server starts in the busy tree regardless of its freeAt; route's
@@ -281,7 +350,7 @@ func (x *lwlIndex) reset(engCfg queue.Config) {
 	copy(x.tree.key, x.freeAt)
 	x.tree.build()
 
-	nb := len(x.engCfg.Phases) + 1
+	nb := len(x.cfg.Phases) + 1
 	x.buckets = resize(x.buckets, nb)
 	words := (k + 63) / 64
 	sumWords := (words + 63) / 64
@@ -290,8 +359,8 @@ func (x *lwlIndex) reset(engCfg queue.Config) {
 	for b := range x.buckets {
 		x.buckets[b].init(words, sumWords)
 		if b > 0 {
-			x.wakes[b] = x.engCfg.Phases[b-1].WakeLatency
-			x.enters[b-1] = x.engCfg.Phases[b-1].EnterAfter
+			x.wakes[b] = x.cfg.Phases[b-1].WakeLatency
+			x.enters[b-1] = x.cfg.Phases[b-1].EnterAfter
 		}
 	}
 	x.bucketOf = resize(x.bucketOf, k)
@@ -301,13 +370,35 @@ func (x *lwlIndex) reset(engCfg queue.Config) {
 		x.bucketOf[s] = -1
 	}
 	x.heap = x.heap[:0]
+	return true
+}
+
+// configsEqual reports whether two engine configurations are identical,
+// phases included. The fast path is the homogeneous farm's: engines switched
+// from one shared resolved policy alias the same phase slice, so the slice
+// headers match and no element compare runs.
+func configsEqual(a, b *queue.Config) bool {
+	if a.Frequency != b.Frequency || a.FreqExponent != b.FreqExponent ||
+		a.ActivePower != b.ActivePower || a.IdlePower != b.IdlePower ||
+		len(a.Phases) != len(b.Phases) {
+		return false
+	}
+	if len(a.Phases) == 0 || &a.Phases[0] == &b.Phases[0] {
+		return true
+	}
+	for i := range a.Phases {
+		if a.Phases[i] != b.Phases[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (x *lwlIndex) route(j queue.Job) int {
 	t := j.Arrival
 	x.advance(t)
 
-	svc := x.engCfg.ServiceTime(j.Size)
+	svc := x.cfg.ServiceTime(j.Size)
 	best, bestDone := -1, 0.0
 	for b := range x.buckets {
 		s := x.buckets[b].lowestSet()
@@ -322,7 +413,14 @@ func (x *lwlIndex) route(j queue.Job) int {
 		}
 	}
 	if s := x.tree.min(); !math.IsInf(x.tree.key[s], 1) {
-		done := x.tree.key[s] + svc
+		key := x.tree.key[s]
+		done := key + svc
+		if nextUp(key)+svc == done {
+			// Distinct busy freeAts round to one completion; the scan keeps
+			// the lowest index among them. The bound is finite, so idle
+			// servers (+Inf keys) stay out of the descent.
+			s = x.tree.leftmostLE(lastTie(key, func(k float64) float64 { return k + svc }))
+		}
 		if best < 0 || done < bestDone || (done == bestDone && s < best) {
 			best = s
 		}
@@ -337,7 +435,7 @@ func (x *lwlIndex) route(j queue.Job) int {
 		x.bucketOf[s] = -1
 		x.gen[s]++ // orphan any scheduled crossing
 	}
-	nf := x.engCfg.NextFreeAtAnchored(x.freeAt[s], x.anchor[s], j)
+	nf := x.cfg.NextFreeAtAnchored(x.freeAt[s], x.anchor[s], j)
 	x.freeAt[s], x.anchor[s] = nf, nf
 	x.tree.key[s] = nf
 	x.tree.update(s)
@@ -383,19 +481,37 @@ func (x *lwlIndex) goIdle(s int, t float64) {
 }
 
 // schedule pushes server s's crossing out of bucket b, if a deeper phase
-// exists. The boundary is anchor + EnterAfter of the next phase, necessarily
-// in the future of the scheduling instant.
+// exists. The boundary is the entryTime of the next phase, necessarily in the
+// future of the scheduling instant.
 func (x *lwlIndex) schedule(s, b int) {
 	if b >= len(x.enters) {
 		return // deepest phase: no further crossing
 	}
-	x.heapPush(crossing{t: x.anchor[s] + x.enters[b], s: int32(s), b: int32(b + 1), gen: x.gen[s]})
+	x.heapPush(crossing{t: entryTime(x.anchor[s], x.enters[b]), s: int32(s), b: int32(b + 1), gen: x.gen[s]})
 	// Orphaned entries (server went busy before its crossing fired) are only
 	// reclaimed when popped; compact if they pile up far beyond the k·phases
 	// live bound.
 	if len(x.heap) > 4*(len(x.freeAt)+16)*(len(x.enters)+1) {
 		x.compact()
 	}
+}
+
+// entryTime returns the first instant at which the scan sees a server whose
+// idle schedule is anchored at anchor in a phase entered after e: the least
+// float64 T with T − anchor ≥ e as rounded, since occupiedPhase reads the
+// rounded offset. The rounded sum anchor + e can land an ulp either side of
+// that instant, so the search starts there and steps up to an instant that
+// reaches e, then down while the float below still does; a crossing at T
+// then fires at arrival t exactly when the scan's offset t − anchor reaches e.
+func entryTime(anchor, e float64) float64 {
+	c := anchor + e
+	for c-anchor < e {
+		c = nextUp(c)
+	}
+	for p := fromOrdered(ordered(c) - 1); p-anchor >= e; p = fromOrdered(ordered(c) - 1) {
+		c = p
+	}
+	return c
 }
 
 // compact drops orphaned heap entries in place and restores the heap order.

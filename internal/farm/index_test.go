@@ -1,6 +1,8 @@
 package farm
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -112,6 +114,13 @@ func TestRoutingIndexEquivalence10k(t *testing.T) {
 	requireIndexMatchesScan(t, 10000, 2000, 300)
 }
 
+// TestRoutingIndexEquivalence1k drives the indexes decision by decision at
+// k = 1,000 under load heavy enough (ρ ≈ 0.8) that most picks take the busy
+// branch, on uniform farms and on the fleet's configuration mixes.
+func TestRoutingIndexEquivalence1k(t *testing.T) {
+	requireIndexMatchesScan(t, 1000, 4000, 4000)
+}
+
 // TestRoutingIndexEquivalenceBelowThreshold drives the indexes decision by
 // decision at k ∈ {1, 7}: below indexFrom full dispatch never reaches them,
 // but a one-leaf tree and padded leaves must still route exactly.
@@ -121,38 +130,60 @@ func TestRoutingIndexEquivalenceBelowThreshold(t *testing.T) {
 	}
 }
 
+// fleetMix returns the configuration shapes a fleet runs side by side: the
+// deep ladder at f = 1, its ≤C1 cap (a quorum member's plan), an
+// immediate-halt plan (the cap of a plan that starts deep), and the ladder at
+// f = 0.8.
+func fleetMix() []queue.Config {
+	capped := deepCfg()
+	capped.Phases = capped.Phases[:1]
+	halt := deepCfg()
+	halt.Phases = []queue.SleepPhase{{Name: "halt", Power: 90, WakeLatency: 1e-5}}
+	slow := deepCfg()
+	slow.Frequency = 0.8
+	return []queue.Config{deepCfg(), capped, halt, slow}
+}
+
 // requireIndexMatchesScan routes n-job streams at rate lambda through each
 // index and through routeLinearReference over a randomized shadow of k
-// servers, failing on the first differing decision or final shadow. The
-// least-work-left cases price two different engine configurations, both from
-// the configuration the index was reset with, exactly as the linear arm
-// prices from its snapshot. One index instance is reused across all seeds of
-// a case via reset, which is the rebuild path the serve loop exercises per
+// servers, failing on the first differing decision or final shadow. Each
+// case draws every server's configuration from its mix with a seeded
+// permutation, so a mix of m shapes puts every shape on a farm of k ≥ m
+// servers. JSQ's index must accept every snapshot and advance each server
+// under its own entry; least-work-left's must accept exactly the uniform
+// snapshots and price them from their one configuration, as the linear arm
+// does from its snapshot. One index instance is reused across all seeds of a
+// case via reset, which is the rebuild path the serve loop exercises per
 // call.
 func requireIndexMatchesScan(t *testing.T, k, n int, lambda float64) {
 	t.Helper()
-	slowEng := deepCfg()
-	slowEng.Frequency = 0.8
+	mix := fleetMix()
 	cases := []struct {
-		name   string
-		mk     func() Dispatcher
-		engCfg queue.Config
+		name string
+		mk   func() Dispatcher
+		mix  []queue.Config
 	}{
-		{"jsq", func() Dispatcher { return JSQ{} }, deepCfg()},
-		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }, deepCfg()},
-		{"lwl-slow", func() Dispatcher { return &LeastWorkLeft{} }, slowEng},
+		{"jsq", func() Dispatcher { return JSQ{} }, mix[:1]},
+		{"jsq-mix", func() Dispatcher { return JSQ{} }, mix},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }, mix[:1]},
+		{"lwl-slow", func() Dispatcher { return &LeastWorkLeft{} }, mix[3:]},
+		{"lwl-mix", func() Dispatcher { return &LeastWorkLeft{} }, mix},
 	}
 	for _, tc := range cases {
 		disp := tc.mk()
-		cfgs := make([]queue.Config, k)
-		for s := range cfgs {
-			cfgs[s] = tc.engCfg
-		}
+		_, isJSQ := disp.(JSQ)
 		var idx routeIndex
 		var idxFree, idxAnchor []float64
 		for _, seed := range []int64{1, 2, 3} {
 			stream := expJobs(n, lambda, 5, seed)
 			linFree, linAnchor := shadowState(k, seed*101)
+			perm := rand.New(rand.NewSource(seed * 103)).Perm(k)
+			cfgs := make([]queue.Config, k)
+			uniform := true
+			for s := range cfgs {
+				cfgs[s] = tc.mix[perm[s]%len(tc.mix)]
+				uniform = uniform && perm[s]%len(tc.mix) == perm[0]%len(tc.mix)
+			}
 			if idx == nil {
 				idxFree = make([]float64, k)
 				idxAnchor = make([]float64, k)
@@ -163,7 +194,12 @@ func requireIndexMatchesScan(t *testing.T, k, n int, lambda float64) {
 			}
 			copy(idxFree, linFree)
 			copy(idxAnchor, linAnchor)
-			idx.reset(tc.engCfg)
+			if got, want := idx.reset(cfgs), isJSQ || uniform; got != want {
+				t.Fatalf("k=%d %s seed=%d: reset accepted=%v, want %v", k, tc.name, seed, got, want)
+			}
+			if !isJSQ && !uniform {
+				continue // the serve loop routes this snapshot on the linear arm
+			}
 			for i, j := range stream {
 				want := routeLinearReference(disp, cfgs, linFree, linAnchor, j)
 				got := idx.route(j)
@@ -172,12 +208,115 @@ func requireIndexMatchesScan(t *testing.T, k, n int, lambda float64) {
 						k, tc.name, seed, i, j.Arrival, got, want)
 				}
 			}
-			for s := range linFree {
-				if idxFree[s] != linFree[s] || idxAnchor[s] != linAnchor[s] {
-					t.Fatalf("k=%d %s seed=%d: shadow diverges at server %d: indexed (%.17g, %.17g) linear (%.17g, %.17g)",
-						k, tc.name, seed, s, idxFree[s], idxAnchor[s], linFree[s], linAnchor[s])
+			requireShadowEqual(t, fmt.Sprintf("k=%d %s seed=%d", k, tc.name, seed), idxFree, idxAnchor, linFree, linAnchor)
+		}
+	}
+}
+
+// requireShadowEqual fails unless the indexed and linear shadows agree bit
+// for bit.
+func requireShadowEqual(t testing.TB, name string, idxFree, idxAnchor, linFree, linAnchor []float64) {
+	t.Helper()
+	for s := range linFree {
+		if math.Float64bits(idxFree[s]) != math.Float64bits(linFree[s]) ||
+			math.Float64bits(idxAnchor[s]) != math.Float64bits(linAnchor[s]) {
+			t.Fatalf("%s: shadow diverges at server %d: indexed (%.17g, %.17g) linear (%.17g, %.17g)",
+				name, s, idxFree[s], idxAnchor[s], linFree[s], linAnchor[s])
+		}
+	}
+}
+
+// TestRoutingIndexTiesAfterRounding pins the indexes to the scans where
+// rounding, not the exact values, decides. Every case runs k = 16 servers of
+// one configuration with every server but 0 and 1 busy until 100, and the
+// scan routes each to server 0:
+//
+//   - JSQ, f = 1, β = 1, no phases: freeAt 4+3u and 4+2u (u = 2⁻⁵⁰, the ulp
+//     at 4), arrival u/2. Both backlogs round to 4+2u, and the scan keeps
+//     the lower index, where a bare tree minimum takes the smaller freeAt.
+//   - Least-work-left, same configuration: freeAt 1+2⁻⁵² and 1, arrival 0.5,
+//     size 1. Both completions round to 2.
+//   - Least-work-left, deep ladder: server 0 idle since 3, server 1 busy
+//     until t + 0.5 ms, arrival t = 3 + 0.05 as rounded. The rounded offset
+//     t − 3 falls short of c1's EnterAfter 0.05, so the scan prices server 0
+//     awake; a crossing scheduled at the rounded sum 3 + 0.05 would already
+//     have fired and charged c1's 1 ms wake.
+func TestRoutingIndexTiesAfterRounding(t *testing.T) {
+	u := math.Ldexp(1, -50)
+	plain := queue.Config{Frequency: 1, FreqExponent: 1, ActivePower: 100, IdlePower: 50}
+	boundary := 3 + 0.05
+	for _, tc := range []struct {
+		name         string
+		disp         Dispatcher
+		cfg          queue.Config
+		free0, free1 float64
+		job          queue.Job
+	}{
+		{"jsq", JSQ{}, plain, 4 + 3*u, 4 + 2*u, queue.Job{Arrival: u / 2, Size: 1}},
+		{"lwl", &LeastWorkLeft{}, plain, 1 + math.Ldexp(1, -52), 1, queue.Job{Arrival: 0.5, Size: 1}},
+		{"lwl-phase-entry", &LeastWorkLeft{}, deepCfg(), 3, boundary + 0.5e-3, queue.Job{Arrival: boundary, Size: 1}},
+	} {
+		const k = 16
+		cfgs := make([]queue.Config, k)
+		linFree := make([]float64, k)
+		for s := range cfgs {
+			cfgs[s] = tc.cfg
+			linFree[s] = 100
+		}
+		linFree[0], linFree[1] = tc.free0, tc.free1
+		linAnchor := append([]float64(nil), linFree...)
+		idxFree := append([]float64(nil), linFree...)
+		idxAnchor := append([]float64(nil), linFree...)
+		idx := newRouteIndexFor(tc.disp, idxFree, idxAnchor)
+		if !idx.reset(cfgs) {
+			t.Fatalf("%s: index refused a uniform farm", tc.name)
+		}
+		if want := routeLinearReference(tc.disp, cfgs, linFree, linAnchor, tc.job); want != 0 {
+			t.Fatalf("%s: scan routes to %d; the repro needs it at 0", tc.name, want)
+		}
+		if got := idx.route(tc.job); got != 0 {
+			t.Fatalf("%s: indexed route %d, linear route 0", tc.name, got)
+		}
+		requireShadowEqual(t, tc.name, idxFree, idxAnchor, linFree, linAnchor)
+	}
+}
+
+// TestNonUniformJSQRoutesThroughIndex is the white-box guard on the routing
+// arm: a JSQ farm of at least indexFrom servers running mixed configurations
+// routes every job through its index, on the inline and pooled arms alike.
+// Only the index's own commits move its tree keys, so after a served stream
+// they hold every engine's availability; router hands the index back for the
+// next call. The same farm behind least-work-left, whose index prices one
+// configuration, gets no index from router.
+func TestNonUniformJSQRoutesThroughIndex(t *testing.T) {
+	for _, k := range []int{indexFrom, 300} {
+		jobs := expJobs(3000, 2*float64(k), 5, 11)
+		for _, arm := range serveArms {
+			f := hetFarm(t, k, JSQ{})
+			f.workers, f.sliceJobs = arm.workers, arm.sliceJobs
+			if _, err := f.ServeSource(&sliceSource{jobs: jobs}); err != nil {
+				t.Fatal(err)
+			}
+			x, ok := f.sc.idx.(*jsqIndex)
+			if !ok {
+				t.Fatalf("k=%d %s: no JSQ index built", k, arm.name)
+			}
+			for s, eng := range f.engines {
+				if x.tree.key[s] != eng.FreeAt() {
+					t.Fatalf("k=%d %s: server %d has tree key %g but engine freeAt %g: the index did not route its jobs",
+						k, arm.name, s, x.tree.key[s], eng.FreeAt())
 				}
 			}
+			if f.router() == nil {
+				t.Fatalf("k=%d %s: router gives a non-uniform JSQ farm no index", k, arm.name)
+			}
+		}
+		lwl := hetFarm(t, k, &LeastWorkLeft{})
+		if _, err := lwl.ServeSource(&sliceSource{jobs: jobs}); err != nil {
+			t.Fatal(err)
+		}
+		if lwl.router() != nil {
+			t.Fatalf("k=%d: router gives a non-uniform least-work-left farm its index", k)
 		}
 	}
 }

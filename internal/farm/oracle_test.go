@@ -138,8 +138,9 @@ var serveArms = []serveArm{
 
 // TestServeSourceMatchesOracle pins the one serve loop to the oracle job by
 // job: every dispatcher, on both serving arms and both routing arms (the
-// dispatcher as built, which takes the index on a uniform farm of at least
-// indexFrom servers, and wrapped in scanOnly, which always scans), over
+// dispatcher as built, which takes the index on a farm of at least indexFrom
+// servers whose configurations the index accepts — JSQ's any, least-work-
+// left's uniform ones — and wrapped in scanOnly, which always scans), over
 // uniform and heterogeneous farms at k ∈ {1, 4, 7, 64, 300, 1000}.
 func TestServeSourceMatchesOracle(t *testing.T) {
 	pooledReachable := par.Default().Size() >= 2

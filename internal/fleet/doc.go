@@ -9,8 +9,9 @@
 //     utilization predictor (fed the demand actually routed to it) and its
 //     own Strategy decision each epoch, so a skewed fleet runs a different
 //     (frequency, sleep-plan) pair per server. Routing prices each server
-//     from its own live configuration (the farm serve loop's linear arm
-//     hands every farm.Dispatcher the per-server configurations).
+//     from its own live configuration (the farm serve loop snapshots the
+//     per-server configurations for its JSQ index and for every
+//     farm.Dispatcher's linear scan).
 //
 //   - Coordinated, staggered sleep: Config.Quorum = Q caps a rotating duty
 //     window of Q active servers to sleep states no deeper than C1, so deep

@@ -483,9 +483,9 @@ type (
 	// RoundRobin, RandomDispatch, JSQ, PowerOfD and LeastWorkLeft are the
 	// provided dispatchers. PowerOfD samples D servers and joins the least
 	// backlogged; LeastWorkLeft routes to the earliest completion,
-	// wake-up latency included. On large uniform farms JSQ and
-	// LeastWorkLeft route through an O(log k) index, bit-identically to
-	// their linear scans.
+	// wake-up latency included. On large farms JSQ, and LeastWorkLeft
+	// while every server runs one configuration, route through an
+	// O(log k) index, bit-identically to their linear scans.
 	RoundRobin     = farm.RoundRobin
 	RandomDispatch = farm.Random
 	JSQ            = farm.JSQ
