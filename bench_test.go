@@ -479,8 +479,8 @@ func dispatchStats(b *testing.B) sleepscale.Stats {
 // BenchmarkFarmDispatchSteadyState measures the farm's serve loop on a small
 // reused farm: one op resets four JSQ-dispatched servers and re-serves a
 // rewound stationary stream, each job routed over the shadow by the linear
-// scan and served at once (the inline arm, below both the pooling and the
-// index thresholds). allocs/op must stay at 0 — CI gates the budget on it
+// scan (below the index threshold) and served at once. allocs/op must stay
+// at 0 — CI gates the budget on it
 // via BENCH_farm.json, the farm-level analogue of the evaluator's and
 // stream generator's zero-allocation contracts.
 func BenchmarkFarmDispatchSteadyState(b *testing.B) {
@@ -523,9 +523,9 @@ func BenchmarkFarmDispatchSteadyState(b *testing.B) {
 // BenchmarkFarmDispatchParallelJSQ measures JSQ dispatch in steady state
 // over a 16-server farm: one op resets the farm and re-serves a rewound
 // stationary stream through the farm-owned scratch. A 16-server farm sits
-// below the pooling threshold and at the index threshold, so the serve loop
-// routes through the O(log k) index and serves each job inline; the name
-// dates from when this farm size ran the time-sliced parallel mode. With every buffer reused,
+// at the index threshold, so the serve loop routes through the O(log k)
+// index and serves each job at once; the name dates from when this farm
+// size ran the time-sliced parallel mode. With every buffer reused,
 // allocs/op must stay at 0 — CI gates the budget via BENCH_farm.json (the
 // committed baseline was 191 allocs / 1.96 MB per op when each call
 // spawned its own goroutines and scratch).
@@ -545,7 +545,7 @@ func BenchmarkFarmDispatchParallelJSQ(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := f.ServeSource(src); err != nil { // warm scratch + pool
+	if _, err := f.ServeSource(src); err != nil { // warm scratch
 		b.Fatal(err)
 	}
 	f.FinishSummary(f.LastFree()) // warm the percentile scratch too
@@ -594,11 +594,11 @@ func farm10k(b *testing.B, disp sleepscale.Dispatcher) (*sleepscale.Farm, interf
 
 // BenchmarkFarmDispatch10k measures fleet-scale streamed dispatch: one op
 // resets a 10,000-server farm and re-serves a rewound stationary stream
-// through the serve loop — pooled slices when the pool has two or more
-// executors, inline otherwise — with JSQ and LeastWorkLeft routed through
-// the O(log k) index. Steady-state allocs/op must stay at 0 — CI gates the
-// budget via BENCH_farm.json. Before the index, routing alone was a Θ(k)
-// scan per job (~10^8 float compares per op at this scale).
+// through the serve loop, with JSQ and LeastWorkLeft routed through the
+// O(log k) index and each job served at once. Steady-state allocs/op must
+// stay at 0 — CI gates the budget via BENCH_farm.json. Before the index,
+// routing alone was a Θ(k) scan per job (~10^8 float compares per op at
+// this scale).
 func BenchmarkFarmDispatch10k(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -609,7 +609,7 @@ func BenchmarkFarmDispatch10k(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			f, src, cfg := farm10k(b, tc.disp())
-			if _, err := f.ServeSource(src); err != nil { // warm scratch + index + pool
+			if _, err := f.ServeSource(src); err != nil { // warm scratch + index
 				b.Fatal(err)
 			}
 			f.FinishSummary(f.LastFree())
@@ -762,7 +762,7 @@ func BenchmarkFaultFailoverRouting(b *testing.B) {
 		}
 		return f.FinishSummary(f.LastFree()).TotalAvgPower
 	}
-	op() // warm views, index, pool and serving scratch
+	op() // warm views, index and serving scratch
 	var watts float64
 	b.ReportAllocs()
 	b.ResetTimer()

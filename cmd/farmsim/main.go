@@ -11,9 +11,8 @@
 //
 // With -stream the farm mode never materializes the job stream: jobs are
 // pulled from a stationary source in bounded chunks. Either way jobs run
-// through the farm's one serve loop, which simulates the servers of a
-// large farm concurrently on the persistent worker pool, bit-identical to
-// serving one job at a time, and routes jsq and lwl through an O(log k)
+// through the farm's one serve loop, which serves each job the moment it is
+// routed and, from 16 servers up, routes jsq and lwl through an O(log k)
 // index over the availability shadow. Dispatchers: jsq, rr, random, pd<d>
 // (power-of-d choices) and lwl (least work left, wake-aware). -stream and
 // -dispatch apply to -mode farm only; -mode chip rejects them.

@@ -61,16 +61,13 @@
 //     valid until the next Evaluate. Its tail percentiles come from an O(n)
 //     selection over the response sample, never a sort; with retention off
 //     it keeps response moments only and reports no tail.
-//   - Every parallel driver — Manager.Select and the pooled arm of the
-//     farm's serve loop — executes on one process-wide persistent worker
-//     pool (internal/par): workers start once, park
-//     between submissions, pull work from an atomic ticket counter (or own
-//     a fixed index shard with work stealing, keeping each engine on the
-//     same cache-hot worker) and resynchronize through a reusable barrier,
-//     so steady-state fan-out spawns no goroutines; concurrent submissions
-//     share the worker set through a run queue instead of degrading to
-//     inline-serial. Manager.Parallelism bounds the executors a selection
-//     may use; results are identical for every bound.
+//   - Manager.Select executes on one process-wide persistent worker pool
+//     (internal/par): workers start once, park between submissions, pull
+//     work from an atomic ticket counter and resynchronize through a
+//     reusable barrier, so steady-state fan-out spawns no goroutines;
+//     concurrent submissions share the worker set through a run queue
+//     instead of degrading to inline-serial. Manager.Parallelism bounds the
+//     executors a selection may use; results are identical for every bound.
 //   - Manager.Select gives each pool executor one pooled Evaluator and
 //     one sleep-phase scratch buffer, so scoring a candidate costs zero
 //     allocations once the pool is warm. It scores only what the QoS
@@ -78,10 +75,9 @@
 //     alone, so its evaluations report P95/P99 as 0. Manager.Evaluate
 //     remains the thin one-shot wrapper and reports full metrics.
 //   - A Farm owns its serving scratch: Reset + ServeSource reuses every
-//     buffer. Large farms simulate their servers in parallel and merge
-//     per-server results in server order, so the outcome is bit-identical
-//     to serving one job at a time. One-shot RunFarm and RunFarmSource calls
-//     build fresh engines, so their results never alias reused storage.
+//     buffer, routing each job and serving it at once. One-shot RunFarm and
+//     RunFarmSource calls build fresh engines, so their results never alias
+//     reused storage.
 //   - SimulateMultiCore recycles whole k-core simulators through an internal
 //     pool; MultiCoreSimulator.Reset supports the same reuse directly.
 //
@@ -133,19 +129,17 @@
 // exact across per-server policies and mid-run config switches.
 //
 // The farm has one serve loop, Farm.ServeSource (RunFarm and RunFarmSource
-// run it too), and it picks its arms from what it observes, never from an
-// option. A small farm, or a call with one executor, serves each job the
-// moment it is routed. From 256 servers up, the stream is cut into slices
-// that route serially and simulate concurrently on the persistent worker
-// pool. From 16 servers up, JSQ routes through an O(log k) index over the
-// shadow (a tournament tree) whatever configurations the servers run, and
-// LeastWorkLeft through its own (adding per-phase idle bitsets and a
-// wake-crossing heap) while every server runs one configuration, making a
-// 10,000-server farm dispatchable at interactive speed; the index is
-// bit-identical to the linear scan, which routes everything else. Every
-// arm gives the same result bit for bit — a test oracle that reads live
-// engines, digests recorded from the loop the shadow replaced, and a golden
-// snapshot pin this across dispatchers, seeds, farm sizes and pool sizes.
+// run it too): it serves each job the moment it is routed, and it picks its
+// routing arm from what it observes, never from an option. From 16 servers
+// up, JSQ routes through an O(log k) index over the shadow (a tournament
+// tree) whatever configurations the servers run, and LeastWorkLeft through
+// its own (adding per-phase idle bitsets and a wake-crossing heap) while
+// every server runs one configuration, making a 10,000-server farm
+// dispatchable at interactive speed; the index is bit-identical to the
+// linear scan, which routes everything else. Both arms give the same result
+// bit for bit — a test oracle that reads live engines, digests recorded
+// from the loop the shadow replaced, and a golden snapshot pin this across
+// dispatchers, seeds and farm sizes.
 // Steady-state callers hold a Farm and drive Reset + ServeSource +
 // FinishSummary, whose farm-owned scratch makes the whole loop
 // allocation-free once warm; the fleet coordinator's shared mode layers the
@@ -154,10 +148,10 @@
 // k = 1 it matches RunSource bit for bit).
 //
 // CI gates this path as well — BenchmarkFarmDispatchSteadyState and
-// BenchmarkFarmDispatchParallelJSQ (the loop's inline arm on 4 and 16
-// servers; the latter formerly 191 allocs/op when it spawned workers per
-// slice) and BenchmarkFarmDispatch10k (the 10,000-server indexed dispatch,
-// JSQ and LeastWorkLeft) must all hold 0 allocs/op in BENCH_farm.json,
+// BenchmarkFarmDispatchParallelJSQ (the loop on 4 and 16 servers; the
+// latter formerly 191 allocs/op when it spawned workers per slice) and
+// BenchmarkFarmDispatch10k (the 10,000-server indexed dispatch, JSQ and
+// LeastWorkLeft) must all hold 0 allocs/op in BENCH_farm.json,
 // BenchmarkSelectParallel carries a hard allocs/op floor in
 // BENCH_selection.json — and every bench snapshot doubles as a regression
 // baseline: cmd/benchsnap -baseline fails the build when a benchmark

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"sleepscale/internal/par"
 	"sleepscale/internal/queue"
 	"sleepscale/internal/stream"
 )
@@ -15,7 +14,7 @@ import (
 // classic load-balancing compromise between random dispatch (d = 1) and full
 // JSQ (d = k), scanning d servers instead of the whole fleet. D must be ≥ 1
 // and Rng non-nil. Every job consumes exactly D draws, in arrival order, so
-// equal Rng states route identically on every serve arm.
+// equal Rng states route a stream identically.
 type PowerOfD struct {
 	// D is the sample size (2 is the textbook choice).
 	D int
@@ -76,25 +75,12 @@ func (l *LeastWorkLeft) RouteVirtual(cfgs []queue.Config, freeAt, anchor []float
 // Name implements Dispatcher.
 func (l *LeastWorkLeft) Name() string { return "least-work-left" }
 
-// defaultSliceJobs is the pooled arm's synchronization granularity: jobs
-// routed per slice between barriers. Larger slices amortize the barrier; the
-// slice buffer (not the stream) is the arm's memory high-water mark.
-const defaultSliceJobs = 4096
-
-// inlineBelow is the farm size from which ServeSource pools. Smaller farms,
-// and every call with a single executor, take the inline arm. Set from
-// medians of 5 runs on a 2-core x86 VM at GOMAXPROCS 2 (JSQ, stationary
-// streams): inline beat pooled by 17–25% at k = 4 and 16 and by 7–18% at
-// k = 64; from k = 256 up the two came within about 10% of each other
-// either way (a heterogeneous k = 1,000 farm: 85 ms inline, 83 ms pooled).
-const inlineBelow = 256
-
 // indexFrom is the farm size from which the serve loop routes through the
 // dispatcher's O(log k) index, when the index accepts the farm's
 // configurations, instead of the linear scan, because below it the index
 // costs more than the scan it replaces. Set from medians of 5 runs on a
-// 2-core x86 VM at GOMAXPROCS 1 (the inline arm serving about 10k jobs of
-// a uniform farm's stationary stream at total ρ = 0.3): JSQ's scan took
+// 2-core x86 VM at GOMAXPROCS 1 (serving about 10k jobs of a uniform
+// farm's stationary stream at total ρ = 0.3): JSQ's scan took
 // 0.93 ms and its index 1.08 ms at k = 8, they tied at k = 16 (1.12 vs
 // 1.14 ms), and the index won from there (1.62 vs 1.21 ms at k = 32);
 // least-work-left's index already won at k = 8 (1.83 vs 1.53 ms) and
@@ -104,8 +90,8 @@ const indexFrom = 16
 // DispatchSource is the streaming k-way dispatch loop: it serves every job
 // src delivers through a fresh k-server farm's ServeSource — each job routed
 // through disp at its arrival instant, the stream never materialized — and
-// finishes at the last departure. Peak job-buffer memory is one chunk or one
-// slice; week-long streams run in O(chunk).
+// finishes at the last departure. Peak job-buffer memory is one chunk;
+// week-long streams run in O(chunk).
 //
 // The source is consumed from its current position; sources exposing
 // Err() error surface their deferred failure. Engines are fresh per call, so
@@ -138,11 +124,9 @@ func sourceErr(src queue.JobSource) error {
 
 // serveState is the farm-owned reusable scratch of ServeSource: the
 // freeAt/anchor shadow, the per-server configuration snapshot, the routing
-// index, the pull buffer, and the pooled arm's routing table,
-// bucketed-substream backing, per-server counters, merge offsets and stored
-// worker closure. Each piece is allocated by the first call that needs it
-// and reused across calls, which is what takes the loop's steady state to
-// zero allocations.
+// index and the pull buffer. Each piece is allocated by the first call that
+// needs it and reused across calls, which is what takes the loop's steady
+// state to zero allocations.
 type serveState struct {
 	// shadow backs freeAt (its first k entries) and anchor (the next k)
 	// with one array.
@@ -157,49 +141,21 @@ type serveState struct {
 	// on first use (the farm's dispatcher never changes) and rebuilt per
 	// call; nil when the dispatcher has none.
 	idx routeIndex
-	// buf receives each batch pulled from the source: a chunk on the
-	// inline arm, a slice on the pooled arm.
+	// buf receives each chunk pulled from the source.
 	buf []queue.Job
-
-	assign  []int
-	backing []queue.Job
-	offsets []int
-	fill    []int
-	count   []int
-	// ord maps bucket positions back to slice positions (ord[offsets[s]+i]
-	// is the slice index of server s's i-th job), computed only while
-	// RecordServe recording is armed so responses land at stream positions.
-	ord []int
-	// done[s] is how many of server s's substream jobs the current slice
-	// actually simulated — equal to count[s] on success, fewer when the
-	// engine failed mid-substream — so the served count stays consistent
-	// with engine state even on error returns.
-	done []int
-	errs []error
-	// body advances one server's substream for the current slice; stored so
-	// per-slice pool submissions allocate no closure.
-	body func(worker, s int)
 }
 
 // ServeSource dispatches every job src delivers — from its current position
 // — through the farm's dispatcher, returning the number served. It is the
-// farm's one serve loop. Routing reads the freeAt/anchor shadow, never the
-// engines, and the loop picks its arms from what the call can observe:
-//
-//   - Routing: a farm of at least indexFrom servers routes JSQ, and
-//     LeastWorkLeft while every server runs one configuration, through the
-//     O(log k) index; every other farm and dispatcher calls RouteVirtual
-//     over the per-server configuration snapshot (the linear arm).
-//   - Serving: with one executor, or on a farm smaller than inlineBelow,
-//     each job is served the moment it is routed (the inline arm).
-//     Otherwise the stream is cut into slices, each routed serially and
-//     then simulated per server concurrently on the persistent worker pool
-//     (the pooled arm).
-//
-// Because the shadow recursion mirrors Engine.Process bit for bit, every
-// arm routes each job to the same server and each engine sees the same jobs
-// in the same order: results never depend on the arm, the slice size or the
-// pool size.
+// farm's one serve loop: each job is routed against the freeAt/anchor
+// shadow, never the engines, and served the moment it is routed. A farm of
+// at least indexFrom servers routes JSQ, and LeastWorkLeft while every
+// server runs one configuration, through the O(log k) index; every other
+// farm and dispatcher calls RouteVirtual over the per-server configuration
+// snapshot (the linear arm). The loop picks the routing arm from what the
+// call can observe, never from an option, and because the index's shadow
+// advance mirrors Engine.Process bit for bit, both arms send every job to
+// the same server.
 //
 // All scratch is farm-owned and reused, so after the first call a Reset +
 // ServeSource cycle allocates nothing. Deferred source errors are the
@@ -209,8 +165,8 @@ func (f *Farm) ServeSource(src queue.JobSource) (int, error) {
 }
 
 // serve is the loop behind ServeSource and Run: it serves every job src
-// delivers or, when src is nil, the materialized stream jobs in place, one
-// batch at a time.
+// delivers, one chunk at a time, or, when src is nil, the materialized
+// stream jobs in place.
 func (f *Farm) serve(src queue.JobSource, jobs []queue.Job) (int, error) {
 	k := len(f.engines)
 	sc := &f.sc
@@ -231,44 +187,18 @@ func (f *Farm) serve(src queue.JobSource, jobs []queue.Job) (int, error) {
 		sc.freeAt[s], sc.anchor[s] = eng.FreeAt(), eng.IdleAnchor()
 	}
 	ridx := f.router()
-	executors := par.Default().Size()
-	if f.workers > 0 && f.workers < executors {
-		executors = f.workers
+	if src == nil {
+		return f.routeServe(jobs, 0, ridx)
 	}
-	pooled := k >= inlineBelow && executors >= 2
-	size := stream.DefaultChunk
-	if pooled {
-		if size = f.sliceJobs; size < 1 {
-			size = defaultSliceJobs
-		}
-		f.pooled(size)
+	if sc.buf == nil {
+		sc.buf = make([]queue.Job, stream.DefaultChunk)
 	}
-	if src != nil && cap(sc.buf) < size {
-		sc.buf = make([]queue.Job, size)
-	}
-
 	served := 0
 	for {
-		var batch []queue.Job
-		var more bool
-		if src != nil {
-			var n int
-			n, more = src.Next(sc.buf[:size])
-			batch = sc.buf[:n]
-		} else {
-			batch = jobs[served:min(served+size, len(jobs))]
-			more = served+len(batch) < len(jobs)
-		}
-		if len(batch) > 0 {
-			f.recBase = served
-			var n int
-			var err error
-			if pooled {
-				n, err = f.serveSlice(batch, ridx)
-			} else {
-				n, err = f.routeServe(batch, ridx)
-			}
-			served += n
+		n, more := src.Next(sc.buf)
+		if n > 0 {
+			m, err := f.routeServe(sc.buf[:n], served, ridx)
+			served += m
 			if err != nil {
 				return served, err
 			}
@@ -304,14 +234,15 @@ func (f *Farm) router() routeIndex {
 	return nil
 }
 
-// routeServe is the inline arm's step: it routes and serves jobs one by one,
-// with no bucketing, barrier or resync, returning how many it served. The
-// index commits its own shadow advance; on the linear arm the picked
-// server's availability and idle anchor are read back from its engine.
-func (f *Farm) routeServe(jobs []queue.Job, ridx routeIndex) (int, error) {
+// routeServe routes and serves jobs one by one, returning how many it
+// served; base is the stream position of jobs[0], where RecordServe
+// recording lands. The index commits its own shadow advance; on the linear
+// arm the picked server's availability and idle anchor are read back from
+// its engine.
+func (f *Farm) routeServe(jobs []queue.Job, base int, ridx routeIndex) (int, error) {
 	disp, engines := f.disp, f.engines
 	cfgs, freeAt, anchor := f.sc.cfgs, f.sc.freeAt, f.sc.anchor
-	rec, recSrv, base := f.recResp, f.recSrv, f.recBase
+	rec, recSrv := f.recResp, f.recSrv
 	for i, j := range jobs {
 		var s int
 		if ridx != nil {
@@ -335,137 +266,4 @@ func (f *Farm) routeServe(jobs []queue.Job, ridx routeIndex) (int, error) {
 		}
 	}
 	return len(jobs), nil
-}
-
-// pooled sizes the pooled arm's buffers for the farm's server count and
-// sliceJobs — allocated on first use, resized in place when a Select view's
-// subset size changed — and clears the per-server errors.
-func (f *Farm) pooled(sliceJobs int) {
-	sc := &f.sc
-	k := len(f.engines)
-	if len(sc.count) != k {
-		sc.offsets = resize(sc.offsets, k+1)
-		sc.fill = resize(sc.fill, k)
-		sc.count = resize(sc.count, k)
-		sc.done = resize(sc.done, k)
-		sc.errs = resize(sc.errs, k)
-	}
-	clear(sc.errs)
-	if sc.body == nil {
-		sc.body = func(_, s int) {
-			sub := sc.backing[sc.offsets[s]:sc.offsets[s+1]]
-			eng := f.engines[s]
-			rec, recSrv, base, off := f.recResp, f.recSrv, f.recBase, sc.offsets[s]
-			for i := range sub {
-				r, err := eng.Process(sub[i])
-				if err != nil {
-					sc.errs[s] = fmt.Errorf("farm: server %d: %w", s, err)
-					sc.done[s] = i
-					return
-				}
-				if rec != nil || recSrv != nil {
-					gi := base + sc.ord[off+i]
-					if rec != nil {
-						rec[gi] = r
-					}
-					if recSrv != nil {
-						recSrv[gi] = s
-					}
-				}
-			}
-			sc.done[s] = len(sub)
-		}
-	}
-	if cap(sc.assign) < sliceJobs {
-		sc.assign = make([]int, sliceJobs)
-		sc.backing = make([]queue.Job, sliceJobs)
-	}
-}
-
-// serveSlice is the pooled arm's step: it routes the slice serially against
-// the shadow — through the index, or by RouteVirtual with the picked
-// server's shadow advanced by queue.Config.NextFreeAtAnchored under its own
-// configuration — then advances the servers' substreams in parallel, and the
-// pool's reusable barrier resynchronizes the shadow from the engines before
-// the next slice. It returns how many jobs the engines served.
-func (f *Farm) serveSlice(slice []queue.Job, ridx routeIndex) (int, error) {
-	k := len(f.engines)
-	sc := &f.sc
-	assign := sc.assign[:len(slice)]
-	if ridx != nil {
-		// O(log k) per job; the index commits the shadow advance itself.
-		for i := range slice {
-			assign[i] = ridx.route(slice[i])
-		}
-	} else {
-		// Linear arm: route against the shadow, then advance the picked
-		// server's shadow under its own configuration, so pricing matches
-		// each engine's live policy exactly.
-		for i := range slice {
-			s := f.disp.RouteVirtual(sc.cfgs, sc.freeAt, sc.anchor, slice[i])
-			assign[i] = s
-			if s >= 0 && s < k {
-				nf := sc.cfgs[s].NextFreeAtAnchored(sc.freeAt[s], sc.anchor[s], slice[i])
-				sc.freeAt[s], sc.anchor[s] = nf, nf
-			}
-		}
-	}
-	for s := range sc.count {
-		sc.count[s] = 0
-	}
-	for _, s := range assign {
-		if s < 0 || s >= k {
-			return 0, fmt.Errorf("farm: dispatcher %s picked server %d of %d", f.disp.Name(), s, k)
-		}
-		sc.count[s]++
-	}
-
-	bucketByServer(slice, assign, sc.count, sc.offsets, sc.fill, sc.backing)
-	if f.recResp != nil || f.recSrv != nil {
-		// Invert the bucketing so workers can write each job's response at
-		// its stream position: ord[bucket position] = slice index, built by
-		// replaying the counting sort's fill pass over the offsets it just
-		// computed.
-		sc.ord = resize(sc.ord, len(slice))
-		copy(sc.fill, sc.offsets[:k])
-		for i, s := range assign {
-			sc.ord[sc.fill[s]] = i
-			sc.fill[s]++
-		}
-	}
-
-	// Advance the servers concurrently; the pool's reusable barrier is the
-	// slice barrier. RunSharded pins each executor slot to the same
-	// contiguous server range every slice, so workers keep their engines hot
-	// across barriers instead of re-sharding them. The served count takes
-	// only jobs actually simulated (done, not count), so a mid-substream
-	// failure reports what the engines hold.
-	par.Default().RunSharded(k, f.workers, sc.body)
-	served := 0
-	for _, d := range sc.done {
-		served += d
-	}
-	for _, err := range sc.errs {
-		if err != nil {
-			return served, err
-		}
-	}
-	// Resynchronize the shadow from the engines — they agree bit for bit
-	// with the NextFreeAtAnchored recursion, so this only re-anchors the
-	// next slice's routing on the authoritative engine arithmetic. The
-	// routing index only rebuilds if a mismatch actually appeared (it never
-	// should; the check is the safety net that keeps a hypothetical
-	// divergence from compounding across slices).
-	dirty := false
-	for s, eng := range f.engines {
-		fa, an := eng.FreeAt(), eng.IdleAnchor()
-		if sc.freeAt[s] != fa || sc.anchor[s] != an {
-			sc.freeAt[s], sc.anchor[s] = fa, an
-			dirty = true
-		}
-	}
-	if dirty && ridx != nil {
-		ridx.reset(sc.cfgs) // accepted before, so accepted again
-	}
-	return served, nil
 }

@@ -30,10 +30,9 @@ func dispatchers() []struct {
 
 // TestDispatchSourceMatchesRun pins the streamed dispatch (DispatchSource)
 // and the materialized one (Run) to the oracle bit for bit, across every
-// dispatcher (power-of-d and least-work-left included) and three seeds, and
-// pins ServeSource on both serving arms with pool bounds 1, 2 and the whole
-// pool. Slicing, the persistent worker pool and its interleaving must never
-// change a single routing decision or metric.
+// dispatcher (power-of-d and least-work-left included), three seeds and
+// k ∈ {4, 300}: chunked pulls and in-place serving must never change a
+// single routing decision or metric.
 func TestDispatchSourceMatchesRun(t *testing.T) {
 	for _, k := range []int{4, 300} {
 		for _, seed := range []int64{1, 2, 3} {
@@ -50,27 +49,8 @@ func TestDispatchSourceMatchesRun(t *testing.T) {
 					t.Fatalf("k=%d seed %d %s run: %v", k, seed, d.name, err)
 				}
 				requireResultsEqual(t, got, want)
-
-				// 0 = the whole process-wide pool (GOMAXPROCS executors).
-				for _, workers := range []int{1, 2, 0} {
-					arm := serveArm{name: fmt.Sprintf("workers=%d", workers), workers: workers, sliceJobs: 777}
-					requireResultsEqual(t, serveArmRun(t, k, testCfg(), d.mk(), jobs, arm), want)
-				}
 			}
 		}
-	}
-}
-
-// TestDispatchParallelSliceSizeInvariance: the pooled arm's slice size tunes
-// barrier frequency only — results must be identical for any choice,
-// including slices smaller than the pull chunk.
-func TestDispatchParallelSliceSizeInvariance(t *testing.T) {
-	const k = 300
-	jobs := expJobs(6000, 2*k, 5, 8)
-	want := refRun(t, k, testCfg(), JSQ{}, jobs)
-	for _, sliceJobs := range []int{0, 1, 100, 6000, 50000} {
-		arm := serveArm{name: fmt.Sprintf("slice %d", sliceJobs), sliceJobs: sliceJobs}
-		requireResultsEqual(t, serveArmRun(t, k, testCfg(), JSQ{}, jobs, arm), want)
 	}
 }
 
@@ -173,19 +153,16 @@ func (badRouter) RouteVirtual(_ []queue.Config, freeAt, _ []float64, _ queue.Job
 	return len(freeAt)
 }
 
-// TestDispatchParallelRejectsBadRoute: an out-of-range route is an error on
-// both serving arms.
+// TestDispatchParallelRejectsBadRoute: an out-of-range route is an error,
+// on a small farm and a large one.
 func TestDispatchParallelRejectsBadRoute(t *testing.T) {
 	for _, k := range []int{3, 300} {
-		for _, arm := range serveArms {
-			f, err := New(k, testCfg(), badRouter{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.workers, f.sliceJobs = arm.workers, arm.sliceJobs
-			if _, err := f.ServeSource(&sliceSource{jobs: expJobs(100, 8, 5, 5)}); err == nil {
-				t.Fatalf("k=%d %s: out-of-range route accepted", k, arm.name)
-			}
+		f, err := New(k, testCfg(), badRouter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.ServeSource(&sliceSource{jobs: expJobs(100, 8, 5, 5)}); err == nil {
+			t.Fatalf("k=%d: out-of-range route accepted", k)
 		}
 	}
 }
@@ -202,7 +179,7 @@ func TestDispatchSourceSurfacesSourceError(t *testing.T) {
 // TestServeSourceSlicedWarmReuse: a persistent farm driving Reset +
 // ServeSource over a rewound stream — the steady-state pattern the farm
 // benchmarks measure — must reproduce the one-shot DispatchSource result
-// exactly, run after run, on both serving arms.
+// exactly, run after run, on a small farm and an indexed one.
 func TestServeSourceSlicedWarmReuse(t *testing.T) {
 	for _, k := range []int{4, 300} {
 		jobs := expJobs(20000, 3*float64(k), 5, 41)
@@ -214,7 +191,6 @@ func TestServeSourceSlicedWarmReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.sliceJobs = 1000
 		for run := 0; run < 3; run++ {
 			if err := f.Reset(testCfg()); err != nil {
 				t.Fatal(err)
@@ -237,11 +213,10 @@ func TestServeSourceSlicedWarmReuse(t *testing.T) {
 }
 
 // TestServeSourceSlicedZeroAllocSteadyState pins the serve loop's allocation
-// contract on both serving arms: once the farm's scratch and the worker pool
-// are warm, Reset + ServeSource + FinishSummary allocates nothing. Skipped
-// under -race: the instrumented scheduler makes pool-side allocation counts
-// meaningless (the non-race CI bench gate enforces the same contract via
-// BENCH_farm.json).
+// contract on a small farm and an indexed one: once the farm's scratch is
+// warm, Reset + ServeSource + FinishSummary allocates nothing. Skipped under
+// -race, which instruments allocations (the non-race CI bench gate enforces
+// the same contract via BENCH_farm.json).
 func TestServeSourceSlicedZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -252,9 +227,8 @@ func TestServeSourceSlicedZeroAllocSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.sliceJobs = 1000
 		src := &sliceSource{jobs: jobs}
-		if _, err := f.ServeSource(src); err != nil { // warm scratch + pool
+		if _, err := f.ServeSource(src); err != nil { // warm scratch
 			t.Fatal(err)
 		}
 		cfg := testCfg()
@@ -275,30 +249,27 @@ func TestServeSourceSlicedZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestServeSourceSlicedPartialFailureConsistency: when an engine fails mid
-// substream (a poisoned job), the count ServeSource returns must equal the
-// jobs the engines actually served, on both serving arms — a retained Farm
-// stays internally consistent after an error return.
+// stream (a poisoned job), the count ServeSource returns must equal the jobs
+// the engines actually served, on a small farm and an indexed one — a
+// retained Farm stays internally consistent after an error return.
 func TestServeSourceSlicedPartialFailureConsistency(t *testing.T) {
 	for _, k := range []int{3, 300} {
-		for _, arm := range serveArms {
-			jobs := expJobs(3000, 3*float64(k), 5, 71)
-			jobs[1500].Size = -1 // poison one job mid-stream
-			f, err := New(k, testCfg(), JSQ{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.workers, f.sliceJobs = arm.workers, 500
-			served, err := f.ServeSource(&sliceSource{jobs: jobs})
-			if err == nil {
-				t.Fatalf("k=%d %s: poisoned stream accepted", k, arm.name)
-			}
-			total := 0
-			for s := 0; s < k; s++ {
-				total += f.Server(s).Snapshot().Jobs
-			}
-			if served != total || served < 1000 {
-				t.Errorf("k=%d %s: served %d, engines hold %d", k, arm.name, served, total)
-			}
+		jobs := expJobs(3000, 3*float64(k), 5, 71)
+		jobs[1500].Size = -1 // poison one job mid-stream
+		f, err := New(k, testCfg(), JSQ{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := f.ServeSource(&sliceSource{jobs: jobs})
+		if err == nil {
+			t.Fatalf("k=%d: poisoned stream accepted", k)
+		}
+		total := 0
+		for s := 0; s < k; s++ {
+			total += f.Server(s).Snapshot().Jobs
+		}
+		if served != total || served < 1000 {
+			t.Errorf("k=%d: served %d, engines hold %d", k, served, total)
 		}
 	}
 }
@@ -552,8 +523,7 @@ func hetFarm(t *testing.T, k int, disp Dispatcher) *Farm {
 // configuration routing paths — the linear arm's RouteVirtual over the
 // configuration snapshot, which least-work-left prices from and power-of-d
 // ignores, and at k = 300 JSQ's index, which advances each server under its
-// own snapshot entry — to the oracle over live engines, bit for bit, on both
-// serving arms.
+// own snapshot entry — to the oracle over live engines, bit for bit.
 func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 	disps := []struct {
 		name string
@@ -572,18 +542,15 @@ func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 			jobs := expJobs(n, 2*float64(k), 5, seed)
 			for _, d := range disps {
 				want := refHet(t, k, d.mk(), jobs)
-				for _, arm := range serveArms {
-					got := hetFarm(t, k, d.mk())
-					got.workers, got.sliceJobs = arm.workers, arm.sliceJobs
-					if _, err := got.ServeSource(&sliceSource{jobs: jobs}); err != nil {
-						t.Fatalf("%s k=%d seed %d %s: %v", d.name, k, seed, arm.name, err)
-					}
-					res, err := got.Finish(got.LastFree())
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireResultsEqual(t, res, want)
+				got := hetFarm(t, k, d.mk())
+				if _, err := got.ServeSource(&sliceSource{jobs: jobs}); err != nil {
+					t.Fatalf("%s k=%d seed %d: %v", d.name, k, seed, err)
 				}
+				res, err := got.Finish(got.LastFree())
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireResultsEqual(t, res, want)
 			}
 		}
 	}
@@ -617,23 +584,19 @@ func TestServeSourceSlicedHeterogeneousServesWrappedRouter(t *testing.T) {
 }
 
 // TestRecordServeStreamOrder: RecordServe must land every response and
-// server pick at the job's stream position, on both serving arms and across
-// slices.
+// server pick at the job's stream position, across pull chunks.
 func TestRecordServeStreamOrder(t *testing.T) {
 	for _, k := range []int{3, 300} {
 		jobs := expJobs(5000, 2.5*float64(k), 5, 17)
 		ref := hetFarm(t, k, JSQ{})
 		wantResp, wantSrv := refServe(t, ref, JSQ{}, jobs)
-		for _, arm := range serveArms {
-			f := hetFarm(t, k, JSQ{})
-			f.workers, f.sliceJobs = arm.workers, 333
-			resp := make([]float64, len(jobs))
-			srv := make([]int, len(jobs))
-			f.RecordServe(resp, srv)
-			if _, err := f.ServeSource(&sliceSource{jobs: jobs}); err != nil {
-				t.Fatal(err)
-			}
-			requireServeMatches(t, fmt.Sprintf("k=%d %s", k, arm.name), f, resp, srv, ref, wantResp, wantSrv)
+		f := hetFarm(t, k, JSQ{})
+		resp := make([]float64, len(jobs))
+		srv := make([]int, len(jobs))
+		f.RecordServe(resp, srv)
+		if _, err := f.ServeSource(&sliceSource{jobs: jobs}); err != nil {
+			t.Fatal(err)
 		}
+		requireServeMatches(t, fmt.Sprintf("k=%d", k), f, resp, srv, ref, wantResp, wantSrv)
 	}
 }

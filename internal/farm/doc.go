@@ -20,7 +20,7 @@
 // prices each server's wake-up and service from its own configuration,
 // exact even after a mid-run SetConfigAt taken during an idle period moved
 // the anchor past freeAt. A dispatcher consumes its state (a round-robin
-// cursor, random draws) once per job in arrival order, whichever arm routes.
+// cursor, random draws) once per job in arrival order.
 //
 // # One serve loop
 //
@@ -33,35 +33,30 @@
 //   - Steady-state callers hold a Farm and drive Reset + ServeSource +
 //     FinishSummary themselves, reusing every buffer.
 //
-// The loop chooses its arms from what it can observe — the executor count
-// of the call and the farm's size — never from an option:
+// The loop routes each job against the shadow and serves it on the picked
+// engine at once, on the calling goroutine. Routing is serial — each
+// decision reads the shadow the previous job advanced — and through the
+// index a decision costs about as much as the engine step it feeds, so the
+// loop does not fan engine work out behind the router.
 //
-//   - Inline arm. With one executor, or on a farm smaller than inlineBelow
-//     (256) servers, each job is routed and served at once: no slice,
-//     bucketing, barrier or resync.
-//   - Pooled arm. Otherwise the stream is cut into slices; each slice is
-//     routed serially against the shadow, the per-server substreams then
-//     advance concurrently on the persistent worker pool, and the barrier
-//     resynchronizes the shadow from the engines before the next slice.
-//   - Index. A farm of at least indexFrom (16) servers routes JSQ, over any
-//     mix of configurations, and LeastWorkLeft, while every server runs one
-//     configuration, through an O(log k) index over the shadow; every other
-//     farm and dispatcher takes the linear arm, RouteVirtual over the
-//     per-server configuration snapshot.
-//
-// Both thresholds come from dev-VM measurements, given in their comments.
+// The loop chooses its routing arm from what it can observe — the farm's
+// size and the dispatcher's type — never from an option. A farm of at
+// least indexFrom (16) servers routes JSQ, over any mix of configurations,
+// and LeastWorkLeft, while every server runs one configuration, through an
+// O(log k) index over the shadow; every other farm and dispatcher takes the
+// linear arm, RouteVirtual over the per-server configuration snapshot. The
+// threshold comes from dev-VM measurements, given in its comment.
 //
 // # Determinism contract
 //
-// Results never depend on the arm. Because NextFreeAtAnchored mirrors
-// Engine.Process's availability arithmetic operation for operation, every
-// arm routes each job to the same server, each engine serves the same jobs
-// in the same order, and the merge (server-ordered, through the same
-// Farm.Finish) reproduces the same Result bit for bit, for every slice size
-// and pool size. A test-only oracle that states each rule against live
-// engines checks every arm job by job, and digests recorded from the
-// engine-reading loop the shadow loop replaced pin DispatchSource across
-// dispatchers, seeds and fleet sizes.
+// Results never depend on the routing arm. Because NextFreeAtAnchored
+// mirrors Engine.Process's availability arithmetic operation for operation,
+// the index routes each job to the same server as the linear scan, each
+// engine serves the same jobs in the same order, and Farm.Finish reproduces
+// the same Result bit for bit. A test-only oracle that states each rule
+// against live engines checks the loop job by job on both routing arms, and
+// digests recorded from the engine-reading loop the shadow loop replaced
+// pin DispatchSource across dispatchers, seeds and fleet sizes.
 //
 // # Fleet-scale routing index
 //
@@ -85,23 +80,15 @@
 // index is gated on exact dispatcher types, so a wrapper overriding
 // RouteVirtual always routes by its own scan.
 //
-// # Persistent worker pool and steady-state reuse
+// # Steady-state reuse
 //
-// Every slice of the pooled arm executes on the process-wide persistent
-// pool of internal/par: workers are started once and parked between
-// submissions, and the pool's reusable barrier replaces per-slice
-// sync.WaitGroup churn. The pooled arm uses par.Pool.RunSharded, giving each
-// executor a fixed contiguous server shard: the same worker touches the same
-// engines slice after slice (cache-hot engines), with work stealing leveling
-// imbalance.
-//
-// The loop's scratch — shadow, configuration snapshot, index, pull buffer,
-// routing table, bucketed substream backing and counters — is owned by the
-// Farm and reused across calls, so the steady-state loop
+// The loop's scratch — shadow, configuration snapshot, index and pull
+// buffer — is owned by the Farm and reused across calls, so the
+// steady-state loop
 //
 //	f.Reset(cfg); src.Reset(seed); f.ServeSource(src); f.FinishSummary(f.LastFree())
 //
-// allocates nothing once warm, on either arm (CI-gated via BENCH_farm.json).
+// allocates nothing once warm (CI-gated via BENCH_farm.json).
 // One-shot Run and DispatchSource calls still build fresh engines so their
 // Results never alias reused storage; FinishSummary is the scalar aggregate
 // for callers on the reuse path.

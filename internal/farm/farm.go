@@ -13,10 +13,10 @@ import (
 // time its accepted work completes, and anchor[i] the start of its current
 // idle schedule (queue.Engine.IdleAnchor), which differs from freeAt only for
 // a server reconfigured (SetConfigAt) while idle and not served since. The
-// farm keeps the shadow exact, so routing can be decided serially while the
-// servers' full energy-accounting simulation runs concurrently. Dispatchers
-// that ignore server state (round-robin, random) read only len(freeAt);
-// those that compare backlogs alone (JSQ, PowerOfD) ignore cfgs and anchor.
+// farm keeps the shadow exact, so a routing decision never reads the
+// servers' full energy-accounting engines. Dispatchers that ignore server
+// state (round-robin, random) read only len(freeAt); those that compare
+// backlogs alone (JSQ, PowerOfD) ignore cfgs and anchor.
 type Dispatcher interface {
 	// RouteVirtual returns the index of the server that should serve j.
 	RouteVirtual(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int
@@ -81,17 +81,10 @@ type Farm struct {
 	// sc is the reusable scratch of ServeSource, held by value and filled on
 	// first use so repeated Reset+ServeSource cycles are allocation-free.
 	sc serveState
-	// sliceJobs (jobs routed per slice; 0 picks defaultSliceJobs) and
-	// workers (the executor bound; 0 uses the whole pool) tune the pooled
-	// arm. Results do not depend on either; only tests set them.
-	sliceJobs int
-	workers   int
 	// recResp/recSrv, when armed via RecordServe, receive each served job's
-	// response time and server index at the job's stream position; recBase
-	// is the stream position of the batch being served.
+	// response time and server index at the job's stream position.
 	recResp []float64
 	recSrv  []int
-	recBase int
 }
 
 // New builds a farm of k servers, each starting idle at time 0 under cfg,
@@ -296,22 +289,4 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// bucketByServer fills backing with jobs grouped into contiguous per-server
-// substreams — a counting sort on assign that preserves arrival order within
-// each server, the pooled arm's per-slice fan-out step. counts must already
-// tally assign; offsets (length k+1) and fill are scratch, overwritten. On
-// return, backing[offsets[s]:offsets[s+1]] is server s's substream.
-func bucketByServer(jobs []queue.Job, assign, counts, offsets, fill []int, backing []queue.Job) {
-	k := len(counts)
-	offsets[0] = 0
-	for s := 0; s < k; s++ {
-		offsets[s+1] = offsets[s] + counts[s]
-	}
-	copy(fill, offsets[:k])
-	for i, s := range assign {
-		backing[fill[s]] = jobs[i]
-		fill[s]++
-	}
 }

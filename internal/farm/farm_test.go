@@ -249,7 +249,7 @@ func requireResultsEqual(t *testing.T, got, want Result) {
 }
 
 // TestRunParallelMatchesSequentialRoundRobin pins round-robin routing, on
-// farm.Run and on both serving arms, to the oracle bit for bit.
+// farm.Run and on the streamed DispatchSource, to the oracle bit for bit.
 func TestRunParallelMatchesSequentialRoundRobin(t *testing.T) {
 	for _, k := range []int{2, 4, 7, 300} {
 		jobs := expJobs(30000, 2*float64(k), 5, 3)
@@ -259,9 +259,10 @@ func TestRunParallelMatchesSequentialRoundRobin(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireResultsEqual(t, got, want)
-		for _, arm := range serveArms {
-			requireResultsEqual(t, serveArmRun(t, k, testCfg(), &RoundRobin{}, jobs, arm), want)
+		if got, err = DispatchSource(k, testCfg(), &RoundRobin{}, &sliceSource{jobs: jobs}); err != nil {
+			t.Fatal(err)
 		}
+		requireResultsEqual(t, got, want)
 	}
 }
 
@@ -277,29 +278,11 @@ func TestRunParallelMatchesSequentialRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireResultsEqual(t, got, want)
-		for _, arm := range serveArms {
-			requireResultsEqual(t, serveArmRun(t, k, testCfg(), mk(), jobs, arm), want)
+		if got, err = DispatchSource(k, testCfg(), mk(), &sliceSource{jobs: jobs}); err != nil {
+			t.Fatal(err)
 		}
+		requireResultsEqual(t, got, want)
 	}
-}
-
-// serveArmRun serves jobs through a fresh farm's ServeSource driven as arm
-// and finishes at the last departure.
-func serveArmRun(t *testing.T, k int, cfg queue.Config, disp Dispatcher, jobs []queue.Job, arm serveArm) Result {
-	t.Helper()
-	f, err := New(k, cfg, disp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.workers, f.sliceJobs = arm.workers, arm.sliceJobs
-	if _, err := f.ServeSource(&sliceSource{jobs: jobs}); err != nil {
-		t.Fatalf("%s %s: %v", disp.Name(), arm.name, err)
-	}
-	res, err := f.Finish(f.LastFree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 // TestFinishJobShareCountsSelectViews: jobs served through a Select view

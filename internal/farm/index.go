@@ -11,14 +11,13 @@ import (
 // the state-dependent dispatchers, proven bit-identical to their O(k) linear
 // scans. The serve loop builds one index per farm and resets it on every call
 // from the shadow and the farm's per-server configuration snapshot; a farm of
-// at least indexFrom servers routes every job through it, on the inline and
-// pooled arms alike, whenever the index accepts the snapshot. JSQ's index
-// accepts any mix of configurations, because its pick reads only freeAt and
-// each server's shadow advances under its own entry. Least-work-left's index
-// prices wake-ups from one configuration, so it accepts only a uniform
-// snapshot. Smaller farms (where the scan is cheaper), least-work-left over
-// mixed configurations, and dispatchers without an index take the linear
-// RouteVirtual arm.
+// at least indexFrom servers routes every job through it whenever the index
+// accepts the snapshot. JSQ's index accepts any mix of configurations,
+// because its pick reads only freeAt and each server's shadow advances under
+// its own entry. Least-work-left's index prices wake-ups from one
+// configuration, so it accepts only a uniform snapshot. Smaller farms (where
+// the scan is cheaper), least-work-left over mixed configurations, and
+// dispatchers without an index take the linear RouteVirtual arm.
 //
 // The structures answer exactly the queries the linear comparators compute:
 //
@@ -50,11 +49,11 @@ import (
 
 // routeIndex is the O(log k) routing core the serve loop consults. route
 // both decides the server for j and commits the shadow advance — it writes
-// the new freeAt/anchor through the farm's shadow slices, so the pooled
-// arm's post-barrier engine resync still compares clean. reset rebuilds from
-// the shadow (after Farm.Reset, a new stream, or a resync mismatch) for the
-// per-server configuration snapshot cfgs, which the index may keep until the
-// next reset, and reports whether the index prices that snapshot exactly; on
+// the new freeAt/anchor through the farm's shadow slices, so the shadow
+// tracks every engine without reading one back. reset rebuilds from the
+// shadow (after Farm.Reset or a new stream) for the per-server
+// configuration snapshot cfgs, which the index may keep until the next
+// reset, and reports whether the index prices that snapshot exactly; on
 // false the caller must route by the linear scan. Jobs within one run must
 // arrive in non-decreasing order, as everywhere else.
 type routeIndex interface {

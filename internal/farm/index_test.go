@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"sleepscale/internal/par"
 	"sleepscale/internal/queue"
 )
 
@@ -49,9 +48,9 @@ type scanOnly struct{ Dispatcher }
 // scans through complete simulations: for every dispatcher, seed and fleet
 // size, the oracle, DispatchSource on the linear arm (the dispatcher wrapped
 // in scanOnly) and DispatchSource as built must produce bit-identical
-// results. Below indexFrom both dispatches scan; at k = 64 the index routes
-// inline, and at k = 1000 on the pooled arm when the pool has two or more
-// executors, its descent ten levels deep.
+// results. Below indexFrom both dispatches scan; at k = 64 and k = 1000 the
+// built dispatch routes through the index, at k = 1000 its descent ten
+// levels deep.
 func TestRoutingIndexEquivalenceFullDispatch(t *testing.T) {
 	for _, k := range []int{1, 7, 64, 1000} {
 		jobs := 20000
@@ -96,9 +95,9 @@ func shadowState(k int, seed int64) (freeAt, anchor []float64) {
 }
 
 // routeLinearReference advances one job through the linear-scan reference
-// path exactly as the pooled arm's linear routing does: RouteVirtual over the
-// per-server configuration snapshot, then the shadow commit under the picked
-// server's configuration.
+// path: RouteVirtual over the per-server configuration snapshot, then the
+// shadow commit under the picked server's configuration, the
+// NextFreeAtAnchored advance the picked engine's Process mirrors.
 func routeLinearReference(disp Dispatcher, cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
 	s := disp.RouteVirtual(cfgs, freeAt, anchor, j)
 	nf := cfgs[s].NextFreeAtAnchored(freeAt[s], anchor[s], j)
@@ -283,33 +282,30 @@ func TestRoutingIndexTiesAfterRounding(t *testing.T) {
 
 // TestNonUniformJSQRoutesThroughIndex is the white-box guard on the routing
 // arm: a JSQ farm of at least indexFrom servers running mixed configurations
-// routes every job through its index, on the inline and pooled arms alike.
-// Only the index's own commits move its tree keys, so after a served stream
-// they hold every engine's availability; router hands the index back for the
-// next call. The same farm behind least-work-left, whose index prices one
-// configuration, gets no index from router.
+// routes every job through its index. Only the index's own commits move its
+// tree keys, so after a served stream they hold every engine's availability;
+// router hands the index back for the next call. The same farm behind
+// least-work-left, whose index prices one configuration, gets no index from
+// router.
 func TestNonUniformJSQRoutesThroughIndex(t *testing.T) {
 	for _, k := range []int{indexFrom, 300} {
 		jobs := expJobs(3000, 2*float64(k), 5, 11)
-		for _, arm := range serveArms {
-			f := hetFarm(t, k, JSQ{})
-			f.workers, f.sliceJobs = arm.workers, arm.sliceJobs
-			if _, err := f.ServeSource(&sliceSource{jobs: jobs}); err != nil {
-				t.Fatal(err)
+		f := hetFarm(t, k, JSQ{})
+		if _, err := f.ServeSource(&sliceSource{jobs: jobs}); err != nil {
+			t.Fatal(err)
+		}
+		x, ok := f.sc.idx.(*jsqIndex)
+		if !ok {
+			t.Fatalf("k=%d: no JSQ index built", k)
+		}
+		for s, eng := range f.engines {
+			if x.tree.key[s] != eng.FreeAt() {
+				t.Fatalf("k=%d: server %d has tree key %g but engine freeAt %g: the index did not route its jobs",
+					k, s, x.tree.key[s], eng.FreeAt())
 			}
-			x, ok := f.sc.idx.(*jsqIndex)
-			if !ok {
-				t.Fatalf("k=%d %s: no JSQ index built", k, arm.name)
-			}
-			for s, eng := range f.engines {
-				if x.tree.key[s] != eng.FreeAt() {
-					t.Fatalf("k=%d %s: server %d has tree key %g but engine freeAt %g: the index did not route its jobs",
-						k, arm.name, s, x.tree.key[s], eng.FreeAt())
-				}
-			}
-			if f.router() == nil {
-				t.Fatalf("k=%d %s: router gives a non-uniform JSQ farm no index", k, arm.name)
-			}
+		}
+		if f.router() == nil {
+			t.Fatalf("k=%d: router gives a non-uniform JSQ farm no index", k)
 		}
 		lwl := hetFarm(t, k, &LeastWorkLeft{})
 		if _, err := lwl.ServeSource(&sliceSource{jobs: jobs}); err != nil {
@@ -324,9 +320,8 @@ func TestNonUniformJSQRoutesThroughIndex(t *testing.T) {
 // TestRoutingIndexRebuildAfterReset is the index lifecycle property: a warm
 // farm Reset and re-served — same stream or a different one — must match a
 // fresh farm bit for bit, which forces the cached index (and the anchored
-// shadow) to rebuild correctly instead of leaking state across runs. k = 64
-// routes through the index inline; k = 300 on the pooled arm when the pool
-// has two or more executors.
+// shadow) to rebuild correctly instead of leaking state across runs, at
+// k = 64 and k = 300.
 func TestRoutingIndexRebuildAfterReset(t *testing.T) {
 	for _, k := range []int{64, 300} {
 		streamA := expJobs(8000, 6*float64(k), 5, 7)
@@ -336,7 +331,6 @@ func TestRoutingIndexRebuildAfterReset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.sliceJobs = 333
 			serve := func(stream []queue.Job) Summary {
 				t.Helper()
 				if err := f.Reset(deepCfg()); err != nil {
@@ -372,9 +366,9 @@ func TestRoutingIndexRebuildAfterReset(t *testing.T) {
 
 // TestSlicedDispatchAgreesAcrossIdleSwitch pins the anchored shadow: after a
 // SetConfigAt lands during an idle period (the idle anchor moves past
-// freeAt), the serve loop — indexed and linear, inline and pooled — must
-// still route exactly as the oracle reading live engines. Before the anchor
-// shadow both virtual paths assumed anchor == freeAt and diverged here.
+// freeAt), the serve loop — indexed and linear — must still route exactly as
+// the oracle reading live engines. Before the anchor shadow both virtual
+// paths assumed anchor == freeAt and diverged here.
 func TestSlicedDispatchAgreesAcrossIdleSwitch(t *testing.T) {
 	for _, k := range []int{8, 64, 300} {
 		warm := expJobs(600, 5*float64(k), 5, 3)
@@ -390,7 +384,6 @@ func TestSlicedDispatchAgreesAcrossIdleSwitch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f.sliceJobs = 97
 				run := func(stream []queue.Job) {
 					t.Helper()
 					if oracle {
@@ -415,50 +408,6 @@ func TestSlicedDispatchAgreesAcrossIdleSwitch(t *testing.T) {
 			if got := serve(scanOnly{d.mk()}, false); got != want {
 				t.Fatalf("k=%d %s linear diverges across idle switch:\n got %+v\nwant %+v", k, d.name, got, want)
 			}
-		}
-	}
-}
-
-// TestSlicedDispatchStaysPooled pins which serving arm runs, through the
-// worker pool's counters: a one-executor call and a farm below inlineBelow
-// never submit to the pool, and a farm at or above it, on a pool with two or
-// more executors, submits every slice to the pool and runs none inline — the
-// silent degradation the run-queue pool redesign removed.
-func TestSlicedDispatchStaysPooled(t *testing.T) {
-	pool := par.Default()
-	const sliceJobs = 512
-	jobs := expJobs(20000, 40, 5, 9)
-	slices := int64((len(jobs) + sliceJobs - 1) / sliceJobs)
-	for _, tc := range []struct {
-		name    string
-		k       int
-		workers int
-		pooled  int64
-	}{
-		{"one executor", 300, 1, 0},
-		{"below inlineBelow", 16, 0, 0},
-		{"above inlineBelow", 300, 0, slices},
-	} {
-		if tc.pooled > 0 && pool.Size() < 2 {
-			t.Logf("%s: default pool has %d executor(s); the pooled arm is unreachable here", tc.name, pool.Size())
-			continue
-		}
-		f, err := New(tc.k, deepCfg(), JSQ{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.workers, f.sliceJobs = tc.workers, sliceJobs
-		before := pool.Stats()
-		if _, err := f.ServeSource(&sliceSource{jobs: jobs}); err != nil {
-			t.Fatal(err)
-		}
-		after := pool.Stats()
-		if after.Inline != before.Inline {
-			t.Errorf("%s: %d slice barriers ran inline serial on a %d-executor pool",
-				tc.name, after.Inline-before.Inline, pool.Size())
-		}
-		if got := after.Pooled - before.Pooled; got != tc.pooled {
-			t.Errorf("%s: %d pool submissions, want %d", tc.name, got, tc.pooled)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"sleepscale/internal/par"
 	"sleepscale/internal/queue"
 )
 
@@ -122,28 +121,13 @@ func requireServeMatches(t *testing.T, name string, got *Farm, gotResp []float64
 	}
 }
 
-// serveArm names one way of driving ServeSource: the executor bound (1
-// forces the inline arm; 0 pools on a farm of at least inlineBelow servers
-// when the pool has two or more executors) and the pooled arm's slice size.
-type serveArm struct {
-	name      string
-	workers   int
-	sliceJobs int
-}
-
-var serveArms = []serveArm{
-	{"inline", 1, 0},
-	{"pooled", 0, 777}, // odd slice size straddles chunk boundaries on purpose
-}
-
 // TestServeSourceMatchesOracle pins the one serve loop to the oracle job by
-// job: every dispatcher, on both serving arms and both routing arms (the
-// dispatcher as built, which takes the index on a farm of at least indexFrom
-// servers whose configurations the index accepts — JSQ's any, least-work-
-// left's uniform ones — and wrapped in scanOnly, which always scans), over
-// uniform and heterogeneous farms at k ∈ {1, 4, 7, 64, 300, 1000}.
+// job: every dispatcher, on both routing arms (the dispatcher as built,
+// which takes the index on a farm of at least indexFrom servers whose
+// configurations the index accepts — JSQ's any, least-work-left's uniform
+// ones — and wrapped in scanOnly, which always scans), over uniform and
+// heterogeneous farms at k ∈ {1, 4, 7, 64, 300, 1000}.
 func TestServeSourceMatchesOracle(t *testing.T) {
-	pooledReachable := par.Default().Size() >= 2
 	for _, k := range []int{1, 4, 7, 64, 300, 1000} {
 		n := 6000
 		if k >= 300 {
@@ -153,51 +137,43 @@ func TestServeSourceMatchesOracle(t *testing.T) {
 		for _, het := range []bool{false, true} {
 			for _, d := range dispatchers() {
 				for _, linear := range []bool{false, true} {
-					for _, arm := range serveArms {
-						build := func(disp Dispatcher) *Farm {
-							if het {
-								return hetFarm(t, k, disp)
-							}
-							f, err := New(k, deepCfg(), disp)
-							if err != nil {
-								t.Fatal(err)
-							}
-							return f
-						}
-						refDisp := d.mk()
-						ref := build(refDisp)
-						refResp, refSrv := refServe(t, ref, refDisp, jobs)
-
-						disp := d.mk()
-						if linear {
-							disp = scanOnly{disp}
-						}
-						f := build(disp)
-						f.workers, f.sliceJobs = arm.workers, arm.sliceJobs
-						resp := make([]float64, len(jobs))
-						srv := make([]int, len(jobs))
-						f.RecordServe(resp, srv)
-						before := par.Default().Stats()
-						served, err := f.ServeSource(&sliceSource{jobs: jobs})
-						name := d.name + " " + arm.name
-						if linear {
-							name += " linear"
-						}
+					build := func(disp Dispatcher) *Farm {
 						if het {
-							name += " het"
+							return hetFarm(t, k, disp)
 						}
+						f, err := New(k, deepCfg(), disp)
 						if err != nil {
-							t.Fatalf("k=%d %s: %v", k, name, err)
+							t.Fatal(err)
 						}
-						if served != len(jobs) {
-							t.Fatalf("k=%d %s served %d of %d", k, name, served, len(jobs))
-						}
-						requireServeMatches(t, name, f, resp, srv, ref, refResp, refSrv)
-						pooled := par.Default().Stats().Pooled != before.Pooled
-						if want := arm.workers != 1 && k >= inlineBelow && pooledReachable; pooled != want {
-							t.Fatalf("k=%d %s: pooled=%v, want %v", k, name, pooled, want)
-						}
+						return f
 					}
+					refDisp := d.mk()
+					ref := build(refDisp)
+					refResp, refSrv := refServe(t, ref, refDisp, jobs)
+
+					disp := d.mk()
+					if linear {
+						disp = scanOnly{disp}
+					}
+					f := build(disp)
+					resp := make([]float64, len(jobs))
+					srv := make([]int, len(jobs))
+					f.RecordServe(resp, srv)
+					served, err := f.ServeSource(&sliceSource{jobs: jobs})
+					name := d.name
+					if linear {
+						name += " linear"
+					}
+					if het {
+						name += " het"
+					}
+					if err != nil {
+						t.Fatalf("k=%d %s: %v", k, name, err)
+					}
+					if served != len(jobs) {
+						t.Fatalf("k=%d %s served %d of %d", k, name, served, len(jobs))
+					}
+					requireServeMatches(t, name, f, resp, srv, ref, refResp, refSrv)
 				}
 			}
 		}

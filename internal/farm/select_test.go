@@ -42,12 +42,10 @@ func servers(k int, keep func(s int) bool) []int {
 }
 
 // TestSelectViewMatchesMaskedScan pins the tentpole routing contract: serving
-// through a Select view — on the O(log k) index and the linear arm, inline
-// and pooled — routes every job to exactly the server a masked linear scan
-// over the full farm (down servers skipped) would pick, with bit-identical
-// responses. The 7-server view scans; the 67-server view routes through the
-// index inline, and the 480-server view on the pooled arm when the pool has
-// two or more executors.
+// through a Select view — on the O(log k) index and the linear arm — routes
+// every job to exactly the server a masked linear scan over the full farm
+// (down servers skipped) would pick, with bit-identical responses. The
+// 7-server view scans; the 67- and 480-server views route through the index.
 func TestSelectViewMatchesMaskedScan(t *testing.T) {
 	for _, tc := range []struct {
 		k       int
@@ -90,7 +88,6 @@ func TestSelectViewMatchesMaskedScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				view.sliceJobs = 333
 				resp := make([]float64, len(jobs))
 				srv := make([]int, len(jobs))
 				view.RecordServe(resp, srv)
@@ -123,7 +120,7 @@ func TestSelectViewMatchesMaskedScan(t *testing.T) {
 // TestSelectViewResize drives one reused view through subsets of different
 // sizes — the crash/repair cadence — checking the resized scratch and the
 // rebound routing index stay bit-identical to fresh views, as the view moves
-// between the pooled and inline arms and between the index and the scan.
+// between the index and the scan.
 func TestSelectViewResize(t *testing.T) {
 	const k = 400
 	phases := [][]int{
@@ -155,7 +152,6 @@ func TestSelectViewResize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			view.sliceJobs = 256
 			respA := make([]float64, len(jobs))
 			srvA := make([]int, len(jobs))
 			view.RecordServe(respA, srvA)
@@ -167,7 +163,6 @@ func TestSelectViewResize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fv.sliceJobs = 256
 			respB := make([]float64, len(jobs))
 			srvB := make([]int, len(jobs))
 			fv.RecordServe(respB, srvB)

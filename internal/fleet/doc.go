@@ -52,8 +52,7 @@
 // runners. The serve step is one path, fault injection or not: a segment
 // walker that cuts the epoch at fault events (none without Config.Faults)
 // and serves each segment through farm.Farm.ServeSource between policy
-// switches — inline on small fleets, on the sharded worker pool from the
-// farm's pooling threshold up. A shared-mode run with
+// switches, each job routed and served at once. A shared-mode run with
 // no quorum and no parking is the homogeneous farm epoch run: with one
 // server it matches core.RunSource bit for bit, and the equivalence suite
 // pins its per-epoch records and aggregates to recorded digests across

@@ -1,14 +1,12 @@
-// Package par is the simulator's persistent worker-pool runtime: a sharded,
-// zero-spawn fan-out primitive shared by every parallel hot path (policy
-// selection and the farm's time-sliced streaming dispatch).
+// Package par is the simulator's persistent worker-pool runtime: the
+// zero-spawn fan-out primitive behind the policy manager's parallel
+// candidate evaluation (core.Manager.Select).
 //
 // SleepScale's premise is that the policy search loop is cheap enough to run
-// at runtime every epoch (paper §5–6), so the simulator's parallel drivers
-// must not pay per-invocation setup. Before this package each of them spawned
-// a fresh goroutine set — and the time-sliced dispatcher spawned one per
-// slice. A Pool starts its workers once (sized to GOMAXPROCS by default,
-// overridable), parks them on per-worker wake channels, hands out work as
-// index shards from an atomic ticket counter, and resynchronizes through a
+// at runtime every epoch (paper §5–6), so a selection must not pay
+// per-invocation setup. A Pool starts its workers once (sized to GOMAXPROCS
+// by default, overridable), parks them on per-worker wake channels, hands
+// out indices from an atomic ticket counter, and resynchronizes through a
 // reusable completion barrier: steady-state fan-out costs no goroutine
 // creation and no allocation.
 //
@@ -24,7 +22,7 @@
 //     same id to different goroutines.
 //   - Run returns only when every index has completed. A panic in fn is
 //     caught on the worker (which survives for the next run), recorded
-//     first-wins, aborts the run's remaining shards, and is re-raised on
+//     first-wins, aborts the run's remaining indices, and is re-raised on
 //     the submitter as *TaskPanic.
 //   - Submissions share the workers: a Run issued while the pool is busy — a
 //     concurrent caller or fn itself nesting — enqueues a run descriptor
@@ -37,20 +35,6 @@
 //     Stats.Inline so callers can assert their parallel paths actually
 //     pooled.
 //
-// # Shard ownership and stealing
-//
-// RunSharded is Run with a static partition instead of the dynamic ticket
-// counter: the index range is cut into one contiguous shard per executor
-// slot — slot w owns [w·n/W, (w+1)·n/W) — and each executor drains its own
-// shard front to back before stealing from the fullest remaining one. The
-// partition depends only on (n, executor bound), so repeated same-shape calls
-// hand every slot the same indices each time: a caller pinning state to
-// indices — the farm pins queue engines to servers — keeps each executor's
-// working set hot across barriers instead of re-sharding it every call, while
-// stealing still absorbs imbalanced shards (Stats.Steals observes it). The
-// executor bound, worker-id semantics, panic contract and determinism rules
-// are exactly Run's.
-//
 // # Determinism rules
 //
 // The pool promises nothing about which worker executes which index or in
@@ -60,7 +44,6 @@
 // on the submitter in index order after Run returns. Under that discipline
 // the result is bit-identical for every pool size — including 1, which is
 // the serial reference the equivalence tests pin against — and regardless of
-// worker interleaving. This is exactly the contract the farm's deterministic
-// server-order merge and the policy manager's per-candidate evaluation slots
-// were already built around; the pool makes it explicit.
+// worker interleaving. The policy manager's per-candidate evaluation slots
+// are built around this contract.
 package par

@@ -42,7 +42,6 @@ type Pool struct {
 	inline atomic.Int64
 	pooled atomic.Int64
 	shared atomic.Int64
-	steals atomic.Int64
 }
 
 // run is one submission's descriptor. Descriptors are pool-owned and
@@ -51,11 +50,8 @@ type run struct {
 	n  int
 	fn func(worker, i int)
 
-	// next hands out index tickets for dynamic runs; sharded runs draw from
-	// shards instead (one cursor per executor slot, stolen when drained).
-	next    atomic.Int64
-	sharded bool
-	shards  []shardCursor
+	// next hands out index tickets.
+	next atomic.Int64
 
 	// slots hands out run-local executor ids (0 = submitter), bounded by
 	// maxSlots; claimed under the pool mutex. refs tracks executors still
@@ -79,14 +75,6 @@ type run struct {
 	panicStack []byte
 }
 
-// shardCursor is one executor slot's contiguous index range [next, hi) in a
-// sharded run. The owner drains it front to back; thieves share the same
-// atomic cursor, so every index is still executed exactly once.
-type shardCursor struct {
-	next atomic.Int64
-	hi   int64
-}
-
 // New returns a pool of size executors; size < 1 picks runtime.GOMAXPROCS(0).
 // One executor is the submitting goroutine itself, so a pool of size n parks
 // n-1 background workers. Pools are intended to live for the process (Default
@@ -104,9 +92,8 @@ var (
 )
 
 // Default returns the process-wide pool, sized to runtime.GOMAXPROCS(0) at
-// first use. All the simulator's parallel drivers share it, so the whole
-// process runs one persistent worker set however many selections, farm runs
-// and dispatch slices execute.
+// first use. The policy manager's selections share it, so the whole process
+// runs one persistent worker set however many selections execute.
 func Default() *Pool {
 	defaultOnce.Do(func() { defaultPool = New(0) })
 	return defaultPool
@@ -128,9 +115,10 @@ type Stats struct {
 	// Shared counts pooled runs that overlapped at least one other active
 	// run — submissions that the pre-queue pool would have serialized.
 	Shared int64
-	// Steals counts sharded-run indices executed by an executor other than
-	// the shard's owner (work stealing after the thief drained its own
-	// shard).
+	// Steals always reads 0: the pool hands out indices from one shared
+	// ticket counter, so no executor owns a shard another could steal
+	// from. The field stays because the end-to-end benchmark
+	// (bench/ssbench) reports it.
 	Steals int64
 }
 
@@ -140,13 +128,12 @@ func (p *Pool) Stats() Stats {
 		Inline: p.inline.Load(),
 		Pooled: p.pooled.Load(),
 		Shared: p.shared.Load(),
-		Steals: p.steals.Load(),
 	}
 }
 
 // TaskPanic is the value Run re-panics with on the submitting goroutine when
 // a task function panicked on a worker: the original value plus the worker's
-// stack. Only the first panic of a run is kept; the run's remaining shards
+// stack. Only the first panic of a run is kept; the run's remaining indices
 // are abandoned.
 type TaskPanic struct {
 	// Value is the original panic value.
@@ -161,12 +148,12 @@ func (t *TaskPanic) Error() string {
 
 // Run executes fn(worker, i) exactly once for every i in [0, n), distributing
 // indices across at most min(Size, maxWorkers, n) executors (maxWorkers ≤ 0
-// means no extra bound). Indices are handed out as shards from an atomic
-// ticket counter, so distribution is dynamic; worker identifies the executor
-// slot within this run, 0 ≤ worker < the executor bound, and all calls
-// sharing a worker value are sequential on one goroutine — per-executor
-// scratch indexed by worker needs no locking. Run returns once every index
-// has completed (the reusable barrier), and re-panics on the submitter — as a
+// means no extra bound). Indices are handed out from an atomic ticket
+// counter, so distribution is dynamic; worker identifies the executor slot
+// within this run, 0 ≤ worker < the executor bound, and all calls sharing a
+// worker value are sequential on one goroutine — per-executor scratch
+// indexed by worker needs no locking. Run returns once every index has
+// completed (the reusable barrier), and re-panics on the submitter — as a
 // *TaskPanic — if any task panicked.
 //
 // Determinism contract: Run promises nothing about which worker executes
@@ -177,26 +164,6 @@ func (t *TaskPanic) Error() string {
 // submitter with no handoff at all. Concurrent and nested submissions share
 // the worker set through the run queue and stay bit-identical too.
 func (p *Pool) Run(n, maxWorkers int, fn func(worker, i int)) {
-	p.submit(n, maxWorkers, fn, false)
-}
-
-// RunSharded is Run with persistent shard ownership: the index range is cut
-// into one contiguous shard per executor slot — slot w owns
-// [w·n/W, (w+1)·n/W) — and each executor drains its own shard front to back
-// before stealing from the fullest remaining one. Because the partition
-// depends only on (n, executor bound), repeated same-shape calls hand every
-// slot the same indices each time: a caller pinning state to indices (a farm
-// pinning engines to servers) keeps each executor's working set hot across
-// calls instead of re-sharding it every barrier, while stealing still evens
-// out imbalanced shards. The executor bound, worker-id semantics, panic
-// contract and determinism contract are exactly Run's.
-func (p *Pool) RunSharded(n, maxWorkers int, fn func(worker, i int)) {
-	p.submit(n, maxWorkers, fn, true)
-}
-
-// submit enqueues one run and participates in draining it until every index
-// has completed.
-func (p *Pool) submit(n, maxWorkers int, fn func(worker, i int), sharded bool) {
 	if n <= 0 {
 		return
 	}
@@ -219,23 +186,12 @@ func (p *Pool) submit(n, maxWorkers int, fn func(worker, i int), sharded bool) {
 	}
 	r := p.getRun()
 	r.n, r.fn, r.maxSlots = n, fn, workers
-	r.sharded = sharded
 	r.slots = 1 // the submitter is executor 0
 	r.refs.Store(1)
 	r.retired = false
 	r.freed = false
 	r.pending.Store(int64(n))
 	r.next.Store(0)
-	if sharded {
-		if cap(r.shards) < workers {
-			r.shards = make([]shardCursor, workers)
-		}
-		r.shards = r.shards[:workers]
-		for w := 0; w < workers; w++ {
-			r.shards[w].next.Store(int64(w * n / workers))
-			r.shards[w].hi = int64((w + 1) * n / workers)
-		}
-	}
 	if len(p.active) > 0 {
 		p.shared.Add(1)
 	}
@@ -375,15 +331,7 @@ func (p *Pool) claimOrPark(w int) (*run, int) {
 
 // hasTickets reports whether the run still has indices to hand out.
 func (r *run) hasTickets() bool {
-	if !r.sharded {
-		return r.next.Load() < int64(r.n)
-	}
-	for w := range r.shards {
-		if r.shards[w].next.Load() < r.shards[w].hi {
-			return true
-		}
-	}
-	return false
+	return r.next.Load() < int64(r.n)
 }
 
 // finish retires one executor's participation: its executed-index batch is
@@ -416,56 +364,14 @@ func (p *Pool) drainRun(r *run, slot int) (executed int64) {
 			executed += r.abort(rec) + 1 // +1: the panicking index itself
 		}
 	}()
-	if !r.sharded {
-		n := int64(r.n)
-		for {
-			t := r.next.Add(1) - 1
-			if t >= n {
-				return executed
-			}
-			r.fn(slot, int(t))
-			executed++
-		}
-	}
-	// Sharded: drain the owned shard first, then steal from the fullest
-	// remaining one (FIFO within each shard, so stolen work is still executed
-	// in index order within the shard).
-	own := slot
-	if own >= len(r.shards) {
-		own = 0 // cannot happen (slots ≤ maxSlots = len(shards)); belt and braces
-	}
+	n := int64(r.n)
 	for {
-		sh := &r.shards[own]
-		t := sh.next.Add(1) - 1
-		if t >= sh.hi {
-			break
+		t := r.next.Add(1) - 1
+		if t >= n {
+			return executed
 		}
 		r.fn(slot, int(t))
 		executed++
-	}
-	for {
-		victim, best := -1, int64(0)
-		for w := range r.shards {
-			if w == own {
-				continue
-			}
-			if left := r.shards[w].hi - r.shards[w].next.Load(); left > best {
-				victim, best = w, left
-			}
-		}
-		if victim < 0 {
-			return executed
-		}
-		sh := &r.shards[victim]
-		for {
-			t := sh.next.Add(1) - 1
-			if t >= sh.hi {
-				break
-			}
-			r.fn(slot, int(t))
-			executed++
-			p.steals.Add(1)
-		}
 	}
 }
 
@@ -486,18 +392,9 @@ func (r *run) abort(rec any) (abandoned int64) {
 		r.panicStack = stack
 	}
 	r.panicMu.Unlock()
-	if !r.sharded {
-		n := int64(r.n)
-		if old := r.next.Swap(n); old < n {
-			abandoned += n - old
-		}
-		return abandoned
-	}
-	for w := range r.shards {
-		sh := &r.shards[w]
-		if old := sh.next.Swap(sh.hi); old < sh.hi {
-			abandoned += sh.hi - old
-		}
+	n := int64(r.n)
+	if old := r.next.Swap(n); old < n {
+		abandoned += n - old
 	}
 	return abandoned
 }

@@ -359,145 +359,6 @@ func TestStatsInlineCountsSingleExecutorRuns(t *testing.T) {
 	}
 }
 
-// TestRunShardedCoversEveryIndexOnce: the sharded cursors plus stealing must
-// still hand every index to exactly one executor, across pool sizes, worker
-// bounds, and n values that do not divide evenly into shards.
-func TestRunShardedCoversEveryIndexOnce(t *testing.T) {
-	for _, size := range []int{1, 2, 4, 13} {
-		for _, maxWorkers := range []int{0, 1, 3} {
-			for _, n := range []int{1, 7, 64, 1999} {
-				p := New(size)
-				counts := make([]int32, n)
-				p.RunSharded(n, maxWorkers, func(_, i int) {
-					atomic.AddInt32(&counts[i], 1)
-				})
-				for i, c := range counts {
-					if c != 1 {
-						t.Fatalf("size=%d max=%d n=%d: index %d executed %d times", size, maxWorkers, n, i, c)
-					}
-				}
-				p.Close()
-			}
-		}
-	}
-}
-
-// TestRunShardedDeterministic: under the per-index-slot discipline RunSharded
-// is bit-identical across pool sizes, like Run.
-func TestRunShardedDeterministic(t *testing.T) {
-	compute := func(size int) []float64 {
-		p := New(size)
-		defer p.Close()
-		out := make([]float64, 3000)
-		p.RunSharded(len(out), 0, func(_, i int) {
-			v := float64(i)
-			for k := 0; k < 50; k++ {
-				v = v*1.0000001 + float64(k)
-			}
-			out[i] = v
-		})
-		return out
-	}
-	want := compute(1)
-	for _, size := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		got := compute(size)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("size %d: out[%d] = %.17g, want %.17g", size, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRunShardedOwnership: each executor slot drains its own contiguous shard
-// first, so slot s's first index is deterministically its shard's front
-// [s·n/W]. A gate inside fn holds every slot at its first index until both
-// slots have taken one, so neither shard can be drained (or stolen from)
-// before both first tickets are observed.
-func TestRunShardedOwnership(t *testing.T) {
-	const n, W = 8, 2
-	p := New(W)
-	defer p.Close()
-	var first [W]atomic.Int32
-	var checkedIn sync.WaitGroup
-	checkedIn.Add(W)
-	gate := make(chan struct{})
-	go func() { checkedIn.Wait(); close(gate) }()
-	p.RunSharded(n, W, func(w, i int) {
-		if first[w].CompareAndSwap(0, int32(i)+1) {
-			checkedIn.Done()
-		}
-		<-gate
-	})
-	for s := 0; s < W; s++ {
-		want := int32(s*n/W) + 1
-		if got := first[s].Load(); got != want {
-			t.Errorf("slot %d's first index = %d, want its shard front %d", s, got-1, want-1)
-		}
-	}
-}
-
-// TestRunShardedStealing: when one shard's work is much heavier, the executor
-// that drains its own shard steals the remainder — the Steals counter must
-// observe it and coverage stays exactly-once. The interleaving is scheduler
-// dependent, so the stealing assertion is retried; coverage is asserted on
-// every attempt.
-func TestRunShardedStealing(t *testing.T) {
-	const n, W, attempts = 8, 2, 5
-	p := New(W)
-	defer p.Close()
-	for attempt := 1; attempt <= attempts; attempt++ {
-		before := p.Stats().Steals
-		counts := make([]int32, n)
-		p.RunSharded(n, W, func(_, i int) {
-			atomic.AddInt32(&counts[i], 1)
-			if i < n/W { // slot 0's shard is slow, slot 1's is instant
-				time.Sleep(2 * time.Millisecond)
-			}
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("attempt %d: index %d executed %d times", attempt, i, c)
-			}
-		}
-		if p.Stats().Steals > before {
-			return // the idle executor stole from the heavy shard
-		}
-	}
-	t.Errorf("no steal observed in %d attempts with a 2ms-per-task imbalanced shard", attempts)
-}
-
-// TestRunShardedPanicPropagation: the sharded path honors the same panic
-// contract — first panic surfaces as *TaskPanic, remaining shards abandoned,
-// pool stays usable.
-func TestRunShardedPanicPropagation(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	func() {
-		defer func() {
-			tp, ok := recover().(*TaskPanic)
-			if !ok {
-				t.Fatal("sharded panic not wrapped as *TaskPanic")
-			}
-			if tp.Value != "shard boom" {
-				t.Errorf("panic value = %v, want shard boom", tp.Value)
-			}
-		}()
-		p.RunSharded(1000, 0, func(_, i int) {
-			if i == 3 {
-				panic("shard boom")
-			}
-		})
-	}()
-	counts := make([]int32, 100)
-	p.RunSharded(len(counts), 0, func(_, i int) { atomic.AddInt32(&counts[i], 1) })
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("post-panic sharded run broken: index %d executed %d times", i, c)
-		}
-	}
-}
-
 // TestSteadyStateZeroAlloc pins the pool's own contract: once workers are
 // started, a Run allocates nothing (wakes, tickets and the barrier are all
 // reusable). Skipped under -race, which instruments allocations.
@@ -515,12 +376,5 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state Run allocates %.1f/run, want 0", avg)
-	}
-	p.RunSharded(len(sink), 0, fn) // warm the shard cursors
-	avg = testing.AllocsPerRun(10, func() {
-		p.RunSharded(len(sink), 0, fn)
-	})
-	if avg != 0 {
-		t.Errorf("steady-state RunSharded allocates %.1f/run, want 0", avg)
 	}
 }

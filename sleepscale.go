@@ -505,9 +505,8 @@ func RunFarm(k int, cfg SimConfig, disp Dispatcher, jobs []Job) (FarmResult, err
 
 // RunFarmSource is the streaming k-way dispatch loop: jobs pulled from one
 // source in bounded chunks are routed through disp at their arrival
-// instants without the stream ever being materialized. Large farms
-// simulate their servers concurrently on the persistent worker pool, with
-// results bit-identical to serving one job at a time.
+// instants without the stream ever being materialized, each job served the
+// moment it is routed.
 func RunFarmSource(k int, cfg SimConfig, disp Dispatcher, src JobSource) (FarmResult, error) {
 	return farm.DispatchSource(k, cfg, disp, src)
 }
