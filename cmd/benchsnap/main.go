@@ -25,9 +25,9 @@
 // The tool exits non-zero when any benchmark matching -budget-bench exceeds
 // -budget allocs/op, which is how CI catches allocation regressions on the
 // hot path. -floor (repeatable) attaches an individual allocs/op ceiling to
-// benchmarks matching its regex — e.g. -floor 'SelectParallel$=19' — for
-// paths whose API-mandated outputs keep them off the zero-alloc budget but
-// whose floor must still never regress past a hard bound.
+// benchmarks matching its regex — e.g. -floor 'FarmDispatchParallelJSQ$=19'
+// — for paths that carry a documented acceptance bound on top of, or instead
+// of, the zero-alloc budget.
 //
 // With -baseline, the fresh run is additionally gated against a committed
 // snapshot: any benchmark whose ns/op regresses by more than -max-ns-regress
@@ -93,9 +93,9 @@ type Snapshot struct {
 
 func main() {
 	var floors floorFlag
-	flag.Var(&floors, "floor", "repeatable allocs/op ceiling for specific benchmarks, as regex=allocs (e.g. 'SelectParallel$=19')")
+	flag.Var(&floors, "floor", "repeatable allocs/op ceiling for specific benchmarks, as regex=allocs (e.g. 'FarmDispatchParallelJSQ$=19')")
 	var (
-		bench        = flag.String("bench", "PolicyEvaluation$|PolicySelection$|PolicySelectionSerial$|SelectParallel$|EvaluatorSteadyState$|EngineThroughput$|FarmScaleOut|MultiCoreSimulate$", "benchmark regex passed to go test")
+		bench        = flag.String("bench", "PolicyEvaluation$|PolicySelection$|SelectParallel$|EvaluatorSteadyState$|EngineThroughput$|FarmScaleOut|MultiCoreSimulate$", "benchmark regex passed to go test")
 		benchtime    = flag.String("benchtime", "5x", "benchtime passed to go test")
 		out          = flag.String("out", "BENCH_selection.json", "snapshot output path")
 		budget       = flag.Float64("budget", 0, "max allocs/op allowed on budgeted benchmarks")

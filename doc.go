@@ -43,7 +43,7 @@
 //	stats, _ := sleepscale.NewIdealizedStats(spec)
 //	stats, _ = stats.AtUtilization(0.3)
 //	jobs := stats.Jobs(10000, rand.New(rand.NewSource(1)))
-//	best, _, _ := mgr.Select(jobs, 0.3)
+//	best, _ := mgr.Select(jobs, 0.3)
 //	fmt.Println(best.Policy) // e.g. "f=0.52 C0(i)S0(i)"
 //
 // # Simulation-kernel reuse contract
@@ -61,19 +61,18 @@
 //     valid until the next Evaluate. Its tail percentiles come from an O(n)
 //     selection over the response sample, never a sort; with retention off
 //     it keeps response moments only and reports no tail.
-//   - Manager.Select executes on one process-wide persistent worker pool
-//     (internal/par): workers start once, park between submissions, pull
-//     work from an atomic ticket counter and resynchronize through a
-//     reusable barrier, so steady-state fan-out spawns no goroutines;
-//     concurrent submissions share the worker set through a run queue
-//     instead of degrading to inline-serial. Manager.Parallelism bounds the
-//     executors a selection may use; results are identical for every bound.
-//   - Manager.Select gives each pool executor one pooled Evaluator and
-//     one sleep-phase scratch buffer, so scoring a candidate costs zero
-//     allocations once the pool is warm. It scores only what the QoS
-//     reads: under MeanResponseQoS the evaluators keep response moments
-//     alone, so its evaluations report P95/P99 as 0. Manager.Evaluate
-//     remains the thin one-shot wrapper and reports full metrics.
+//   - Manager.Select is an exact best-first search on the calling
+//     goroutine. One wake-free pass per grid frequency (queue.WakeFree)
+//     bounds every candidate's power and mean response from below; it
+//     simulates candidates in power-bound order, skips those whose response
+//     bound misses a MeanResponseQoS budget, and stops at the first bound
+//     above the best feasible power, so it returns the policy the exhaustive
+//     search would. Its scratch — bounds, candidate heap, one Evaluator, one
+//     sleep-phase buffer — is pooled, so a selection allocates nothing once
+//     warm. It scores only what the QoS reads: under MeanResponseQoS the
+//     evaluator keeps response moments alone, so the winner reports P95/P99
+//     as 0. Manager.Evaluate remains the thin one-shot wrapper and reports
+//     full metrics.
 //   - A Farm owns its serving scratch: Reset + ServeSource reuses every
 //     buffer, routing each job and serving it at once. One-shot RunFarm and
 //     RunFarmSource calls build fresh engines, so their results never alias
@@ -83,7 +82,8 @@
 //
 // CI enforces the contract: cmd/benchsnap fails the build when the
 // steady-state benchmarks (BenchmarkEvaluatorSteadyState,
-// BenchmarkEngineThroughput) report any allocs/op, and writes the
+// BenchmarkEngineThroughput, BenchmarkSelectParallel) report any allocs/op,
+// and writes the
 // BENCH_selection.json perf-trajectory snapshot.
 //
 // # Streaming workloads

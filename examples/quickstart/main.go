@@ -37,7 +37,7 @@ func main() {
 			log.Fatal(err)
 		}
 		mgr := sleepscale.NewManager(prof, spec, qos)
-		best, _, err := mgr.Select(jobs, 0.3)
+		best, err := mgr.Select(jobs, 0.3)
 		if err != nil {
 			log.Fatal(err)
 		}

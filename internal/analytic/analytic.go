@@ -143,10 +143,20 @@ func (m Model) MeanResponse() (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
-	base := 1 / (m.Mu*m.F - m.Lambda)
+	base := m.QueueingResponse()
 	d1 := m.wakeMoment(1)
 	d2 := m.wakeMoment(2)
 	return base + (2*d1+m.Lambda*d2)/(2*(1+m.Lambda*d1)), nil
+}
+
+// QueueingResponse returns 1/(µf − λ), the M/M/1 mean response without
+// wake-ups. MeanResponse adds a wake term to exactly this float, and the term
+// is non-negative whenever every state weight is (always with at most one
+// state), so it bounds MeanResponse from below. The conversion keeps µf
+// rounded on its own, so no compiler fuses the product into the subtraction.
+// The model must be valid.
+func (m Model) QueueingResponse() float64 {
+	return 1 / (float64(m.Mu*m.F) - m.Lambda)
 }
 
 // TailResponse returns Pr(R ≥ d) from the Appendix:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"sleepscale/internal/policy"
@@ -59,7 +60,7 @@ func TestSelectRejectsEmptyJobs(t *testing.T) {
 	mu := workload.DNS().MaxServiceRate()
 	qos, _ := policy.NewMeanResponseQoS(0.8, mu)
 	m := dnsManager(t, qos)
-	if _, _, err := m.Select(nil, 0.1); !errors.Is(err, ErrNoJobs) {
+	if _, err := m.Select(nil, 0.1); !errors.Is(err, ErrNoJobs) {
 		t.Errorf("err = %v, want ErrNoJobs", err)
 	}
 }
@@ -97,7 +98,7 @@ func TestSelectLooseBudgetPrefersDeepSleep(t *testing.T) {
 	mu := workload.DNS().MaxServiceRate()
 	m := dnsManager(t, policy.MeanResponseQoS{Budget: 20 / mu})
 	jobs := dnsJobs(t, 0.1, 40000, 2)
-	best, all, err := m.Select(jobs, 0.1)
+	best, err := m.Select(jobs, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +109,8 @@ func TestSelectLooseBudgetPrefersDeepSleep(t *testing.T) {
 	if best.Policy.Frequency < 0.2 || best.Policy.Frequency > 0.7 {
 		t.Errorf("winner frequency %v outside the bowl", best.Policy.Frequency)
 	}
-	if len(all) == 0 {
-		t.Error("no evaluations returned")
+	if len(m.Space.Policies(0.1, m.FreqExponent)) == 0 {
+		t.Error("no candidate policies")
 	}
 }
 
@@ -122,7 +123,7 @@ func TestSelectTightBudgetPrefersC6S0i(t *testing.T) {
 	mu := workload.DNS().MaxServiceRate()
 	m := dnsManager(t, policy.MeanResponseQoS{Budget: 2 / mu})
 	jobs := dnsJobs(t, 0.1, 40000, 3)
-	best, _, err := m.Select(jobs, 0.1)
+	best, err := m.Select(jobs, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +137,19 @@ func TestSelectTightBudgetPrefersC6S0i(t *testing.T) {
 func TestSelectFallbackWhenNothingFeasible(t *testing.T) {
 	m := dnsManager(t, policy.MeanResponseQoS{Budget: 1e-6})
 	jobs := dnsJobs(t, 0.3, 5000, 4)
-	best, all, err := m.Select(jobs, 0.3)
+	best, err := m.Select(jobs, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best.Feasible {
 		t.Error("impossible budget marked feasible")
+	}
+	refBest, all, err := exhaustiveSelect(m, jobs, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameEvaluation(best, refBest) {
+		t.Errorf("fallback %+v, exhaustive search gave %+v", best, refBest)
 	}
 	// The fallback minimizes mean response: no candidate can beat it.
 	for _, e := range all {
@@ -152,31 +160,43 @@ func TestSelectFallbackWhenNothingFeasible(t *testing.T) {
 	}
 }
 
+// TestSelectDeterministicAndParallelConsistent: two managers — and four
+// goroutines sharing one — must pick the same winner with the same metric
+// bits, since a selection's pooled scratch carries nothing between calls.
 func TestSelectDeterministicAndParallelConsistent(t *testing.T) {
 	mu := workload.DNS().MaxServiceRate()
 	qos, _ := policy.NewMeanResponseQoS(0.8, mu)
 	jobs := dnsJobs(t, 0.2, 8000, 5)
 	m1 := dnsManager(t, qos)
-	m1.Parallelism = 1
 	m2 := dnsManager(t, qos)
-	m2.Parallelism = 8
-	b1, a1, err := m1.Select(jobs, 0.2)
+	b1, err := m1.Select(jobs, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, a2, err := m2.Select(jobs, 0.2)
+	b2, err := m2.Select(jobs, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b1.Policy.String() != b2.Policy.String() {
-		t.Errorf("parallelism changed the winner: %v vs %v", b1.Policy, b2.Policy)
+	if !sameEvaluation(b1, b2) {
+		t.Errorf("repeated selection changed the winner: %+v vs %+v", b1, b2)
 	}
-	if len(a1) != len(a2) {
-		t.Fatalf("evaluation counts differ: %d vs %d", len(a1), len(a2))
+	var wg sync.WaitGroup
+	got := make([]policy.Evaluation, 4)
+	errs := make([]error, len(got))
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = m1.Select(jobs, 0.2)
+		}()
 	}
-	for i := range a1 {
-		if a1[i].Metrics != a2[i].Metrics {
-			t.Fatalf("evaluation %d differs across parallelism", i)
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !sameEvaluation(got[g], b1) {
+			t.Errorf("concurrent selection %d gave %+v, want %+v", g, got[g], b1)
 		}
 	}
 }
@@ -193,12 +213,12 @@ func TestSelectIdealizedAgreesWithSimulation(t *testing.T) {
 	m := dnsManager(t, qos)
 	rho := 0.3
 	lambda := rho * mu
-	idealBest, _, err := m.SelectIdealized(lambda, mu)
+	idealBest, err := m.SelectIdealized(lambda, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jobs := dnsJobs(t, rho, 60000, 6)
-	simBest, _, err := m.Select(jobs, rho)
+	simBest, err := m.Select(jobs, rho)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +251,16 @@ func TestSelectIdealizedFigure2HighUtilization(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := dnsManager(t, qos)
-		best, all, err := m.SelectIdealized(rho*mu, mu)
+		best, err := m.SelectIdealized(rho*mu, mu)
 		if err != nil {
 			t.Fatal(err)
+		}
+		refBest, all, err := exhaustiveIdealized(m, rho*mu, mu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEvaluation(best, refBest) {
+			t.Errorf("%s: winner %+v, exhaustive search gave %+v", tc.spec.Name, best, refBest)
 		}
 		if best.Policy.Plan.Name != tc.want {
 			t.Errorf("%s at ρ=%.1f: winner %v, want %s", tc.spec.Name, rho, best.Policy, tc.want)
@@ -255,7 +282,7 @@ func TestSelectIdealizedLowUtilizationPrefersShallow(t *testing.T) {
 	mu := workload.Google().MaxServiceRate()
 	qos, _ := policy.NewMeanResponseQoS(0.8, mu)
 	m := dnsManager(t, qos)
-	best, _, err := m.SelectIdealized(0.1*mu, mu)
+	best, err := m.SelectIdealized(0.1*mu, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +295,10 @@ func TestSelectIdealizedRejectsBadInput(t *testing.T) {
 	mu := workload.DNS().MaxServiceRate()
 	qos, _ := policy.NewMeanResponseQoS(0.8, mu)
 	m := dnsManager(t, qos)
-	if _, _, err := m.SelectIdealized(0, mu); err == nil {
+	if _, err := m.SelectIdealized(0, mu); err == nil {
 		t.Error("λ=0 accepted")
 	}
-	if _, _, err := m.SelectIdealized(mu, mu); err == nil {
+	if _, err := m.SelectIdealized(mu, mu); err == nil {
 		t.Error("λ=µ accepted")
 	}
 }
@@ -285,7 +312,7 @@ func TestSelectIdealizedPercentileQoS(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := dnsManager(t, qos)
-	best, _, err := m.SelectIdealized(0.3*mu, mu)
+	best, err := m.SelectIdealized(0.3*mu, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,18 +334,20 @@ func TestRaceToHaltCostsMore(t *testing.T) {
 	mu := workload.DNS().MaxServiceRate()
 	m := dnsManager(t, policy.MeanResponseQoS{Budget: 20 / mu})
 	jobs := dnsJobs(t, 0.1, 40000, 8)
-	best, all, err := m.Select(jobs, 0.1)
+	best, err := m.Select(jobs, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find race-to-halt evaluations: f = 1 with any single state.
+	// Race-to-halt: f = 1 with any single state.
 	worstGap := 0.0
-	for _, e := range all {
-		if e.Policy.Frequency == 1 {
-			gap := e.Metrics.AvgPower / best.Metrics.AvgPower
-			if gap > worstGap {
-				worstGap = gap
-			}
+	for _, plan := range m.Space.Plans {
+		e, err := m.Evaluate(jobs, policy.Policy{Frequency: 1, Plan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gap := e.Metrics.AvgPower / best.Metrics.AvgPower
+		if gap > worstGap {
+			worstGap = gap
 		}
 	}
 	if worstGap < 1.3 {
@@ -328,10 +357,10 @@ func TestRaceToHaltCostsMore(t *testing.T) {
 
 // TestSelectMatchesEvaluatePerPolicy pins the pooled-evaluator Select path to
 // the public thin-wrapper Evaluate bit-for-bit, one QoS family at a time:
-// reusable kernels must not change what any candidate scores. A QoS that
-// reads the tail gets all four metrics. MeanResponseQoS scores from response
-// moments alone, so its evaluations carry power, mean and feasibility, and
-// their P95/P99 read exactly 0.
+// reusable kernels must not change what a candidate scores, and the winner
+// must be the exhaustive search's. A QoS that reads the tail gets all four
+// metrics. MeanResponseQoS scores from response moments alone, so its winner
+// carries power, mean and feasibility, and its P95/P99 read exactly 0.
 func TestSelectMatchesEvaluatePerPolicy(t *testing.T) {
 	mu := workload.DNS().MaxServiceRate()
 	meanQoS, _ := policy.NewMeanResponseQoS(0.8, mu)
@@ -348,28 +377,33 @@ func TestSelectMatchesEvaluatePerPolicy(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := dnsManager(t, tc.qos)
 			m.Space.FreqStep = 0.1 // keep the per-policy reference sweep quick
-			_, evals, err := m.Select(jobs, 0.3)
+			best, err := m.Select(jobs, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refBest, evals, err := exhaustiveSelect(m, jobs, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(evals) == 0 {
 				t.Fatal("no evaluations")
 			}
-			for _, e := range evals {
-				ref, err := m.Evaluate(jobs, e.Policy)
-				if err != nil {
-					t.Fatal(err)
+			if !sameEvaluation(best, refBest) {
+				t.Fatalf("Select gave %+v, exhaustive search gave %+v", best, refBest)
+			}
+			ref, err := m.Evaluate(jobs, best.Policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.Metrics
+			if !tc.tail {
+				if best.Metrics.P95Response != 0 || best.Metrics.P99Response != 0 {
+					t.Fatalf("policy %v: mean-only Select reported a tail: %+v", best.Policy, best.Metrics)
 				}
-				want := ref.Metrics
-				if !tc.tail {
-					if e.Metrics.P95Response != 0 || e.Metrics.P99Response != 0 {
-						t.Fatalf("policy %v: mean-only Select reported a tail: %+v", e.Policy, e.Metrics)
-					}
-					want.P95Response, want.P99Response = 0, 0
-				}
-				if !sameMetricBits(e.Metrics, want) || e.Feasible != ref.Feasible {
-					t.Fatalf("policy %v: Select gave %+v, Evaluate gave %+v", e.Policy, e, ref)
-				}
+				want.P95Response, want.P99Response = 0, 0
+			}
+			if !sameMetricBits(best.Metrics, want) || best.Feasible != ref.Feasible {
+				t.Fatalf("policy %v: Select gave %+v, Evaluate gave %+v", best.Policy, best, ref)
 			}
 		})
 	}
@@ -393,9 +427,8 @@ func TestMeanOnlySelectLeavesEvaluatorsFull(t *testing.T) {
 	jobs := dnsJobs(t, 0.3, 3000, 11)
 	m := dnsManager(t, qos)
 	m.Space.FreqStep = 0.1
-	for _, workers := range []int{1, 0} {
-		m.Parallelism = workers
-		best, _, err := m.Select(jobs, 0.3)
+	for run := 0; run < 2; run++ {
+		best, err := m.Select(jobs, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +452,7 @@ func TestMeanOnlySelectLeavesEvaluatorsFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameMetricBits(ref.Metrics, want) {
-			t.Fatalf("Parallelism %d: Evaluate after Select gave %+v, Simulate gave %+v", workers, ref.Metrics, want)
+			t.Fatalf("run %d: Evaluate after Select gave %+v, Simulate gave %+v", run, ref.Metrics, want)
 		}
 		ev := queue.GetEvaluator(jobs, queue.Options{})
 		sum, err := ev.Evaluate(cfg)
@@ -432,7 +465,7 @@ func TestMeanOnlySelectLeavesEvaluatorsFull(t *testing.T) {
 			P95Response: sum.ResponseP95, P99Response: sum.ResponseP99,
 		}
 		if !sameMetricBits(got, want) {
-			t.Fatalf("Parallelism %d: pooled evaluator after Select gave %+v, Simulate gave %+v", workers, got, want)
+			t.Fatalf("run %d: pooled evaluator after Select gave %+v, Simulate gave %+v", run, got, want)
 		}
 	}
 }

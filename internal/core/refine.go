@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"sleepscale/internal/analytic"
 	"sleepscale/internal/policy"
 )
 
@@ -19,7 +20,7 @@ import (
 // the refined result is cross-checked against the grid winner and the
 // better of the two is returned.
 func (m *Manager) SelectIdealizedRefined(lambda, mu float64) (policy.Evaluation, error) {
-	gridBest, _, err := m.SelectIdealized(lambda, mu)
+	gridBest, err := m.SelectIdealized(lambda, mu)
 	if err != nil {
 		return policy.Evaluation{}, err
 	}
@@ -37,33 +38,17 @@ func (m *Manager) SelectIdealizedRefined(lambda, mu float64) (policy.Evaluation,
 // refinePlan finds the continuous minimum-power feasible frequency for one
 // plan under the idealized model.
 func (m *Manager) refinePlan(plan policy.SleepPlan, lambda, mu float64) (policy.Evaluation, error) {
+	// One state buffer serves every step: the closed forms are cheap enough
+	// that allocating a model per step would dominate them.
+	var states []analytic.SleepState
+	needTail := readsTail(m.QoS)
 	evalAt := func(f float64) (policy.Metrics, error) {
-		pol := policy.Policy{Frequency: f, Plan: plan}
-		am, err := pol.AnalyticModel(m.Profile, lambda, mu)
+		am, err := policy.Policy{Frequency: f, Plan: plan}.AppendAnalyticModel(m.Profile, lambda, mu, states[:0])
 		if err != nil {
 			return policy.Metrics{}, err
 		}
-		er, err := am.MeanResponse()
-		if err != nil {
-			return policy.Metrics{}, err
-		}
-		ep, err := am.MeanPower()
-		if err != nil {
-			return policy.Metrics{}, err
-		}
-		met := policy.Metrics{AvgPower: ep, MeanResponse: er}
-		if readsTail(m.QoS) {
-			p95, err := am.ResponseQuantile(0.95)
-			if err != nil {
-				return policy.Metrics{}, err
-			}
-			p99, err := am.ResponseQuantile(0.99)
-			if err != nil {
-				return policy.Metrics{}, err
-			}
-			met.P95Response, met.P99Response = p95, p99
-		}
-		return met, nil
+		states = am.States
+		return idealizedMetrics(am, needTail)
 	}
 
 	lo := lambda/mu + 1e-6 // stability floor (CPU-bound closed forms)
@@ -82,12 +67,19 @@ func (m *Manager) refinePlan(plan policy.SleepPlan, lambda, mu float64) (policy.
 	}
 	fFeas := lo
 	if metLo, err := evalAt(lo + 1e-9); err != nil || !m.QoS.Satisfied(metLo) {
+		// Once the midpoint rounds to an end it can no longer move either
+		// one: b and every a after the first were evaluated already, and
+		// evalAt is deterministic. Only lo itself is unevaluated.
 		a, b := lo, hi
+		aSeen := false
 		for i := 0; i < 100; i++ {
 			mid := (a + b) / 2
+			if mid == b || (mid == a && aSeen) {
+				break
+			}
 			met, err := evalAt(mid)
 			if err != nil || !m.QoS.Satisfied(met) {
-				a = mid
+				a, aSeen = mid, true
 			} else {
 				b = mid
 			}

@@ -19,7 +19,7 @@ func TestSelectIdealizedRefinedBeatsGrid(t *testing.T) {
 	m := dnsManager(t, qos)
 	m.Space.FreqStep = 0.1
 	for _, rho := range []float64{0.1, 0.3, 0.5} {
-		grid, _, err := m.SelectIdealized(rho*mu, mu)
+		grid, err := m.SelectIdealized(rho*mu, mu)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestRefinedMatchesFineGrid(t *testing.T) {
 	coarse := dnsManager(t, qos)
 	coarse.Space.FreqStep = 0.05
 	rho := 0.25
-	fineBest, _, err := fine.SelectIdealized(rho*mu, mu)
+	fineBest, err := fine.SelectIdealized(rho*mu, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRefinedDominatesGridProperty(t *testing.T) {
 	m.Space.FreqStep = 0.05
 	f := func(rRaw uint8) bool {
 		rho := 0.05 + float64(rRaw)/255*0.7
-		grid, _, err := m.SelectIdealized(rho*mu, mu)
+		grid, err := m.SelectIdealized(rho*mu, mu)
 		if err != nil {
 			return false
 		}

@@ -259,7 +259,7 @@ func (s *managerStrategyForTest) Decide(in DecideInput) (policy.Policy, error) {
 	if !ok {
 		return policy.Policy{Frequency: 1, Plan: s.m.Space.Plans[0]}, nil
 	}
-	best, _, err := s.m.Select(jobs, in.PredictedUtilization)
+	best, err := s.m.Select(jobs, in.PredictedUtilization)
 	if err != nil {
 		return policy.Policy{}, err
 	}

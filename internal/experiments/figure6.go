@@ -134,7 +134,7 @@ func Figure6(cfg Config, opts Figure6Options) (*Figure6Result, error) {
 						var best policy.Evaluation
 						switch model {
 						case "idealized":
-							best, _, err = mgr.SelectIdealized(rho*mu, mu)
+							best, err = mgr.SelectIdealized(rho*mu, mu)
 						case "empirical":
 							st, serr := empStats.AtUtilization(rho)
 							if serr != nil {
@@ -142,7 +142,7 @@ func Figure6(cfg Config, opts Figure6Options) (*Figure6Result, error) {
 							}
 							rng := rand.New(rand.NewSource(cfg.Seed + int64(rho*1000)))
 							jobs := st.Jobs(cfg.EvalJobs, rng)
-							best, _, err = mgr.Select(jobs, rho)
+							best, err = mgr.Select(jobs, rho)
 						default:
 							return nil, fmt.Errorf("experiments: unknown model %q", model)
 						}

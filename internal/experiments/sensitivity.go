@@ -60,7 +60,7 @@ func WakeSensitivity(cfg Config) (*WakeSensitivityResult, error) {
 				},
 				QoS: qos,
 			}
-			best, _, err := mgr.SelectIdealized(rho*mu, mu)
+			best, err := mgr.SelectIdealized(rho*mu, mu)
 			if err != nil {
 				return nil, err
 			}
@@ -257,7 +257,7 @@ func MailStudy(cfg Config) (*MailStudyResult, error) {
 			},
 			QoS: qos,
 		}
-		ideal, _, err := mgr.SelectIdealized(rho*mu, mu)
+		ideal, err := mgr.SelectIdealized(rho*mu, mu)
 		if err != nil {
 			return 0, 0, "", "", err
 		}
@@ -269,7 +269,7 @@ func MailStudy(cfg Config) (*MailStudyResult, error) {
 		if err != nil {
 			return 0, 0, "", "", err
 		}
-		emp, _, err := mgr.Select(st.Jobs(cfg.EvalJobs, rand.New(rand.NewSource(cfg.Seed+5))), rho)
+		emp, err := mgr.Select(st.Jobs(cfg.EvalJobs, rand.New(rand.NewSource(cfg.Seed+5))), rho)
 		if err != nil {
 			return 0, 0, "", "", err
 		}

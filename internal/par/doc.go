@@ -1,6 +1,14 @@
-// Package par is the simulator's persistent worker-pool runtime: the
-// zero-spawn fan-out primitive behind the policy manager's parallel
-// candidate evaluation (core.Manager.Select).
+// Package par is a persistent worker-pool runtime: a zero-spawn fan-out
+// primitive for index-parallel work.
+//
+// No program code uses it any more. The policy manager's Select, its last
+// user, became a serial best-first search that simulates only the candidates
+// that can still win, and the farm's serve loop routes and serves every job
+// inline. The package stays only because the end-to-end benchmark
+// (bench/ssbench) reads Default().Stats() for its par.* counters, which now
+// read 0; it can be deleted together with those counters at the next change
+// to the benchmark. A many-core workload that brings a parallel path back
+// with its own evidence would use Run.
 //
 // SleepScale's premise is that the policy search loop is cheap enough to run
 // at runtime every epoch (paper §5–6), so a selection must not pay
@@ -44,6 +52,5 @@
 // on the submitter in index order after Run returns. Under that discipline
 // the result is bit-identical for every pool size — including 1, which is
 // the serial reference the equivalence tests pin against — and regardless of
-// worker interleaving. The policy manager's per-candidate evaluation slots
-// are built around this contract.
+// worker interleaving.
 package par

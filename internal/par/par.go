@@ -92,8 +92,8 @@ var (
 )
 
 // Default returns the process-wide pool, sized to runtime.GOMAXPROCS(0) at
-// first use. The policy manager's selections share it, so the whole process
-// runs one persistent worker set however many selections execute.
+// first use, so every caller in the process shares one persistent worker
+// set.
 func Default() *Pool {
 	defaultOnce.Do(func() { defaultPool = New(0) })
 	return defaultPool

@@ -169,6 +169,14 @@ func (p Policy) AppendConfig(prof *power.Profile, freqExponent float64, buf []qu
 // lambda and maximum service rate mu (CPU-bound service assumed, as in the
 // paper's closed forms).
 func (p Policy) AnalyticModel(prof *power.Profile, lambda, mu float64) (analytic.Model, error) {
+	return p.AppendAnalyticModel(prof, lambda, mu, nil)
+}
+
+// AppendAnalyticModel is AnalyticModel with caller-provided state storage,
+// as AppendConfig is for Config: the states are appended to buf (normally
+// buf[:0] of a scratch slice), and the returned Model's States alias buf's
+// array whenever capacity suffices.
+func (p Policy) AppendAnalyticModel(prof *power.Profile, lambda, mu float64, buf []analytic.SleepState) (analytic.Model, error) {
 	if err := p.Plan.Validate(); err != nil {
 		return analytic.Model{}, err
 	}
@@ -177,6 +185,7 @@ func (p Policy) AnalyticModel(prof *power.Profile, lambda, mu float64) (analytic
 		Mu:          mu,
 		F:           p.Frequency,
 		ActivePower: prof.ActivePower(p.Frequency),
+		States:      buf,
 	}
 	for _, ph := range p.Plan.Phases {
 		m.States = append(m.States, analytic.SleepState{
@@ -333,6 +342,13 @@ func DefaultSpace() Space {
 // f ≥ ρ^(1/β) + step (the smallest f with µ·f^β > λ), clamped to
 // [MinFreq, 1]; 1.0 is always included.
 func (s Space) Frequencies(rho, beta float64) []float64 {
+	return s.AppendFrequencies(nil, rho, beta)
+}
+
+// AppendFrequencies appends the grid Frequencies returns to buf (normally
+// buf[:0] of a scratch slice), so a per-epoch selection enumerates its grid
+// without allocating.
+func (s Space) AppendFrequencies(buf []float64, rho, beta float64) []float64 {
 	step := s.FreqStep
 	if step <= 0 {
 		step = 0.01
@@ -348,10 +364,10 @@ func (s Space) Frequencies(rho, beta float64) []float64 {
 		}
 	}
 	if floor > 1 {
-		return []float64{1}
+		return append(buf, 1)
 	}
 	start := math.Ceil(floor/step-1e-9) * step
-	var out []float64
+	out := buf
 	for f := start; f < 1-1e-9; f += step {
 		out = append(out, math.Round(f/step)*step)
 	}

@@ -81,7 +81,7 @@ func (s *ManagerStrategy) Decide(in core.DecideInput) (policy.Policy, error) {
 		// shallowest candidate state.
 		return policy.Policy{Frequency: 1, Plan: s.Manager.Space.Plans[0]}, nil
 	}
-	best, _, err := s.Manager.Select(jobs, in.PredictedUtilization)
+	best, err := s.Manager.Select(jobs, in.PredictedUtilization)
 	if err != nil {
 		return policy.Policy{}, err
 	}

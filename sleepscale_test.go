@@ -27,7 +27,7 @@ func TestQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := stats.Jobs(10000, rand.New(rand.NewSource(1)))
-	best, all, err := mgr.Select(jobs, 0.3)
+	best, err := mgr.Select(jobs, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,26 @@ func TestQuickstart(t *testing.T) {
 	if best.Policy.Frequency <= 0.3 || best.Policy.Frequency > 1 {
 		t.Errorf("selected frequency %v out of range", best.Policy.Frequency)
 	}
-	if len(all) == 0 {
-		t.Error("no evaluations")
+	// The exhaustive rule over every candidate: the feasible minimum power,
+	// the first candidate winning ties.
+	pols := mgr.Space.Policies(0.3, spec.FreqExponent)
+	if len(pols) == 0 {
+		t.Fatal("no evaluations")
+	}
+	want, found := best, false
+	for _, p := range pols {
+		e, err := mgr.Evaluate(jobs, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Feasible && (!found || e.Metrics.AvgPower < want.Metrics.AvgPower) {
+			want, found = e, true
+		}
+	}
+	if best.Policy.String() != want.Policy.String() || best.Metrics.AvgPower != want.Metrics.AvgPower ||
+		best.Metrics.MeanResponse != want.Metrics.MeanResponse {
+		t.Errorf("Select picked %v (%+v), exhaustive search %v (%+v)",
+			best.Policy, best.Metrics, want.Policy, want.Metrics)
 	}
 }
 
