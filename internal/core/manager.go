@@ -61,32 +61,32 @@ func (m *Manager) Validate() error {
 // reports its full metrics and feasibility. Select scores the candidates it
 // simulates with the same kernel, so they match Evaluate bit for bit.
 func (m *Manager) Evaluate(jobs []queue.Job, p policy.Policy) (policy.Evaluation, error) {
+	cfg, err := p.Config(m.Profile, m.FreqExponent)
+	if err != nil {
+		return policy.Evaluation{}, err
+	}
 	ev := queue.GetEvaluator(jobs, queue.Options{})
 	defer ev.Release()
-	e, _, err := m.evaluateInto(ev, p, nil)
-	return e, err
+	met, err := simulate(ev, cfg)
+	if err != nil {
+		return policy.Evaluation{}, err
+	}
+	return policy.Evaluation{Policy: p, Metrics: met, Feasible: m.QoS.Satisfied(met)}, nil
 }
 
-// evaluateInto is the zero-allocation inner loop of Select: it resolves the
-// policy's configuration into the scratch phase buffer, scores it on the
-// evaluator, and hands the (possibly grown) buffer back for the next
-// candidate.
-func (m *Manager) evaluateInto(ev *queue.Evaluator, p policy.Policy, buf []queue.SleepPhase) (policy.Evaluation, []queue.SleepPhase, error) {
-	cfg, err := p.AppendConfig(m.Profile, m.FreqExponent, buf[:0])
-	if err != nil {
-		return policy.Evaluation{}, buf, err
-	}
+// simulate is the kernel Evaluate and Select share: it scores cfg on the
+// evaluator's stream.
+func simulate(ev *queue.Evaluator, cfg queue.Config) (policy.Metrics, error) {
 	sum, err := ev.Evaluate(cfg)
 	if err != nil {
-		return policy.Evaluation{}, cfg.Phases, err
+		return policy.Metrics{}, err
 	}
-	met := policy.Metrics{
+	return policy.Metrics{
 		AvgPower:     sum.AvgPower,
 		MeanResponse: sum.MeanResponse,
 		P95Response:  sum.ResponseP95,
 		P99Response:  sum.ResponseP99,
-	}
-	return policy.Evaluation{Policy: p, Metrics: met, Feasible: m.QoS.Satisfied(met)}, cfg.Phases, nil
+	}, nil
 }
 
 // Select returns the feasible policy with the lowest average power over the
@@ -97,13 +97,16 @@ func (m *Manager) evaluateInto(ev *queue.Evaluator, p policy.Policy, buf []queue
 // grid's stability floor.
 //
 // The answer is the exhaustive one — every candidate simulated — but Select
-// simulates only candidates that can still win. One wake-free pass per grid
-// frequency (queue.WakeFree) bounds every candidate's power and mean
-// response from below. Under MeanResponseQoS a candidate whose response
-// bound misses the budget is never simulated; the rest are simulated in
-// increasing power-bound order, and the search stops at the first bound
-// above the best feasible power found. It runs on the calling goroutine and
-// allocates nothing in steady state.
+// simulates only candidates that can still win. It resolves every
+// candidate's configuration once, then bounds every candidate's power and
+// mean response from below with one wake-free pass (queue.WakeFree) per grid
+// frequency, from f = 1 down. Under MeanResponseQoS a candidate whose
+// response bound misses the budget is never simulated, and the passes stop
+// at the top of the response-pruned prefix: the low frequencies at which no
+// plan can meet the budget. The rest are simulated in increasing power-bound
+// order, and the search stops at the first bound above the best feasible
+// power found. It runs on the calling goroutine and allocates nothing in
+// steady state.
 //
 // The winner carries what the QoS reads. Under MeanResponseQoS candidates are
 // scored from response moments alone, so AvgPower, MeanResponse and Feasible
@@ -114,67 +117,150 @@ func (m *Manager) Select(jobs []queue.Job, rho float64) (policy.Evaluation, erro
 	return best, err
 }
 
-// selectCounted is Select that also reports how many candidates it
-// simulated.
-func (m *Manager) selectCounted(jobs []queue.Job, rho float64) (policy.Evaluation, int, error) {
+// work counts what one selection did: the candidates it simulated and the
+// wake-free passes it ran.
+type work struct{ simulated, passes int }
+
+// selectCounted is Select that also reports its work.
+func (m *Manager) selectCounted(jobs []queue.Job, rho float64) (policy.Evaluation, work, error) {
 	if err := m.Validate(); err != nil {
-		return policy.Evaluation{}, 0, err
+		return policy.Evaluation{}, work{}, err
 	}
 	if len(jobs) == 0 {
-		return policy.Evaluation{}, 0, ErrNoJobs
+		return policy.Evaluation{}, work{}, ErrNoJobs
 	}
 	s := m.getSearch(rho, m.FreqExponent)
-	defer searchPool.Put(s)
+	defer s.release()
 	ev := queue.GetEvaluator(jobs, queue.Options{})
 	defer ev.Release()
 	// A QoS that reads no tail scores moments only: no candidate's response
 	// sample is stored or ordered.
 	ev.SetRetainResponses(readsTail(m.QoS))
-	score := func(i int) (policy.Metrics, error) {
-		e, buf, err := m.evaluateInto(ev, s.candidate(m, i), s.phases)
-		s.phases = buf
-		return e.Metrics, err
-	}
+	score := func(i int) (policy.Metrics, error) { return simulate(ev, s.cfg[i]) }
 
-	// Bound every candidate, frequency by frequency. Resolving each one's
-	// configuration here also finds the configuration error the exhaustive
-	// search would return: the lowest-index candidate that fails, unless a
-	// candidate before it resolves and then fails on the stream.
-	nf := len(s.freqs)
-	errIdx, firstErr := -1, error(nil)
-	for fi, f := range s.freqs {
-		passed := false
-		for pi, plan := range m.Space.Plans {
-			i := pi*nf + fi
-			cfg, err := policy.Policy{Frequency: f, Plan: plan}.AppendConfig(m.Profile, m.FreqExponent, s.phases[:0])
-			if err != nil {
-				if errIdx < 0 || i < errIdx {
-					errIdx, firstErr = i, err
-				}
-				continue
-			}
-			s.phases = cfg.Phases
-			if !passed {
-				s.wf.Run(jobs, &cfg)
-				passed = true
-			}
-			b := s.wf.Bound(&cfg)
-			s.power[i], s.resp[i] = b.AvgPower, b.MeanResponse
-		}
-	}
-	if errIdx >= 0 {
-		if errIdx > 0 {
+	// Resolving every candidate also finds the configuration error the
+	// exhaustive search would return: the lowest-index candidate that
+	// fails, unless candidate 0 resolves and then fails on the stream.
+	bad, wmax := s.resolve(m)
+	if bad >= 0 {
+		if bad > 0 {
 			if _, err := score(0); err != nil {
-				return policy.Evaluation{}, 1, err
+				return policy.Evaluation{}, work{simulated: 1}, err
 			}
 		}
-		return policy.Evaluation{}, 0, firstErr
+		_, err := s.candidate(m, bad).Config(m.Profile, m.FreqExponent)
+		return policy.Evaluation{}, work{}, err
 	}
-	best, n, err := s.run(m.QoS, score)
+	lo := s.boundGrid(m, jobs, wmax)
+	best, n, err := s.run(m.QoS, score, func() {
+		for fi := lo - 1; fi >= 0; fi-- {
+			s.boundAt(jobs, fi)
+		}
+	})
+	w := work{simulated: n, passes: s.passes}
 	if err != nil {
-		return policy.Evaluation{}, n, err
+		return policy.Evaluation{}, w, err
 	}
-	return s.evaluation(m, best), n, nil
+	return s.evaluation(m, best), w, nil
+}
+
+// resolve builds every candidate's configuration into s.cfg as
+// policy.Policy.Config would, but resolves each plan's states, wake
+// latencies and validation once and each frequency's powers once. It
+// returns the lowest candidate index whose configuration Config rejects, or
+// −1, and the largest wake latency of any plan.
+func (s *search) resolve(m *Manager) (bad int, wmax float64) {
+	plans, nf := m.Space.Plans, len(s.freqs)
+	np := 0
+	for _, pl := range plans {
+		np += len(pl.Phases)
+	}
+	s.cfg = resize(s.cfg, len(plans)*nf)
+	s.phases = resize(s.phases, np*nf)
+	// Row 0 of the phase table, one row per frequency, is the template the
+	// other rows copy. A plan that fails at every frequency fails first at
+	// its lowest index, so only the plans before it can fail lower.
+	bad, firstBad := -1, len(plans)
+	tmpl, off := s.phases[:np], 0
+	for pi, pl := range plans {
+		ok := pl.Validate() == nil
+		for _, ph := range pl.Phases {
+			w := m.Profile.Wake(ph.State)
+			tmpl[off] = queue.SleepPhase{Name: ph.State.String(), WakeLatency: w, EnterAfter: ph.Enter}
+			off++
+			ok = ok && !(w < 0)
+			wmax = max(wmax, w)
+		}
+		if !ok && bad < 0 {
+			bad, firstBad = pi*nf, pi
+		}
+	}
+	for fi, f := range s.freqs {
+		pa := m.Profile.ActivePower(f)
+		row := s.phases[fi*np : (fi+1)*np]
+		copy(row, tmpl)
+		valid := f > 0 && f <= 1 && !(pa < 0)
+		off := 0
+		for pi, pl := range plans[:firstBad] {
+			phs := row[off : off+len(pl.Phases) : off+len(pl.Phases)]
+			ok := valid
+			for j, ph := range pl.Phases {
+				phs[j].Power = m.Profile.SystemPower(ph.State, f)
+				ok = ok && !(phs[j].Power < 0)
+			}
+			i := pi*nf + fi
+			s.cfg[i] = queue.Config{Frequency: f, FreqExponent: m.FreqExponent, ActivePower: pa, IdlePower: pa, Phases: phs}
+			if !ok && (bad < 0 || i < bad) {
+				bad = i
+			}
+			off += len(pl.Phases)
+		}
+	}
+	return bad, wmax
+}
+
+// boundGrid bounds every candidate from f = 1 down, one wake-free pass per
+// frequency, and returns the lowest frequency index it bounded. Under
+// MeanResponseQoS it stops after the first frequency whose ResponseFloor
+// exceeds the budget, provided the grid's speeds are non-decreasing (f^β
+// need not round monotonically): every frequency below has a speed no
+// higher, so a floor no lower, and each of its candidates is infeasible.
+// Their response bounds read +Inf until the fallback bounds them.
+func (s *search) boundGrid(m *Manager, jobs []queue.Job, wmax float64) int {
+	nf := len(s.freqs)
+	s.wf.Reset(jobs)
+	for pi := range m.Space.Plans {
+		s.wf.Count(&s.cfg[pi*nf])
+	}
+	meanQoS, prune := m.QoS.(policy.MeanResponseQoS)
+	slowest := s.cfg[0].Speed()
+	for fi, prev := 1, slowest; fi < nf && prune; fi++ {
+		v := s.cfg[fi].Speed()
+		prune, prev = prev <= v, v
+	}
+	for fi := nf - 1; fi >= 0; fi-- {
+		s.boundAt(jobs, fi)
+		if prune && s.wf.ResponseFloor(slowest, wmax) > meanQoS.Budget {
+			for i := 0; i < len(s.resp); i += nf {
+				for j := i; j < i+fi; j++ {
+					s.resp[j] = math.Inf(1)
+				}
+			}
+			return fi
+		}
+	}
+	return 0
+}
+
+// boundAt runs the wake-free pass at frequency index fi and bounds every
+// plan there.
+func (s *search) boundAt(jobs []queue.Job, fi int) {
+	s.wf.Run(jobs, &s.cfg[fi])
+	s.passes++
+	for i := fi; i < len(s.cfg); i += len(s.freqs) {
+		b := s.wf.Bound(&s.cfg[i])
+		s.power[i], s.resp[i] = b.AvgPower, b.MeanResponse
+	}
 }
 
 // SelectIdealized is the §4 idealized model: it selects as Select does, but
@@ -196,19 +282,34 @@ func (m *Manager) SelectIdealized(lambda, mu float64) (policy.Evaluation, error)
 	}
 	needTail := readsTail(m.QoS)
 	s := m.getSearch(lambda/mu, 1) // closed forms assume CPU-bound scaling
-	defer searchPool.Put(s)
-	model := func(i int) (analytic.Model, error) {
-		am, err := s.candidate(m, i).AppendAnalyticModel(m.Profile, lambda, mu, s.states[:0])
-		s.states = am.States
-		return am, err
+	defer s.release()
+	// Each plan is validated, and its states' entry delays and wake
+	// latencies resolved, once: a candidate's model needs only its
+	// frequency's powers. The first invalid plan fails at its first
+	// candidate.
+	nf, badAt, planErr := len(s.freqs), len(s.state), error(nil)
+	s.states = s.states[:0]
+	for pi, pl := range m.Space.Plans {
+		if err := pl.Validate(); err != nil && planErr == nil {
+			badAt, planErr = pi*nf, err
+		}
+		s.states = appendStates(s.states, m.Profile, pl)
+	}
+	model := func(i int) analytic.Model {
+		off := 0
+		for _, pl := range m.Space.Plans[:i/nf] {
+			off += len(pl.Phases)
+		}
+		pl := m.Space.Plans[i/nf]
+		return analyticModel(m.Profile, pl, s.states[off:off+len(pl.Phases)], lambda, mu, s.freqs[i%nf])
 	}
 	// Bound in index order, surfacing the first error the exhaustive sweep
 	// would meet.
 	for i := range s.state {
-		am, err := model(i)
-		if err != nil {
-			return policy.Evaluation{}, err
+		if i == badAt {
+			return policy.Evaluation{}, planErr
 		}
+		am := model(i)
 		if err := am.Validate(); err != nil {
 			if errors.Is(err, analyticUnstable) {
 				s.state[i] = skipped // below the stability floor after rounding
@@ -225,16 +326,30 @@ func (m *Manager) SelectIdealized(lambda, mu float64) (policy.Evaluation, error)
 		s.power[i], s.resp[i] = idealizedBounds(am)
 	}
 	best, _, err := s.run(m.QoS, func(i int) (policy.Metrics, error) {
-		am, err := model(i)
-		if err != nil {
-			return policy.Metrics{}, err
-		}
-		return idealizedMetrics(am, needTail)
-	})
+		return idealizedMetrics(model(i), needTail)
+	}, nil)
 	if err != nil {
 		return policy.Evaluation{}, err
 	}
 	return s.evaluation(m, best), nil
+}
+
+// appendStates appends plan's analytic states with their entry delays and
+// wake latencies resolved; analyticModel fills in their powers.
+func appendStates(buf []analytic.SleepState, prof *power.Profile, plan policy.SleepPlan) []analytic.SleepState {
+	for _, ph := range plan.Phases {
+		buf = append(buf, analytic.SleepState{Enter: ph.Enter, Wake: prof.Wake(ph.State)})
+	}
+	return buf
+}
+
+// analyticModel is policy.Policy.AppendAnalyticModel at frequency f for a
+// valid plan whose states appendStates resolved: it sets only their powers.
+func analyticModel(prof *power.Profile, plan policy.SleepPlan, states []analytic.SleepState, lambda, mu, f float64) analytic.Model {
+	for j, ph := range plan.Phases {
+		states[j].Power = prof.SystemPower(ph.State, f)
+	}
+	return analytic.Model{Lambda: lambda, Mu: mu, F: f, ActivePower: prof.ActivePower(f), States: states}
 }
 
 // idealizedMetrics scores a valid model with the closed forms.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"sleepscale/internal/analytic"
 	"sleepscale/internal/policy"
 )
 
@@ -36,19 +35,14 @@ func (m *Manager) SelectIdealizedRefined(lambda, mu float64) (policy.Evaluation,
 }
 
 // refinePlan finds the continuous minimum-power feasible frequency for one
-// plan under the idealized model.
+// valid plan under the idealized model.
 func (m *Manager) refinePlan(plan policy.SleepPlan, lambda, mu float64) (policy.Evaluation, error) {
-	// One state buffer serves every step: the closed forms are cheap enough
-	// that allocating a model per step would dominate them.
-	var states []analytic.SleepState
+	// One state buffer, resolved once, serves every step: the closed forms
+	// are cheap enough that resolving a model per step would dominate them.
+	states := appendStates(nil, m.Profile, plan)
 	needTail := readsTail(m.QoS)
 	evalAt := func(f float64) (policy.Metrics, error) {
-		am, err := policy.Policy{Frequency: f, Plan: plan}.AppendAnalyticModel(m.Profile, lambda, mu, states[:0])
-		if err != nil {
-			return policy.Metrics{}, err
-		}
-		states = am.States
-		return idealizedMetrics(am, needTail)
+		return idealizedMetrics(analyticModel(m.Profile, plan, states, lambda, mu, f), needTail)
 	}
 
 	lo := lambda/mu + 1e-6 // stability floor (CPU-bound closed forms)

@@ -23,7 +23,9 @@ const (
 // plan i/len(freqs) at frequency freqs[i%len(freqs)], the order
 // Space.Policies enumerates. power and resp hold lower bounds on each
 // candidate's AvgPower and MeanResponse (−Inf when there is none), met and
-// feasible its scores once simulated or computed.
+// feasible its scores once simulated or computed. Select resolves candidate
+// i's configuration into cfg[i], whose phases live in phases, and counts
+// its wake-free passes in passes.
 type search struct {
 	freqs    []float64
 	power    []float64
@@ -32,9 +34,11 @@ type search struct {
 	feasible []bool
 	state    []uint8
 	order    []int32
+	cfg      []queue.Config
 	phases   []queue.SleepPhase
 	states   []analytic.SleepState
 	wf       queue.WakeFree
+	passes   int
 }
 
 // searchPool recycles search scratch across selections, so a steady-state
@@ -54,7 +58,14 @@ func (m *Manager) getSearch(rho, beta float64) *search {
 	for i := range s.state {
 		s.state[i] = unscored
 	}
+	s.passes = 0
 	return s
+}
+
+// release returns s to the pool without pinning the caller's job stream.
+func (s *search) release() {
+	s.wf.Reset(nil)
+	searchPool.Put(s)
 }
 
 // resize returns s with length n, reusing its array when it is large enough.
@@ -93,10 +104,11 @@ func (s *search) evaluation(m *Manager, i int) policy.Evaluation {
 //     early.
 //   - With nothing feasible, every candidate but the response-pruned ones
 //     has been scored. Those are scored in response-bound order while their
-//     violation bound can still reach the best violation found.
+//     violation bound can still reach the best violation found; boundRest,
+//     if not nil, first bounds the ones the caller left unbounded.
 //
 // At least one candidate is always scored, so a stream error surfaces.
-func (s *search) run(qos policy.QoS, score func(i int) (policy.Metrics, error)) (int, int, error) {
+func (s *search) run(qos policy.QoS, score func(i int) (policy.Metrics, error), boundRest func()) (int, int, error) {
 	meanQoS, meanOnly := qos.(policy.MeanResponseQoS)
 	n := 0
 	scoreAt := func(i int32) error {
@@ -165,6 +177,9 @@ func (s *search) run(qos policy.QoS, score func(i int) (policy.Metrics, error)) 
 		return -1, n, fmt.Errorf("core: no candidate policies")
 	}
 	if meanOnly {
+		if boundRest != nil {
+			boundRest()
+		}
 		s.order = s.order[:0]
 		for i, st := range s.state {
 			if st == unscored {

@@ -191,7 +191,7 @@ func FuzzSelectMatchesExhaustive(f *testing.F) {
 // where the power is NaN.
 func requireBoundsSound(t *testing.T, m *Manager, jobs []queue.Job, rho float64) {
 	t.Helper()
-	var wf queue.WakeFree
+	wf := countingWakeFree(t, m.Profile, m.Space.Plans, m.FreqExponent, jobs)
 	for _, f := range m.Space.Frequencies(rho, m.FreqExponent) {
 		for i, plan := range m.Space.Plans {
 			cfg, err := policy.Policy{Frequency: f, Plan: plan}.Config(m.Profile, m.FreqExponent)
@@ -213,6 +213,22 @@ func requireBoundsSound(t *testing.T, m *Manager, jobs []queue.Job, rho float64)
 			}
 		}
 	}
+}
+
+// countingWakeFree returns a WakeFree bound to jobs that counts the wakes of
+// every plan, resolved at f = 1.
+func countingWakeFree(t *testing.T, prof *power.Profile, plans []policy.SleepPlan, beta float64, jobs []queue.Job) *queue.WakeFree {
+	t.Helper()
+	wf := new(queue.WakeFree)
+	wf.Reset(jobs)
+	for _, plan := range plans {
+		cfg, err := policy.Policy{Frequency: 1, Plan: plan}.Config(prof, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wf.Count(&cfg)
+	}
+	return wf
 }
 
 // TestSelectErrorContract: inputs on which the exhaustive search fails still
@@ -250,23 +266,151 @@ func TestSelectErrorContract(t *testing.T) {
 	}
 }
 
-// TestSelectSimulatesFewCandidates pins the work the search saves on
-// BenchmarkPolicySelection's fixture: at most a tenth of the grid is
-// simulated.
-func TestSelectSimulatesFewCandidates(t *testing.T) {
-	spec := workload.DNS()
-	qos, _ := policy.NewMeanResponseQoS(0.8, spec.MaxServiceRate())
-	m := dnsManager(t, qos)
-	m.Space.FreqStep = 0.02
+// TestSelectRunsFewPasses pins the work the search saves on
+// BenchmarkPolicySelection's fixture. Under the mean QoS it simulates at
+// most a tenth of the grid, and runs one wake-free pass per frequency from
+// f = 1 down to the top of the response-pruned prefix (the lowest
+// frequencies, at which every candidate's response bound misses the
+// budget): exactly one pass at or below it. A percentile QoS prunes no
+// frequency, so every frequency gets its pass.
+func TestSelectRunsFewPasses(t *testing.T) {
+	mu := workload.DNS().MaxServiceRate()
 	jobs := dnsJobs(t, 0.3, 2000, 1)
-	best, n, err := m.selectCounted(jobs, 0.3)
-	if err != nil {
-		t.Fatal(err)
+	for _, qos := range qosFamilies(t, mu)[:2] {
+		m := dnsManager(t, qos)
+		m.Space.FreqStep = 0.02
+		best, w, err := m.selectCounted(jobs, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freqs := m.Space.Frequencies(0.3, m.FreqExponent)
+		grid := len(freqs) * len(m.Space.Plans)
+		t.Logf("%s: simulated %d of %d candidates in %d passes over %d frequencies; winner %v",
+			qos.Describe(), w.simulated, grid, w.passes, len(freqs), best.Policy)
+		meanQoS, meanOnly := qos.(policy.MeanResponseQoS)
+		if !meanOnly {
+			if w.passes != len(freqs) {
+				t.Errorf("%s: %d passes over %d frequencies, want one each", qos.Describe(), w.passes, len(freqs))
+			}
+			continue
+		}
+		if w.simulated < 1 || 10*w.simulated > grid {
+			t.Errorf("simulated %d of %d candidates, want at most 10%%", w.simulated, grid)
+		}
+		// The prefix's top: the highest frequency at and below which every
+		// candidate's response bound exceeds the budget.
+		wf := countingWakeFree(t, m.Profile, m.Space.Plans, m.FreqExponent, jobs)
+		top, pruned := -1, true
+		for fi, f := range freqs {
+			for i, plan := range m.Space.Plans {
+				cfg, err := policy.Policy{Frequency: f, Plan: plan}.Config(m.Profile, m.FreqExponent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					wf.Run(jobs, &cfg)
+				}
+				pruned = pruned && wf.Bound(&cfg).MeanResponse > meanQoS.Budget
+			}
+			if !pruned {
+				break
+			}
+			top = fi
+		}
+		if top < 1 {
+			t.Fatalf("response-pruned prefix ends at index %d: no pass to save", top)
+		}
+		if want := len(freqs) - top; w.passes != want {
+			t.Errorf("%d passes over %d frequencies with the prefix's top at index %d, want %d",
+				w.passes, len(freqs), top, want)
+		}
 	}
-	grid := len(m.Space.Policies(0.3, m.FreqExponent))
-	t.Logf("simulated %d of %d candidates; winner %v", n, grid, best.Policy)
-	if n < 1 || 10*n > grid {
-		t.Errorf("simulated %d of %d candidates, want at most 10%%", n, grid)
+}
+
+// TestSelectMatchesExhaustiveOnTiedSpeeds: at β = 1e-15 most adjacent speeds
+// f^β of the 0.01 grid round equal, so the response-pruned scan checks its
+// speeds' order on ties. It must still give the exhaustive answer.
+func TestSelectMatchesExhaustiveOnTiedSpeeds(t *testing.T) {
+	const beta = 1e-15
+	mu := workload.DNS().MaxServiceRate()
+	freqs := policy.DefaultSpace().Frequencies(0.3, beta)
+	ties := 0
+	for i := 1; i < len(freqs); i++ {
+		a := queue.Config{Frequency: freqs[i-1], FreqExponent: beta}
+		b := queue.Config{Frequency: freqs[i], FreqExponent: beta}
+		if a.Speed() == b.Speed() {
+			ties++
+		}
+	}
+	t.Logf("%d of %d adjacent speeds tie", ties, len(freqs)-1)
+	if ties == 0 {
+		t.Fatal("no tied speeds on the grid")
+	}
+	for _, rho := range []float64{0.1, 0.3, 0.6} {
+		jobs := dnsJobs(t, rho, 200, 7)
+		for _, qos := range qosFamilies(t, mu) {
+			m := &Manager{Profile: power.Xeon(), FreqExponent: beta, Space: policy.DefaultSpace(), QoS: qos}
+			requireSameAsExhaustive(t, m, jobs, rho, fmt.Sprintf("β=%g ρ=%g %s", beta, rho, qos.Describe()))
+		}
+	}
+}
+
+// TestSelectConfigErrorsMatchExhaustive: a configuration error anywhere in
+// the grid, the skipped prefix included, is the one the exhaustive search
+// returns: the lowest-index failing candidate's, unless candidate 0 fails
+// on the stream first. SelectIdealized must match its own exhaustive
+// reference on the same managers.
+func TestSelectConfigErrorsMatchExhaustive(t *testing.T) {
+	mu := workload.DNS().MaxServiceRate()
+	mean, _ := policy.NewMeanResponseQoS(0.8, mu)
+	jobs := dnsJobs(t, 0.3, 200, 21)
+	badStream := append([]queue.Job(nil), jobs...)
+	badStream[100].Size = -1
+	// Negative powers: C1S0(i) above f ≈ 0.55, the active state below
+	// f ≈ 0.43, C6S3 at every frequency. A negative wake latency.
+	haltNeg := power.Xeon()
+	haltNeg.CPUHaltCoeff = -200
+	activeNeg := power.Xeon()
+	activeNeg.PlatformActivePower = -10
+	sleepNeg := power.Xeon()
+	sleepNeg.PlatformSleepPower = -100
+	wakeNeg := power.Xeon()
+	wakeNeg.WakeLatency = map[power.State]float64{power.DeepSleep: -1}
+	unordered := policy.Sequence("unordered",
+		policy.PlanPhase{State: power.DeepSleep, Enter: 2},
+		policy.PlanPhase{State: power.DeeperSleep, Enter: 1})
+	cases := []struct {
+		name  string
+		prof  *power.Profile
+		plans []policy.SleepPlan
+		jobs  []queue.Job
+	}{
+		{"halt power", haltNeg, nil, jobs},
+		{"active power", activeNeg, nil, jobs},
+		{"last plan's power", sleepNeg, nil, jobs},
+		{"wake latency", wakeNeg, nil, jobs},
+		{"plan order", power.Xeon(), []policy.SleepPlan{policy.SingleState(power.Halt), unordered}, jobs},
+		{"halt power, bad stream", haltNeg, nil, badStream},
+		{"active power, bad stream", activeNeg, nil, badStream},
+	}
+	for _, c := range cases {
+		for _, qos := range []policy.QoS{mean, policy.MeanResponseQoS{Budget: 1e-6}} {
+			m := dnsManager(t, qos)
+			m.Profile = c.prof
+			if c.plans != nil {
+				m.Space.Plans = c.plans
+			}
+			if _, err := m.Select(c.jobs, 0.3); err == nil {
+				t.Fatalf("%s: no error", c.name)
+			}
+			requireSameAsExhaustive(t, m, c.jobs, 0.3, c.name)
+			got, err := m.SelectIdealized(0.3*mu, mu)
+			want, _, werr := exhaustiveIdealized(m, 0.3*mu, mu)
+			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) ||
+				(err == nil && !sameEvaluation(got, want)) {
+				t.Fatalf("%s: SelectIdealized %v %+v, exhaustive %v %+v", c.name, err, got, werr, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package queue
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // WakeFree is Engine.Process's availability recursion with every wake
 // latency set to 0, run once over a job stream at one service speed:
@@ -10,36 +13,93 @@ import "math"
 // It depends on a configuration only through its speed f^β, so one O(n)
 // pass serves every sleep plan at that frequency, and Bound turns it into
 // lower bounds on what Evaluator.Evaluate reports for each of them. The
-// policy manager uses the bounds to skip candidates that cannot win. Run
-// keeps the pass's buffer, so a reused WakeFree allocates nothing.
+// policy manager uses the bounds to skip candidates that cannot win.
+//
+// Reset binds a stream and Count registers the wake counts the plans'
+// bounds need, so that each Run over that stream counts them inside its
+// pass and Bound costs O(phases). A reused WakeFree allocates nothing.
 type WakeFree struct {
+	jobs       []Job
+	n          int
+	maxArrival float64   // max(0, max aᵢ)
+	sumSize    float64   // Σ sizeᵢ
+	wake       []float64 // the w_max of each registered count
+	thr        []float64 // its threshold in the last Run
+	count      []uint64  // the gaps above it in the last Run
+
 	speed   float64
-	n       int
-	gn      float64   // Gₙ
-	sumResp float64   // Σ(Gᵢ − aᵢ)
-	sumSvc  float64   // Σ svcᵢ
-	gaps    []float64 // aᵢ − Gᵢ₋₁: how long job i finds the wake-free server idle
+	gn      float64 // Gₙ
+	sumResp float64 // Σ(Gᵢ − aᵢ)
+	sumSvc  float64 // Σ svcᵢ
 }
 
-// Run makes the pass over jobs at cfg's speed. The service times are the
+// Reset binds w to the stream jobs and drops every registered count; no
+// configuration has a bound until the next Run. Reset(nil) releases the
+// stream. Call it again after changing a bound stream in place.
+func (w *WakeFree) Reset(jobs []Job) {
+	w.jobs, w.n, w.speed = jobs, len(jobs), math.NaN()
+	w.wake, w.thr, w.count = w.wake[:0], w.thr[:0], w.count[:0]
+	var a, s float64
+	for _, j := range jobs {
+		a, s = max(a, j.Arrival), s+j.Size
+	}
+	w.maxArrival, w.sumSize = a, s
+}
+
+// Count makes every later Run count the wakes cfg's bound needs, if it
+// needs any (see Bound). Configurations with the same w_max share a count;
+// one whose count is not registered is bounded without a wake term.
+func (w *WakeFree) Count(cfg *Config) {
+	if _, wmax, ok := wakeRange(cfg); ok && !slices.Contains(w.wake, wmax) {
+		w.wake = append(w.wake, wmax)
+		w.thr = append(w.thr, 0)
+		w.count = append(w.count, 0)
+	}
+}
+
+// Run makes the pass over jobs at cfg's speed, counting for each registered
+// w_max the gaps aᵢ − Gᵢ₋₁ above its threshold. The service times are the
 // floats Process computes. A NaN arrival makes Gₙ NaN, and with it every
-// bound −Inf.
+// bound −Inf. Any other stream than the bound one is bound first, which
+// drops the counts.
 func (w *WakeFree) Run(jobs []Job, cfg *Config) {
-	v := cfg.speed()
-	w.speed, w.n = v, len(jobs)
-	if cap(w.gaps) < len(jobs) {
-		w.gaps = make([]float64, len(jobs))
+	if len(jobs) != len(w.jobs) || len(jobs) > 0 && &jobs[0] != &w.jobs[0] {
+		w.Reset(jobs)
 	}
-	gaps := w.gaps[:len(jobs)]
-	var g, sumResp, sumSvc float64
-	for i, j := range jobs {
-		svc := j.Size / v
-		gaps[i] = j.Arrival - g
-		g = max(g, j.Arrival) + svc
-		sumResp += g - j.Arrival
-		sumSvc += svc
+	v := cfg.Speed()
+	w.speed = v
+	n := float64(w.n)
+	for k, wmax := range w.wake {
+		w.thr[k] = wmax + 4*n*unitRoundoff*w.spanBound(v, wmax)
 	}
-	w.gaps, w.gn, w.sumResp, w.sumSvc = gaps, g, sumResp, sumSvc
+	// Four counts ride in registers with each pass; a fifth distinct w_max
+	// repeats the pass for the next four. An unused slot's threshold is
+	// +Inf, above every gap.
+	for k0 := 0; ; k0 += 4 {
+		inf := math.Inf(1)
+		t := [4]float64{inf, inf, inf, inf}
+		copy(t[:], w.thr[k0:])
+		var c0, c1, c2, c3 uint64
+		var g, sumResp, sumSvc float64
+		for _, j := range w.jobs {
+			svc := j.Size / v
+			gap := j.Arrival - g
+			// Count without a branch: t − gap is negative, its sign bit
+			// set, exactly when gap > t. A NaN gap leaves Gₙ NaN.
+			c0 += math.Float64bits(t[0]-gap) >> 63
+			c1 += math.Float64bits(t[1]-gap) >> 63
+			c2 += math.Float64bits(t[2]-gap) >> 63
+			c3 += math.Float64bits(t[3]-gap) >> 63
+			g = max(g, j.Arrival) + svc
+			sumResp += g - j.Arrival
+			sumSvc += svc
+		}
+		w.gn, w.sumResp, w.sumSvc = g, sumResp, sumSvc
+		copy(w.count[k0:], []uint64{c0, c1, c2, c3})
+		if k0+4 >= len(w.thr) {
+			return
+		}
+	}
 }
 
 // Bound holds lower bounds on one configuration's Evaluate metrics over the
@@ -71,7 +131,10 @@ const (
 //     plus three roundings, a busy step adds two roundings.
 //   - If τ₁ = 0, a job with aᵢ − Gᵢ₋₁ > w_max + 4n·u·T arrives after Fᵢ₋₁,
 //     finds the server asleep and pays at least w_min. W is w_min times the
-//     number of such jobs, so R = (Σ(Gᵢ − aᵢ) + W)/n ≤ mean response.
+//     number of such jobs, so R = (Σ(Gᵢ − aᵢ) + W)/n ≤ mean response. The
+//     count needs w_min > 0, and Run makes it before Gₙ is known, with T
+//     replaced by its span bound T̄ ≥ T (see spanBound): a higher threshold
+//     counts no more jobs, so W stays a lower bound.
 //   - Idle is billed at P_min or more, and busy plus wake time is at least
 //     Σsvc + W. With P_active ≥ P_min that gives average power ≥ P_min +
 //     (Σsvc + W)(P_active − P_min)/T, since Fₙ ≤ T; otherwise ≥ P_active.
@@ -88,10 +151,13 @@ const (
 // them, plus 2(n(k+3) + 3)·η/Gₙ for the energy products and the bound's
 // product and quotients. Both grow with the stream's time magnitude T, so on
 // arrivals near 10⁹ s they switch pruning off rather than break it; a Gₙ of 0
-// or an energy that could overflow disables the power bound outright.
+// or an energy that could overflow disables the power bound outright. The
+// η terms are subtracted only where they can change a bit (see
+// lessUnderflow), so a bound in the normal range costs no subnormal
+// arithmetic.
 func (w *WakeFree) Bound(cfg *Config) Bound {
 	none := Bound{AvgPower: math.Inf(-1), MeanResponse: math.Inf(-1)}
-	if w.n == 0 || cfg.speed() != w.speed {
+	if w.n == 0 || cfg.Speed() != w.speed {
 		return none
 	}
 	pa := cfg.ActivePower
@@ -99,41 +165,90 @@ func (w *WakeFree) Bound(cfg *Config) Bound {
 	if len(cfg.Phases) == 0 || cfg.Phases[0].EnterAfter != 0 {
 		pmin, pmax = cfg.IdlePower, max(pmax, cfg.IdlePower)
 	}
-	wmin, wmax := math.Inf(1), 0.0
 	for _, ph := range cfg.Phases {
 		if math.IsNaN(ph.EnterAfter) {
 			return none // the engine bills no idle against a NaN schedule
 		}
 		pmin, pmax = min(pmin, ph.Power), max(pmax, ph.Power)
-		wmin, wmax = min(wmin, ph.WakeLatency), max(wmax, ph.WakeLatency)
+	}
+	wmin, wmax, counts := wakeRange(cfg)
+	var wakes float64
+	if k := slices.Index(w.wake, wmax); counts && k >= 0 {
+		wakes = wmin * float64(w.count[k])
 	}
 	n := float64(w.n)
 	t := w.gn + wmax
-	var wakes float64
-	if len(cfg.Phases) > 0 && cfg.Phases[0].EnterAfter == 0 && wmin > 0 {
-		// Count the gaps above thr without a branch: thr − g is negative,
-		// its sign bit set, exactly when g > thr. A NaN gap leaves Gₙ NaN.
-		thr := wmax + 4*n*unitRoundoff*t
-		var c uint64
-		for _, g := range w.gaps {
-			c += math.Float64bits(thr-g) >> 63
-		}
-		wakes = wmin * float64(c)
-	}
-	b := Bound{
-		MeanResponse: (w.sumResp+wakes)/n - 2*(6*n+11)*unitRoundoff*t - (n+3)*underflow,
-		AvgPower:     math.Inf(-1),
-	}
+	b := Bound{MeanResponse: w.meanResponse(wakes, t), AvgPower: math.Inf(-1)}
 	k := float64(len(cfg.Phases))
 	if w.gn > 0 && (k+3)*n*(pmax+1)*t < math.MaxFloat64/4 {
 		p := pa
 		if pa >= pmin {
 			p = pmin + (w.sumSvc+wakes)*(pa-pmin)/t
 		}
-		b.AvgPower = p - 2*(n*(k+9)+11)*unitRoundoff*pmax*t/w.gn - 2*(n*(k+3)+3)*underflow/w.gn
+		p -= 2 * (n*(k+9) + 11) * unitRoundoff * pmax * t / w.gn
+		b.AvgPower = orNone(lessUnderflow(p, 2*(n*(k+3)+3), w.gn))
 	}
-	b.AvgPower, b.MeanResponse = orNone(b.AvgPower), orNone(b.MeanResponse)
 	return b
+}
+
+// ResponseFloor is the last Run's mean-response bound without a wake term,
+// its slack taken from the span bound of a pass at speed slowest with wake
+// latency wmax. Over a grid of Runs whose speeds are all at least slowest,
+// and configurations whose w_max are all at most wmax, it is at most every
+// such configuration's Bound.MeanResponse at the Run's speed: every rounding
+// is monotone, W ≥ 0, and Gₙ, so T, cannot fall as the speed does. For the
+// same reason it cannot fall as the Run's speed does.
+func (w *WakeFree) ResponseFloor(slowest, wmax float64) float64 {
+	if w.n == 0 {
+		return math.Inf(-1)
+	}
+	return w.meanResponse(0, w.spanBound(slowest, wmax))
+}
+
+// meanResponse is the response bound (Σ(Gᵢ − aᵢ) + wakes)/n less its slack
+// for the span t.
+func (w *WakeFree) meanResponse(wakes, t float64) float64 {
+	n := float64(w.n)
+	r := (w.sumResp+wakes)/n - 2*(6*n+11)*unitRoundoff*t
+	return orNone(lessUnderflow(r, n+3, 1))
+}
+
+// spanBound bounds T = Gₙ + wmax from above for a pass at speed v, from
+// constants of the stream known before the pass. Let A = max(0, max aᵢ), S
+// = Σ sizeᵢ summed in floats and q = S/v as computed, with every arrival and
+// size a non-negative float (the engine rejects any other stream). Each step
+// of the pass adds non-negative terms, so Gₙ ≤ (A + Σsvcᵢ)(1+u)ⁿ, and Σsvcᵢ
+// ≤ (1+u)q/(1−u)ⁿ plus n·η for quotients that underflow. With the final
+// addition, T ≤ (A + q + wmax)(1+u)ⁿ⁺²/(1−u)ⁿ + (n+2)·η. While n < 2⁴⁰ that
+// factor is below 1.001, so twice the computed A + q + wmax, plus 2⁻¹⁰²² for
+// the η terms, is at least T after its own roundings.
+func (w *WakeFree) spanBound(v, wmax float64) float64 {
+	return 2*(w.maxArrival+w.sumSize/v+wmax) + 0x1p-1022
+}
+
+// wakeRange reports cfg's extreme wake latencies, and whether its bound
+// counts wakes: only when its first phase starts the moment the server
+// idles (τ₁ = 0) and every wake latency is positive.
+func wakeRange(cfg *Config) (wmin, wmax float64, counts bool) {
+	wmin = math.Inf(1)
+	for _, ph := range cfg.Phases {
+		wmin, wmax = min(wmin, ph.WakeLatency), max(wmax, ph.WakeLatency)
+	}
+	return wmin, wmax, len(cfg.Phases) > 0 && cfg.Phases[0].EnterAfter == 0 && wmin > 0
+}
+
+// lessUnderflow returns x − m·η/g bit for bit, for an integer m in
+// [1, 2⁵²) and g > 0. For g ≥ 1 the term is subnormal, and subnormal
+// arithmetic costs a microcode assist on x86, so the term is computed only
+// where it can change a bit. It cannot when |x|·min(g, 1) ≥ m·2⁻¹⁰¹⁴: the
+// term then rounds to at most 2⁻⁵⁵|x|, under half the spacing of the floats
+// on either side of x. For a bound in the normal range both sides of that
+// test are normal.
+func lessUnderflow(x, m, g float64) float64 {
+	if math.Abs(x)*min(g, 1) >= m*0x1p-1014 {
+		return x
+	}
+	return x - m*underflow/g
 }
 
 // orNone maps a NaN bound to −Inf, the bound that prunes nothing.

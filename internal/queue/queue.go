@@ -101,8 +101,8 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// speed returns the effective service-rate multiplier f^β.
-func (c *Config) speed() float64 {
+// Speed returns the effective service-rate multiplier f^β.
+func (c *Config) Speed() float64 {
 	if c.FreqExponent == 0 {
 		return 1
 	}
@@ -114,7 +114,7 @@ func (c *Config) speed() float64 {
 
 // ServiceTime reports how long a job of the given size takes under this
 // configuration.
-func (c *Config) ServiceTime(size float64) float64 { return size / c.speed() }
+func (c *Config) ServiceTime(size float64) float64 { return size / c.Speed() }
 
 // occupiedPhase reports the index of the phase occupied at idle offset off
 // (seconds since the idle schedule's anchor), or -1 when the server has not
