@@ -49,7 +49,7 @@ func BenchmarkPolicyEvaluation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sleepscale.Simulate(jobs, cfg, sleepscale.SimOptions{}); err != nil {
+		if _, err := sleepscale.Simulate(jobs, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkEvaluatorSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev := sleepscale.NewEvaluator(jobs, sleepscale.SimOptions{})
+	ev := sleepscale.NewEvaluator(jobs)
 	if _, err := ev.Evaluate(cfg); err != nil { // warm the buffers
 		b.Fatal(err)
 	}
@@ -1115,7 +1115,7 @@ func BenchmarkAblationGuardedTimeout(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				res, err := sleepscale.Simulate(jobs, cfg, sleepscale.SimOptions{})
+				res, err := sleepscale.Simulate(jobs, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -117,7 +117,7 @@ func runSweep(o sweepOptions, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			res, err := sleepscale.Simulate(stream, cfg, sleepscale.SimOptions{})
+			res, err := sleepscale.Simulate(stream, cfg)
 			if err != nil {
 				return err
 			}

@@ -41,8 +41,7 @@ func main() {
 		evalJobs      = flag.Int("evaljobs", 1500, "bootstrap jobs per policy selection")
 		seed          = flag.Int64("seed", 1, "seed")
 		verbose       = flag.Bool("v", false, "print per-epoch decisions")
-		streaming     = flag.Bool("stream", false, "pull jobs from an explicit streaming source (bounded job-buffer memory; bit-identical to the default path)")
-		burst         = flag.String("burst", "none", "overlay a bursty arrival source on the trace stream: none, mmpp or flash (implies -stream)")
+		burst         = flag.String("burst", "none", "overlay a bursty arrival source on the trace stream: none, mmpp or flash")
 		convert       = flag.String("convert", "", "write the loaded trace to this path (.csv → CSV, else columnar) and exit")
 	)
 	flag.Parse()
@@ -90,7 +89,7 @@ func main() {
 		Seed:         *seed,
 	}
 	var rep sleepscale.RunReport
-	if *streaming || *burst != "none" {
+	if *burst != "none" {
 		src, err := buildSource(stats, tr, *burst, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -134,17 +133,15 @@ func main() {
 	}
 }
 
-// buildSource assembles the streaming job source: the trace-driven
-// generator (seeded like the default path, so -stream alone reproduces it
-// bit for bit), optionally merged with a bursty overlay.
+// buildSource assembles the streaming job source for a -burst run: the
+// trace-driven generator, seeded like the default path, merged with the
+// named bursty overlay.
 func buildSource(stats sleepscale.Stats, tr *sleepscale.Trace, burst string, seed int64) (sleepscale.StreamSource, error) {
 	src, err := sleepscale.NewTraceSource(stats, tr, seed)
 	if err != nil {
 		return nil, err
 	}
 	switch burst {
-	case "none":
-		return src, nil
 	case "mmpp":
 		// On/off bursts at twice the workload's native rate, ~5 min on,
 		// ~20 min off.

@@ -179,8 +179,7 @@
 // NewColTraceSource feeds the shared trace generator (bit-identical to
 // NewTraceSource for equal seeds) and
 // NewColJobsSource replays a recorded stream verbatim, so a production
-// incident replays exactly on any machine. eventlog.Window tees per-epoch
-// job logs into the same format, one block per epoch.
+// incident replays exactly on any machine.
 //
 // cmd/colq aggregates column files without materializing them —
 // sum/mean/min/max/count and ceiling nearest-rank percentiles, grouped and

@@ -24,7 +24,7 @@ func ExampleSimulate() {
 		{Arrival: 2, Size: 1},
 		{Arrival: 10, Size: 1},
 	}
-	res, _ := sleepscale.Simulate(jobs, cfg, sleepscale.SimOptions{})
+	res, _ := sleepscale.Simulate(jobs, cfg)
 	fmt.Printf("jobs=%d mean response=%.3fs energy=%.0fJ avg power=%.1fW\n",
 		res.Jobs, res.MeanResponse, res.Energy, res.AvgPower)
 	// Output:

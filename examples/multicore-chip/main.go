@@ -112,7 +112,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sleepscale.Simulate(bjobs, cfg, sleepscale.SimOptions{})
+		res, err := sleepscale.Simulate(bjobs, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

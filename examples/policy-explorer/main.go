@@ -56,7 +56,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := sleepscale.Simulate(stream, cfg, sleepscale.SimOptions{})
+			res, err := sleepscale.Simulate(stream, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -54,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sleepscale.Simulate(jobs, cfg, sleepscale.SimOptions{})
+		res, err := sleepscale.Simulate(jobs, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -120,7 +120,7 @@ func simulate(t *testing.T, m Model, n int, seed int64) queue.Result {
 			EnterAfter:  s.Enter,
 		})
 	}
-	res, err := queue.Simulate(jobs, cfg, queue.Options{})
+	res, err := queue.Simulate(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestMG1MatchesSimulation(t *testing.T) {
 		}
 		cfg := queue.Config{Frequency: 1, FreqExponent: 1, ActivePower: 250, IdlePower: 250,
 			Phases: []queue.SleepPhase{{Name: "s", Power: 30, WakeLatency: 0.05, EnterAfter: 0}}}
-		res, err := queue.Simulate(jobs, cfg, queue.Options{})
+		res, err := queue.Simulate(jobs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func (m *Manager) Evaluate(jobs []queue.Job, p policy.Policy) (policy.Evaluation
 	if err != nil {
 		return policy.Evaluation{}, err
 	}
-	ev := queue.GetEvaluator(jobs, queue.Options{})
+	ev := queue.GetEvaluator(jobs)
 	defer ev.Release()
 	met, err := simulate(ev, cfg)
 	if err != nil {
@@ -131,7 +131,7 @@ func (m *Manager) selectCounted(jobs []queue.Job, rho float64) (policy.Evaluatio
 	}
 	s := m.getSearch(rho, m.FreqExponent)
 	defer s.release()
-	ev := queue.GetEvaluator(jobs, queue.Options{})
+	ev := queue.GetEvaluator(jobs)
 	defer ev.Release()
 	// A QoS that reads no tail scores moments only: no candidate's response
 	// sample is stored or ordered.

@@ -436,7 +436,7 @@ func TestMeanOnlySelectLeavesEvaluatorsFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := queue.Simulate(jobs, cfg, queue.Options{})
+		res, err := queue.Simulate(jobs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +454,7 @@ func TestMeanOnlySelectLeavesEvaluatorsFull(t *testing.T) {
 		if !sameMetricBits(ref.Metrics, want) {
 			t.Fatalf("run %d: Evaluate after Select gave %+v, Simulate gave %+v", run, ref.Metrics, want)
 		}
-		ev := queue.GetEvaluator(jobs, queue.Options{})
+		ev := queue.GetEvaluator(jobs)
 		sum, err := ev.Evaluate(cfg)
 		ev.Release()
 		if err != nil {

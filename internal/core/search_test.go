@@ -202,7 +202,7 @@ func requireBoundsSound(t *testing.T, m *Manager, jobs []queue.Job, rho float64)
 				wf.Run(jobs, &cfg)
 			}
 			b := wf.Bound(&cfg)
-			res, err := queue.Simulate(jobs, cfg, queue.Options{})
+			res, err := queue.Simulate(jobs, cfg)
 			if err != nil {
 				return // the stream error is Select's to report
 			}

@@ -46,8 +46,7 @@ type Window struct {
 	epochs []Epoch // fixed-capacity ring storage
 	head   int     // index of the oldest held epoch
 	count  int     // epochs currently held
-	pushed int     // epochs ever pushed — the tee's epoch index
-	sink   *ColSink
+	pushed int     // epochs ever pushed
 }
 
 // NewWindow returns a window retaining the most recent capacity epochs.
@@ -77,19 +76,6 @@ func (w *Window) slot() *Epoch {
 // at returns the i-th held epoch, oldest first.
 func (w *Window) at(i int) *Epoch { return &w.epochs[(w.head+i)%len(w.epochs)] }
 
-// Tee attaches a columnar sink: every epoch pushed from now on is also
-// appended to the sink's file, with epoch indices counting all pushes (not
-// just the epochs the ring still holds). Tee(nil) detaches.
-func (w *Window) Tee(s *ColSink) { w.sink = s }
-
-// tee forwards the just-filled ring slot to the attached sink, if any.
-func (w *Window) tee(s *Epoch) {
-	if w.sink != nil {
-		w.sink.logEpoch(w.pushed, s.Gaps, s.Sizes)
-	}
-	w.pushed++
-}
-
 // Push records an epoch, evicting the oldest beyond capacity. Empty epochs
 // (no jobs) are recorded too — they carry load information. The epoch's
 // slices are copied into ring-owned buffers; the caller's remain its own.
@@ -97,7 +83,7 @@ func (w *Window) Push(e Epoch) {
 	s := w.slot()
 	s.Gaps = append(s.Gaps, e.Gaps...)
 	s.Sizes = append(s.Sizes, e.Sizes...)
-	w.tee(s)
+	w.pushed++
 }
 
 // PushJobs logs one epoch straight from its job slice (sorted by arrival,
@@ -113,25 +99,25 @@ func (w *Window) PushJobs(jobs []queue.Job, epochStart float64) {
 		s.Sizes = append(s.Sizes, j.Size)
 		prev = j.Arrival
 	}
-	w.tee(s)
+	w.pushed++
 }
 
 // Reset empties the window for a fresh run, rewinding the push counter while
 // retaining the ring's recycled epoch buffers — so a reused epoch driver (the
 // fleet coordinator's Run) starts from a bit-identical empty window without
-// allocating. An attached sink stays attached; its epoch indices restart at 0
-// with the counter, matching a newly built window's.
+// allocating.
 func (w *Window) Reset() { w.head, w.count, w.pushed = 0, 0, 0 }
 
 // Epochs reports how many epochs the window currently holds.
 func (w *Window) Epochs() int { return w.count }
 
-// Pushed reports how many epochs have ever been pushed — the next tee index.
+// Pushed reports how many epochs have ever been pushed, including those the
+// ring has since evicted.
 func (w *Window) Pushed() int { return w.pushed }
 
 // WindowState is a deep copy of a Window's contents, oldest epoch first,
-// captured for checkpointing. The attached ColSink is not part of the state;
-// a restored window starts detached and the caller re-attaches via Tee.
+// captured for checkpointing. Pushed is the window's push counter, which the
+// serve checkpoint carries; it is never less than len(Epochs).
 type WindowState struct {
 	Capacity int
 	Pushed   int

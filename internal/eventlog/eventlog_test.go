@@ -3,6 +3,7 @@ package eventlog
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -262,6 +263,49 @@ func TestWindowRingEviction(t *testing.T) {
 	g, s, ok := w.Means()
 	if !ok || g != 9 || s != 9 { // epochs 8, 9, 10
 		t.Fatalf("means = %v,%v,%v, want 9,9 over the last three epochs", g, s, ok)
+	}
+}
+
+// TestWindowPushedSurvivesRestore pins the push counter the serve checkpoint
+// carries: it counts every push past the ring's capacity, through Push and
+// PushJobs alike and empty epochs included; RestoreWindow carries it over;
+// and RestoreWindow rejects a state that counts fewer pushes than the epochs
+// it holds.
+func TestWindowPushedSurvivesRestore(t *testing.T) {
+	w, err := NewWindow(2) // smaller than the number of epochs pushed
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.PushJobs([]queue.Job{{Arrival: 1, Size: 0.5}, {Arrival: 2.5, Size: 0.25}}, 0)
+	w.Push(Epoch{}) // empty epoch: counted, no jobs
+	w.PushJobs([]queue.Job{{Arrival: 20.125, Size: 1}, {Arrival: 21, Size: 2}}, 20)
+	w.Push(FromJobs([]queue.Job{{Arrival: 31, Size: 0.125}}, 30))
+	const pushes = 4
+	if w.Epochs() != 2 {
+		t.Fatalf("ring holds %d epochs, want capacity 2", w.Epochs())
+	}
+	st := w.State()
+	if st.Pushed != pushes || w.Pushed() != pushes {
+		t.Fatalf("State().Pushed = %d, Pushed() = %d, want %d", st.Pushed, w.Pushed(), pushes)
+	}
+
+	r, err := RestoreWindow(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r.State()
+	if got.Pushed != pushes || !reflect.DeepEqual(got.Epochs, st.Epochs) {
+		t.Fatalf("restored state %+v, want %+v", got, st)
+	}
+	r.PushJobs(nil, 40)
+	if r.Pushed() != pushes+1 {
+		t.Fatalf("restored window counts %d pushes after one more, want %d", r.Pushed(), pushes+1)
+	}
+
+	bad := w.State()
+	bad.Pushed = len(bad.Epochs) - 1
+	if _, err := RestoreWindow(bad); err == nil {
+		t.Fatalf("RestoreWindow accepted Pushed %d < %d held epochs", bad.Pushed, len(bad.Epochs))
 	}
 }
 

@@ -8,10 +8,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 
+	"sleepscale/internal/policy"
 	"sleepscale/internal/power"
 	"sleepscale/internal/queue"
 	"sleepscale/internal/workload"
@@ -198,7 +198,7 @@ func crnJobs(cfg Config, spec workload.Spec, rho float64) ([]queue.Job, error) {
 // returning a curve ordered from f = 1 downwards. mu is the workload's
 // maximum service rate (for normalization), beta its frequency exponent.
 func sweep(cfg Config, jobs []queue.Job, plan planSpec, mu, rho, beta float64) (Curve, error) {
-	freqs := freqGrid(rho, beta, cfg.FreqStep)
+	freqs := policy.Space{FreqStep: cfg.FreqStep}.Frequencies(rho, beta)
 	curve := Curve{Label: plan.label}
 	// Walk from high to low frequency to mirror the paper's plots.
 	for i := len(freqs) - 1; i >= 0; i-- {
@@ -207,7 +207,7 @@ func sweep(cfg Config, jobs []queue.Job, plan planSpec, mu, rho, beta float64) (
 		if err != nil {
 			return Curve{}, err
 		}
-		res, err := queue.Simulate(jobs, qcfg, queue.Options{})
+		res, err := queue.Simulate(jobs, qcfg)
 		if err != nil {
 			return Curve{}, err
 		}
@@ -218,25 +218,4 @@ func sweep(cfg Config, jobs []queue.Job, plan planSpec, mu, rho, beta float64) (
 		})
 	}
 	return curve, nil
-}
-
-// freqGrid mirrors policy.Space.Frequencies but local to the sweep helpers.
-func freqGrid(rho, beta, step float64) []float64 {
-	if step <= 0 {
-		step = 0.01
-	}
-	floor := step
-	if beta > 0 && rho > 0 {
-		stab := math.Pow(rho, 1/beta) + step
-		if stab > floor {
-			floor = stab
-		}
-	}
-	var out []float64
-	start := math.Ceil(floor/step-1e-9) * step
-	for f := start; f < 1-1e-9; f += step {
-		out = append(out, math.Round(f/step)*step)
-	}
-	out = append(out, 1)
-	return out
 }

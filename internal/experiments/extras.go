@@ -113,7 +113,7 @@ func AppendixValidation(cfg Config) (*AppendixResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := queue.Simulate(jobs, qcfg, queue.Options{})
+		res, err := queue.Simulate(jobs, qcfg)
 		if err != nil {
 			return nil, err
 		}

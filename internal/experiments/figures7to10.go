@@ -54,15 +54,8 @@ func (r *Figure7Result) Tables() []Table {
 // evalTrace returns the evaluated window of the email-store trace: the paper
 // runs 2 AM–8 PM because 8 PM–2 AM hosts scheduled backups.
 func evalTrace(cfg Config, seedOffset int64) (*trace.Trace, error) {
-	full := trace.EmailStore(maxInt(cfg.TraceDays, 1), cfg.Seed+seedOffset)
+	full := trace.EmailStore(max(cfg.TraceDays, 1), cfg.Seed+seedOffset)
 	return full.DailyWindow(cfg.TraceWindowStart, cfg.TraceWindowEnd)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // runnerManager builds a fresh manager for trace runs (each strategy must
@@ -368,7 +361,7 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 		tr        func() (*trace.Trace, error)
 	}{
 		{"fs", func() (*trace.Trace, error) {
-			full := trace.FileServer(maxInt(cfg.TraceDays, 1), cfg.Seed)
+			full := trace.FileServer(max(cfg.TraceDays, 1), cfg.Seed)
 			return full.DailyWindow(cfg.TraceWindowStart, cfg.TraceWindowEnd)
 		}},
 		{"es", func() (*trace.Trace, error) { return evalTrace(cfg, 0) }},

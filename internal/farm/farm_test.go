@@ -50,7 +50,7 @@ func TestSingleServerFarmMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := queue.Simulate(jobs, testCfg(), queue.Options{})
+	single, err := queue.Simulate(jobs, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

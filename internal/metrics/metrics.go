@@ -1,7 +1,7 @@
 // Package metrics provides the statistics plumbing shared by the SleepScale
-// simulators: streaming moments, exact sample percentiles, histograms and
-// weighted tallies. Everything is allocation-conscious because the policy
-// manager evaluates thousands of candidate policies per decision epoch.
+// simulators: streaming moments, exact sample percentiles and weighted
+// tallies. Everything is allocation-conscious because the policy manager
+// evaluates thousands of candidate policies per decision epoch.
 package metrics
 
 import (
@@ -38,36 +38,6 @@ func (s *Stream) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// AddN records the same observation n times.
-func (s *Stream) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		s.Add(x)
-	}
-}
-
-// Merge folds another stream into s (parallel Welford combination).
-func (s *Stream) Merge(o Stream) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	mean := s.mean + d*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	mn, mx := s.min, s.max
-	if o.min < mn {
-		mn = o.min
-	}
-	if o.max > mx {
-		mx = o.max
-	}
-	*s = Stream{n: n, mean: mean, m2: m2, min: mn, max: mx}
-}
-
 // Count reports the number of observations.
 func (s *Stream) Count() int { return s.n }
 
@@ -86,23 +56,11 @@ func (s *Stream) Variance() float64 {
 // StdDev reports the sample standard deviation.
 func (s *Stream) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// CV reports the coefficient of variation (stddev / mean), or 0 when the mean
-// is zero.
-func (s *Stream) CV() float64 {
-	if s.mean == 0 {
-		return 0
-	}
-	return s.StdDev() / s.mean
-}
-
 // Min reports the smallest observation, or 0 when empty.
 func (s *Stream) Min() float64 { return s.min }
 
 // Max reports the largest observation, or 0 when empty.
 func (s *Stream) Max() float64 { return s.max }
-
-// Sum reports mean × count.
-func (s *Stream) Sum() float64 { return s.mean * float64(s.n) }
 
 // StreamState is the full internal state of a Stream, exposed so long-running
 // consumers (the serve daemon's checkpoints) can persist and restore the
@@ -136,9 +94,8 @@ func (s *Stream) String() string {
 // Observations are stored in insertion order. Percentile and
 // PercentileNearestRank select their order statistics in O(n) from a
 // scratch permutation of the observations, so a query never sorts and never
-// disturbs insertion order; FractionAbove is one linear count. Reset and
-// TrimFront keep the underlying capacity, making a Sample reusable with zero
-// steady-state allocations.
+// disturbs insertion order. Reset and TrimBack keep the underlying capacity,
+// making a Sample reusable with zero steady-state allocations.
 type Sample struct {
 	xs      []float64 // insertion order, never reordered
 	scratch []float64 // a permutation of xs that selection reorders in place
@@ -164,25 +121,6 @@ func (s *Sample) Reset() {
 	s.scratch = s.scratch[:0]
 	s.dirty = false
 	s.Stream = Stream{}
-}
-
-// TrimFront discards the first n observations in insertion order (e.g. a
-// simulation warm-up period) and recomputes the streaming moments over the
-// remainder. Trimming more than the sample size empties it.
-func (s *Sample) TrimFront(n int) {
-	if n <= 0 {
-		return
-	}
-	if n >= len(s.xs) {
-		s.Reset()
-		return
-	}
-	s.xs = s.xs[:copy(s.xs, s.xs[n:])]
-	s.dirty = true
-	s.Stream = Stream{}
-	for _, x := range s.xs {
-		s.Stream.Add(x)
-	}
 }
 
 // TrimBack discards the last n observations in insertion order (e.g. jobs
@@ -267,21 +205,6 @@ func (s *Sample) PercentileNearestRank(p float64) float64 {
 	return selectKth(s.scratchValues(), idx)
 }
 
-// FractionAbove reports the fraction of observations strictly greater than or
-// equal to x, i.e. the empirical Pr(X ≥ x).
-func (s *Sample) FractionAbove(x float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range s.xs {
-		if v >= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.xs))
-}
-
 // less is the order sort.Float64s sorts by: ascending, NaNs first. The order
 // statistics follow it, so they equal a lookup in the sorted sample.
 func less(a, b float64) bool { return a < b || (a != a && b == b) }
@@ -357,7 +280,6 @@ func minOf(xs []float64) float64 {
 type WeightedTally struct {
 	weights map[string]float64
 	order   []string
-	total   float64
 }
 
 // NewWeightedTally returns an empty tally.
@@ -371,7 +293,6 @@ func (t *WeightedTally) Add(name string, w float64) {
 		t.order = append(t.order, name)
 	}
 	t.weights[name] += w
-	t.total += w
 }
 
 // Reset empties the tally in place, keeping the map and slice storage so a
@@ -379,85 +300,14 @@ func (t *WeightedTally) Add(name string, w float64) {
 func (t *WeightedTally) Reset() {
 	clear(t.weights)
 	t.order = t.order[:0]
-	t.total = 0
 }
 
 // Get reports the accumulated weight of bucket name.
 func (t *WeightedTally) Get(name string) float64 { return t.weights[name] }
-
-// Total reports the sum of all weights.
-func (t *WeightedTally) Total() float64 { return t.total }
-
-// Fraction reports bucket name's share of the total weight.
-func (t *WeightedTally) Fraction(name string) float64 {
-	if t.total == 0 {
-		return 0
-	}
-	return t.weights[name] / t.total
-}
 
 // Names returns the bucket names in first-seen order.
 func (t *WeightedTally) Names() []string {
 	out := make([]string, len(t.order))
 	copy(out, t.order)
 	return out
-}
-
-// Merge folds another tally into t.
-func (t *WeightedTally) Merge(o *WeightedTally) {
-	for _, name := range o.order {
-		t.Add(name, o.weights[name])
-	}
-}
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); observations
-// outside the range land in saturated edge buckets.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	n       int
-}
-
-// NewHistogram returns a histogram with nb buckets covering [lo, hi).
-func NewHistogram(lo, hi float64, nb int) *Histogram {
-	if nb < 1 {
-		nb = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, nb)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-	h.n++
-}
-
-// Count reports the number of recorded observations.
-func (h *Histogram) Count() int { return h.n }
-
-// BucketMid reports the midpoint of bucket i.
-func (h *Histogram) BucketMid(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Mode reports the midpoint of the most populated bucket.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Buckets {
-		if c > h.Buckets[best] {
-			best = i
-		}
-	}
-	return h.BucketMid(best)
 }

@@ -139,7 +139,7 @@ func TestSingleCoreMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := queue.Simulate(jobs, merged, queue.Options{})
+	want, err := queue.Simulate(jobs, merged)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestGuardedIsTwoCompetitiveProperty(t *testing.T) {
 			{Arrival: 0, Size: 0.01},
 			{Arrival: 0.0101/f + gap, Size: 0.01},
 		}
-		res, err := queue.Simulate(jobs, cfg, queue.Options{})
+		res, err := queue.Simulate(jobs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestGuardedThresholdBehaviour(t *testing.T) {
 			{Arrival: 0, Size: 0.01},
 			{Arrival: 0.03 + gap, Size: 0.01},
 		}
-		res, err := queue.Simulate(jobs, cfg, queue.Options{})
+		res, err := queue.Simulate(jobs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -396,10 +396,3 @@ func (o *Offline) Observe(float64) { o.idx++ }
 
 // Name implements Predictor.
 func (o *Offline) Name() string { return "Offline" }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -27,7 +27,7 @@ func boundPlans(mu float64) []policy.SleepPlan {
 func requireBoundBelow(t *testing.T, jobs []queue.Job, plans []policy.SleepPlan, beta float64, label string) int {
 	t.Helper()
 	prof := power.Xeon()
-	ev := queue.NewEvaluator(jobs, queue.Options{})
+	ev := queue.NewEvaluator(jobs)
 	wf := countingWakeFree(t, jobs, plans, beta)
 	finite := 0
 	space := policy.Space{Plans: plans, FreqStep: 0.05, MinFreq: 0.05}
@@ -244,7 +244,7 @@ func TestWakeFreeBoundCountsPastFour(t *testing.T) {
 		wf.Count(&cfgs[i])
 	}
 	wf.Run(jobs, &cfgs[0])
-	ev := queue.NewEvaluator(jobs, queue.Options{})
+	ev := queue.NewEvaluator(jobs)
 	for i := range cfgs {
 		cfg := &cfgs[i]
 		thr, counted := wf.WakeThreshold(cfg)
@@ -317,7 +317,7 @@ func FuzzWakeFreeBound(f *testing.F) {
 		}
 		plans := boundPlans(5)
 		probe := queue.Config{Frequency: 1, FreqExponent: 1}
-		_, err := queue.Simulate(jobs, probe, queue.Options{})
+		_, err := queue.Simulate(jobs, probe)
 		for _, beta := range []float64{0, 0.5, 1} {
 			requireBoundMatchesReference(t, jobs, plans, beta, "fuzz")
 			if err == nil {

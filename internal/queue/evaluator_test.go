@@ -108,17 +108,18 @@ func requireSummaryEqualsResult(t *testing.T, sum queue.Summary, res queue.Resul
 
 // TestEvaluatorMatchesSimulate is the table-driven equivalence suite: one
 // reused Evaluator must reproduce queue.Simulate bit-for-bit across all
-// sleep-plan shapes, config switches (successive Evaluate calls), and the
-// warm-up option.
+// sleep-plan shapes, config switches (successive Evaluate calls), and a
+// stream re-bound after earlier evaluations.
 func TestEvaluatorMatchesSimulate(t *testing.T) {
-	jobs := evalJobs(t, 3000, 42)
-	for _, opts := range []queue.Options{{}, {Warmup: 500}} {
-		ev := queue.NewEvaluator(jobs, opts)
+	ev := queue.NewEvaluator(nil)
+	for _, seed := range []int64{42, 43} {
+		jobs := evalJobs(t, 3000, seed)
+		ev.SetStream(jobs)
 		// Two passes over the table through the SAME evaluator: the second
 		// pass proves Reset leaves no state behind from any prior config.
 		for pass := 0; pass < 2; pass++ {
 			for _, tc := range evaluatorCases() {
-				res, err := queue.Simulate(jobs, tc.cfg, opts)
+				res, err := queue.Simulate(jobs, tc.cfg)
 				if err != nil {
 					t.Fatalf("%s: Simulate: %v", tc.name, err)
 				}
@@ -138,7 +139,7 @@ func TestEvaluatorMatchesSimulate(t *testing.T) {
 // golden numbers directly, so the kernel cannot drift even if Simulate and
 // Evaluator were to change together.
 func TestEvaluatorMatchesGoldenSnapshot(t *testing.T) {
-	ev := queue.NewEvaluator(goldenJobs(t), queue.Options{})
+	ev := queue.NewEvaluator(goldenJobs(t))
 	// Scramble the buffers with an unrelated config first.
 	if _, err := ev.Evaluate(evaluatorCases()[1].cfg); err != nil {
 		t.Fatal(err)
@@ -179,16 +180,16 @@ func TestEvaluatorSetStream(t *testing.T) {
 	a := evalJobs(t, 500, 1)
 	b := evalJobs(t, 900, 2)
 	cfg := goldenConfig()
-	ev := queue.NewEvaluator(a, queue.Options{})
+	ev := queue.NewEvaluator(a)
 	if _, err := ev.Evaluate(cfg); err != nil {
 		t.Fatal(err)
 	}
-	ev.SetStream(b, queue.Options{Warmup: 100})
+	ev.SetStream(b)
 	sum, err := ev.Evaluate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := queue.Simulate(b, cfg, queue.Options{Warmup: 100})
+	res, err := queue.Simulate(b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +201,12 @@ func TestEvaluatorSetStream(t *testing.T) {
 func TestGetEvaluatorPoolRoundTrip(t *testing.T) {
 	jobs := evalJobs(t, 800, 3)
 	cfg := goldenConfig()
-	want, err := queue.Simulate(jobs, cfg, queue.Options{})
+	want, err := queue.Simulate(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		ev := queue.GetEvaluator(jobs, queue.Options{})
+		ev := queue.GetEvaluator(jobs)
 		sum, err := ev.Evaluate(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -217,15 +218,14 @@ func TestGetEvaluatorPoolRoundTrip(t *testing.T) {
 
 // TestEvaluatorMomentsOnly pins the moments-only mode the policy manager
 // scores mean-only QoS candidates in: every field except the tail equals
-// Simulate bit for bit, the tail reads 0, no response value is kept, and a
-// warm-up, which needs the sample to trim, is an error rather than a silently
-// emptied mean.
+// Simulate bit for bit, the tail reads 0, no response value is kept, and
+// turning retention back on restores the full summary.
 func TestEvaluatorMomentsOnly(t *testing.T) {
 	jobs := evalJobs(t, 3000, 42)
-	ev := queue.NewEvaluator(jobs, queue.Options{})
+	ev := queue.NewEvaluator(jobs)
 	ev.SetRetainResponses(false)
 	for _, tc := range evaluatorCases() {
-		res, err := queue.Simulate(jobs, tc.cfg, queue.Options{})
+		res, err := queue.Simulate(jobs, tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: Simulate: %v", tc.name, err)
 		}
@@ -244,17 +244,12 @@ func TestEvaluatorMomentsOnly(t *testing.T) {
 	}
 
 	cfg := goldenConfig()
-	warm := queue.Options{Warmup: 100}
-	ev.SetStream(jobs, warm)
-	if sum, err := ev.Evaluate(cfg); err == nil {
-		t.Fatalf("moments-only Evaluate with a warm-up succeeded: %+v", sum)
-	}
 	ev.SetRetainResponses(true)
 	sum, err := ev.Evaluate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := queue.Simulate(jobs, cfg, warm)
+	res, err := queue.Simulate(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,14 +262,14 @@ func TestEvaluatorMomentsOnly(t *testing.T) {
 func TestEvaluatorReleaseRestoresRetention(t *testing.T) {
 	jobs := evalJobs(t, 800, 3)
 	cfg := goldenConfig()
-	want, err := queue.Simulate(jobs, cfg, queue.Options{})
+	want, err := queue.Simulate(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var prev *queue.Evaluator
 	reused := 0
 	for i := 0; i < 20; i++ {
-		ev := queue.GetEvaluator(jobs, queue.Options{})
+		ev := queue.GetEvaluator(jobs)
 		if ev == prev {
 			reused++
 		}
@@ -370,7 +365,7 @@ func TestEvaluatorZeroAllocSteadyState(t *testing.T) {
 	}
 	jobs := evalJobs(t, 2000, 5)
 	cases := evaluatorCases()
-	ev := queue.NewEvaluator(jobs, queue.Options{Warmup: 100})
+	ev := queue.NewEvaluator(jobs)
 	for _, tc := range cases {
 		if _, err := ev.Evaluate(tc.cfg); err != nil {
 			t.Fatal(err)

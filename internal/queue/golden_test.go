@@ -51,7 +51,7 @@ func goldenConfig() queue.Config {
 // results. If a deliberate semantic change invalidates the snapshot, rerun
 // with -run Golden -v and copy the logged values in.
 func TestSimulateGolden(t *testing.T) {
-	res, err := queue.Simulate(goldenJobs(t), goldenConfig(), queue.Options{})
+	res, err := queue.Simulate(goldenJobs(t), goldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

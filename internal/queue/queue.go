@@ -737,23 +737,16 @@ func (e *Engine) Finish(at float64) (Result, error) {
 	return res, nil
 }
 
-// Options tunes Simulate.
-type Options struct {
-	// Warmup discards the first Warmup jobs from the response metrics
-	// (their energy still counts). The paper uses no warm-up; 0 matches it.
-	Warmup int
-}
-
 // Simulate runs Algorithm 1: it serves jobs (which must be sorted by
 // arrival) under cfg, starting idle at time 0, and ends the measurement at
 // the last departure. For scoring many candidate configurations against one
 // stream, Evaluator amortizes this function's per-call allocations.
-func Simulate(jobs []Job, cfg Config, opts Options) (Result, error) {
+func Simulate(jobs []Job, cfg Config) (Result, error) {
 	eng, err := NewEngine(cfg, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := eng.run(jobs, opts); err != nil {
+	if err := eng.run(jobs); err != nil {
 		return Result{}, err
 	}
 	return eng.Finish(eng.freeAt)
@@ -768,27 +761,15 @@ type JobSource interface {
 	Next(buf []Job) (n int, ok bool)
 }
 
-// run feeds a whole sorted stream through the engine and applies the warm-up
-// trim. The engine must be freshly constructed or Reset.
-func (e *Engine) run(jobs []Job, opts Options) error {
+// run feeds a whole sorted stream through the engine. The engine must be
+// freshly constructed or Reset.
+func (e *Engine) run(jobs []Job) error {
 	for i := range jobs {
 		if _, err := e.Process(jobs[i]); err != nil {
 			return fmt.Errorf("job %d: %w", i, err)
 		}
 	}
-	e.trimWarmup(opts)
 	return nil
-}
-
-// trimWarmup applies the warm-up trim shared by the materialized and
-// streamed drivers. Sample keeps insertion order regardless of percentile
-// queries, so trimming the front is always the first Warmup responses. A
-// warm-up longer than the run keeps the full sample (there is nothing after
-// the transient to measure).
-func (e *Engine) trimWarmup(opts Options) {
-	if opts.Warmup > 0 && opts.Warmup < e.responses.Count() {
-		e.responses.TrimFront(opts.Warmup)
-	}
 }
 
 // Evaluator is the reusable simulation kernel for candidate-policy scoring:
@@ -799,42 +780,35 @@ func (e *Engine) trimWarmup(opts Options) {
 type Evaluator struct {
 	eng  Engine
 	jobs []Job
-	opts Options
 }
 
 // NewEvaluator returns an evaluator that scores candidates against jobs
-// (sorted by arrival) under opts.
-func NewEvaluator(jobs []Job, opts Options) *Evaluator {
-	return &Evaluator{jobs: jobs, opts: opts}
+// (sorted by arrival).
+func NewEvaluator(jobs []Job) *Evaluator {
+	return &Evaluator{jobs: jobs}
 }
 
-// SetStream replaces the shared job stream and options for later Evaluate
-// calls, keeping the evaluator's buffers.
-func (ev *Evaluator) SetStream(jobs []Job, opts Options) {
-	ev.jobs = jobs
-	ev.opts = opts
-}
+// SetStream replaces the shared job stream for later Evaluate calls, keeping
+// the evaluator's buffers.
+func (ev *Evaluator) SetStream(jobs []Job) { ev.jobs = jobs }
 
 // SetRetainResponses chooses what later Evaluate calls keep of the
 // responses. By default (true) the raw sample is kept and every Summary field
 // is reported, exactly as Simulate reports it. Moments only (false) stores,
 // copies and orders nothing per response: Jobs and MeanResponse stay exact,
-// ResponseP95/P99 read 0, Responses holds no values, and Evaluate rejects a
-// warm-up, which needs the sample to trim. Release restores the default.
+// ResponseP95/P99 read 0 and Responses holds no values. Release restores the
+// default.
 func (ev *Evaluator) SetRetainResponses(retain bool) { ev.eng.SetRetainResponses(retain) }
 
 // Evaluate runs Algorithm 1 for one candidate configuration over the shared
-// stream, exactly as Simulate(jobs, cfg, opts) would, and returns the scalar
+// stream, exactly as Simulate(jobs, cfg) would, and returns the scalar
 // summary (moments only after SetRetainResponses(false)). The result is a
 // value: it stays valid across further Evaluate calls.
 func (ev *Evaluator) Evaluate(cfg Config) (Summary, error) {
-	if ev.opts.Warmup > 0 && ev.eng.discardResponses {
-		return Summary{}, errors.New("queue: a warm-up trim needs the response sample, but retention is off")
-	}
 	if err := ev.eng.Reset(cfg, 0); err != nil {
 		return Summary{}, err
 	}
-	if err := ev.eng.run(ev.jobs, ev.opts); err != nil {
+	if err := ev.eng.run(ev.jobs); err != nil {
 		return Summary{}, err
 	}
 	return ev.eng.FinishSummary(ev.eng.freeAt), nil
@@ -851,9 +825,9 @@ var evaluatorPool = sync.Pool{New: func() any { return new(Evaluator) }}
 
 // GetEvaluator returns a pooled evaluator bound to the given stream. Release
 // it with Release when done; one evaluator per goroutine.
-func GetEvaluator(jobs []Job, opts Options) *Evaluator {
+func GetEvaluator(jobs []Job) *Evaluator {
 	ev := evaluatorPool.Get().(*Evaluator)
-	ev.SetStream(jobs, opts)
+	ev.SetStream(jobs)
 	return ev
 }
 
@@ -862,7 +836,6 @@ func GetEvaluator(jobs []Job, opts Options) *Evaluator {
 // pool; the internal buffers are kept for the next GetEvaluator.
 func (ev *Evaluator) Release() {
 	ev.jobs = nil
-	ev.opts = Options{}
 	ev.eng.SetRetainResponses(true)
 	evaluatorPool.Put(ev)
 }

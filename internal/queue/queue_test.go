@@ -37,7 +37,7 @@ func TestHandComputedScenario(t *testing.T) {
 		{Arrival: 2, Size: 1},  // arrives busy, queues
 		{Arrival: 10, Size: 1}, // idle 4.1→10: pre 0.5·250 + sleep 5.4·30; wake 0.1·250
 	}
-	res, err := Simulate(jobs, handCfg(), Options{})
+	res, err := Simulate(jobs, handCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestShortIdleNoWake(t *testing.T) {
 		{Arrival: 0, Size: 1},
 		{Arrival: 1.2, Size: 1}, // idle gap 0.2 < τ₁ = 0.5: still in C0(a)
 	}
-	res, err := Simulate(jobs, handCfg(), Options{})
+	res, err := Simulate(jobs, handCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestEnterDelayBoundary(t *testing.T) {
 		{Arrival: 0, Size: 1},
 		{Arrival: 1.5, Size: 1}, // idle offset exactly 0.5 = τ₁
 	}
-	res, err := Simulate(jobs, handCfg(), Options{})
+	res, err := Simulate(jobs, handCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestImmediateSleepSequence(t *testing.T) {
 		{Arrival: 10, Size: 1},   // idle [2,10): shallow 2 s, deep 6 s, wake 1 → start 11
 		{Arrival: 12.5, Size: 1}, // idle [12,12.5): shallow 0.5 s, wake 0
 	}
-	res, err := Simulate(jobs, cfg, Options{})
+	res, err := Simulate(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMM1MeanResponse(t *testing.T) {
 	}
 	cfg := Config{Frequency: f, FreqExponent: 1, ActivePower: 250, IdlePower: 135.5,
 		Phases: []SleepPhase{{Name: "idle", Power: 135.5, WakeLatency: 0, EnterAfter: 0}}}
-	res, err := Simulate(jobs, cfg, Options{})
+	res, err := Simulate(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestMemoryBoundServiceIndependentOfFrequency(t *testing.T) {
 	jobs := []Job{{Arrival: 0, Size: 2}}
 	for _, f := range []float64{0.2, 0.5, 1.0} {
 		cfg := Config{Frequency: f, FreqExponent: 0, ActivePower: 100, IdlePower: 100}
-		res, err := Simulate(jobs, cfg, Options{})
+		res, err := Simulate(jobs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestOutOfOrderArrivalsRejected(t *testing.T) {
 }
 
 func TestSimulateRejectsBadConfig(t *testing.T) {
-	if _, err := Simulate(nil, Config{}, Options{}); err == nil {
+	if _, err := Simulate(nil, Config{}); err == nil {
 		t.Error("zero config accepted")
 	}
 }
@@ -315,23 +315,6 @@ func TestSetConfigBeforeLastArrivalRejected(t *testing.T) {
 	}
 }
 
-func TestWarmupDiscardsEarlyResponses(t *testing.T) {
-	jobs := []Job{
-		{Arrival: 0, Size: 5},  // response 5
-		{Arrival: 10, Size: 1}, // response 1
-		{Arrival: 20, Size: 1}, // response 1
-	}
-	cfg := Config{Frequency: 1, FreqExponent: 1, ActivePower: 1, IdlePower: 1}
-	res, err := Simulate(jobs, cfg, Options{Warmup: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs != 2 {
-		t.Errorf("jobs after warmup = %d, want 2", res.Jobs)
-	}
-	approx(t, "mean response", res.MeanResponse, 1, 1e-12)
-}
-
 // Property: time partition busy+wake+idle = duration, and energy is bounded
 // by [minPower, maxPower]·duration, for random job streams and configs.
 func TestConservationProperty(t *testing.T) {
@@ -360,7 +343,7 @@ func TestConservationProperty(t *testing.T) {
 			tnow += rng.ExpFloat64() * 0.5
 			jobs[i] = Job{Arrival: tnow, Size: rng.ExpFloat64() * 0.2}
 		}
-		res, err := Simulate(jobs, cfg, Options{})
+		res, err := Simulate(jobs, cfg)
 		if err != nil {
 			return false
 		}
@@ -437,7 +420,7 @@ func TestFrequencyMonotonicityProperty(t *testing.T) {
 	for _, f := range []float64{1.0, 0.8, 0.6, 0.5} {
 		cfg := base
 		cfg.Frequency = f
-		res, err := Simulate(jobs, cfg, Options{})
+		res, err := Simulate(jobs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +432,7 @@ func TestFrequencyMonotonicityProperty(t *testing.T) {
 }
 
 func TestEmptyJobStream(t *testing.T) {
-	res, err := Simulate(nil, handCfg(), Options{})
+	res, err := Simulate(nil, handCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,26 +479,6 @@ func TestSnapshotDeltas(t *testing.T) {
 	}
 	if s1.Energy <= s0.Energy {
 		t.Errorf("energy did not increase")
-	}
-}
-
-// TestWarmupLongerThanRunKeepsFullSample pins the pre-existing guard: a
-// warm-up spanning the whole run (or more) leaves the sample untrimmed.
-func TestWarmupLongerThanRunKeepsFullSample(t *testing.T) {
-	jobs := []Job{
-		{Arrival: 0, Size: 5},
-		{Arrival: 10, Size: 1},
-	}
-	cfg := Config{Frequency: 1, FreqExponent: 1, ActivePower: 1, IdlePower: 1}
-	for _, warm := range []int{2, 3, 100} {
-		res, err := Simulate(jobs, cfg, Options{Warmup: warm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Jobs != 2 {
-			t.Errorf("Warmup=%d: jobs = %d, want full sample of 2", warm, res.Jobs)
-		}
-		approx(t, "mean response", res.MeanResponse, 3, 1e-12)
 	}
 }
 

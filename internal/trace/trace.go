@@ -170,46 +170,6 @@ func FileServer(days int, seed int64) *Trace {
 	return t
 }
 
-// Concat returns a new trace with o appended after t; slot lengths must
-// match.
-func (t *Trace) Concat(o *Trace) (*Trace, error) {
-	if t.SlotSeconds != o.SlotSeconds {
-		return nil, fmt.Errorf("trace: slot lengths differ (%g vs %g)", t.SlotSeconds, o.SlotSeconds)
-	}
-	out := &Trace{Name: t.Name, SlotSeconds: t.SlotSeconds,
-		Utilization: make([]float64, 0, t.Len()+o.Len())}
-	out.Utilization = append(out.Utilization, t.Utilization...)
-	out.Utilization = append(out.Utilization, o.Utilization...)
-	return out, nil
-}
-
-// Repeat returns the trace tiled n times (n ≥ 1).
-func (t *Trace) Repeat(n int) (*Trace, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("trace: repeat count %d < 1", n)
-	}
-	out := &Trace{Name: t.Name, SlotSeconds: t.SlotSeconds,
-		Utilization: make([]float64, 0, t.Len()*n)}
-	for i := 0; i < n; i++ {
-		out.Utilization = append(out.Utilization, t.Utilization...)
-	}
-	return out, nil
-}
-
-// Scale returns a copy with every slot multiplied by factor, clamped to
-// [0, 0.99] so the result stays a valid utilization.
-func (t *Trace) Scale(factor float64) (*Trace, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("trace: scale factor %g ≤ 0", factor)
-	}
-	out := &Trace{Name: t.Name, SlotSeconds: t.SlotSeconds,
-		Utilization: make([]float64, t.Len())}
-	for i, u := range t.Utilization {
-		out.Utilization[i] = clamp(u*factor, 0, 0.99)
-	}
-	return out, nil
-}
-
 // WriteCSV writes the trace as "slot,utilization" rows with a header.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

@@ -183,56 +183,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestConcatRepeatScale(t *testing.T) {
-	a := &Trace{Name: "a", SlotSeconds: 60, Utilization: []float64{0.1, 0.2}}
-	b := &Trace{Name: "b", SlotSeconds: 60, Utilization: []float64{0.3}}
-	c, err := a.Concat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 3 || c.Utilization[2] != 0.3 {
-		t.Errorf("concat wrong: %+v", c.Utilization)
-	}
-	mismatch := &Trace{SlotSeconds: 30, Utilization: []float64{0.1}}
-	if _, err := a.Concat(mismatch); err == nil {
-		t.Error("slot mismatch accepted")
-	}
-
-	r, err := a.Repeat(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 6 || r.Utilization[4] != 0.1 {
-		t.Errorf("repeat wrong: %+v", r.Utilization)
-	}
-	if _, err := a.Repeat(0); err == nil {
-		t.Error("repeat 0 accepted")
-	}
-
-	s, err := a.Scale(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d0, d1 := s.Utilization[0]-0.3, s.Utilization[1]-0.6; d0 > 1e-12 || d0 < -1e-12 ||
-		d1 > 1e-12 || d1 < -1e-12 {
-		t.Errorf("scale wrong: %+v", s.Utilization)
-	}
-	big, err := a.Scale(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Utilization[1] != 0.99 {
-		t.Errorf("scale must clamp to 0.99, got %v", big.Utilization[1])
-	}
-	if _, err := a.Scale(0); err == nil {
-		t.Error("scale 0 accepted")
-	}
-	// Originals untouched.
-	if a.Utilization[0] != 0.1 {
-		t.Error("operations mutated the source trace")
-	}
-}
-
 func TestDuration(t *testing.T) {
 	tr := &Trace{SlotSeconds: 60, Utilization: make([]float64, 10)}
 	if got := tr.Duration(); got != 600 {

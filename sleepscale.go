@@ -60,8 +60,6 @@ type (
 	SleepPhase = queue.SleepPhase
 	// SimResult summarizes one simulation run.
 	SimResult = queue.Result
-	// SimOptions tunes Simulate.
-	SimOptions = queue.Options
 	// Engine is the resumable simulator used for trace-driven runs. Its
 	// Reset method rewinds it for a fresh run while keeping every internal
 	// buffer.
@@ -74,8 +72,8 @@ type (
 
 // Simulate runs Algorithm 1: serve jobs (sorted by arrival) under cfg,
 // starting idle at time zero.
-func Simulate(jobs []Job, cfg SimConfig, opts SimOptions) (SimResult, error) {
-	return queue.Simulate(jobs, cfg, opts)
+func Simulate(jobs []Job, cfg SimConfig) (SimResult, error) {
+	return queue.Simulate(jobs, cfg)
 }
 
 // NewEngine returns a resumable simulator starting idle at time start.
@@ -84,9 +82,9 @@ func NewEngine(cfg SimConfig, start float64) (*Engine, error) {
 }
 
 // NewEvaluator returns a reusable evaluator that scores candidate
-// configurations against jobs (sorted by arrival) under opts.
-func NewEvaluator(jobs []Job, opts SimOptions) *Evaluator {
-	return queue.NewEvaluator(jobs, opts)
+// configurations against jobs (sorted by arrival).
+func NewEvaluator(jobs []Job) *Evaluator {
+	return queue.NewEvaluator(jobs)
 }
 
 // Closed forms (paper Appendix).

@@ -76,7 +76,7 @@ func TestFacadeSimulateAndModelAgree(t *testing.T) {
 		tnow += rng.ExpFloat64() / lambda
 		jobs[i] = sleepscale.Job{Arrival: tnow, Size: rng.ExpFloat64() / mu}
 	}
-	res, err := sleepscale.Simulate(jobs, cfg, sleepscale.SimOptions{})
+	res, err := sleepscale.Simulate(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
