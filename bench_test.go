@@ -1279,12 +1279,28 @@ func (f *epochWireFeed) refill() error {
 // record out. The first epochs are warm-up (buffers grow to their steady
 // sizes) and run off the timer; after them the loop must not allocate — CI
 // gates allocs/op at 0.
-func BenchmarkServeLoopSteadyState(b *testing.B) {
+func BenchmarkServeLoopSteadyState(b *testing.B) { benchServeLoop(b, false) }
+
+// BenchmarkServeLoopDurable is the same loop with durability on, as
+// sleepscaled runs it with -checkpoint and -epochs-out: a boundary capture
+// after every epoch, and every 16th epoch an epoch-log flush and a
+// checkpoint handed to the background writer. Its wall clock is
+// fsync-bound, so CI gates only its allocs/op.
+func BenchmarkServeLoopDurable(b *testing.B) { benchServeLoop(b, true) }
+
+func benchServeLoop(b *testing.B, durable bool) {
 	cfg, jobs, err := serveBenchConfig()
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := sleepscale.NewServeServer(sleepscale.ServeConfig{Runner: cfg, Out: io.Discard})
+	sc := sleepscale.ServeConfig{Runner: cfg, Out: io.Discard}
+	if durable {
+		dir := b.TempDir()
+		sc.CheckpointPath = filepath.Join(dir, "ss.ckpt")
+		sc.CheckpointEvery = 16
+		sc.EpochLogPath = filepath.Join(dir, "epochs.col")
+	}
+	srv, err := sleepscale.NewServeServer(sc)
 	if err != nil {
 		b.Fatal(err)
 	}

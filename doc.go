@@ -218,16 +218,24 @@
 // to a .prev fallback) every N epochs and on SIGTERM drain; the checkpoint
 // records the epoch log's row count and plan dictionary, so a restore cuts
 // the log back to that high-water mark and re-emitted epochs land exactly
-// once. A checkpointed/killed/restored run produces the same epoch log as
-// an uninterrupted one — equivalence tests pin this across seeds and
-// checkpoint cadences, and corruption tests (truncation, CRC damage, torn
-// writes, a decoder fuzz target) pin that damaged checkpoints fall back,
-// never panic.
+// once. Checkpointing stays off the epoch path: a boundary captures the
+// runner state without copying the job-log window (LiveRunner.Capture
+// aliases the ring until the next close), the image is encoded into one
+// reused buffer, and one background writer does the file work with at most
+// one write in flight, so a write error surfaces at the next checkpoint,
+// the drain or the clean end. A checkpointed/killed/restored run produces
+// the same epoch log as an uninterrupted one — equivalence tests pin this
+// across seeds and checkpoint cadences, a byte test pins every written
+// checkpoint to the encoding of the runner's State at that boundary, and
+// corruption tests (truncation, CRC damage, torn writes, a decoder fuzz
+// target) pin that damaged checkpoints fall back, never panic.
 //
 // CI gates the daemon's hot path in BENCH_serve.json:
 // BenchmarkServeLoopSteadyState (decode one epoch of wire frames, advance
-// the runner, emit NDJSON) must hold 0 allocs/op once warm, with
-// BenchmarkServeCheckpointWrite tracking the fsync-bound checkpoint cost.
+// the runner, emit NDJSON) must hold 0 allocs/op once warm.
+// BenchmarkServeLoopDurable (the same loop with a checkpoint every 16
+// epochs and the epoch log on) and BenchmarkServeCheckpointWrite track the
+// fsync-bound durable path; their allocs/op may not grow.
 //
 // # Fleet coordination
 //

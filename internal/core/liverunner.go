@@ -68,53 +68,72 @@ type LiveState struct {
 // encoding.BinaryMarshaler. The runner is not mutated; the returned state
 // shares no memory with it.
 func (r *LiveRunner) State() (*LiveState, error) {
+	st := &LiveState{}
+	if err := r.Capture(st); err != nil {
+		return nil, err
+	}
+	st.Window = r.window.State()
+	return st, nil
+}
+
+// Capture is State into dst without the window copy: dst's slices are
+// reused, and dst.Window aliases the runner's job-log ring instead of
+// copying it. The alias is valid only until the next epoch closes (an
+// OfferSlot that reports closed, or Finish); until then dst encodes exactly
+// as State would. A boundary capture therefore costs the counters, pending
+// jobs, predictor blob, RNG cursor, policy in force and engine state — what
+// an open epoch changes — and never the window, which only a close changes.
+func (r *LiveRunner) Capture(dst *LiveState) error {
 	if !r.AtBoundary() {
-		return nil, fmt.Errorf("core: live state: epoch %d open (%d/%d slots); state is only capturable at epoch boundaries",
+		return fmt.Errorf("core: live state: epoch %d open (%d/%d slots); state is only capturable at epoch boundaries",
 			r.epoch, len(r.rhos), r.cfg.EpochSlots)
 	}
 	bm, ok := r.cfg.Predictor.(encoding.BinaryMarshaler)
 	if !ok {
-		return nil, fmt.Errorf("core: predictor %s is not checkpointable", r.cfg.Predictor.Name())
+		return fmt.Errorf("core: predictor %s is not checkpointable", r.cfg.Predictor.Name())
 	}
 	blob, err := bm.MarshalBinary()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	st := &LiveState{
+	*dst = LiveState{
 		Epoch:       r.epoch,
 		Slot:        r.slot,
 		LastArrival: r.lastArrival,
 		JobsOffered: r.jobsOffered,
 		JobsServed:  r.jobsServed,
-		Pending:     append([]queue.Job(nil), r.pending[r.pendHead:]...),
+		Pending:     append(dst.Pending[:0], r.pending[r.pendHead:]...),
 		LastMean:    r.lastMean,
 		LastP95:     r.lastP95,
 		LastJobs:    r.lastJobs,
 		FreqSum:     r.freqSum,
+		PlanNames:   dst.PlanNames[:0],
+		PlanCounts:  dst.PlanCounts[:0],
 		RngDraws:    r.decideSrc.draws,
 		Predictor:   blob,
-		Window:      r.window.State(),
+		Window:      r.window.View(dst.Window.Epochs),
+		CurPhases:   dst.CurPhases[:0],
 		PrevTotals:  r.prevTotals,
 	}
 	for name := range r.planEpochs {
-		st.PlanNames = append(st.PlanNames, name)
+		dst.PlanNames = append(dst.PlanNames, name)
 	}
-	sort.Strings(st.PlanNames)
-	for _, name := range st.PlanNames {
-		st.PlanCounts = append(st.PlanCounts, int64(r.planEpochs[name]))
+	sort.Strings(dst.PlanNames)
+	for _, name := range dst.PlanNames {
+		dst.PlanCounts = append(dst.PlanCounts, int64(r.planEpochs[name]))
 	}
 	if r.eng != nil {
-		st.HasEngine = true
-		st.CurFrequency = r.curPol.Frequency
-		st.CurPlanName = r.curPol.Plan.Name
+		dst.HasEngine = true
+		dst.CurFrequency = r.curPol.Frequency
+		dst.CurPlanName = r.curPol.Plan.Name
 		for _, ph := range r.curPol.Plan.Phases {
-			st.CurPhases = append(st.CurPhases, LivePhase{
+			dst.CurPhases = append(dst.CurPhases, LivePhase{
 				CPU: int(ph.State.CPU), Platform: int(ph.State.Platform), Enter: ph.Enter,
 			})
 		}
-		st.Engine = r.eng.State()
+		dst.Engine = r.eng.State()
 	}
-	return st, nil
+	return nil
 }
 
 // RestoreLiveRunner rebuilds a runner from a captured state under cfg, which

@@ -141,6 +141,19 @@ func (w *Window) State() WindowState {
 	return st
 }
 
+// View is State without the copy: the returned Epochs alias the ring's own
+// buffers, oldest first, so it is valid only until the next Push, PushJobs
+// or Reset recycles them. The epoch headers are written into buf's storage,
+// so a caller that passes back the previous view's Epochs allocates
+// nothing.
+func (w *Window) View(buf []Epoch) WindowState {
+	buf = buf[:0]
+	for i := 0; i < w.count; i++ {
+		buf = append(buf, *w.at(i))
+	}
+	return WindowState{Capacity: len(w.epochs), Pushed: w.pushed, Epochs: buf}
+}
+
 // RestoreWindow rebuilds a window from a captured state. The restored window
 // holds the same epochs in the same oldest-first order, so every subsequent
 // Push, Means and Jobs call behaves bit-identically to the original's.

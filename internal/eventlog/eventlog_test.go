@@ -339,3 +339,24 @@ func TestPushJobsZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("steady-state PushJobs allocates %.1f/run, want 0", avg)
 	}
 }
+
+// TestWindowViewAliasesRing pins View against State: the same contents,
+// oldest first, but aliasing the ring — a later push shows through it — and
+// a view refreshed into the previous view's storage allocates nothing.
+func TestWindowViewAliasesRing(t *testing.T) {
+	w, _ := NewWindow(2)
+	w.PushJobs([]queue.Job{{Arrival: 1, Size: 0.5}, {Arrival: 2.5, Size: 0.25}}, 0)
+	w.PushJobs([]queue.Job{{Arrival: 11, Size: 1}}, 10)
+	w.Push(Epoch{Gaps: []float64{4}, Sizes: []float64{0.125}})
+	v := w.View(nil)
+	if st := w.State(); !reflect.DeepEqual(v, st) {
+		t.Fatalf("view %+v, want the state %+v", v, st)
+	}
+	w.PushJobs([]queue.Job{{Arrival: 33, Size: 3}}, 30) // recycles v.Epochs[0]'s buffers
+	if v.Epochs[0].Gaps[0] != 3 || v.Epochs[0].Sizes[0] != 3 {
+		t.Fatalf("view epoch 0 = %+v, want the recycled buffers {[3] [3]}", v.Epochs[0])
+	}
+	if avg := testing.AllocsPerRun(5, func() { v = w.View(v.Epochs) }); avg != 0 {
+		t.Errorf("View into the previous view's storage allocates %.1f/run, want 0", avg)
+	}
+}

@@ -28,6 +28,7 @@ import (
 const (
 	ckptMagic   = "SSCK"
 	ckptVersion = 1
+	ckptHeader  = 20 // magic, version, payload length, CRC
 	// PrevSuffix names the rotated previous snapshot next to a checkpoint.
 	PrevSuffix = ".prev"
 )
@@ -186,8 +187,15 @@ func (d *ckptDec) blob() []byte {
 }
 
 // EncodeCheckpoint serializes c into a self-verifying checkpoint file image.
-func EncodeCheckpoint(c *Checkpoint) []byte {
-	var e ckptEnc
+func EncodeCheckpoint(c *Checkpoint) []byte { return appendCheckpoint(nil, c) }
+
+// appendCheckpoint appends c's checkpoint file image to dst: the header is
+// reserved first and filled in once the payload's length and CRC are known,
+// so a caller that passes back its previous image encodes into the same
+// buffer without copying the payload.
+func appendCheckpoint(dst []byte, c *Checkpoint) []byte {
+	start := len(dst)
+	e := ckptEnc{b: append(dst, make([]byte, ckptHeader)...)}
 	st := &c.State
 	e.i64(int64(st.Epoch))
 	e.i64(int64(st.Slot))
@@ -264,21 +272,20 @@ func EncodeCheckpoint(c *Checkpoint) []byte {
 		e.str(name)
 	}
 
-	payload := e.b
-	out := make([]byte, 0, len(payload)+20)
-	out = append(out, ckptMagic...)
-	out = binary.LittleEndian.AppendUint32(out, ckptVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, ckptCRC))
-	return append(out, payload...)
+	hdr, payload := e.b[start:start+ckptHeader], e.b[start+ckptHeader:]
+	copy(hdr, ckptMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], ckptVersion)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(payload, ckptCRC))
+	return e.b
 }
 
 // DecodeCheckpoint parses and verifies a checkpoint file image. Truncated,
 // oversized or CRC-damaged images return an error — never a panic, and
 // never a partially-applied state.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) < 20 {
-		return nil, fmt.Errorf("serve: checkpoint: %d bytes, want ≥ 20", len(data))
+	if len(data) < ckptHeader {
+		return nil, fmt.Errorf("serve: checkpoint: %d bytes, want ≥ %d", len(data), ckptHeader)
 	}
 	if string(data[:4]) != ckptMagic {
 		return nil, fmt.Errorf("serve: checkpoint: bad magic %q", data[:4])
@@ -287,11 +294,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("serve: checkpoint: version %d, want %d", v, ckptVersion)
 	}
 	plen := binary.LittleEndian.Uint64(data[8:16])
-	if plen != uint64(len(data)-20) {
-		return nil, fmt.Errorf("serve: checkpoint: payload %d bytes, header says %d", len(data)-20, plen)
+	if plen != uint64(len(data)-ckptHeader) {
+		return nil, fmt.Errorf("serve: checkpoint: payload %d bytes, header says %d", len(data)-ckptHeader, plen)
 	}
 	want := binary.LittleEndian.Uint32(data[16:20])
-	payload := data[20:]
+	payload := data[ckptHeader:]
 	if got := crc32.Checksum(payload, ckptCRC); got != want {
 		return nil, fmt.Errorf("serve: checkpoint: CRC %#x, want %#x", got, want)
 	}
@@ -382,7 +389,13 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // rotates to path+PrevSuffix, and the temp file renames into place. At every
 // instant either the old or the new snapshot is loadable.
 func WriteCheckpoint(path string, c *Checkpoint) error {
-	data := EncodeCheckpoint(c)
+	return writeImage(path, EncodeCheckpoint(c))
+}
+
+// writeImage is WriteCheckpoint's write half, for an already-encoded image:
+// temp file, fsync, rotation of the existing checkpoint to path+PrevSuffix,
+// rename into place and a best-effort directory sync. It only reads data.
+func writeImage(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

@@ -2,13 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -684,5 +687,208 @@ func TestFeedSlotFeedShapes(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("materialized and generated feeds produce different wire bytes")
+	}
+}
+
+// wirePrefix returns the fixture stream's bytes through slot n's event — a
+// feed cut exactly on a slot boundary.
+func wirePrefix(t *testing.T, util []float64, jobs []queue.Job, n int) []byte {
+	t.Helper()
+	p := encodeStream(t, util[:n], jobs)
+	return p[:len(p)-1] // drop the end marker
+}
+
+// slotsIn counts the complete slot events in a (possibly cut) wire stream.
+func slotsIn(data []byte) int {
+	r := NewWireReader(bytes.NewReader(data))
+	n := 0
+	for {
+		ev, err := r.Next()
+		if err != nil || ev.Kind == EventEnd {
+			return n
+		}
+		if ev.Kind == EventSlot {
+			n++
+		}
+	}
+}
+
+// boundaryImages drives a bare runner through the stream in lockstep with a
+// server and returns, for every epoch boundary, the checkpoint image a
+// server persisting there must write: EncodeCheckpoint of the runner's
+// State() with the epoch log's rows and plan dictionary at that boundary.
+func boundaryImages(t *testing.T, cfg core.LiveConfig, data []byte) map[int][]byte {
+	t.Helper()
+	r, err := core.NewLiveRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := make(map[int][]byte)
+	var dict []string
+	wr := NewWireReader(bytes.NewReader(data))
+	for {
+		ev, err := wr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case EventJob:
+			if err := r.OfferJob(ev.Job); err != nil {
+				t.Fatal(err)
+			}
+		case EventSlot:
+			rec, closed, err := r.OfferSlot(ev.Rho)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !closed {
+				continue
+			}
+			if name := rec.Policy.Plan.Name; !slices.Contains(dict, name) {
+				dict = append(dict, name)
+			}
+			st, err := r.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			images[st.Epoch] = EncodeCheckpoint(&Checkpoint{
+				State: *st, EpochLogRows: int64(st.Epoch), EpochLogDict: slices.Clone(dict),
+			})
+		case EventEnd:
+			return images
+		}
+	}
+}
+
+// requireImage checks that path holds exactly the boundary image of epoch,
+// or does not exist when epoch < 1 (no such boundary was persisted).
+func requireImage(t *testing.T, path string, want map[int][]byte, epoch int) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if epoch < 1 {
+		if !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: want no file, got err %v", filepath.Base(path), err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want[epoch]) {
+		c, derr := DecodeCheckpoint(got)
+		if derr != nil {
+			t.Fatalf("%s: not the epoch-%d image, and undecodable: %v", filepath.Base(path), epoch, derr)
+		}
+		t.Fatalf("%s: %d bytes of epoch %d, want the %d-byte image of epoch %d",
+			filepath.Base(path), len(got), c.State.Epoch, len(want[epoch]), epoch)
+	}
+}
+
+// TestServeCheckpointBytes pins what the server persists to the checkpoint
+// format: after a clean run, and after feeds cut at several offsets (on a
+// boundary, and mid-epoch so that the drain persists a boundary captured
+// slots earlier), ss.ckpt and ss.ckpt.prev are byte for byte
+// EncodeCheckpoint of a lockstep runner's State() at the same boundary with
+// the same epoch-log rows and dictionary.
+func TestServeCheckpointBytes(t *testing.T) {
+	const seed, every, epochSlots = 2, 3, 5
+	util, jobs := fixture(t, seed)
+	full := encodeStream(t, util, jobs)
+	want := boundaryImages(t, mkSleepScale(t, seed), full)
+	cuts := []int{
+		len(full), // clean end: no drain
+		100,       // inside the first epoch: no boundary to persist
+		len(wirePrefix(t, util, jobs, 2*epochSlots)), // on boundary 2, before any periodic write
+		len(wirePrefix(t, util, jobs, 6*epochSlots)), // on periodic boundary 6
+		len(full) * 3 / 10, len(full) / 2, len(full)*7/10 + 5,
+	}
+	for _, cut := range cuts {
+		t.Run(fmt.Sprint(cut), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{
+				Runner:          mkSleepScale(t, seed),
+				CheckpointPath:  filepath.Join(dir, "ss.ckpt"),
+				CheckpointEvery: every,
+				EpochLogPath:    filepath.Join(dir, "epochs.col"),
+			}
+			srv, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean := cut == len(full)
+			if _, done, err := srv.Serve(bytes.NewReader(full[:cut])); done != clean || (err == nil) != clean {
+				t.Fatalf("done=%v err=%v, want a clean end %v", done, err, clean)
+			}
+			if srv.writing {
+				t.Fatal("a checkpoint write outlived Serve")
+			}
+			// A clean end persists only at the cadence. A drain persists the
+			// last boundary, after the cadence's last write rotated into
+			// .prev — or over it, when both fell on the same boundary.
+			closed := slotsIn(full[:cut]) / epochSlots
+			last := closed / every * every
+			ckpt, prev := last, last-every
+			if !clean {
+				ckpt, prev = closed, last
+			}
+			requireImage(t, cfg.CheckpointPath, want, ckpt)
+			requireImage(t, cfg.CheckpointPath+PrevSuffix, want, prev)
+		})
+	}
+}
+
+// TestServeCheckpointWriteFailure pins the background writer's error and
+// lifetime contract with the checkpoint's directory missing: however Serve
+// returns — clean end, a cut feed's drain with or without an earlier
+// periodic write, Stop, an ingest error — it reports the failed write, at
+// most one cadence after it, and leaves no write running.
+func TestServeCheckpointWriteFailure(t *testing.T) {
+	const seed, epochSlots = 4, 5
+	util, jobs := fixture(t, seed)
+	full := encodeStream(t, util, jobs) // 36 epochs
+	// A job in a long-completed slot, right after periodic boundary 4.
+	late := wirePrefix(t, util, jobs, 4*epochSlots)
+	late = append(late, byte(EventJob))
+	late = binary.LittleEndian.AppendUint64(late, math.Float64bits(1))
+	late = binary.LittleEndian.AppendUint64(late, math.Float64bits(0.5))
+	cases := []struct {
+		name  string
+		every int
+		feed  []byte
+		stop  bool
+	}{
+		{"clean-end", 30, full, false},                          // the boundary-30 write surfaces at the end
+		{"drain-after-write", 30, full[:len(full)*9/10], false}, // the drain waits for the boundary-30 write
+		{"drain-only", 30, full[:len(full)/2], false},           // the drain's own write fails
+		{"stop", 30, full, true},
+		{"ingest-error", 4, late, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			srv, err := NewServer(Config{
+				Runner:          mkSleepScale(t, seed),
+				CheckpointPath:  filepath.Join(t.TempDir(), "missing", "ss.ckpt"),
+				CheckpointEvery: tc.every,
+				Out:             &out,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var in io.Reader = bytes.NewReader(tc.feed)
+			if tc.stop {
+				in = &stopReader{r: bytes.NewReader(tc.feed), stopAfter: len(tc.feed) / 2, srv: srv}
+			}
+			_, done, err := srv.Serve(in)
+			if done || err == nil || !strings.Contains(err.Error(), "checkpoint write") {
+				t.Fatalf("done=%v err=%v, want the failed checkpoint write", done, err)
+			}
+			if srv.writing {
+				t.Fatal("a checkpoint write outlived Serve")
+			}
+			if strings.Contains(out.String(), `"done":true`) {
+				t.Fatal("a run whose checkpoint failed emitted its summary")
+			}
+		})
 	}
 }

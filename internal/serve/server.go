@@ -17,9 +17,14 @@ type Config struct {
 	// Runner configures the live epoch runner.
 	Runner core.LiveConfig
 	// CheckpointPath, when set, enables durable state: the runner state is
-	// captured at every epoch boundary and written atomically every
-	// CheckpointEvery epochs (and on Stop). Empty disables checkpointing —
-	// the mode the steady-state benchmark gates at 0 allocs/op.
+	// captured at every epoch boundary (without copying the job-log window)
+	// and written atomically every CheckpointEvery epochs and on Stop. A
+	// background writer does the file work, one write at a time, and Serve
+	// waits for it before returning. A write error therefore surfaces up to
+	// one cadence later than the boundary that wrote it: at the next
+	// periodic checkpoint, the drain or the clean end, whichever comes
+	// first. Empty disables checkpointing — the mode the steady-state
+	// benchmark gates at 0 allocs/op.
 	CheckpointPath string
 	// CheckpointEvery is the checkpoint cadence in epochs (default 16).
 	CheckpointEvery int
@@ -64,7 +69,18 @@ type Server struct {
 	logRows  int64              // epoch-log rows flushed so far (checkpoint mode)
 	logDict  []string           // the log's plan dictionary, intern order
 	dictSeen map[string]bool    // membership index over logDict
-	last     *core.LiveState    // latest boundary state (checkpoint mode only)
+
+	// last is the latest boundary state (checkpoint mode only), recaptured
+	// after every epoch close with LiveRunner.Capture. Its Window aliases the
+	// runner's job-log ring and is valid only until the next close; since
+	// only a close changes the window, every persist — at the cadence or at
+	// a mid-epoch drain — encodes exactly the last boundary's state.
+	last    core.LiveState
+	hasLast bool // last holds a boundary: one has closed, or was restored
+
+	img     []byte     // checkpoint image buffer, reused by every persist
+	writing bool       // a checkpoint write of img is in flight
+	written chan error // the in-flight write's result
 
 	skipJobs  int64 // replay realignment: events already in the checkpoint
 	skipSlots int
@@ -155,7 +171,7 @@ func RestoreServer(cfg Config, replay bool) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, runner: runner, logRows: c.EpochLogRows, last: &c.State, restoredFrom: source}
+	s := &Server{cfg: cfg, runner: runner, logRows: c.EpochLogRows, last: c.State, hasLast: true, restoredFrom: source}
 	s.logDict = append([]string(nil), c.EpochLogDict...)
 	s.initFaults()
 	if cfg.EpochLogPath != "" {
@@ -279,7 +295,8 @@ func (s *Server) FaultEvents() []fault.Event { return s.applied }
 // an error. On clean end it finalizes the run and returns its report with
 // done=true; on Stop it persists state and returns done=false. The
 // steady-state loop — decode event, advance the runner, emit NDJSON — does
-// not allocate when checkpointing is disabled.
+// not allocate when checkpointing is disabled. No checkpoint write outlives
+// Serve: every return waits for the one in flight.
 func (s *Server) Serve(r io.Reader) (report core.RunReport, done bool, err error) {
 	if s.served {
 		return core.RunReport{}, false, fmt.Errorf("serve: server already served a stream")
@@ -289,6 +306,18 @@ func (s *Server) Serve(r io.Reader) (report core.RunReport, done bool, err error
 	checkpointing := s.cfg.CheckpointPath != ""
 	logging := s.cfg.EpochLogPath != ""
 	every := s.cfg.every()
+	if checkpointing {
+		s.written = make(chan error, 1)
+		defer func() {
+			if werr := s.awaitWrite(); werr != nil {
+				if err == nil {
+					report, done, err = core.RunReport{}, false, werr
+				} else {
+					err = fmt.Errorf("%w (checkpoint write also failed: %v)", err, werr)
+				}
+			}
+		}()
+	}
 
 	for {
 		if s.stop.Load() {
@@ -342,11 +371,10 @@ func (s *Server) Serve(r io.Reader) (report core.RunReport, done bool, err error
 				s.recs = append(s.recs, rec)
 			}
 			if checkpointing {
-				st, err := s.runner.State()
-				if err != nil {
+				if err := s.runner.Capture(&s.last); err != nil {
 					return core.RunReport{}, false, err
 				}
-				s.last = st
+				s.hasLast = true
 				if s.runner.Epoch()%every == 0 {
 					if err := s.persist(); err != nil {
 						return core.RunReport{}, false, err
@@ -383,21 +411,46 @@ func (s *Server) gateJob(arrival float64) bool {
 	return !s.down
 }
 
-// persist flushes buffered epoch records to the log and atomically writes
-// the latest boundary checkpoint covering them. Every record buffered so
-// far belongs to an epoch before s.last.Epoch, so the checkpoint's log
-// high-water mark is exact: a crash between the two steps only leaves rows
-// the next restore truncates away.
+// persist flushes buffered epoch records to the log, encodes the latest
+// boundary checkpoint covering them into the image buffer and hands it to
+// the background writer. Every record buffered so far belongs to an epoch before
+// s.last.Epoch, so the checkpoint's log high-water mark is exact, and the
+// flush lands before the hand-off: a crash between the two steps only
+// leaves rows the next restore truncates away. The previous write must
+// finish before the buffer is reused, so persist waits for it and returns
+// its error.
 func (s *Server) persist() error {
 	if err := s.flushLog(); err != nil {
 		return err
 	}
-	if s.last == nil {
+	if !s.hasLast {
 		return nil // nothing closed yet
 	}
-	return WriteCheckpoint(s.cfg.CheckpointPath, &Checkpoint{
-		State: *s.last, EpochLogRows: s.logRows, EpochLogDict: s.logDict,
+	if err := s.awaitWrite(); err != nil {
+		return err
+	}
+	s.img = appendCheckpoint(s.img[:0], &Checkpoint{
+		State: s.last, EpochLogRows: s.logRows, EpochLogDict: s.logDict,
 	})
+	s.writing = true
+	go func(path string, img []byte, done chan<- error) {
+		if err := writeImage(path, img); err != nil {
+			done <- fmt.Errorf("serve: checkpoint write: %w", err)
+			return
+		}
+		done <- nil
+	}(s.cfg.CheckpointPath, s.img, s.written)
+	return nil
+}
+
+// awaitWrite waits for the checkpoint write in flight, if any, and returns
+// its error.
+func (s *Server) awaitWrite() error {
+	if !s.writing {
+		return nil
+	}
+	s.writing = false
+	return <-s.written
 }
 
 // flushLog appends buffered records to the colstore epoch log and advances
@@ -429,22 +482,29 @@ func (s *Server) flushLog() error {
 
 // drain is the graceful-stop path: persist the latest boundary state and
 // flush the log, leaving a checkpoint a restore continues from
-// bit-identically.
+// bit-identically once its write has finished.
 func (s *Server) drain() error {
 	if s.stopped {
 		return nil
 	}
 	s.stopped = true
 	if s.cfg.CheckpointPath != "" {
-		return s.persist()
+		if err := s.persist(); err != nil {
+			return err
+		}
+		return s.awaitWrite()
 	}
 	return s.flushLog()
 }
 
 // finish is the clean-end path: close a partial final epoch, flush
 // everything and emit the whole-run summary. No checkpoint is written — the
-// run is complete, and its final state is not an epoch boundary.
+// run is complete, and its final state is not an epoch boundary — but the
+// last periodic one must have landed before the run counts as done.
 func (s *Server) finish() (core.RunReport, bool, error) {
+	if err := s.awaitWrite(); err != nil {
+		return core.RunReport{}, false, err
+	}
 	rec, closed, report, err := s.runner.Finish()
 	if err != nil {
 		return core.RunReport{}, false, err
