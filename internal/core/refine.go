@@ -44,6 +44,19 @@ func (m *Manager) refinePlan(plan policy.SleepPlan, lambda, mu float64) (policy.
 	evalAt := func(f float64) (policy.Metrics, error) {
 		return idealizedMetrics(analyticModel(m.Profile, plan, states, lambda, mu, f), needTail)
 	}
+	// feasibleAt reports whether f has metrics that satisfy the QoS. A
+	// mean-response QoS reads the mean alone, and MeanPower fails exactly
+	// when MeanResponse does (both validate the model first), so the
+	// bisection skips the power there.
+	meanQoS, meanOnly := m.QoS.(policy.MeanResponseQoS)
+	feasibleAt := func(f float64) bool {
+		if meanOnly {
+			r, err := analyticModel(m.Profile, plan, states, lambda, mu, f).MeanResponse()
+			return err == nil && meanQoS.Satisfied(policy.Metrics{MeanResponse: r})
+		}
+		met, err := evalAt(f)
+		return err == nil && m.QoS.Satisfied(met)
+	}
 
 	lo := lambda/mu + 1e-6 // stability floor (CPU-bound closed forms)
 	hi := 1.0
@@ -60,10 +73,10 @@ func (m *Manager) refinePlan(plan policy.SleepPlan, lambda, mu float64) (policy.
 		return policy.Evaluation{}, fmt.Errorf("core: plan %q infeasible even at f=1", plan.Name)
 	}
 	fFeas := lo
-	if metLo, err := evalAt(lo + 1e-9); err != nil || !m.QoS.Satisfied(metLo) {
+	if !feasibleAt(lo + 1e-9) {
 		// Once the midpoint rounds to an end it can no longer move either
 		// one: b and every a after the first were evaluated already, and
-		// evalAt is deterministic. Only lo itself is unevaluated.
+		// feasibleAt is deterministic. Only lo itself is unevaluated.
 		a, b := lo, hi
 		aSeen := false
 		for i := 0; i < 100; i++ {
@@ -71,8 +84,7 @@ func (m *Manager) refinePlan(plan policy.SleepPlan, lambda, mu float64) (policy.
 			if mid == b || (mid == a && aSeen) {
 				break
 			}
-			met, err := evalAt(mid)
-			if err != nil || !m.QoS.Satisfied(met) {
+			if !feasibleAt(mid) {
 				a, aSeen = mid, true
 			} else {
 				b = mid

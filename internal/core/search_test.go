@@ -327,6 +327,30 @@ func TestSelectRunsFewPasses(t *testing.T) {
 	}
 }
 
+// TestSelectSimulatesFewOnBootstraps pins the search's work on streams of a
+// runtime bootstrap's size: 200 DNS jobs at ρ from 0.1 to 0.7, five seeds
+// each, under the mean QoS on the default grid. With each counted wake
+// charged to every job of the busy period it starts, the 20 decisions
+// simulate 201 candidates; charged to the waking job alone they simulated
+// 277. The wake-free passes do not depend on the wake counts.
+func TestSelectSimulatesFewOnBootstraps(t *testing.T) {
+	mu := workload.DNS().MaxServiceRate()
+	m := dnsManager(t, qosFamilies(t, mu)[0])
+	simulated, passes := 0, 0
+	for _, rho := range []float64{0.1, 0.3, 0.5, 0.7} {
+		for seed := int64(1); seed <= 5; seed++ {
+			_, w, err := m.selectCounted(dnsJobs(t, rho, 200, seed), rho)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simulated, passes = simulated+w.simulated, passes+w.passes
+		}
+	}
+	if simulated > 201 || passes != 851 {
+		t.Errorf("simulated %d candidates in %d passes, want at most 201 in 851", simulated, passes)
+	}
+}
+
 // TestSelectMatchesExhaustiveOnTiedSpeeds: at β = 1e-15 most adjacent speeds
 // f^β of the 0.01 grid round equal, so the response-pruned scan checks its
 // speeds' order on ties. It must still give the exhaustive answer.

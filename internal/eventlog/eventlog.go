@@ -47,6 +47,13 @@ type Window struct {
 	head   int     // index of the oldest held epoch
 	count  int     // epochs currently held
 	pushed int     // epochs ever pushed
+
+	// means caches Means until the next Push, PushJobs or Reset: every
+	// decision in an epoch reads the same window.
+	means struct {
+		gap, size   float64
+		ok, current bool
+	}
 }
 
 // NewWindow returns a window retaining the most recent capacity epochs.
@@ -70,6 +77,7 @@ func (w *Window) slot() *Epoch {
 	}
 	e.Gaps = e.Gaps[:0]
 	e.Sizes = e.Sizes[:0]
+	w.means.current = false
 	return e
 }
 
@@ -106,7 +114,10 @@ func (w *Window) PushJobs(jobs []queue.Job, epochStart float64) {
 // retaining the ring's recycled epoch buffers — so a reused epoch driver (the
 // fleet coordinator's Run) starts from a bit-identical empty window without
 // allocating.
-func (w *Window) Reset() { w.head, w.count, w.pushed = 0, 0, 0 }
+func (w *Window) Reset() {
+	w.head, w.count, w.pushed = 0, 0, 0
+	w.means.current = false
+}
 
 // Epochs reports how many epochs the window currently holds.
 func (w *Window) Epochs() int { return w.count }
@@ -188,8 +199,20 @@ func (w *Window) JobCount() int {
 }
 
 // Means reports the mean inter-arrival gap and mean service demand across
-// the window; ok is false when no jobs are logged.
+// the window; ok is false when no jobs are logged. The first call after a
+// Push, PushJobs or Reset sums the window; later calls return those sums'
+// means again.
 func (w *Window) Means() (gapMean, sizeMean float64, ok bool) {
+	m := &w.means
+	if !m.current {
+		m.gap, m.size, m.ok = w.sumMeans()
+		m.current = true
+	}
+	return m.gap, m.size, m.ok
+}
+
+// sumMeans is Means computed over the held epochs.
+func (w *Window) sumMeans() (gapMean, sizeMean float64, ok bool) {
 	var gsum, ssum float64
 	var n int
 	for i := 0; i < w.count; i++ {

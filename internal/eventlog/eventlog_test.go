@@ -72,6 +72,41 @@ func TestMeansEmptyWindow(t *testing.T) {
 	}
 }
 
+// TestMeansFollowsPushes: Means is cached between pushes, so every Push,
+// PushJobs and Reset must show in the next call, and a RestoreWindow copy
+// must report the original's means bit for bit.
+func TestMeansFollowsPushes(t *testing.T) {
+	w, _ := NewWindow(2)
+	check := func(label string, wantGap, wantSize float64, wantOK bool) {
+		t.Helper()
+		for range 2 { // the call that sums, then the cached one
+			if g, s, ok := w.Means(); g != wantGap || s != wantSize || ok != wantOK {
+				t.Fatalf("%s: means %v, %v, %v; want %v, %v, %v", label, g, s, ok, wantGap, wantSize, wantOK)
+			}
+		}
+		r, err := RestoreWindow(w.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, s, ok := w.Means()
+		rg, rs, rok := r.Means()
+		if math.Float64bits(rg) != math.Float64bits(g) || math.Float64bits(rs) != math.Float64bits(s) || rok != ok {
+			t.Fatalf("%s: restored means %v, %v, %v; original %v, %v, %v", label, rg, rs, rok, g, s, ok)
+		}
+	}
+	check("empty", 0, 0, false)
+	w.Push(Epoch{Gaps: []float64{1, 3}, Sizes: []float64{0.5, 1.5}})
+	check("push", 2, 1, true)
+	w.PushJobs([]queue.Job{{Arrival: 10, Size: 4}}, 4)
+	check("push jobs", 10.0/3, 2, true)
+	w.Push(Epoch{Gaps: []float64{0.25}, Sizes: []float64{0.75}}) // evicts the first
+	check("evict", 3.125, 2.375, true)
+	w.PushJobs(nil, 0) // evicts the second
+	check("empty epoch", 0.25, 0.75, true)
+	w.Reset()
+	check("reset", 0, 0, false)
+}
+
 func TestUtilization(t *testing.T) {
 	w, _ := NewWindow(1)
 	// Mean gap 2 s, mean size 0.5 s ⇒ ρ = 0.25.

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,6 +130,55 @@ func TestRenewalDeterminism(t *testing.T) {
 	// The drawn timeline must itself be a valid schedule.
 	if _, err := NewSchedule(first); err != nil {
 		t.Fatalf("renewal timeline invalid: %v", err)
+	}
+}
+
+// drawRenewal is the draw loop Renewal.Reset ran before it reseeded one
+// source and rewound a timeline it already held: a new source per server,
+// drawn on every call.
+func drawRenewal(cfg RenewalConfig, seed int64) []Event {
+	var events []Event
+	for s := 0; s < cfg.Servers; s++ {
+		rng := rand.New(rand.NewSource(splitmix64(seed, int64(s))))
+		t := 0.0
+		for {
+			t += rng.ExpFloat64() * cfg.MTBF
+			if t >= cfg.Horizon {
+				break
+			}
+			events = append(events, Event{Time: t, Server: s, Kind: Crash})
+			t += rng.ExpFloat64() * cfg.MTTR
+			if t >= cfg.Horizon {
+				break
+			}
+			events = append(events, Event{Time: t, Server: s, Kind: Repair})
+		}
+	}
+	sortEvents(events)
+	return events
+}
+
+// TestRenewalResetMatchesFreshDraws: whether Reset rewinds (the seed it
+// holds) or redraws (any other), the timeline must be the one new sources
+// draw, from its first event, however far the last one was read. A redraw
+// allocates no source per server.
+func TestRenewalResetMatchesFreshDraws(t *testing.T) {
+	cfg := RenewalConfig{Servers: 200, MTBF: 100, MTTR: 20, Horizon: 2000}
+	r, err := NewRenewal(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]Event, 100)
+	for i, seed := range []int64{5, 5, 6, 5, -3, -3, 5} {
+		r.Reset(seed)
+		if got, want := collect(t, r), drawRenewal(cfg, seed); !slices.Equal(got, want) {
+			t.Fatalf("Reset #%d (seed %d): %d events differ from a fresh draw's %d", i, seed, len(got), len(want))
+		}
+		r.Reset(seed)
+		r.Next(buf) // part read: the next Reset must still start at the first event
+	}
+	if allocs := testing.AllocsPerRun(3, func() { r.Reset(1); r.Reset(2) }); allocs > 10 {
+		t.Errorf("two redraws of %d servers allocate %v times", cfg.Servers, allocs)
 	}
 }
 

@@ -44,8 +44,8 @@ func (c RenewalConfig) Validate() error {
 // MTTR, every server starting up at t = 0) and exposes the merged,
 // time-sorted crash/repair timeline through the Source contract.
 //
-// Determinism: each server's draws come from its own RNG derived from
-// (seed, server), so one server's timeline never depends on how many
+// Determinism: each server's draws come from its own RNG seed derived
+// from (seed, server), so one server's timeline never depends on how many
 // draws another server consumed; ties in the merged timeline order by
 // (time, server, kind). Reset(seed) therefore regenerates the exact same
 // timeline for the same seed, and adding servers never perturbs the
@@ -54,6 +54,8 @@ type Renewal struct {
 	cfg    RenewalConfig
 	events []Event
 	pos    int
+	seed   int64      // the seed events were drawn from
+	rng    *rand.Rand // reseeded for each server's draws; nil until drawn
 }
 
 // NewRenewal validates cfg and returns a renewal source seeded with seed.
@@ -73,21 +75,30 @@ func (r *Renewal) Next(buf []Event) (int, bool) {
 	return n, r.pos < len(r.events)
 }
 
-// Reset implements Source: it redraws the whole timeline from seed and
-// rewinds to its first event.
+// Reset implements Source: it rewinds to the first event of seed's
+// timeline, and draws that timeline only when it is not the one already
+// drawn.
 func (r *Renewal) Reset(seed int64) {
-	r.events = r.events[:0]
 	r.pos = 0
+	if r.rng != nil && seed == r.seed {
+		return
+	}
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(0))
+	}
+	r.seed = seed
+	r.events = r.events[:0]
 	for s := 0; s < r.cfg.Servers; s++ {
-		rng := rand.New(rand.NewSource(splitmix64(seed, int64(s))))
+		// A reseeded source draws what a new one with that seed would.
+		r.rng.Seed(splitmix64(seed, int64(s)))
 		t := 0.0
 		for {
-			t += rng.ExpFloat64() * r.cfg.MTBF
+			t += r.rng.ExpFloat64() * r.cfg.MTBF
 			if t >= r.cfg.Horizon {
 				break
 			}
 			r.events = append(r.events, Event{Time: t, Server: s, Kind: Crash})
-			t += rng.ExpFloat64() * r.cfg.MTTR
+			t += r.rng.ExpFloat64() * r.cfg.MTTR
 			if t >= r.cfg.Horizon {
 				break
 			}
@@ -97,8 +108,9 @@ func (r *Renewal) Reset(seed int64) {
 	sortEvents(r.events)
 }
 
-// Events returns the drawn timeline; the slice is shared, not copied, and
-// valid until the next Reset.
+// Events returns the drawn timeline; the slice is shared, not copied, so
+// the caller must not modify it, and it is valid until a Reset with
+// another seed.
 func (r *Renewal) Events() []Event { return r.events }
 
 // splitmix64 mixes (seed, lane) into an independent RNG seed; the standard

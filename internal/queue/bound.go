@@ -24,8 +24,10 @@ type WakeFree struct {
 	maxArrival float64   // max(0, max aᵢ)
 	sumSize    float64   // Σ sizeᵢ
 	wake       []float64 // the w_max of each registered count
-	thr        []float64 // its threshold in the last Run
-	count      []uint64  // the gaps above it in the last Run
+	// In blocks of four, one per pass, the unused ones last:
+	thr   []float64 // the threshold of each w_max in the last Run, else +Inf
+	count []uint64  // the gaps above it in the last Run
+	carry []uint64  // the jobs of the busy periods those gaps start
 
 	speed   float64
 	gn      float64 // Gₙ
@@ -38,7 +40,8 @@ type WakeFree struct {
 // stream. Call it again after changing a bound stream in place.
 func (w *WakeFree) Reset(jobs []Job) {
 	w.jobs, w.n, w.speed = jobs, len(jobs), math.NaN()
-	w.wake, w.thr, w.count = w.wake[:0], w.thr[:0], w.count[:0]
+	w.wake, w.thr, w.count, w.carry = w.wake[:0], w.thr[:0], w.count[:0], w.carry[:0]
+	w.addBlock()
 	var a, s float64
 	for _, j := range jobs {
 		a, s = max(a, j.Arrival), s+j.Size
@@ -48,20 +51,34 @@ func (w *WakeFree) Reset(jobs []Job) {
 
 // Count makes every later Run count the wakes cfg's bound needs, if it
 // needs any (see Bound). Configurations with the same w_max share a count;
-// one whose count is not registered is bounded without a wake term.
+// one whose count is not registered is bounded without a wake term, and so
+// is every configuration over a stream of 2³² jobs or more, whose counts
+// would overflow Run's 32-bit lanes.
 func (w *WakeFree) Count(cfg *Config) {
-	if _, wmax, ok := wakeRange(cfg); ok && !slices.Contains(w.wake, wmax) {
+	if _, wmax, ok := wakeRange(cfg); ok && uint64(w.n) < 1<<32 && !slices.Contains(w.wake, wmax) {
+		if len(w.wake) == len(w.thr) {
+			w.addBlock()
+		}
 		w.wake = append(w.wake, wmax)
-		w.thr = append(w.thr, 0)
-		w.count = append(w.count, 0)
 	}
 }
 
-// Run makes the pass over jobs at cfg's speed, counting for each registered
-// w_max the gaps aᵢ − Gᵢ₋₁ above its threshold. The service times are the
-// floats Process computes. A NaN arrival makes Gₙ NaN, and with it every
-// bound −Inf. Any other stream than the bound one is bound first, which
-// drops the counts.
+// addBlock adds a block of four unused counts, whose +Inf thresholds no gap
+// exceeds.
+func (w *WakeFree) addBlock() {
+	inf := math.Inf(1)
+	w.thr = append(w.thr, inf, inf, inf, inf)
+	w.count = append(w.count, 0, 0, 0, 0)
+	w.carry = append(w.carry, 0, 0, 0, 0)
+}
+
+// Run makes the pass over jobs at cfg's speed. For each registered w_max it
+// counts the gaps aᵢ − Gᵢ₋₁ above its threshold, and the jobs of the
+// wake-free busy periods those gaps start: the job with the gap, and each
+// later one with aᵢ ≤ Gᵢ₋₁ up to the next positive gap. The service times
+// are the floats Process computes. A NaN arrival makes Gₙ NaN, and with it
+// every bound −Inf. Any other stream than the bound one is bound first,
+// which drops the counts.
 func (w *WakeFree) Run(jobs []Job, cfg *Config) {
 	if len(jobs) != len(w.jobs) || len(jobs) > 0 && &jobs[0] != &w.jobs[0] {
 		w.Reset(jobs)
@@ -72,33 +89,37 @@ func (w *WakeFree) Run(jobs []Job, cfg *Config) {
 	for k, wmax := range w.wake {
 		w.thr[k] = wmax + 4*n*unitRoundoff*w.spanBound(v, wmax)
 	}
-	// Four counts ride in registers with each pass; a fifth distinct w_max
-	// repeats the pass for the next four. An unused slot's threshold is
-	// +Inf, above every gap.
-	for k0 := 0; ; k0 += 4 {
-		inf := math.Inf(1)
-		t := [4]float64{inf, inf, inf, inf}
-		copy(t[:], w.thr[k0:])
-		var c0, c1, c2, c3 uint64
+	// A block of four thresholds rides in registers with each pass, their
+	// counts and flags two to a uint64 in 32-bit lanes (Count guarantees n <
+	// 2³²); a fifth distinct w_max repeats the pass for the next block.
+	for k0 := 0; k0 < len(w.thr); k0 += 4 {
+		t := [4]float64(w.thr[k0:])
+		// c counts the gaps above each threshold, r the jobs carried, and on
+		// flags whether the current job is carried.
+		var c01, c23, r01, r23, on01, on23 uint64
 		var g, sumResp, sumSvc float64
 		for _, j := range w.jobs {
 			svc := j.Size / v
 			gap := j.Arrival - g
-			// Count without a branch: t − gap is negative, its sign bit
-			// set, exactly when gap > t. A NaN gap leaves Gₙ NaN.
-			c0 += math.Float64bits(t[0]-gap) >> 63
-			c1 += math.Float64bits(t[1]-gap) >> 63
-			c2 += math.Float64bits(t[2]-gap) >> 63
-			c3 += math.Float64bits(t[3]-gap) >> 63
+			// Without a branch: t − gap is negative, its sign bit set,
+			// exactly when gap > t. A gap ≤ 0 keeps each flag, and a
+			// positive gap sets it to whether the gap is above its
+			// threshold, in a conditional move. A NaN gap leaves Gₙ NaN.
+			w01 := math.Float64bits(t[0]-gap)>>63 | math.Float64bits(t[1]-gap)>>63<<32
+			w23 := math.Float64bits(t[2]-gap)>>63 | math.Float64bits(t[3]-gap)>>63<<32
+			if gap > 0 {
+				on01, on23 = w01, w23
+			}
+			c01, c23 = c01+w01, c23+w23
+			r01, r23 = r01+on01, r23+on23
 			g = max(g, j.Arrival) + svc
 			sumResp += g - j.Arrival
 			sumSvc += svc
 		}
 		w.gn, w.sumResp, w.sumSvc = g, sumResp, sumSvc
-		copy(w.count[k0:], []uint64{c0, c1, c2, c3})
-		if k0+4 >= len(w.thr) {
-			return
-		}
+		const lane = 1<<32 - 1
+		*(*[4]uint64)(w.count[k0:]) = [4]uint64{c01 & lane, c01 >> 32, c23 & lane, c23 >> 32}
+		*(*[4]uint64)(w.carry[k0:]) = [4]uint64{r01 & lane, r01 >> 32, r23 & lane, r23 >> 32}
 	}
 }
 
@@ -130,21 +151,34 @@ const (
 //   - Fᵢ ≤ Gᵢ + w_max + 3i·u·T: an idle step resets the excess to one wake
 //     plus three roundings, a busy step adds two roundings.
 //   - If τ₁ = 0, a job with aᵢ − Gᵢ₋₁ > w_max + 4n·u·T arrives after Fᵢ₋₁,
-//     finds the server asleep and pays at least w_min. W is w_min times the
-//     number of such jobs, so R = (Σ(Gᵢ − aᵢ) + W)/n ≤ mean response. The
-//     count needs w_min > 0, and Run makes it before Gₙ is known, with T
-//     replaced by its span bound T̄ ≥ T (see spanBound): a higher threshold
-//     counts no more jobs, so W stays a lower bound.
+//     finds the server asleep and pays at least w_min: a definite wake. Its
+//     Fᵢ − Gᵢ is then at least w_min less three roundings. The count needs
+//     w_min > 0, and Run makes it before Gₙ is known, with T replaced by its
+//     span bound T̄ ≥ T (see spanBound): a higher threshold counts no more
+//     jobs, so the counts below stay lower bounds.
+//   - The wake delays the rest of the wake-free busy period it starts too. A
+//     later job with aᵢ ≤ Gᵢ₋₁ has aᵢ ≤ Fᵢ₋₁, so Process takes its busy
+//     branch, and both recursions add the same svcᵢ to their last value: the
+//     excess Fᵢ − Gᵢ carries over, less two roundings. Run counts these
+//     carried jobs with one flag per threshold: a definite wake sets it, a
+//     gap ≤ 0 keeps it, and any other positive gap clears it. W is w_min
+//     times the carried count, definite wakes included, so R = (Σ(Gᵢ − aᵢ) +
+//     W)/n ≤ mean response.
 //   - Idle is billed at P_min or more, and busy plus wake time is at least
-//     Σsvc + W. With P_active ≥ P_min that gives average power ≥ P_min +
-//     (Σsvc + W)(P_active − P_min)/T, since Fₙ ≤ T; otherwise ≥ P_active.
+//     Σsvc + W_wake, with W_wake = w_min times the definite wakes alone. With
+//     P_active ≥ P_min that gives average power ≥ P_min + (Σsvc +
+//     W_wake)(P_active − P_min)/T, since Fₙ ≤ T; otherwise ≥ P_active.
 //
 // The slacks are forward error bounds on both computations, to first order
 // in n·u, doubled to cover the second-order terms (n·u ≪ 1). Response: the
-// Welford mean drifts by ≤ 5n·u·T, the bound's sum by ≤ n·u·T, a counted
-// wake by ≤ 5u·T, and the final additions and division by ≤ 6u·T, so the
-// slack is 2(6n + 11)·u·T, plus (n + 3)·η for the Welford and final
-// quotients. Power, in units of u·P_max·T/Gₙ with k phases: at most n(k+3)
+// Welford mean drifts by ≤ 5n·u·T and the bound's sum by ≤ n·u·T. A job m
+// steps into a carried busy period loses at most (5 + 2m)·u·T of its w_min
+// to the wake's three roundings, the carry's two per step and the two
+// responses' subtractions, and m < n, so W drifts by at most (2n + 5)·u·T
+// in the mean. With ≤ 6u·T for the final additions and division, the slack
+// is 2(8n + 11)·u·T, plus (n + 3)·η for the Welford and final quotients
+// (the carried steps are sums, which are exact when they underflow).
+// Power, in units of u·P_max·T/Gₙ with k phases: at most n(k+3)
 // rounded energy terms summed (n(k+3) + 1), the time telescoping (2n) and
 // idle segments (2), the final division (1), Fₙ's excess over T (3n), and
 // the bound's own sum and arithmetic (n + 7): the slack is 2(n(k+9) + 11) of
@@ -172,13 +206,13 @@ func (w *WakeFree) Bound(cfg *Config) Bound {
 		pmin, pmax = min(pmin, ph.Power), max(pmax, ph.Power)
 	}
 	wmin, wmax, counts := wakeRange(cfg)
-	var wakes float64
+	var wakes, carried float64
 	if k := slices.Index(w.wake, wmax); counts && k >= 0 {
-		wakes = wmin * float64(w.count[k])
+		wakes, carried = wmin*float64(w.count[k]), wmin*float64(w.carry[k])
 	}
 	n := float64(w.n)
 	t := w.gn + wmax
-	b := Bound{MeanResponse: w.meanResponse(wakes, t), AvgPower: math.Inf(-1)}
+	b := Bound{MeanResponse: w.meanResponse(carried, t), AvgPower: math.Inf(-1)}
 	k := float64(len(cfg.Phases))
 	if w.gn > 0 && (k+3)*n*(pmax+1)*t < math.MaxFloat64/4 {
 		p := pa
@@ -195,9 +229,11 @@ func (w *WakeFree) Bound(cfg *Config) Bound {
 // its slack taken from the span bound of a pass at speed slowest with wake
 // latency wmax. Over a grid of Runs whose speeds are all at least slowest,
 // and configurations whose w_max are all at most wmax, it is at most every
-// such configuration's Bound.MeanResponse at the Run's speed: every rounding
-// is monotone, W ≥ 0, and Gₙ, so T, cannot fall as the speed does. For the
-// same reason it cannot fall as the Run's speed does.
+// such configuration's Bound.MeanResponse at the Run's speed. Both are
+// meanResponse, with the same 2(8n + 11)·u slack per unit of span: every
+// rounding is monotone, the carried W ≥ 0, and Gₙ, so T, cannot fall as the
+// speed does, so that span bound is at least every T. For the same reason
+// the floor cannot fall as the Run's speed does.
 func (w *WakeFree) ResponseFloor(slowest, wmax float64) float64 {
 	if w.n == 0 {
 		return math.Inf(-1)
@@ -205,11 +241,11 @@ func (w *WakeFree) ResponseFloor(slowest, wmax float64) float64 {
 	return w.meanResponse(0, w.spanBound(slowest, wmax))
 }
 
-// meanResponse is the response bound (Σ(Gᵢ − aᵢ) + wakes)/n less its slack
-// for the span t.
-func (w *WakeFree) meanResponse(wakes, t float64) float64 {
+// meanResponse is the response bound (Σ(Gᵢ − aᵢ) + carried)/n less its
+// slack for the span t.
+func (w *WakeFree) meanResponse(carried, t float64) float64 {
 	n := float64(w.n)
-	r := (w.sumResp+wakes)/n - 2*(6*n+11)*unitRoundoff*t
+	r := (w.sumResp+carried)/n - 2*(8*n+11)*unitRoundoff*t
 	return orNone(lessUnderflow(r, n+3, 1))
 }
 

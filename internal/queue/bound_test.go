@@ -59,7 +59,7 @@ func requireBoundBelow(t *testing.T, jobs []queue.Job, plans []policy.SleepPlan,
 
 // countingWakeFree returns a WakeFree bound to jobs that counts the wakes of
 // every plan, resolved on the Xeon profile at f = 1.
-func countingWakeFree(t *testing.T, jobs []queue.Job, plans []policy.SleepPlan, beta float64) *queue.WakeFree {
+func countingWakeFree(t testing.TB, jobs []queue.Job, plans []policy.SleepPlan, beta float64) *queue.WakeFree {
 	t.Helper()
 	wf := new(queue.WakeFree)
 	wf.Reset(jobs)
@@ -74,9 +74,10 @@ func countingWakeFree(t *testing.T, jobs []queue.Job, plans []policy.SleepPlan, 
 }
 
 // referenceBound is WakeFree.Bound as a separate count loop computes it:
-// the pass keeps every gap aᵢ − Gᵢ₋₁, cfg's wakes are counted above thr
-// afterwards, and the η terms are always subtracted. It also returns the
-// count.
+// the pass keeps every gap aᵢ − Gᵢ₋₁; cfg's wakes are counted above thr
+// afterwards, with the jobs each wake carries (it and every later job with
+// a gap ≤ 0, up to the next positive gap); and the η terms are always
+// subtracted. It also returns the wake count.
 func referenceBound(jobs []queue.Job, cfg *queue.Config, thr float64) (queue.Bound, uint64) {
 	const u, eta = 0x1p-53, math.SmallestNonzeroFloat64
 	none := queue.Bound{AvgPower: math.Inf(-1), MeanResponse: math.Inf(-1)}
@@ -107,16 +108,24 @@ func referenceBound(jobs []queue.Job, cfg *queue.Config, thr float64) (queue.Bou
 	}
 	n := float64(len(jobs))
 	t := g + wmax
-	var c uint64
-	var wakes float64
+	var c, carried uint64
+	var wakes, delays float64
 	if len(cfg.Phases) > 0 && cfg.Phases[0].EnterAfter == 0 && wmin > 0 {
+		on := false
 		for _, gap := range gaps {
-			c += math.Float64bits(thr-gap) >> 63
+			if gap > thr {
+				c, on = c+1, true
+			} else if gap > 0 {
+				on = false
+			}
+			if on {
+				carried++
+			}
 		}
-		wakes = wmin * float64(c)
+		wakes, delays = wmin*float64(c), wmin*float64(carried)
 	}
 	b := queue.Bound{
-		MeanResponse: (sumResp+wakes)/n - 2*(6*n+11)*u*t - (n+3)*eta,
+		MeanResponse: (sumResp+delays)/n - 2*(8*n+11)*u*t - (n+3)*eta,
 		AvgPower:     math.Inf(-1),
 	}
 	k := float64(len(cfg.Phases))
@@ -268,6 +277,68 @@ func TestWakeFreeBoundCountsPastFour(t *testing.T) {
 	}
 }
 
+// TestWakeFreeBoundCarriesWake: a gap above 1 s wakes a C6S3 server, and
+// its 1 s wake delays every job of the long wake-free busy period that gap
+// starts. The bound must charge the wake to each of those jobs, not only to
+// the one that woke, and stay at most what Evaluate reports. A later idle
+// gap under the threshold starts a second busy period, which carries
+// nothing.
+func TestWakeFreeBoundCarriesWake(t *testing.T) {
+	var jobs []queue.Job
+	for i := range 40 { // wake-free, busy from 2 s to 4 s
+		jobs = append(jobs, queue.Job{Arrival: 2 + 0.01*float64(i), Size: 0.05})
+	}
+	for i := range 10 { // after a 0.5 s gap
+		jobs = append(jobs, queue.Job{Arrival: 4.5 + 0.01*float64(i), Size: 0.05})
+	}
+	cfg, err := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeeperSleep)}.Config(power.Xeon(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wf queue.WakeFree
+	wf.Reset(jobs)
+	wf.Count(&cfg)
+	wf.Run(jobs, &cfg)
+	got := wf.Bound(&cfg)
+	var g, wakeFree float64
+	for _, j := range jobs {
+		g = max(g, j.Arrival) + j.Size
+		wakeFree += (g - j.Arrival) / float64(len(jobs))
+	}
+	sum, err := queue.NewEvaluator(jobs).Evaluate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first 40 jobs carry 1 s each: 0.8 s in the mean. Counting the one
+	// wake alone would add 0.02 s.
+	if got.MeanResponse < wakeFree+0.79 || got.MeanResponse > sum.MeanResponse {
+		t.Fatalf("mean-response bound %v, want in [%v, %v]", got.MeanResponse, wakeFree+0.79, sum.MeanResponse)
+	}
+	thr, _ := wf.WakeThreshold(&cfg)
+	if want, _ := referenceBound(jobs, &cfg, thr); math.Float64bits(got.MeanResponse) != math.Float64bits(want.MeanResponse) {
+		t.Fatalf("bound %v, reference %v", got.MeanResponse, want.MeanResponse)
+	}
+}
+
+// TestWakeFreeCountNeedsLanes: a pass counts in 32-bit lanes, so a stream of
+// 2³² jobs or more registers no count, and its bounds carry no wake term.
+func TestWakeFreeCountNeedsLanes(t *testing.T) {
+	if math.MaxInt < 1<<32 {
+		t.Skip("int cannot hold 2³² jobs")
+	}
+	cfg := queue.Config{Frequency: 1, FreqExponent: 1, ActivePower: 100, IdlePower: 100,
+		Phases: []queue.SleepPhase{{Name: "sleep", Power: 10, WakeLatency: 1}}}
+	for _, n := range []int{1<<32 - 1, 1 << 32} {
+		var wf queue.WakeFree
+		wf.Reset([]queue.Job{{Arrival: 2, Size: 1}})
+		wf.SetLen(n)
+		wf.Count(&cfg)
+		if _, counted := wf.WakeThreshold(&cfg); counted != (n < 1<<32) {
+			t.Errorf("n = %d: counted %v", n, counted)
+		}
+	}
+}
+
 // TestWakeFreeBoundMismatchedSpeed: a configuration at another speed than the
 // pass gets no bound.
 func TestWakeFreeBoundMismatchedSpeed(t *testing.T) {
@@ -325,4 +396,36 @@ func FuzzWakeFreeBound(f *testing.F) {
 			}
 		}
 	})
+}
+
+// benchStream is the benchmarks' fixture: n jobs of the fitted DNS workload
+// at ρ = 0.3, the default plans, and the deepest plan's configuration at
+// f = 0.6.
+func benchStream(b *testing.B, n int) ([]queue.Job, []policy.SleepPlan, queue.Config) {
+	b.Helper()
+	stats, err := workload.NewFittedStats(workload.DNS())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if stats, err = stats.AtUtilization(0.3); err != nil {
+		b.Fatal(err)
+	}
+	plans := policy.DefaultPlans()
+	cfg, err := policy.Policy{Frequency: 0.6, Plan: plans[len(plans)-1]}.Config(power.Xeon(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return stats.Jobs(n, rand.New(rand.NewSource(1))), plans, cfg
+}
+
+// BenchmarkWakeFreeRun measures one wake-free pass over 200 jobs counting
+// the default plans' four wake thresholds: the pass Select runs per grid
+// frequency.
+func BenchmarkWakeFreeRun(b *testing.B) {
+	jobs, plans, cfg := benchStream(b, 200)
+	wf := countingWakeFree(b, jobs, plans, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		wf.Run(jobs, &cfg)
+	}
 }

@@ -1,6 +1,8 @@
 package queue_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -380,5 +382,106 @@ func TestEvaluatorZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Evaluate allocates %v/op across %d configs, want 0", allocs, len(cases))
+	}
+}
+
+// processLoop is Simulate as a plain loop of Process calls, summarized: the
+// reference for the stream check that Evaluate and Simulate make once.
+func processLoop(jobs []queue.Job, cfg queue.Config, retain bool) (queue.Summary, error) {
+	eng, err := queue.NewEngine(cfg, 0)
+	if err != nil {
+		return queue.Summary{}, err
+	}
+	eng.SetRetainResponses(retain)
+	for i, j := range jobs {
+		if _, err := eng.Process(j); err != nil {
+			return queue.Summary{}, fmt.Errorf("job %d: %w", i, err)
+		}
+	}
+	return eng.FinishSummary(eng.FreeAt()), nil
+}
+
+// summaryBits is a summary's every field as bits, so NaNs compare too.
+func summaryBits(s queue.Summary) [12]uint64 {
+	f := math.Float64bits
+	return [12]uint64{uint64(s.Jobs), f(s.MeanResponse), f(s.ResponseP95), f(s.ResponseP99),
+		f(s.AvgPower), f(s.Energy), f(s.Duration), f(s.BusyTime), f(s.WakeTime), f(s.IdleTime),
+		uint64(s.Wakes), f(s.MeasuredUtilization)}
+}
+
+// requireSameOutcome checks a summary and error against the reference's: the
+// same bits, or the same error text.
+func requireSameOutcome(t *testing.T, label string, got queue.Summary, err error, want queue.Summary, wantErr error) {
+	t.Helper()
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%s: error %v, want %v", label, err, wantErr)
+	}
+	if summaryBits(got) != summaryBits(want) {
+		t.Fatalf("%s: summary %+v, want %+v", label, got, want)
+	}
+}
+
+// Fuzzed streams' alphabets. A negative gap is an out-of-order arrival, a
+// NaN gap a NaN arrival that leaves the clock where it was; sizes include
+// negative, NaN, −0 and subnormal ones.
+var (
+	processGaps  = []float64{0, 0, 1e-9, 0.05, 0.3, 2.5, 40, -0.1, -1e-300, math.NaN()}
+	processSizes = []float64{0, 5e-324, 1e-300, 0.004, 0.2, 0.9, 3, -0.5, math.Copysign(0, -1), math.NaN()}
+)
+
+// FuzzEvaluateMatchesProcess checks that Evaluate, which checks its stream
+// once and then serves it, and Simulate report what a plain loop of Process
+// calls does, for every evaluator case, with and without the raw sample:
+// the same summary bits, or the same error text. One evaluator scores every
+// case, so a rejected stream must leave nothing behind. Two bytes make a job.
+func FuzzEvaluateMatchesProcess(f *testing.F) {
+	f.Add([]byte{3, 4, 4, 5, 2, 3, 5, 6, 3, 4}) // in order
+	f.Add([]byte{0, 0, 1, 1, 0, 2, 2, 8, 3, 1}) // equal arrivals, zero, subnormal and −0 sizes
+	f.Add([]byte{3, 4, 4, 5, 7, 4, 3, 4})       // out of order
+	f.Add([]byte{8, 4, 3, 4})                   // out of order at the first job
+	f.Add([]byte{3, 4, 9, 4, 7, 5, 3, 9, 4, 4}) // NaN arrival, then an earlier one, NaN size
+	f.Add([]byte{3, 4, 4, 7, 3, 4})             // negative size
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var jobs []queue.Job
+		at := 0.0
+		for i := 0; i+1 < len(data) && len(jobs) < 64; i += 2 {
+			arrival := at + processGaps[int(data[i])%len(processGaps)]
+			if !math.IsNaN(arrival) {
+				at = arrival
+			}
+			jobs = append(jobs, queue.Job{Arrival: arrival, Size: processSizes[int(data[i+1])%len(processSizes)]})
+		}
+		ev := queue.NewEvaluator(jobs)
+		for _, tc := range evaluatorCases() {
+			for _, retain := range []bool{true, false} {
+				want, wantErr := processLoop(jobs, tc.cfg, retain)
+				ev.SetRetainResponses(retain)
+				got, err := ev.Evaluate(tc.cfg)
+				requireSameOutcome(t, tc.name+" Evaluate", got, err, want, wantErr)
+				if retain {
+					res, err := queue.Simulate(jobs, tc.cfg)
+					sum := queue.Summary{Jobs: res.Jobs, MeanResponse: res.MeanResponse,
+						ResponseP95: res.ResponseP95, ResponseP99: res.ResponseP99,
+						AvgPower: res.AvgPower, Energy: res.Energy, Duration: res.Duration,
+						BusyTime: res.BusyTime, WakeTime: res.WakeTime, IdleTime: res.IdleTime,
+						Wakes: res.Wakes, MeasuredUtilization: res.MeasuredUtilization}
+					requireSameOutcome(t, tc.name+" Simulate", sum, err, want, wantErr)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkEvaluate measures one moments-only Evaluate over 200 jobs: what
+// Select pays per simulated candidate under a mean-response QoS.
+func BenchmarkEvaluate(b *testing.B) {
+	jobs, _, cfg := benchStream(b, 200)
+	ev := queue.NewEvaluator(jobs)
+	ev.SetRetainResponses(false)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ev.Evaluate(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

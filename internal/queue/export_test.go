@@ -12,3 +12,7 @@ func (w *WakeFree) WakeThreshold(cfg *Config) (float64, bool) {
 	}
 	return w.thr[k], true
 }
+
+// SetLen makes w's bound stream n jobs long as far as Count can tell, so the
+// lane guard can be tested without such a stream.
+func (w *WakeFree) SetLen(n int) { w.n = n }

@@ -206,7 +206,8 @@ const PreSleepBucket = "idle-active"
 // fresh run under a new configuration while keeping its internal buffers, so
 // one engine can score many candidate policies without allocating.
 type Engine struct {
-	cfg Config
+	cfg   Config
+	speed float64 // cfg.Speed()
 
 	freeAt float64 // server is busy until this time
 	anchor float64 // start of the current idle schedule
@@ -266,7 +267,7 @@ func (e *Engine) Reset(cfg Config, start float64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	e.cfg = cfg
+	e.cfg, e.speed = cfg, cfg.Speed()
 	e.freeAt, e.anchor, e.billed = start, start, start
 	e.started, e.lastSeen = start, start
 	e.energy, e.busy, e.wake, e.idle = 0, 0, 0, 0
@@ -355,37 +356,11 @@ func (e *Engine) Process(j Job) (response float64, err error) {
 		return 0, ErrDown
 	}
 	e.lastSeen = j.Arrival
-	svc := e.cfg.ServiceTime(j.Size)
-
-	var start float64
-	if j.Arrival > e.freeAt {
-		// Idle gap [freeAt, arrival): bill the remaining unbilled portion,
-		// then wake from whatever phase is occupied at the arrival instant.
-		e.billIdle(e.billed, j.Arrival)
-		e.billed = j.Arrival
-		w := 0.0
-		if k := e.cfg.occupiedPhase(j.Arrival - e.anchor); k >= 0 {
-			w = e.cfg.Phases[k].WakeLatency
-		}
-		if w > 0 {
-			e.wakes++
-			e.wake += w
-			e.energy += w * e.cfg.ActivePower
-		}
-		start = j.Arrival + w
-	} else {
-		start = e.freeAt
+	start := e.freeAt
+	if j.Arrival > start {
+		start = e.wakeUp(j.Arrival)
 	}
-	e.busy += svc
-	e.energy += svc * e.cfg.ActivePower
-	e.freeAt = start + svc
-	// The queue empties at freeAt (as far as this job knows); the idle
-	// schedule re-anchors there. A later arrival before freeAt simply
-	// overwrites these fields via the busy branch above.
-	e.anchor = e.freeAt
-	e.billed = e.freeAt
-
-	response = e.freeAt - j.Arrival
+	response = e.step(j, start)
 	if e.discardResponses {
 		// Moments only: Count/Mean stay exact (Snapshot.Jobs, the epoch
 		// deltas and FinishSummary's MeanResponse are unaffected); the raw
@@ -395,6 +370,40 @@ func (e *Engine) Process(j Job) (response float64, err error) {
 		e.responses.Add(response)
 	}
 	return response, nil
+}
+
+// step serves an accepted job from start, when the server is free and
+// awake, and returns its response time: Process's arithmetic, without its
+// checks, its wake-up and the recording of the response.
+func (e *Engine) step(j Job, start float64) float64 {
+	svc := j.Size / e.speed
+	e.busy += svc
+	e.energy += svc * e.cfg.ActivePower
+	e.freeAt = start + svc
+	// The queue empties at freeAt (as far as this job knows); the idle
+	// schedule re-anchors there. A later arrival before freeAt simply
+	// moves both on.
+	e.anchor, e.billed = e.freeAt, e.freeAt
+	return e.freeAt - j.Arrival
+}
+
+// wakeUp wakes the server, idle since freeAt < t, at t: it bills the idle
+// gap [billed, t) and charges the wake-up latency of the sleep phase
+// occupied at t — wake time at active power, wakes incremented. It returns
+// when the server is awake, t + latency.
+func (e *Engine) wakeUp(t float64) float64 {
+	e.billIdle(e.billed, t)
+	e.billed = t
+	w := 0.0
+	if k := e.cfg.occupiedPhase(t - e.anchor); k >= 0 {
+		w = e.cfg.Phases[k].WakeLatency
+	}
+	if w > 0 {
+		e.wakes++
+		e.wake += w
+		e.energy += w * e.cfg.ActivePower
+	}
+	return t + w
 }
 
 // SetRetainResponses controls whether Process keeps the raw response sample
@@ -420,23 +429,11 @@ func (e *Engine) WakeAt(t float64) error {
 		return ErrDown
 	}
 	e.lastSeen = t
-	if t <= e.freeAt {
-		return nil
+	if t > e.freeAt {
+		// Busy waking until t + latency, where the idle schedule re-anchors.
+		e.freeAt = e.wakeUp(t)
+		e.anchor, e.billed = e.freeAt, e.freeAt
 	}
-	e.billIdle(e.billed, t)
-	e.billed = t
-	w := 0.0
-	if k := e.cfg.occupiedPhase(t - e.anchor); k >= 0 {
-		w = e.cfg.Phases[k].WakeLatency
-	}
-	if w > 0 {
-		e.wakes++
-		e.wake += w
-		e.energy += w * e.cfg.ActivePower
-	}
-	e.freeAt = t + w
-	e.anchor = e.freeAt
-	e.billed = e.freeAt
 	return nil
 }
 
@@ -466,7 +463,7 @@ func (e *Engine) SetConfigAt(t float64, cfg Config) error {
 	// The new configuration may have a different phase set, so the
 	// phase-indexed residency tally is folded into the name-keyed carry.
 	e.flushResidency()
-	e.cfg = cfg
+	e.cfg, e.speed = cfg, cfg.Speed()
 	e.resid = resizeZero(e.resid, len(cfg.Phases)+1)
 	return nil
 }
@@ -629,7 +626,7 @@ func RestoreEngine(cfg Config, st EngineState) (*Engine, error) {
 	}
 	cfg.Phases = append([]SleepPhase(nil), cfg.Phases...)
 	e := &Engine{
-		cfg:    cfg,
+		cfg: cfg, speed: cfg.Speed(),
 		freeAt: st.FreeAt, anchor: st.Anchor, billed: st.Billed,
 		energy: st.Energy, busy: st.Busy, wake: st.Wake, idle: st.Idle,
 		wakes: st.Wakes, started: st.Started, lastSeen: st.LastSeen,
@@ -762,14 +759,51 @@ type JobSource interface {
 }
 
 // run feeds a whole sorted stream through the engine. The engine must be
-// freshly constructed or Reset.
+// freshly constructed or Reset. It checks the stream once, then serves it
+// as Process would. The first job Process would reject goes to Process
+// itself for its error, and so does a NaN arrival, which Process accepts.
 func (e *Engine) run(jobs []Job) error {
-	for i := range jobs {
-		if _, err := e.Process(jobs[i]); err != nil {
-			return fmt.Errorf("job %d: %w", i, err)
+	for i := 0; i < len(jobs); i++ {
+		k := i + e.accepted(jobs[i:])
+		for _, j := range jobs[i:k] {
+			start := e.freeAt
+			if j.Arrival > start {
+				start = e.wakeUp(j.Arrival)
+			}
+			if r := e.step(j, start); e.discardResponses {
+				e.responses.Stream.Add(r)
+			} else {
+				e.responses.Add(r)
+			}
 		}
+		if k > i {
+			e.lastSeen = jobs[k-1].Arrival
+		}
+		if k == len(jobs) {
+			break
+		}
+		if _, err := e.Process(jobs[k]); err != nil {
+			return fmt.Errorf("job %d: %w", k, err)
+		}
+		i = k
 	}
 	return nil
+}
+
+// accepted reports how many leading jobs Process would accept, fed in
+// order after the engine's last arrival, stopping early at a NaN arrival.
+func (e *Engine) accepted(jobs []Job) int {
+	if e.down {
+		return 0
+	}
+	last := e.lastSeen
+	for i, j := range jobs {
+		if !(j.Arrival >= last) || j.Size < 0 {
+			return i
+		}
+		last = j.Arrival
+	}
+	return len(jobs)
 }
 
 // Evaluator is the reusable simulation kernel for candidate-policy scoring:
