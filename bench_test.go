@@ -21,7 +21,11 @@ import (
 	"testing"
 
 	"sleepscale"
+	"sleepscale/internal/core"
 	"sleepscale/internal/experiments"
+	"sleepscale/internal/farm"
+	"sleepscale/internal/queue"
+	"sleepscale/internal/serve"
 	"sleepscale/internal/trace"
 )
 
@@ -103,7 +107,7 @@ func BenchmarkEvaluatorSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev := sleepscale.NewEvaluator(jobs)
+	ev := queue.NewEvaluator(jobs)
 	if _, err := ev.Evaluate(cfg); err != nil { // warm the buffers
 		b.Fatal(err)
 	}
@@ -171,7 +175,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := sleepscale.NewEngine(cfg, 0)
+	eng, err := queue.NewEngine(cfg, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -418,7 +422,7 @@ func BenchmarkColVsCSVReplay(b *testing.B) {
 	b.Run("col", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			got, err := sleepscale.ReadColTrace(colPath)
+			got, err := trace.ReadCol(colPath)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -467,7 +471,7 @@ func BenchmarkFarmDispatchSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := sleepscale.NewFarm(4, cfg, sleepscale.JSQ{})
+	f, err := farm.New(4, cfg, sleepscale.JSQ{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -512,7 +516,7 @@ func BenchmarkFarmDispatchParallelJSQ(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := sleepscale.NewFarm(16, cfg, sleepscale.JSQ{})
+	f, err := farm.New(16, cfg, sleepscale.JSQ{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -538,7 +542,7 @@ func BenchmarkFarmDispatchParallelJSQ(b *testing.B) {
 
 // farm10k builds a 10,000-server farm and a rewindable stationary source
 // sized so every server sees work, for the fleet-scale dispatch benchmarks.
-func farm10k(b *testing.B, disp sleepscale.Dispatcher) (*sleepscale.Farm, interface {
+func farm10k(b *testing.B, disp sleepscale.Dispatcher) (*farm.Farm, interface {
 	sleepscale.JobSource
 	Reset(seed int64)
 }, sleepscale.SimConfig) {
@@ -556,7 +560,7 @@ func farm10k(b *testing.B, disp sleepscale.Dispatcher) (*sleepscale.Farm, interf
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := sleepscale.NewFarm(10000, cfg, disp)
+	f, err := farm.New(10000, cfg, disp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -695,7 +699,7 @@ func BenchmarkFaultFailoverRouting(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := sleepscale.NewFarm(k, cfg, sleepscale.JSQ{})
+	f, err := farm.New(k, cfg, sleepscale.JSQ{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -708,7 +712,7 @@ func BenchmarkFaultFailoverRouting(b *testing.B) {
 			idxB = append(idxB, s)
 		}
 	}
-	var viewA, viewB *sleepscale.Farm
+	var viewA, viewB *farm.Farm
 	op := func() float64 {
 		if err := f.Reset(cfg); err != nil {
 			b.Fatal(err)
@@ -1335,7 +1339,7 @@ func BenchmarkServeCheckpointWrite(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner, err := sleepscale.NewLiveRunner(cfg)
+	runner, err := core.NewLiveRunner(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1356,7 +1360,7 @@ func BenchmarkServeCheckpointWrite(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ck := &sleepscale.ServeCheckpoint{
+	ck := &serve.Checkpoint{
 		State:        *st,
 		EpochLogRows: 672,
 		EpochLogDict: []string{"C0S0", "C6S0(i)"},
@@ -1365,7 +1369,7 @@ func BenchmarkServeCheckpointWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if err := sleepscale.WriteServeCheckpoint(path, ck); err != nil {
+		if err := serve.WriteCheckpoint(path, ck); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,6 +42,8 @@ import (
 	"time"
 
 	"sleepscale"
+	"sleepscale/internal/power"
+	"sleepscale/internal/workload"
 )
 
 type options struct {
@@ -174,11 +176,11 @@ func buildConfig(o options, out io.Writer) (sleepscale.ServeConfig, error) {
 			return zero, fmt.Errorf("%s: %w", o.faults, err)
 		}
 	}
-	spec, err := specByName(o.workload)
+	spec, err := workload.ByName(o.workload)
 	if err != nil {
 		return zero, err
 	}
-	prof, err := profileByName(o.profile)
+	prof, err := power.ProfileByName(o.profile)
 	if err != nil {
 		return zero, err
 	}
@@ -241,28 +243,6 @@ func buildStrategy(o options, spec sleepscale.Spec, prof *sleepscale.Profile) (s
 		return sleepscale.NewStaticStrategy(pol, "static"), nil
 	}
 	return nil, fmt.Errorf("unknown strategy %q", o.strategy)
-}
-
-func specByName(name string) (sleepscale.Spec, error) {
-	switch strings.ToLower(name) {
-	case "dns":
-		return sleepscale.DNS(), nil
-	case "mail":
-		return sleepscale.Mail(), nil
-	case "google":
-		return sleepscale.Google(), nil
-	}
-	return sleepscale.Spec{}, fmt.Errorf("unknown workload %q", name)
-}
-
-func profileByName(name string) (*sleepscale.Profile, error) {
-	switch strings.ToLower(name) {
-	case "xeon":
-		return sleepscale.Xeon(), nil
-	case "atom":
-		return sleepscale.Atom(), nil
-	}
-	return nil, fmt.Errorf("unknown profile %q", name)
 }
 
 // openFeed resolves -listen into a readable event stream: stdin, a socket

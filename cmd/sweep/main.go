@@ -20,6 +20,8 @@ import (
 
 	"sleepscale"
 	"sleepscale/internal/colstore"
+	"sleepscale/internal/power"
+	"sleepscale/internal/workload"
 )
 
 type sweepOptions struct {
@@ -65,11 +67,11 @@ func sweepSchema() colstore.Schema {
 // runSweep evaluates every (state, frequency) policy point, streaming TSV
 // rows to out and, when configured, appending them to the columnar sink.
 func runSweep(o sweepOptions, out io.Writer) error {
-	spec, err := specByName(o.workload)
+	spec, err := workload.ByName(o.workload)
 	if err != nil {
 		return err
 	}
-	prof, err := profileByName(o.profile)
+	prof, err := power.ProfileByName(o.profile)
 	if err != nil {
 		return err
 	}
@@ -140,28 +142,6 @@ func runSweep(o sweepOptions, out io.Writer) error {
 		return err
 	}
 	return nil
-}
-
-func specByName(name string) (sleepscale.Spec, error) {
-	switch strings.ToLower(name) {
-	case "dns":
-		return sleepscale.DNS(), nil
-	case "mail":
-		return sleepscale.Mail(), nil
-	case "google":
-		return sleepscale.Google(), nil
-	}
-	return sleepscale.Spec{}, fmt.Errorf("unknown workload %q", name)
-}
-
-func profileByName(name string) (*sleepscale.Profile, error) {
-	switch strings.ToLower(name) {
-	case "xeon":
-		return sleepscale.Xeon(), nil
-	case "atom":
-		return sleepscale.Atom(), nil
-	}
-	return nil, fmt.Errorf("unknown profile %q", name)
 }
 
 func stateByName(name string) (sleepscale.State, error) {

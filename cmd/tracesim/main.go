@@ -22,6 +22,7 @@ import (
 
 	"sleepscale"
 	"sleepscale/internal/trace"
+	"sleepscale/internal/workload"
 )
 
 func main() {
@@ -46,7 +47,7 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, err := specByName(*workloadName)
+	spec, err := workload.ByName(*workloadName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -174,18 +175,6 @@ func buildSource(stats sleepscale.Stats, tr *sleepscale.Trace, burst string, see
 		return sleepscale.MergeSources(src, overlay), nil
 	}
 	return nil, fmt.Errorf("unknown burst overlay %q", burst)
-}
-
-func specByName(name string) (sleepscale.Spec, error) {
-	switch strings.ToLower(name) {
-	case "dns":
-		return sleepscale.DNS(), nil
-	case "mail":
-		return sleepscale.Mail(), nil
-	case "google":
-		return sleepscale.Google(), nil
-	}
-	return sleepscale.Spec{}, fmt.Errorf("unknown workload %q", name)
 }
 
 func loadTrace(name string, days int, seed int64, winStart, winEnd int) (*sleepscale.Trace, error) {

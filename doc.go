@@ -6,17 +6,19 @@
 // # What it provides
 //
 //   - A calibrated power model of CPU states C0(a)/C0(i)/C1/C3/C6 and
-//     platform states S0(a)/S0(i)/S3 (paper Tables 1–4): Xeon and Atom.
+//     platform states S0(a)/S0(i)/S3 (paper Tables 1–4): Xeon, plus an
+//     Atom-class profile (power.Atom).
 //   - A discrete-event FCFS queueing simulator with DVFS-scaled service,
 //     sleep-state sequences with enter delays, and wake-up penalties
 //     (paper Algorithm 1), usable standalone via Simulate. The simulator
-//     is built as a reusable kernel: Engine.Reset rewinds an engine
-//     without giving up its buffers, and Evaluator scores many candidate
+//     is built as a reusable kernel: queue.Engine.Reset rewinds an engine
+//     without giving up its buffers, and queue.Evaluator scores many candidate
 //     policies over one shared job stream with zero steady-state
 //     allocations — the §5.1.1 selection loop (Manager.Select), the farm
 //     and the multi-core simulators all run on it.
 //   - Closed-form M/M/1-with-sleep-states analysis of mean power, mean
-//     response time and response-time tails (paper Appendix), via Model.
+//     response time and response-time tails (paper Appendix), via
+//     Policy.AnalyticModel.
 //   - The SleepScale policy manager: enumerate (frequency, sleep plan)
 //     candidates, characterize each against observed workload statistics,
 //     pick the minimum-power policy meeting the QoS (paper §5.1).
@@ -51,11 +53,11 @@
 // The hot evaluation path never allocates in steady state. The pieces and
 // their contracts:
 //
-//   - Engine.Reset(cfg, start) rewinds an engine exactly as a fresh
-//     NewEngine would while keeping its response-sample and residency
+//   - queue.Engine.Reset(cfg, start) rewinds an engine exactly as a fresh
+//     queue.NewEngine would while keeping its response-sample and residency
 //     buffers. Residency is tallied into a phase-indexed slice; the
 //     name-keyed map only materializes in Finish.
-//   - Evaluator owns one engine and a shared job stream; each Evaluate(cfg)
+//   - queue.Evaluator owns one engine and a shared job stream; each Evaluate(cfg)
 //     returns a scalar summary — plain values, safe to keep across further
 //     calls. Results that alias evaluator storage (Responses) are only
 //     valid until the next Evaluate. Its tail percentiles come from an O(n)
@@ -71,17 +73,17 @@
 //     whose response bound misses the budget, and stops at the first bound
 //     above the best feasible power, so it returns the policy the exhaustive
 //     search would. Its scratch — bounds, resolved configurations, candidate
-//     heap, one Evaluator — is pooled, so a selection allocates nothing once
+//     heap, one evaluator — is pooled, so a selection allocates nothing once
 //     warm. It scores only what the QoS reads: under MeanResponseQoS the
 //     evaluator keeps response moments alone, so the winner reports P95/P99
 //     as 0. Manager.Evaluate remains the thin one-shot wrapper and reports
 //     full metrics.
-//   - A Farm owns its serving scratch: Reset + ServeSource reuses every
+//   - A farm.Farm owns its serving scratch: Reset + ServeSource reuses every
 //     buffer, routing each job and serving it at once. One-shot RunFarm and
 //     RunFarmSource calls build fresh engines, so their results never alias
 //     reused storage.
 //   - SimulateMultiCore recycles whole k-core simulators through an internal
-//     pool; MultiCoreSimulator.Reset supports the same reuse directly.
+//     pool; multicore.Simulator.Reset supports the same reuse directly.
 //
 // CI enforces the contract: cmd/benchsnap fails the build when the
 // steady-state benchmarks (BenchmarkEvaluatorSteadyState,
@@ -131,7 +133,7 @@
 // live configuration, so LeastWorkLeft's sleep-state wake pricing stays
 // exact across per-server policies and mid-run config switches.
 //
-// The farm has one serve loop, Farm.ServeSource (RunFarm and RunFarmSource
+// The farm has one serve loop, farm.Farm.ServeSource (RunFarm and RunFarmSource
 // run it too): it serves each job the moment it is routed, and it picks its
 // routing arm from what it observes, never from an option. From 16 servers
 // up, JSQ routes through an O(log k) index over the shadow (a tournament
@@ -143,7 +145,7 @@
 // bit for bit — a test oracle that reads live engines, digests recorded
 // from the loop the shadow replaced, and a golden snapshot pin this across
 // dispatchers, seeds and farm sizes.
-// Steady-state callers hold a Farm and drive Reset + ServeSource +
+// Steady-state callers hold a farm.Farm and drive Reset + ServeSource +
 // FinishSummary, whose farm-owned scratch makes the whole loop
 // allocation-free once warm; the fleet coordinator's shared mode layers the
 // §6 epoch loop on top: one strategy decision per epoch applied fleet-wide,
@@ -170,11 +172,11 @@
 // per-block min/max/count footers and a CRC, memory-mapped on open so
 // readers serve column views zero-copy out of the page cache (an
 // io.ReaderAt fallback covers everything else). The format carries
-// utilization traces (WriteColTrace/ReadColTrace — bit-exact, unlike
+// utilization traces (WriteColTrace — bit-exact, unlike
 // CSV's decimal round-trip), recorded job streams (RecordJobsCol), and
 // append-only epoch logs (WriteEpochLog, one row per decision epoch with
 // per-epoch energy/busy/wake/idle deltas that sum exactly to the report's
-// totals — Engine.TotalsAt splits idle periods at epoch boundaries without
+// totals — queue.Engine.TotalsAt splits idle periods at epoch boundaries without
 // perturbing the run). Replay is wired into the streaming layer:
 // NewColTraceSource feeds the shared trace generator (bit-identical to
 // NewTraceSource for equal seeds) and
@@ -196,7 +198,7 @@
 // # Live serving
 //
 // SleepScale also runs as what the paper pitches: a long-lived runtime
-// controller. LiveRunner is the §6 epoch machine itself, driven one event
+// controller. core.LiveRunner is the §6 epoch machine itself, driven one event
 // at a time (OfferJob/OfferSlot/Finish) by an unbounded telemetry stream
 // with no materialized trace. Run and RunSource are loops over it: they
 // offer each trace slot's arrivals and then the slot, so for the same
@@ -219,7 +221,7 @@
 // records the epoch log's row count and plan dictionary, so a restore cuts
 // the log back to that high-water mark and re-emitted epochs land exactly
 // once. Checkpointing stays off the epoch path: a boundary captures the
-// runner state without copying the job-log window (LiveRunner.Capture
+// runner state without copying the job-log window (core.LiveRunner.Capture
 // aliases the ring until the next close), the image is encoded into one
 // reused buffer, and one background writer does the file work with at most
 // one write in flight, so a write error surfaces at the next checkpoint,
@@ -256,7 +258,7 @@
 //     deepest-sleep, removed from routing — when predicted demand fits a
 //     smaller active prefix at ParkTargetRho, and unpark against rising
 //     demand, each wake-up paying the full deep-sleep latency via
-//     Engine.WakeAt. The fleet report adds the fleet-level metrics this
+//     queue.Engine.WakeAt. The fleet report adds the fleet-level metrics this
 //     enables: energy proportionality (measured energy vs the ideal
 //     load-proportional line) and jobs per joule.
 //
@@ -265,9 +267,8 @@
 // O(log k) index, and other dispatchers scan; the active set serves as a
 // Select view), and with every dimension off the coordinator is the plain
 // farm epoch loop — an equivalence suite pins its records across
-// dispatchers, seeds and k up to 1,000. Fleet epoch and
-// per-server rollup logs write to the columnar store
-// (WriteFleetEpochLog/WriteFleetServerLog); cmd/farmsim -coordinate
+// dispatchers, seeds and k up to 1,000. Fleet epoch logs write to the
+// columnar store (WriteFleetEpochLog); cmd/farmsim -coordinate
 // (-quorum, -park) drives the coordinator from the command line, and
 // examples/fleet-demo compares baseline/quorum/parked runs over a
 // synthetic email-store day, verifying the quorum invariant on every

@@ -31,10 +31,10 @@ func ExampleSimulate() {
 	// jobs=3 mean response=1.767s energy=1477J avg power=133.1W
 }
 
-// ExampleModel evaluates the paper's closed forms for a DNS-like server at
-// ρ = 0.1 running at f = 0.42 with the deep C6S3 state — the Figure 1(a)
-// optimum.
-func ExampleModel() {
+// ExamplePolicy_AnalyticModel evaluates the paper's closed forms for a
+// DNS-like server at ρ = 0.1 running at f = 0.42 with the deep C6S3 state —
+// the Figure 1(a) optimum.
+func ExamplePolicy_AnalyticModel() {
 	prof := sleepscale.Xeon()
 	pol := sleepscale.Policy{
 		Frequency: 0.42,
@@ -62,17 +62,6 @@ func ExamplePolicy_Config() {
 		cfg.Phases[0].WakeLatency*1e6)
 	// Output:
 	// active=136.25W sleep(C6S0(i))=75.5W wake=1000µs
-}
-
-// ExampleSequence builds the §4.2 lesson-5 style multi-state walk.
-func ExampleSequence() {
-	plan := sleepscale.Sequence("",
-		sleepscale.PlanPhase{State: sleepscale.OperatingIdle},
-		sleepscale.PlanPhase{State: sleepscale.DeeperSleep, Enter: 2.5},
-	)
-	fmt.Println(plan.Name)
-	// Output:
-	// C0(i)S0(i)→C6S3
 }
 
 // ExampleNewMeanResponseQoS derives the §5.1.1 budget from a peak design

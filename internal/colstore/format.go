@@ -22,12 +22,12 @@ const (
 	// dictionary ids of sleep-state names.
 	KindSweep uint16 = 5
 	// KindFleetEpochs is a fleet coordinator per-epoch log: the KindEpochs
-	// quantities plus the fleet dimensions "active", "parked" and "shallow"
-	// (see fleet.WriteEpochLog).
+	// columns plus the fleet dimensions "active", "parked", "shallow" and
+	// "unparked" (see fleet.WriteEpochLog).
 	KindFleetEpochs uint16 = 6
-	// KindFleetServers is a fleet coordinator per-server rollup: one row per
-	// server with its whole-run totals and final parked flag (see
-	// fleet.WriteServerLog).
+	// KindFleetServers is a fleet coordinator per-server rollup, one row per
+	// server with its whole-run totals. Nothing writes it any more; the kind
+	// stays so that files written earlier still open.
 	KindFleetServers uint16 = 7
 	// KindFaults is a fault-event log: columns "time", "server", "kind"
 	// (0 = crash, 1 = repair), one row per applied fault transition (see

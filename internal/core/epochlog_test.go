@@ -1,7 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -125,6 +128,37 @@ func TestEpochLogRoundTrip(t *testing.T) {
 	defer r2.Close()
 	if r2.Rows() != 2*len(rep.Epochs) {
 		t.Fatalf("after append: %d rows, want %d", r2.Rows(), 2*len(rep.Epochs))
+	}
+}
+
+// TestEpochLogFormatPin pins the bytes WriteEpochLog writes for fixed
+// records by their SHA-256, so a change to the epoch-log columns, their
+// order or the row fill shows here and not only in cmd/colq's output.
+func TestEpochLogFormatPin(t *testing.T) {
+	plans := []policy.Policy{
+		{Frequency: 0.45, Plan: policy.SingleState(power.DeeperSleep)},
+		{Frequency: 1, Plan: policy.SingleState(power.OperatingIdle)},
+	}
+	var recs []EpochRecord
+	for i := 0; i < 5; i++ {
+		x := float64(i) + 1.0/3
+		recs = append(recs, EpochRecord{
+			Index: i, Predicted: 0.1 * x, Realized: 0.11 * x, Policy: plans[i%2],
+			Jobs: 100 + i, MeanDelay: 0.01 * x, P95Delay: 0.03 * x,
+			Energy: 1e4 * x, BusyTime: 20 * x, WakeTime: 0.5 * x, IdleTime: 40 * x,
+		})
+	}
+	path := filepath.Join(t.TempDir(), "epochs.col")
+	if err := WriteEpochLog(path, recs); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ea3eeac78779a4d9feeb84a708310429cc62b2c31f441278cfa481153087d194"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("epoch log SHA-256 %s, want %s", got, want)
 	}
 }
 

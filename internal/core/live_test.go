@@ -444,6 +444,11 @@ func TestLiveStateValidation(t *testing.T) {
 		t.Error("wrong window capacity accepted")
 	}
 	bad = *good
+	bad.Window.Epochs = append(bad.Window.Epochs[:len(bad.Window.Epochs):len(bad.Window.Epochs)], bad.Window.Epochs...)
+	if _, err := RestoreLiveRunner(cfg, &bad); err == nil {
+		t.Errorf("window of %d epochs accepted after %d closed", len(bad.Window.Epochs), bad.Epoch)
+	}
+	bad = *good
 	bad.Predictor = []byte{1, 2, 3}
 	if _, err := RestoreLiveRunner(cfg, &bad); err == nil {
 		t.Error("corrupt predictor blob accepted")

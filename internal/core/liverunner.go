@@ -161,6 +161,12 @@ func RestoreLiveRunner(cfg LiveConfig, st *LiveState) (*LiveRunner, error) {
 		return nil, fmt.Errorf("core: restore: window capacity %d, want %d",
 			st.Window.Capacity, WindowEpochs)
 	}
+	// Every closed epoch pushes one window entry, so the window cannot hold
+	// more than Epoch of them.
+	if len(st.Window.Epochs) > st.Epoch {
+		return nil, fmt.Errorf("core: restore: window holds %d epochs, only %d closed",
+			len(st.Window.Epochs), st.Epoch)
+	}
 	bu, ok := cfg.Predictor.(encoding.BinaryUnmarshaler)
 	if !ok {
 		return nil, fmt.Errorf("core: predictor %s is not checkpointable", cfg.Predictor.Name())

@@ -46,7 +46,6 @@ type Window struct {
 	epochs []Epoch // fixed-capacity ring storage
 	head   int     // index of the oldest held epoch
 	count  int     // epochs currently held
-	pushed int     // epochs ever pushed
 
 	// means caches Means until the next Push, PushJobs or Reset: every
 	// decision in an epoch reads the same window.
@@ -91,7 +90,6 @@ func (w *Window) Push(e Epoch) {
 	s := w.slot()
 	s.Gaps = append(s.Gaps, e.Gaps...)
 	s.Sizes = append(s.Sizes, e.Sizes...)
-	w.pushed++
 }
 
 // PushJobs logs one epoch straight from its job slice (sorted by arrival,
@@ -107,31 +105,23 @@ func (w *Window) PushJobs(jobs []queue.Job, epochStart float64) {
 		s.Sizes = append(s.Sizes, j.Size)
 		prev = j.Arrival
 	}
-	w.pushed++
 }
 
-// Reset empties the window for a fresh run, rewinding the push counter while
-// retaining the ring's recycled epoch buffers — so a reused epoch driver (the
-// fleet coordinator's Run) starts from a bit-identical empty window without
-// allocating.
+// Reset empties the window for a fresh run while retaining the ring's
+// recycled epoch buffers — so a reused epoch loop (the fleet coordinator's
+// Run) starts from a bit-identical empty window without allocating.
 func (w *Window) Reset() {
-	w.head, w.count, w.pushed = 0, 0, 0
+	w.head, w.count = 0, 0
 	w.means.current = false
 }
 
 // Epochs reports how many epochs the window currently holds.
 func (w *Window) Epochs() int { return w.count }
 
-// Pushed reports how many epochs have ever been pushed, including those the
-// ring has since evicted.
-func (w *Window) Pushed() int { return w.pushed }
-
 // WindowState is a deep copy of a Window's contents, oldest epoch first,
-// captured for checkpointing. Pushed is the window's push counter, which the
-// serve checkpoint carries; it is never less than len(Epochs).
+// captured for checkpointing.
 type WindowState struct {
 	Capacity int
-	Pushed   int
 	Epochs   []Epoch // oldest first, deep-copied
 }
 
@@ -139,7 +129,6 @@ type WindowState struct {
 func (w *Window) State() WindowState {
 	st := WindowState{
 		Capacity: len(w.epochs),
-		Pushed:   w.pushed,
 		Epochs:   make([]Epoch, w.count),
 	}
 	for i := 0; i < w.count; i++ {
@@ -162,7 +151,7 @@ func (w *Window) View(buf []Epoch) WindowState {
 	for i := 0; i < w.count; i++ {
 		buf = append(buf, *w.at(i))
 	}
-	return WindowState{Capacity: len(w.epochs), Pushed: w.pushed, Epochs: buf}
+	return WindowState{Capacity: len(w.epochs), Epochs: buf}
 }
 
 // RestoreWindow rebuilds a window from a captured state. The restored window
@@ -176,16 +165,12 @@ func RestoreWindow(st WindowState) (*Window, error) {
 	if len(st.Epochs) > st.Capacity {
 		return nil, fmt.Errorf("eventlog: state holds %d epochs, capacity %d", len(st.Epochs), st.Capacity)
 	}
-	if st.Pushed < len(st.Epochs) {
-		return nil, fmt.Errorf("eventlog: state pushed %d < %d held epochs", st.Pushed, len(st.Epochs))
-	}
 	for _, e := range st.Epochs {
 		if len(e.Gaps) != len(e.Sizes) {
 			return nil, fmt.Errorf("eventlog: state epoch has %d gaps, %d sizes", len(e.Gaps), len(e.Sizes))
 		}
 		w.Push(e)
 	}
-	w.pushed = st.Pushed
 	return w, nil
 }
 

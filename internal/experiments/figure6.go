@@ -101,7 +101,7 @@ func Figure6(cfg Config, opts Figure6Options) (*Figure6Result, error) {
 	out := &Figure6Result{RhoGrid: grid}
 
 	for _, wname := range opts.Workloads {
-		spec, err := specByName(wname)
+		spec, err := workload.ByName(wname)
 		if err != nil {
 			return nil, err
 		}
@@ -164,18 +164,6 @@ func Figure6(cfg Config, opts Figure6Options) (*Figure6Result, error) {
 		}
 	}
 	return out, nil
-}
-
-func specByName(name string) (workload.Spec, error) {
-	switch name {
-	case "DNS":
-		return workload.DNS(), nil
-	case "Google":
-		return workload.Google(), nil
-	case "Mail":
-		return workload.Mail(), nil
-	}
-	return workload.Spec{}, fmt.Errorf("experiments: unknown workload %q", name)
 }
 
 func qosFor(kind string, rhoB, mu float64) (policy.QoS, error) {

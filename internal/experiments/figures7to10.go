@@ -367,7 +367,7 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 		{"es", func() (*trace.Trace, error) { return evalTrace(cfg, 0) }},
 	} {
 		for _, wname := range []string{"DNS", "Google"} {
-			spec, err := specByName(wname)
+			spec, err := workload.ByName(wname)
 			if err != nil {
 				return nil, err
 			}

@@ -41,7 +41,7 @@ func WakeSensitivity(cfg Config) (*WakeSensitivityResult, error) {
 		prof.WakeLatency[power.DeepSleep] = wake
 		row := WakeSensitivityRow{C6Wake: wake}
 		for _, wname := range []string{"DNS", "Google"} {
-			spec, err := specByName(wname)
+			spec, err := workload.ByName(wname)
 			if err != nil {
 				return nil, err
 			}

@@ -108,18 +108,10 @@ func DispatchSource(k int, cfg queue.Config, disp Dispatcher, src queue.JobSourc
 	if _, err := f.ServeSource(src); err != nil {
 		return Result{}, err
 	}
-	if err := sourceErr(src); err != nil {
+	if err := stream.Err(src); err != nil {
 		return Result{}, fmt.Errorf("farm: job source: %w", err)
 	}
 	return f.Finish(f.LastFree())
-}
-
-// sourceErr reports a source's deferred mid-stream failure, if any.
-func sourceErr(src queue.JobSource) error {
-	if es, ok := src.(interface{ Err() error }); ok {
-		return es.Err()
-	}
-	return nil
 }
 
 // serveState is the farm-owned reusable scratch of ServeSource: the

@@ -45,51 +45,6 @@ type Source interface {
 	Reset(seed int64)
 }
 
-// DefaultChunk is the buffer size Cursor uses for its refills.
-const DefaultChunk = 64
-
-// Cursor adapts a Source to one-event-at-a-time consumption with
-// lookahead, mirroring stream.Cursor: Peek exposes the next event without
-// consuming it, Advance consumes it. The cursor owns its chunk buffer.
-type Cursor struct {
-	src       Source
-	buf       []Event
-	pos, n    int
-	exhausted bool
-}
-
-// NewCursor returns a cursor over src, consumed from its current position.
-func NewCursor(src Source) *Cursor {
-	return &Cursor{src: src, buf: make([]Event, DefaultChunk)}
-}
-
-// Peek returns the next event without consuming it; ok=false means the
-// source is exhausted.
-func (c *Cursor) Peek() (ev Event, ok bool) {
-	for c.pos == c.n {
-		if c.exhausted {
-			return Event{}, false
-		}
-		n, more := c.src.Next(c.buf)
-		c.pos, c.n = 0, n
-		if !more {
-			c.exhausted = true
-		}
-	}
-	return c.buf[c.pos], true
-}
-
-// Advance consumes the event the last Peek exposed.
-func (c *Cursor) Advance() { c.pos++ }
-
-// Reset rebinds the cursor to src (consumed from its current position),
-// keeping the chunk buffer.
-func (c *Cursor) Reset(src Source) {
-	c.src = src
-	c.pos, c.n = 0, 0
-	c.exhausted = false
-}
-
 // RetryPolicy bounds failover re-dispatch of jobs lost in flight on a
 // crashing server. Each lost job is re-offered at
 // crashTime + Backoff·attempt (attempt counting from 1), until it has been

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sleepscale/internal/colstore"
+	"sleepscale/internal/stream"
 )
 
 func collect(t *testing.T, src Source) []Event {
@@ -231,7 +232,7 @@ func TestCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCursor(s)
+	c := stream.NewCursor(s)
 	var got []Event
 	for {
 		ev, ok := c.Peek()

@@ -185,7 +185,7 @@ type Coordinator struct {
 	downSrv   []bool
 	downCount int
 
-	faultCur *fault.Cursor
+	faultCur *stream.Cursor[fault.Event]
 	faultLog []fault.Event
 	pending  [][]pendJob
 	retryq   []retryJob
@@ -212,7 +212,7 @@ type Coordinator struct {
 	cappedPlans map[string]policy.SleepPlan
 	rawPred     []float64
 
-	cursor      *stream.Cursor
+	cursor      *stream.Cursor[queue.Job]
 	src         epochSource
 	epochJobs   []queue.Job
 	demand      []float64 // active×slots per-server demand scratch
@@ -306,7 +306,7 @@ func New(cfg Config) (*Coordinator, error) {
 		healthy:     make([]int, 0, k),
 		downSrv:     make([]bool, k),
 		pending:     make([][]pendJob, k),
-		faultCur:    fault.NewCursor(cfg.Faults),
+		faultCur:    stream.NewCursor(cfg.Faults),
 	}
 	c.decideSrc = rand.NewSource(core.DecideSeed(cfg.Seed))
 	c.decideRng = rand.New(c.decideSrc)

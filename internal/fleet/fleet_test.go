@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -655,8 +658,42 @@ func TestCoordinatorSharedValidation(t *testing.T) {
 	}
 }
 
-// TestWriteLogsRoundtrip: the fleet epoch and server logs must come back
-// with the right kinds, shapes and values through the column store.
+// TestEpochLogFormatPin pins the bytes WriteEpochLog writes for fixed
+// records by their SHA-256: the core epoch-log columns followed by the
+// fleet's own.
+func TestEpochLogFormatPin(t *testing.T) {
+	plans := []policy.Policy{
+		{Frequency: 0.45, Plan: policy.SingleState(power.DeeperSleep)},
+		{Frequency: 1, Plan: policy.SingleState(power.OperatingIdle)},
+	}
+	rep := &Report{}
+	for i := 0; i < 5; i++ {
+		x := float64(i) + 1.0/3
+		rep.Epochs = append(rep.Epochs, core.EpochRecord{
+			Index: i, Predicted: 0.1 * x, Realized: 0.11 * x, Policy: plans[i%2],
+			Jobs: 100 + i, MeanDelay: 0.01 * x, P95Delay: 0.03 * x,
+			Energy: 1e4 * x, BusyTime: 20 * x, WakeTime: 0.5 * x, IdleTime: 40 * x,
+		})
+		rep.FleetEpochs = append(rep.FleetEpochs, Epoch{
+			Index: i, Active: 4 - i%2, Parked: i % 2, Shallow: 2, Unparked: i % 3,
+		})
+	}
+	path := filepath.Join(t.TempDir(), "epochs.col")
+	if err := WriteEpochLog(path, rep); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "0996ac02375dd4435b3ec2b42285913788a21e377ce187ccb435f40982c58f37"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("fleet epoch log SHA-256 %s, want %s", got, want)
+	}
+}
+
+// TestWriteLogsRoundtrip: the fleet epoch log must come back with the
+// right kind, shape and values through the column store.
 func TestWriteLogsRoundtrip(t *testing.T) {
 	coord, err := New(Config{
 		Servers: 3, FreqExponent: 1, Profile: power.Xeon(), Trace: flatTrace(8, 0.3),
@@ -701,33 +738,5 @@ func TestWriteLogsRoundtrip(t *testing.T) {
 		if col[i] != float64(fe.Active) {
 			t.Fatalf("epoch %d active %g != %d", i, col[i], fe.Active)
 		}
-	}
-
-	srvPath := filepath.Join(dir, "servers.col")
-	if err := WriteServerLog(srvPath, rep); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := colstore.Open(srvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if rs.Schema().Kind != colstore.KindFleetServers {
-		t.Fatalf("kind %d", rs.Schema().Kind)
-	}
-	if rs.Rows() != 3 {
-		t.Fatalf("rows %d != 3", rs.Rows())
-	}
-	ji := rs.Schema().ColIndex("jobs")
-	col, err = rs.Col(0, ji, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0.0
-	for _, v := range col {
-		total += v
-	}
-	if int(total) != rep.Jobs {
-		t.Fatalf("logged jobs %g != %d", total, rep.Jobs)
 	}
 }

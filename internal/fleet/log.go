@@ -4,21 +4,17 @@ import (
 	"fmt"
 
 	"sleepscale/internal/colstore"
+	"sleepscale/internal/core"
 )
 
 // EpochLogSchema returns the column-file schema fleet per-epoch logs use:
-// the core epoch-log quantities plus the fleet dimensions, one row per
-// epoch. The "plan" column stores dictionary ids of the recorded policy's
-// sleep-plan name.
+// core's epoch-log columns followed by the fleet dimensions, one row per
+// epoch.
 func EpochLogSchema() colstore.Schema {
-	return colstore.Schema{
-		Kind: colstore.KindFleetEpochs,
-		Cols: []string{
-			"epoch", "predicted", "realized", "frequency", "plan",
-			"jobs", "mean_delay", "p95_delay", "energy", "busy", "wake", "idle",
-			"active", "parked", "shallow", "unparked",
-		},
-	}
+	s := core.EpochLogSchema()
+	s.Kind = colstore.KindFleetEpochs
+	s.Cols = append(s.Cols, "active", "parked", "shallow", "unparked")
+	return s
 }
 
 // WriteEpochLog appends a coordinated run's per-epoch records — the core
@@ -29,71 +25,20 @@ func WriteEpochLog(path string, rep *Report) error {
 	if len(rep.Epochs) != len(rep.FleetEpochs) {
 		return fmt.Errorf("fleet: %d epoch records but %d fleet records", len(rep.Epochs), len(rep.FleetEpochs))
 	}
-	w, err := colstore.Append(path, EpochLogSchema())
+	s := EpochLogSchema()
+	w, err := colstore.Append(path, s)
 	if err != nil {
 		return err
 	}
-	row := make([]float64, 16)
+	row := make([]float64, len(s.Cols))
+	fleetCols := row[len(core.EpochLogSchema().Cols):]
 	for i := range rep.Epochs {
-		rec, fe := &rep.Epochs[i], &rep.FleetEpochs[i]
-		row[0] = float64(rec.Index)
-		row[1] = rec.Predicted
-		row[2] = rec.Realized
-		row[3] = rec.Policy.Frequency
-		row[4] = w.DictID(rec.Policy.Plan.Name)
-		row[5] = float64(rec.Jobs)
-		row[6] = rec.MeanDelay
-		row[7] = rec.P95Delay
-		row[8] = rec.Energy
-		row[9] = rec.BusyTime
-		row[10] = rec.WakeTime
-		row[11] = rec.IdleTime
-		row[12] = float64(fe.Active)
-		row[13] = float64(fe.Parked)
-		row[14] = float64(fe.Shallow)
-		row[15] = float64(fe.Unparked)
-		if err := w.Append(row); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	return w.Close()
-}
-
-// ServerLogSchema returns the column-file schema fleet per-server rollups
-// use: one row per server with its whole-run totals.
-func ServerLogSchema() colstore.Schema {
-	return colstore.Schema{
-		Kind: colstore.KindFleetServers,
-		Cols: []string{
-			"server", "jobs", "mean_response", "p95_response",
-			"avg_power", "energy", "busy", "wake", "idle", "wakes",
-			"utilization",
-		},
-	}
-}
-
-// WriteServerLog appends a coordinated run's per-server summaries to the
-// column file at path, creating it if absent.
-func WriteServerLog(path string, rep *Report) error {
-	w, err := colstore.Append(path, ServerLogSchema())
-	if err != nil {
-		return err
-	}
-	row := make([]float64, 11)
-	for s := range rep.PerServer {
-		sum := &rep.PerServer[s]
-		row[0] = float64(s)
-		row[1] = float64(sum.Jobs)
-		row[2] = sum.MeanResponse
-		row[3] = sum.ResponseP95
-		row[4] = sum.AvgPower
-		row[5] = sum.Energy
-		row[6] = sum.BusyTime
-		row[7] = sum.WakeTime
-		row[8] = sum.IdleTime
-		row[9] = float64(sum.Wakes)
-		row[10] = sum.MeasuredUtilization
+		core.EpochRow(row, w.Writer, &rep.Epochs[i])
+		fe := &rep.FleetEpochs[i]
+		fleetCols[0] = float64(fe.Active)
+		fleetCols[1] = float64(fe.Parked)
+		fleetCols[2] = float64(fe.Shallow)
+		fleetCols[3] = float64(fe.Unparked)
 		if err := w.Append(row); err != nil {
 			w.Close()
 			return err

@@ -11,6 +11,7 @@ package power
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // CPUState is one of the processor power states of Table 1.
@@ -217,6 +218,18 @@ func Atom() *Profile {
 			DeeperSleep:   1,
 		},
 	}
+}
+
+// ProfileByName returns the profile called name, "Xeon" or "Atom", matched
+// case-insensitively.
+func ProfileByName(name string) (*Profile, error) {
+	switch strings.ToLower(name) {
+	case "xeon":
+		return Xeon(), nil
+	case "atom":
+		return Atom(), nil
+	}
+	return nil, fmt.Errorf("power: unknown profile %q (want Xeon or Atom)", name)
 }
 
 // CPUPower reports the CPU power in state c at DVFS factor f.

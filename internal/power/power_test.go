@@ -252,3 +252,16 @@ func TestLowPowerStatesCopy(t *testing.T) {
 		t.Error("LowPowerStates must return a fresh slice")
 	}
 }
+
+// TestProfileByName pins the profile lookup the commands share.
+func TestProfileByName(t *testing.T) {
+	for name, want := range map[string]string{"xeon": "Xeon", "Xeon": "Xeon", "ATOM": "Atom"} {
+		p, err := ProfileByName(name)
+		if err != nil || p.Name != want {
+			t.Errorf("ProfileByName(%q) = %v, %v; want %s", name, p, err, want)
+		}
+	}
+	if _, err := ProfileByName("arm"); err == nil {
+		t.Error("unknown profile accepted")
+	}
+}

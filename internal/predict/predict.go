@@ -391,8 +391,13 @@ func (o *Offline) Predict() float64 {
 	return clamp01(o.values[i])
 }
 
-// Observe implements Predictor: advances to the next slot.
-func (o *Offline) Observe(float64) { o.idx++ }
+// Observe implements Predictor: advances to the next slot, stopping one
+// past the last.
+func (o *Offline) Observe(float64) {
+	if o.idx < len(o.values) {
+		o.idx++
+	}
+}
 
 // Name implements Predictor.
 func (o *Offline) Name() string { return "Offline" }

@@ -12,9 +12,9 @@ package predict
 
 import (
 	"encoding"
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"sleepscale/internal/binenc"
 )
 
 // Type tags keep a blob from being restored into the wrong predictor.
@@ -27,152 +27,38 @@ const (
 	tagOffline  = uint32(0x5053_4f46) // "PSOF"
 )
 
-// stateEnc builds a little-endian state blob.
-type stateEnc struct{ b []byte }
-
-func (e *stateEnc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *stateEnc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *stateEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *stateEnc) boolean(v bool) {
-	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
+// openState returns a decoder over a state blob positioned past its
+// type tag, already failed if the tag is not want.
+func openState(data []byte, want uint32) binenc.Decoder {
+	d := binenc.NewDecoder(data)
+	if got := d.U32(); d.Err() == nil && got != want {
+		d.Fail(fmt.Errorf("state tag %#x, want %#x", got, want))
 	}
-}
-func (e *stateEnc) floats(vs []float64) {
-	e.u64(uint64(len(vs)))
-	for _, v := range vs {
-		e.f64(v)
-	}
-}
-func (e *stateEnc) blob(b []byte) {
-	e.u64(uint64(len(b)))
-	e.b = append(e.b, b...)
+	return d
 }
 
-// stateDec consumes a state blob, latching the first error.
-type stateDec struct {
-	b   []byte
-	err error
-}
-
-func (d *stateDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("predict: "+format, args...)
-	}
-}
-
-func (d *stateDec) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 4 {
-		d.fail("truncated state")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *stateDec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.fail("truncated state")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *stateDec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *stateDec) boolean() bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.b) < 1 {
-		d.fail("truncated state")
-		return false
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v != 0
-}
-
-func (d *stateDec) count() int {
-	n := d.u64()
-	if d.err == nil && n > uint64(len(d.b)/8) {
-		d.fail("length %d exceeds remaining state", n)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *stateDec) floats() []float64 {
-	n := d.count()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (d *stateDec) blob() []byte {
-	if d.err != nil {
-		return nil
-	}
-	n := d.u64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("blob length %d exceeds remaining state", n)
-		return nil
-	}
-	v := d.b[:n]
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *stateDec) tag(want uint32, who string) {
-	if got := d.u32(); d.err == nil && got != want {
-		d.fail("%s: state tag %#x, want %#x", who, got, want)
-	}
-}
-
-func (d *stateDec) finish(who string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("predict: %s: %d trailing bytes in state", who, len(d.b))
+// finish reports d's first failure, or trailing bytes, as who's error.
+func finish(d *binenc.Decoder, who string) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("predict: %s: %w", who, err)
 	}
 	return nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (n *NaivePrevious) MarshalBinary() ([]byte, error) {
-	var e stateEnc
-	e.u32(tagNaive)
-	e.f64(n.last)
-	e.boolean(n.seen)
-	return e.b, nil
+	var e binenc.Encoder
+	e.U32(tagNaive)
+	e.F64(n.last)
+	e.Bool(n.seen)
+	return e.B, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (n *NaivePrevious) UnmarshalBinary(data []byte) error {
-	d := stateDec{b: data}
-	d.tag(tagNaive, "NP")
-	last, seen := d.f64(), d.boolean()
-	if err := d.finish("NP"); err != nil {
+	d := openState(data, tagNaive)
+	last, seen := d.F64(), d.Bool()
+	if err := finish(&d, "NP"); err != nil {
 		return err
 	}
 	n.last, n.seen = last, seen
@@ -181,20 +67,19 @@ func (n *NaivePrevious) UnmarshalBinary(data []byte) error {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (m *MovingAverage) MarshalBinary() ([]byte, error) {
-	var e stateEnc
-	e.u32(tagMovAvg)
-	e.u64(uint64(m.p))
-	e.floats(m.window)
-	return e.b, nil
+	var e binenc.Encoder
+	e.U32(tagMovAvg)
+	e.U64(uint64(m.p))
+	e.Floats(m.window)
+	return e.B, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *MovingAverage) UnmarshalBinary(data []byte) error {
-	d := stateDec{b: data}
-	d.tag(tagMovAvg, "MA")
-	p := int(d.u64())
-	window := d.floats()
-	if err := d.finish("MA"); err != nil {
+	d := openState(data, tagMovAvg)
+	p := int(d.U64())
+	window := d.Floats()
+	if err := finish(&d, "MA"); err != nil {
 		return err
 	}
 	if p != m.p {
@@ -209,25 +94,24 @@ func (m *MovingAverage) UnmarshalBinary(data []byte) error {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (l *LMS) MarshalBinary() ([]byte, error) {
-	var e stateEnc
-	e.u32(tagLMS)
-	e.u64(uint64(l.hist))
-	e.u64(uint64(l.p))
-	e.f64(l.step)
-	e.floats(l.weights)
-	e.floats(l.history)
-	return e.b, nil
+	var e binenc.Encoder
+	e.U32(tagLMS)
+	e.U64(uint64(l.hist))
+	e.U64(uint64(l.p))
+	e.F64(l.step)
+	e.Floats(l.weights)
+	e.Floats(l.history)
+	return e.B, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (l *LMS) UnmarshalBinary(data []byte) error {
-	d := stateDec{b: data}
-	d.tag(tagLMS, "LMS")
-	hist, p := int(d.u64()), int(d.u64())
-	step := d.f64()
-	weights := d.floats()
-	history := d.floats()
-	if err := d.finish("LMS"); err != nil {
+	d := openState(data, tagLMS)
+	hist, p := int(d.U64()), int(d.U64())
+	step := d.F64()
+	weights := d.Floats()
+	history := d.Floats()
+	if err := finish(&d, "LMS"); err != nil {
 		return err
 	}
 	if hist != l.hist {
@@ -254,28 +138,27 @@ func (c *LMSCUSUM) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var e stateEnc
-	e.u32(tagLMSCUSUM)
-	e.blob(inner)
-	e.f64(c.ewmaAbs)
-	e.f64(c.ewmaSq)
-	e.u64(uint64(c.warm))
-	e.f64(c.K)
-	e.f64(c.Floor)
-	e.u64(uint64(c.alarms))
-	return e.b, nil
+	var e binenc.Encoder
+	e.U32(tagLMSCUSUM)
+	e.Blob(inner)
+	e.F64(c.ewmaAbs)
+	e.F64(c.ewmaSq)
+	e.U64(uint64(c.warm))
+	e.F64(c.K)
+	e.F64(c.Floor)
+	e.U64(uint64(c.alarms))
+	return e.B, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (c *LMSCUSUM) UnmarshalBinary(data []byte) error {
-	d := stateDec{b: data}
-	d.tag(tagLMSCUSUM, "LC")
-	inner := d.blob()
-	ewmaAbs, ewmaSq := d.f64(), d.f64()
-	warm := int(d.u64())
-	k, floor := d.f64(), d.f64()
-	alarms := int(d.u64())
-	if err := d.finish("LC"); err != nil {
+	d := openState(data, tagLMSCUSUM)
+	inner := d.Blob()
+	ewmaAbs, ewmaSq := d.F64(), d.F64()
+	warm := int(d.U64())
+	k, floor := d.F64(), d.F64()
+	alarms := int(d.U64())
+	if err := finish(&d, "LC"); err != nil {
 		return err
 	}
 	if err := c.lms.UnmarshalBinary(inner); err != nil {
@@ -299,15 +182,15 @@ func (s *Seasonal) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var e stateEnc
-	e.u32(tagSeasonal)
-	e.blob(inner)
-	e.u64(uint64(s.period))
-	e.floats(s.history)
-	e.f64(s.baseErr)
-	e.f64(s.seasonErr)
-	e.boolean(s.warm)
-	return e.b, nil
+	var e binenc.Encoder
+	e.U32(tagSeasonal)
+	e.Blob(inner)
+	e.U64(uint64(s.period))
+	e.Floats(s.history)
+	e.F64(s.baseErr)
+	e.F64(s.seasonErr)
+	e.Bool(s.warm)
+	return e.B, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the base predictor
@@ -317,14 +200,13 @@ func (s *Seasonal) UnmarshalBinary(data []byte) error {
 	if !ok {
 		return fmt.Errorf("predict: seasonal base %s is not checkpointable", s.base.Name())
 	}
-	d := stateDec{b: data}
-	d.tag(tagSeasonal, "seasonal")
-	inner := d.blob()
-	period := int(d.u64())
-	history := d.floats()
-	baseErr, seasonErr := d.f64(), d.f64()
-	warm := d.boolean()
-	if err := d.finish("seasonal"); err != nil {
+	d := openState(data, tagSeasonal)
+	inner := d.Blob()
+	period := int(d.U64())
+	history := d.Floats()
+	baseErr, seasonErr := d.F64(), d.F64()
+	warm := d.Bool()
+	if err := finish(&d, "seasonal"); err != nil {
 		return err
 	}
 	if period != s.period {
@@ -342,19 +224,21 @@ func (s *Seasonal) UnmarshalBinary(data []byte) error {
 // MarshalBinary implements encoding.BinaryMarshaler. Only the cursor is
 // state; the true sequence is construction configuration.
 func (o *Offline) MarshalBinary() ([]byte, error) {
-	var e stateEnc
-	e.u32(tagOffline)
-	e.u64(uint64(o.idx))
-	return e.b, nil
+	var e binenc.Encoder
+	e.U32(tagOffline)
+	e.U64(uint64(o.idx))
+	return e.B, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (o *Offline) UnmarshalBinary(data []byte) error {
-	d := stateDec{b: data}
-	d.tag(tagOffline, "offline")
-	idx := int(d.u64())
-	if err := d.finish("offline"); err != nil {
+	d := openState(data, tagOffline)
+	idx := int(d.U64())
+	if err := finish(&d, "offline"); err != nil {
 		return err
+	}
+	if idx < 0 {
+		return fmt.Errorf("predict: offline: cursor %d < 0", idx)
 	}
 	o.idx = idx
 	return nil

@@ -1,7 +1,11 @@
 package predict
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -105,6 +109,58 @@ func TestStateRoundTripMidStream(t *testing.T) {
 	}
 }
 
+// TestStateFormatPin pins each predictor's state format by the SHA-256 of
+// its MarshalBinary blob after a fixed observation sequence. A restarted
+// daemon reads these blobs back from its checkpoints, so a change that
+// moves a hash changes what it restores.
+func TestStateFormatPin(t *testing.T) {
+	lms := func() *LMS {
+		l, err := NewLMS(8, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	lc := func() *LMSCUSUM {
+		c, err := NewLMSCUSUM(8, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	pins := []struct {
+		name string
+		p    checkpointable
+		want string
+	}{
+		{"NP", NewNaivePrevious(), "6fc2f88f29ad025fb910815cd61f8bd99682b5e403d118f41ca38a2a85621abb"},
+		{"MA", NewMovingAverage(5), "cd6bdd2a6d867fb361d089d3cc4225df4a73c2156e8907cc1f4da22e6c081952"},
+		{"LMS", lms(), "4fc06b85d7b1fcc50246f2ca94a7d6513edfec1733ae562ddc99035c1be2cc36"},
+		{"LC", lc(), "98ead8b3243d5e57e961f889f5d9b3bf4bda1455882a9ba76863fce441d14c62"},
+		{"LC+seasonal", func() checkpointable {
+			s, err := NewSeasonal(lc(), 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}(), "050c26b910a3b565471e55119e946065eee9786419e8715ab75b8ba8c02e9cbf"},
+		{"Offline", NewOffline(stateTrace(90)), "2d63debf9c8e07273c5af85ea2570a7d4991f794ab3e083f7df3c3671e2fcf0a"},
+	}
+	for _, pin := range pins {
+		for _, x := range stateTrace(60) {
+			pin.p.Predict()
+			pin.p.Observe(x)
+		}
+		blob, err := pin.p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != pin.want {
+			t.Errorf("%s: state SHA-256 %s, want %s", pin.name, got, pin.want)
+		}
+	}
+}
+
 func TestStateRejectsWrongTag(t *testing.T) {
 	blob, err := NewNaivePrevious().MarshalBinary()
 	if err != nil {
@@ -166,4 +222,93 @@ func TestStateRejectsOversizedLengths(t *testing.T) {
 	if err := NewMovingAverage(3).UnmarshalBinary(bad); err == nil {
 		t.Fatal("accepted absurd length field")
 	}
+}
+
+// offlineState is an Offline state blob holding cursor.
+func offlineState(cursor uint64) []byte {
+	blob := binary.LittleEndian.AppendUint32(nil, tagOffline)
+	return binary.LittleEndian.AppendUint64(blob, cursor)
+}
+
+// TestOfflineRejectsNegativeCursor: a cursor of 2⁶³ or more decodes to a
+// negative int, which the next Predict would index with. The largest
+// cursor it accepts must not wrap negative as it advances either.
+func TestOfflineRejectsNegativeCursor(t *testing.T) {
+	o := NewOffline([]float64{0.5})
+	if err := o.UnmarshalBinary(offlineState(1 << 63)); err == nil {
+		t.Fatalf("accepted cursor %d", o.idx)
+	}
+	if err := o.UnmarshalBinary(offlineState(math.MaxInt64)); err != nil {
+		t.Fatal(err)
+	}
+	o.Observe(0.5)
+	if got := o.Predict(); got != 0.5 {
+		t.Fatalf("Predict past the end = %v, want the last value 0.5", got)
+	}
+}
+
+// fuzzPredictors builds one predictor of each checkpointable kind, in a
+// fixed order the fuzz input's kind byte indexes.
+func fuzzPredictors() []func() checkpointable {
+	lc := func() *LMSCUSUM {
+		c, _ := NewLMSCUSUM(8, 0.4)
+		return c
+	}
+	return []func() checkpointable{
+		func() checkpointable { return NewNaivePrevious() },
+		func() checkpointable { return NewMovingAverage(5) },
+		func() checkpointable { l, _ := NewLMS(8, 0.4); return l },
+		func() checkpointable { return lc() },
+		func() checkpointable { s, _ := NewSeasonal(lc(), 12); return s },
+		func() checkpointable { return NewOffline(stateTrace(90)) },
+	}
+}
+
+// FuzzPredictorState drives every predictor's UnmarshalBinary with
+// arbitrary bytes. It must never panic. A state it accepts must marshal
+// stably — marshal it, decode that blob into a fresh predictor, marshal
+// again, and both blobs are equal — and must survive Predict and Observe.
+func FuzzPredictorState(f *testing.F) {
+	kinds := fuzzPredictors()
+	for i, mk := range kinds {
+		p := mk()
+		for _, x := range stateTrace(40) {
+			p.Predict()
+			p.Observe(x)
+		}
+		blob, err := p.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), blob)
+		f.Add(uint8(i), blob[:len(blob)/2])
+	}
+	f.Add(uint8(len(kinds)-1), offlineState(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		mk := kinds[int(kind)%len(kinds)]
+		p := mk()
+		if err := p.UnmarshalBinary(data); err != nil {
+			return
+		}
+		b1, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatalf("marshal of accepted state: %v", err)
+		}
+		q := mk()
+		if err := q.UnmarshalBinary(b1); err != nil {
+			t.Fatalf("re-decode of accepted state: %v", err)
+		}
+		b2, err := q.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("%s state marshals unstably:\n%x\n%x", p.Name(), b1, b2)
+		}
+		for i := 0; i < 3; i++ {
+			p.Predict()
+			p.Observe(0.5)
+		}
+		p.Predict()
+	})
 }

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 
+	"sleepscale/internal/binenc"
 	"sleepscale/internal/core"
 	"sleepscale/internal/eventlog"
 	"sleepscale/internal/metrics"
@@ -51,141 +51,6 @@ type Checkpoint struct {
 	EpochLogDict []string
 }
 
-type ckptEnc struct{ b []byte }
-
-func (e *ckptEnc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *ckptEnc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *ckptEnc) i64(v int64)   { e.u64(uint64(v)) }
-func (e *ckptEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *ckptEnc) boolean(v bool) {
-	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
-	}
-}
-func (e *ckptEnc) str(s string) {
-	e.u64(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *ckptEnc) floats(vs []float64) {
-	e.u64(uint64(len(vs)))
-	for _, v := range vs {
-		e.f64(v)
-	}
-}
-
-type ckptDec struct {
-	b   []byte
-	err error
-}
-
-func (d *ckptDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("serve: checkpoint: "+format, args...)
-	}
-}
-
-func (d *ckptDec) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 4 {
-		d.fail("truncated payload")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *ckptDec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.fail("truncated payload")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *ckptDec) i64() int64   { return int64(d.u64()) }
-func (d *ckptDec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *ckptDec) boolean() bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.b) < 1 {
-		d.fail("truncated payload")
-		return false
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v != 0
-}
-
-// count reads a u64 length whose elements occupy at least elemSize bytes
-// each, rejecting lengths the remaining payload cannot hold — the guard
-// that keeps corrupt lengths from turning into huge allocations.
-func (d *ckptDec) count(elemSize int) int {
-	n := d.u64()
-	if d.err == nil && n > uint64(len(d.b)/elemSize) {
-		d.fail("length %d exceeds remaining payload", n)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *ckptDec) str() string {
-	if d.err != nil {
-		return ""
-	}
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("string length %d exceeds remaining payload", n)
-		return ""
-	}
-	v := string(d.b[:n])
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *ckptDec) floats() []float64 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (d *ckptDec) blob() []byte {
-	if d.err != nil {
-		return nil
-	}
-	n := d.u64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("blob length %d exceeds remaining payload", n)
-		return nil
-	}
-	v := append([]byte(nil), d.b[:n]...)
-	d.b = d.b[n:]
-	return v
-}
-
 // EncodeCheckpoint serializes c into a self-verifying checkpoint file image.
 func EncodeCheckpoint(c *Checkpoint) []byte { return appendCheckpoint(nil, c) }
 
@@ -195,89 +60,90 @@ func EncodeCheckpoint(c *Checkpoint) []byte { return appendCheckpoint(nil, c) }
 // buffer without copying the payload.
 func appendCheckpoint(dst []byte, c *Checkpoint) []byte {
 	start := len(dst)
-	e := ckptEnc{b: append(dst, make([]byte, ckptHeader)...)}
+	e := binenc.Encoder{B: append(dst, make([]byte, ckptHeader)...)}
 	st := &c.State
-	e.i64(int64(st.Epoch))
-	e.i64(int64(st.Slot))
-	e.f64(st.LastArrival)
-	e.i64(st.JobsOffered)
-	e.i64(st.JobsServed)
-	e.u64(uint64(len(st.Pending)))
+	e.I64(int64(st.Epoch))
+	e.I64(int64(st.Slot))
+	e.F64(st.LastArrival)
+	e.I64(st.JobsOffered)
+	e.I64(st.JobsServed)
+	e.U64(uint64(len(st.Pending)))
 	for _, j := range st.Pending {
-		e.f64(j.Arrival)
-		e.f64(j.Size)
+		e.F64(j.Arrival)
+		e.F64(j.Size)
 	}
-	e.f64(st.LastMean)
-	e.f64(st.LastP95)
-	e.i64(int64(st.LastJobs))
-	e.f64(st.FreqSum)
-	e.u64(uint64(len(st.PlanNames)))
+	e.F64(st.LastMean)
+	e.F64(st.LastP95)
+	e.I64(int64(st.LastJobs))
+	e.F64(st.FreqSum)
+	e.U64(uint64(len(st.PlanNames)))
 	for i, name := range st.PlanNames {
-		e.str(name)
-		e.i64(st.PlanCounts[i])
+		e.Str(name)
+		e.I64(st.PlanCounts[i])
 	}
-	e.u64(st.RngDraws)
-	e.u64(uint64(len(st.Predictor)))
-	e.b = append(e.b, st.Predictor...)
-	e.i64(int64(st.Window.Capacity))
-	e.i64(int64(st.Window.Pushed))
-	e.u64(uint64(len(st.Window.Epochs)))
+	e.U64(st.RngDraws)
+	e.Blob(st.Predictor)
+	e.I64(int64(st.Window.Capacity))
+	// The window's push count, which always equals Epoch: the slot stays
+	// so that the format does not change.
+	e.I64(int64(st.Epoch))
+	e.U64(uint64(len(st.Window.Epochs)))
 	for _, ep := range st.Window.Epochs {
-		e.floats(ep.Gaps)
-		e.floats(ep.Sizes)
+		e.Floats(ep.Gaps)
+		e.Floats(ep.Sizes)
 	}
-	e.boolean(st.HasEngine)
+	e.Bool(st.HasEngine)
 	if st.HasEngine {
-		e.f64(st.CurFrequency)
-		e.str(st.CurPlanName)
-		e.u64(uint64(len(st.CurPhases)))
+		e.F64(st.CurFrequency)
+		e.Str(st.CurPlanName)
+		e.U64(uint64(len(st.CurPhases)))
 		for _, ph := range st.CurPhases {
-			e.i64(int64(ph.CPU))
-			e.i64(int64(ph.Platform))
-			e.f64(ph.Enter)
+			e.I64(int64(ph.CPU))
+			e.I64(int64(ph.Platform))
+			e.F64(ph.Enter)
 		}
 		en := &st.Engine
-		e.f64(en.FreeAt)
-		e.f64(en.Anchor)
-		e.f64(en.Billed)
-		e.f64(en.Energy)
-		e.f64(en.Busy)
-		e.f64(en.Wake)
-		e.f64(en.Idle)
-		e.i64(int64(en.Wakes))
-		e.f64(en.Started)
-		e.f64(en.LastSeen)
-		e.floats(en.Resid)
-		e.u64(uint64(len(en.ResidPrevNames)))
+		e.F64(en.FreeAt)
+		e.F64(en.Anchor)
+		e.F64(en.Billed)
+		e.F64(en.Energy)
+		e.F64(en.Busy)
+		e.F64(en.Wake)
+		e.F64(en.Idle)
+		e.I64(int64(en.Wakes))
+		e.F64(en.Started)
+		e.F64(en.LastSeen)
+		e.Floats(en.Resid)
+		e.U64(uint64(len(en.ResidPrevNames)))
 		for i, name := range en.ResidPrevNames {
-			e.str(name)
-			e.f64(en.ResidPrevWeights[i])
+			e.Str(name)
+			e.F64(en.ResidPrevWeights[i])
 		}
-		e.i64(int64(en.Responses.N))
-		e.f64(en.Responses.Mean)
-		e.f64(en.Responses.M2)
-		e.f64(en.Responses.Min)
-		e.f64(en.Responses.Max)
-		e.boolean(en.DiscardResponses)
+		e.I64(int64(en.Responses.N))
+		e.F64(en.Responses.Mean)
+		e.F64(en.Responses.M2)
+		e.F64(en.Responses.Min)
+		e.F64(en.Responses.Max)
+		e.Bool(en.DiscardResponses)
 	}
-	e.f64(st.PrevTotals.Energy)
-	e.f64(st.PrevTotals.BusyTime)
-	e.f64(st.PrevTotals.WakeTime)
-	e.f64(st.PrevTotals.IdleTime)
-	e.i64(int64(st.PrevTotals.Jobs))
-	e.i64(int64(st.PrevTotals.Wakes))
-	e.i64(c.EpochLogRows)
-	e.u64(uint64(len(c.EpochLogDict)))
+	e.F64(st.PrevTotals.Energy)
+	e.F64(st.PrevTotals.BusyTime)
+	e.F64(st.PrevTotals.WakeTime)
+	e.F64(st.PrevTotals.IdleTime)
+	e.I64(int64(st.PrevTotals.Jobs))
+	e.I64(int64(st.PrevTotals.Wakes))
+	e.I64(c.EpochLogRows)
+	e.U64(uint64(len(c.EpochLogDict)))
 	for _, name := range c.EpochLogDict {
-		e.str(name)
+		e.Str(name)
 	}
 
-	hdr, payload := e.b[start:start+ckptHeader], e.b[start+ckptHeader:]
+	hdr, payload := e.B[start:start+ckptHeader], e.B[start+ckptHeader:]
 	copy(hdr, ckptMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], ckptVersion)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(payload, ckptCRC))
-	return e.b
+	return e.B
 }
 
 // DecodeCheckpoint parses and verifies a checkpoint file image. Truncated,
@@ -303,83 +169,82 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("serve: checkpoint: CRC %#x, want %#x", got, want)
 	}
 
-	d := ckptDec{b: payload}
+	d := binenc.NewDecoder(payload)
 	c := &Checkpoint{}
 	st := &c.State
-	st.Epoch = int(d.i64())
-	st.Slot = int(d.i64())
-	st.LastArrival = d.f64()
-	st.JobsOffered = d.i64()
-	st.JobsServed = d.i64()
-	nPend := d.count(16)
-	for i := 0; i < nPend && d.err == nil; i++ {
-		st.Pending = append(st.Pending, queue.Job{Arrival: d.f64(), Size: d.f64()})
+	st.Epoch = int(d.I64())
+	st.Slot = int(d.I64())
+	st.LastArrival = d.F64()
+	st.JobsOffered = d.I64()
+	st.JobsServed = d.I64()
+	nPend := d.Count(16)
+	for i := 0; i < nPend && d.Err() == nil; i++ {
+		st.Pending = append(st.Pending, queue.Job{Arrival: d.F64(), Size: d.F64()})
 	}
-	st.LastMean = d.f64()
-	st.LastP95 = d.f64()
-	st.LastJobs = int(d.i64())
-	st.FreqSum = d.f64()
-	nPlans := d.count(16)
-	for i := 0; i < nPlans && d.err == nil; i++ {
-		st.PlanNames = append(st.PlanNames, d.str())
-		st.PlanCounts = append(st.PlanCounts, d.i64())
+	st.LastMean = d.F64()
+	st.LastP95 = d.F64()
+	st.LastJobs = int(d.I64())
+	st.FreqSum = d.F64()
+	nPlans := d.Count(16)
+	for i := 0; i < nPlans && d.Err() == nil; i++ {
+		st.PlanNames = append(st.PlanNames, d.Str())
+		st.PlanCounts = append(st.PlanCounts, d.I64())
 	}
-	st.RngDraws = d.u64()
-	st.Predictor = d.blob()
-	st.Window.Capacity = int(d.i64())
-	st.Window.Pushed = int(d.i64())
-	nEpochs := d.count(16)
-	for i := 0; i < nEpochs && d.err == nil; i++ {
+	st.RngDraws = d.U64()
+	st.Predictor = append([]byte(nil), d.Blob()...)
+	st.Window.Capacity = int(d.I64())
+	if pushed := d.I64(); d.Err() == nil && pushed != int64(st.Epoch) {
+		d.Fail(fmt.Errorf("window push count %d, want epoch %d", pushed, st.Epoch))
+	}
+	nEpochs := d.Count(16)
+	for i := 0; i < nEpochs && d.Err() == nil; i++ {
 		st.Window.Epochs = append(st.Window.Epochs, eventlog.Epoch{
-			Gaps: d.floats(), Sizes: d.floats(),
+			Gaps: d.Floats(), Sizes: d.Floats(),
 		})
 	}
-	st.HasEngine = d.boolean()
+	st.HasEngine = d.Bool()
 	if st.HasEngine {
-		st.CurFrequency = d.f64()
-		st.CurPlanName = d.str()
-		nPh := d.count(24)
-		for i := 0; i < nPh && d.err == nil; i++ {
+		st.CurFrequency = d.F64()
+		st.CurPlanName = d.Str()
+		nPh := d.Count(24)
+		for i := 0; i < nPh && d.Err() == nil; i++ {
 			st.CurPhases = append(st.CurPhases, core.LivePhase{
-				CPU: int(d.i64()), Platform: int(d.i64()), Enter: d.f64(),
+				CPU: int(d.I64()), Platform: int(d.I64()), Enter: d.F64(),
 			})
 		}
 		en := &st.Engine
-		en.FreeAt = d.f64()
-		en.Anchor = d.f64()
-		en.Billed = d.f64()
-		en.Energy = d.f64()
-		en.Busy = d.f64()
-		en.Wake = d.f64()
-		en.Idle = d.f64()
-		en.Wakes = int(d.i64())
-		en.Started = d.f64()
-		en.LastSeen = d.f64()
-		en.Resid = d.floats()
-		nResid := d.count(16)
-		for i := 0; i < nResid && d.err == nil; i++ {
-			en.ResidPrevNames = append(en.ResidPrevNames, d.str())
-			en.ResidPrevWeights = append(en.ResidPrevWeights, d.f64())
+		en.FreeAt = d.F64()
+		en.Anchor = d.F64()
+		en.Billed = d.F64()
+		en.Energy = d.F64()
+		en.Busy = d.F64()
+		en.Wake = d.F64()
+		en.Idle = d.F64()
+		en.Wakes = int(d.I64())
+		en.Started = d.F64()
+		en.LastSeen = d.F64()
+		en.Resid = d.Floats()
+		nResid := d.Count(16)
+		for i := 0; i < nResid && d.Err() == nil; i++ {
+			en.ResidPrevNames = append(en.ResidPrevNames, d.Str())
+			en.ResidPrevWeights = append(en.ResidPrevWeights, d.F64())
 		}
 		en.Responses = metrics.StreamState{
-			N: int(d.i64()), Mean: d.f64(), M2: d.f64(), Min: d.f64(), Max: d.f64(),
+			N: int(d.I64()), Mean: d.F64(), M2: d.F64(), Min: d.F64(), Max: d.F64(),
 		}
-		en.DiscardResponses = d.boolean()
+		en.DiscardResponses = d.Bool()
 	}
 	st.PrevTotals = queue.Snapshot{
-		Energy: d.f64(), BusyTime: d.f64(), WakeTime: d.f64(), IdleTime: d.f64(),
-		Jobs: int(d.i64()), Wakes: int(d.i64()),
+		Energy: d.F64(), BusyTime: d.F64(), WakeTime: d.F64(), IdleTime: d.F64(),
+		Jobs: int(d.I64()), Wakes: int(d.I64()),
 	}
-	c.EpochLogRows = d.i64()
-	nDict := d.count(8)
-	for i := 0; i < nDict && d.err == nil; i++ {
-		c.EpochLogDict = append(c.EpochLogDict, d.str())
+	c.EpochLogRows = d.I64()
+	nDict := d.Count(8)
+	for i := 0; i < nDict && d.Err() == nil; i++ {
+		c.EpochLogDict = append(c.EpochLogDict, d.Str())
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("serve: checkpoint: %d trailing bytes", len(d.b))
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	return c, nil
 }

@@ -30,7 +30,6 @@ func fuzzSeedCheckpoint() *Checkpoint {
 			Predictor:   []byte{1, 2, 3, 4, 5},
 			Window: eventlog.WindowState{
 				Capacity: 3,
-				Pushed:   7,
 				Epochs: []eventlog.Epoch{
 					{Gaps: []float64{0.1, 0.2}, Sizes: []float64{0.01, 0.02}},
 					{Gaps: []float64{0.3}, Sizes: []float64{0.03}},

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -519,6 +520,46 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, c) {
 		t.Fatalf("round trip diverges:\n got %+v\nwant %+v", got, c)
+	}
+}
+
+// TestCheckpointFormatPin pins the checkpoint format by the SHA-256 of one
+// fixed runner state's image. The runner forecasts with LMS+CUSUM, so the
+// nested predictor blob is pinned too. A change that moves this hash
+// changes what every restarted daemon reads back.
+func TestCheckpointFormatPin(t *testing.T) {
+	util, jobs := fixture(t, 3)
+	cfg := mkSleepScale(t, 3)
+	lc, err := predict.NewLMSCUSUM(6, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Predictor = lc
+	r, err := core.NewLiveRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ji := 0
+	for s := 0; s < 40; s++ {
+		slotEnd := float64(s+1) * 60
+		for ji < len(jobs) && jobs[ji].Arrival < slotEnd {
+			if err := r.OfferJob(jobs[ji]); err != nil {
+				t.Fatal(err)
+			}
+			ji++
+		}
+		if _, _, err := r.OfferSlot(util[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := r.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := EncodeCheckpoint(&Checkpoint{State: *st, EpochLogRows: 8, EpochLogDict: st.PlanNames})
+	const want = "c388d935ad688291c4e8f820e67979d244602582dba44de582a65c9c65b1ecef"
+	if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != want {
+		t.Fatalf("checkpoint image SHA-256 %s, want %s", got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sleepscale/internal/colstore"
 	"sleepscale/internal/core"
 	"sleepscale/internal/fault"
+	"sleepscale/internal/stream"
 )
 
 // Config describes one daemon serve session.
@@ -85,10 +86,10 @@ type Server struct {
 	skipJobs  int64 // replay realignment: events already in the checkpoint
 	skipSlots int
 
-	faults  *fault.Cursor // nil without injection
-	down    bool          // server 0 inside a crash..repair window
-	shed    int64         // jobs refused at ingest while down
-	applied []fault.Event // server-0 transitions consumed so far
+	faults  *stream.Cursor[fault.Event] // nil without injection
+	down    bool                        // server 0 inside a crash..repair window
+	shed    int64                       // jobs refused at ingest while down
+	applied []fault.Event               // server-0 transitions consumed so far
 
 	restoredFrom string // checkpoint file actually loaded (restore only)
 
@@ -123,7 +124,7 @@ func (s *Server) initFaults() {
 		return
 	}
 	s.cfg.Faults.Reset(s.cfg.Runner.Seed)
-	s.faults = fault.NewCursor(s.cfg.Faults)
+	s.faults = stream.NewCursor(s.cfg.Faults)
 }
 
 // seedLogState reads an existing epoch log's row count and dictionary so the
@@ -282,14 +283,6 @@ func (s *Server) Runner() *core.LiveRunner { return s.runner }
 // the configured path, or its rotated previous snapshot when the primary
 // was missing or damaged. Empty for a fresh server.
 func (s *Server) RestoredFrom() string { return s.restoredFrom }
-
-// Shed returns the number of arrivals refused at ingest because the
-// server was inside a scripted outage.
-func (s *Server) Shed() int64 { return s.shed }
-
-// FaultEvents returns the server-0 fault transitions applied so far, in
-// time order. The slice is owned by the server; do not mutate it.
-func (s *Server) FaultEvents() []fault.Event { return s.applied }
 
 // Serve consumes wire events from r until the stream's EventEnd, a Stop, or
 // an error. On clean end it finalizes the run and returns its report with

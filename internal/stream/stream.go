@@ -22,31 +22,37 @@ type Source interface {
 	Reset(seed int64)
 }
 
-// Cursor adapts a queue.JobSource to one-job-at-a-time consumption with
+// Puller is the chunked pull contract a Cursor consumes: queue.JobSource
+// for jobs, fault.Source for fault events.
+type Puller[T any] interface {
+	Next(buf []T) (n int, ok bool)
+}
+
+// Cursor adapts a Puller to one-element-at-a-time consumption with
 // lookahead, hiding the chunk-refill state machine every streaming driver
 // otherwise hand-rolls (including its subtle corners: empty chunks from a
 // still-live source are retried, and a final chunk delivered alongside
-// ok=false is still drained). Peek exposes the next job without consuming
-// it; Advance consumes it. The cursor owns its one-chunk buffer — the
-// driver's job-memory high-water mark.
-type Cursor struct {
-	src       queue.JobSource
-	buf       []queue.Job
+// ok=false is still drained). Peek exposes the next element without
+// consuming it; Advance consumes it. The cursor owns its one-chunk buffer —
+// its consumer's memory high-water mark for the stream.
+type Cursor[T any] struct {
+	src       Puller[T]
+	buf       []T
 	pos, n    int
 	exhausted bool
 }
 
 // NewCursor returns a cursor over src, consumed from its current position.
-func NewCursor(src queue.JobSource) *Cursor {
-	return &Cursor{src: src, buf: make([]queue.Job, DefaultChunk)}
+func NewCursor[T any](src Puller[T]) *Cursor[T] {
+	return &Cursor[T]{src: src, buf: make([]T, DefaultChunk)}
 }
 
-// Peek returns the next job without consuming it; ok=false means the
+// Peek returns the next element without consuming it; ok=false means the
 // source is exhausted.
-func (c *Cursor) Peek() (j queue.Job, ok bool) {
+func (c *Cursor[T]) Peek() (v T, ok bool) {
 	for c.pos == c.n {
 		if c.exhausted {
-			return queue.Job{}, false
+			return v, false
 		}
 		n, more := c.src.Next(c.buf)
 		c.pos, c.n = 0, n
@@ -57,14 +63,14 @@ func (c *Cursor) Peek() (j queue.Job, ok bool) {
 	return c.buf[c.pos], true
 }
 
-// Advance consumes the job the last Peek exposed. It must follow a
+// Advance consumes the element the last Peek exposed. It must follow a
 // successful Peek.
-func (c *Cursor) Advance() { c.pos++ }
+func (c *Cursor[T]) Advance() { c.pos++ }
 
 // Reset rebinds the cursor to src (consumed from its current position),
 // discarding any buffered lookahead but keeping the chunk buffer — so a
 // long-lived driver can cursor over many streams without allocating.
-func (c *Cursor) Reset(src queue.JobSource) {
+func (c *Cursor[T]) Reset(src Puller[T]) {
 	c.src = src
 	c.pos, c.n = 0, 0
 	c.exhausted = false
@@ -72,7 +78,7 @@ func (c *Cursor) Reset(src queue.JobSource) {
 
 // Err reports the deferred error of a source that ended early, for sources
 // that expose one (Err() error); nil otherwise.
-func Err(src Source) error {
+func Err(src queue.JobSource) error {
 	if es, ok := src.(interface{ Err() error }); ok {
 		return es.Err()
 	}

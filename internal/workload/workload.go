@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"sleepscale/internal/dist"
 	"sleepscale/internal/queue"
@@ -58,6 +59,17 @@ func Google() Spec {
 
 // Table5 returns the three workloads the paper tabulates.
 func Table5() []Spec { return []Spec{DNS(), Mail(), Google()} }
+
+// ByName returns the Table 5 workload called name, matched
+// case-insensitively.
+func ByName(name string) (Spec, error) {
+	for _, s := range Table5() {
+		if strings.EqualFold(s.Name, name) {
+			return s, nil
+		}
+	}
+	return Spec{}, fmt.Errorf("workload: unknown name %q (want DNS, Mail or Google)", name)
+}
 
 // MaxServiceRate reports µ, the f = 1 service rate in jobs/second.
 func (s Spec) MaxServiceRate() float64 { return 1 / s.ServiceMean }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -409,5 +410,21 @@ func TestNewTraceGenValidation(t *testing.T) {
 	}
 	if _, err := st.NewTraceGenFeed(nil, 60, 1); err == nil {
 		t.Error("nil feed accepted")
+	}
+}
+
+// TestByName pins the name lookup the commands share: every Table 5
+// workload under any letter case, and an error for anything else.
+func TestByName(t *testing.T) {
+	for _, want := range Table5() {
+		for _, name := range []string{want.Name, strings.ToLower(want.Name), strings.ToUpper(want.Name)} {
+			got, err := ByName(name)
+			if err != nil || got != want {
+				t.Errorf("ByName(%q) = %+v, %v; want %+v", name, got, err, want)
+			}
+		}
+	}
+	if _, err := ByName("dnsx"); err == nil {
+		t.Error("unknown workload accepted")
 	}
 }

@@ -3,7 +3,6 @@ package sleepscale
 import (
 	"io"
 
-	"sleepscale/internal/analytic"
 	"sleepscale/internal/colstore"
 	"sleepscale/internal/core"
 	"sleepscale/internal/dist"
@@ -32,7 +31,6 @@ type (
 
 // Combined states studied throughout the paper.
 var (
-	Active        = power.Active
 	OperatingIdle = power.OperatingIdle
 	Sleep         = power.Sleep
 	DeepSleep     = power.DeepSleep
@@ -41,10 +39,6 @@ var (
 
 // Xeon returns the Intel Xeon E5 profile of Table 2.
 func Xeon() *Profile { return power.Xeon() }
-
-// Atom returns a netbook-class profile with a small CPU dynamic range
-// relative to platform power (§4.2's Atom observations).
-func Atom() *Profile { return power.Atom() }
 
 // LowPowerStates lists every combined low-power state, shallow to deep.
 func LowPowerStates() []State { return power.LowPowerStates() }
@@ -60,14 +54,6 @@ type (
 	SleepPhase = queue.SleepPhase
 	// SimResult summarizes one simulation run.
 	SimResult = queue.Result
-	// Engine is the resumable simulator used for trace-driven runs. Its
-	// Reset method rewinds it for a fresh run while keeping every internal
-	// buffer.
-	Engine = queue.Engine
-	// Evaluator is the reusable simulation kernel: it scores many candidate
-	// configurations against one shared job stream with zero steady-state
-	// allocations.
-	Evaluator = queue.Evaluator
 )
 
 // Simulate runs Algorithm 1: serve jobs (sorted by arrival) under cfg,
@@ -75,25 +61,6 @@ type (
 func Simulate(jobs []Job, cfg SimConfig) (SimResult, error) {
 	return queue.Simulate(jobs, cfg)
 }
-
-// NewEngine returns a resumable simulator starting idle at time start.
-func NewEngine(cfg SimConfig, start float64) (*Engine, error) {
-	return queue.NewEngine(cfg, start)
-}
-
-// NewEvaluator returns a reusable evaluator that scores candidate
-// configurations against jobs (sorted by arrival).
-func NewEvaluator(jobs []Job) *Evaluator {
-	return queue.NewEvaluator(jobs)
-}
-
-// Closed forms (paper Appendix).
-type (
-	// Model is the M/M/1-with-sleep-states analytic model.
-	Model = analytic.Model
-	// ModelSleepState is the (Pᵢ, τᵢ, wᵢ) triple of one low-power state.
-	ModelSleepState = analytic.SleepState
-)
 
 // Policies and QoS (paper §5.1).
 type (
@@ -107,22 +74,12 @@ type (
 	QoS = policy.QoS
 	// MeanResponseQoS bounds the mean response time.
 	MeanResponseQoS = policy.MeanResponseQoS
-	// PercentileQoS bounds a response-time percentile.
-	PercentileQoS = policy.PercentileQoS
 	// PolicySpace is the candidate grid the manager sweeps.
 	PolicySpace = policy.Space
 )
 
 // SingleState returns the plan entering s as soon as the queue empties.
 func SingleState(s State) SleepPlan { return policy.SingleState(s) }
-
-// Sequence returns a plan walking the given phases in order.
-func Sequence(name string, phases ...PlanPhase) SleepPlan {
-	return policy.Sequence(name, phases...)
-}
-
-// DefaultPlans returns SleepScale's standard five single-state candidates.
-func DefaultPlans() []SleepPlan { return policy.DefaultPlans() }
 
 // DefaultSpace returns the five single-state plans on a 0.01 frequency grid.
 func DefaultSpace() PolicySpace { return policy.DefaultSpace() }
@@ -131,12 +88,6 @@ func DefaultSpace() PolicySpace { return policy.DefaultSpace() }
 // peak design utilization ρb and maximum service rate µ.
 func NewMeanResponseQoS(rhoB, mu float64) (MeanResponseQoS, error) {
 	return policy.NewMeanResponseQoS(rhoB, mu)
-}
-
-// NewPercentileQoS derives the tail analogue: the q-quantile of the baseline
-// M/M/1 at ρb and f = 1 becomes the deadline.
-func NewPercentileQoS(rhoB, mu, q float64) (PercentileQoS, error) {
-	return policy.NewPercentileQoS(rhoB, mu, q)
 }
 
 // Workloads (paper Table 5, §6).
@@ -150,15 +101,6 @@ type (
 // DNS returns the Table 5 DNS look-up workload.
 func DNS() Spec { return workload.DNS() }
 
-// Mail returns the Table 5 email workload.
-func Mail() Spec { return workload.Mail() }
-
-// Google returns the Table 5 web-search workload.
-func Google() Spec { return workload.Google() }
-
-// Table5 returns all three workloads the paper tabulates.
-func Table5() []Spec { return workload.Table5() }
-
 // NewIdealizedStats returns the §4 idealized model: Poisson arrivals and
 // exponential service at the spec's means.
 func NewIdealizedStats(s Spec) (Stats, error) { return workload.NewIdealizedStats(s) }
@@ -166,12 +108,6 @@ func NewIdealizedStats(s Spec) (Stats, error) { return workload.NewIdealizedStat
 // NewFittedStats returns moment-fitted distributions matching the spec's
 // means and coefficients of variation.
 func NewFittedStats(s Spec) (Stats, error) { return workload.NewFittedStats(s) }
-
-// NewEmpiricalStats synthesizes BigHouse-surrogate empirical CDFs from n
-// heavy-tailed samples (deterministic in seed).
-func NewEmpiricalStats(s Spec, n int, seed int64) (Stats, error) {
-	return workload.NewEmpiricalStats(s, n, seed)
-}
 
 // Distribution is a sampleable probability distribution (the type behind
 // Stats.Inter and Stats.Size), usable directly in the streaming scenario
@@ -240,9 +176,6 @@ func RecordJobsCol(src StreamSource, path string) (int, error) {
 	}
 	return n, err
 }
-
-// ReadColTrace materializes a KindTrace column file as a Trace.
-func ReadColTrace(path string) (*Trace, error) { return trace.ReadCol(path) }
 
 // WriteColTrace writes a trace as a column file — the binary counterpart of
 // Trace.WriteCSV.
@@ -346,7 +279,7 @@ type (
 	// Strategy picks one policy per epoch.
 	Strategy = core.Strategy
 	// RunnerConfig describes one trace-driven evaluation run: a trace and
-	// a job source fed through one LiveRunner.
+	// a job source fed through one epoch machine (core.LiveRunner).
 	RunnerConfig = core.RunnerConfig
 	// RunReport aggregates a trace-driven run.
 	RunReport = core.RunReport
@@ -421,25 +354,16 @@ type (
 	// LiveConfig configures the §6 epoch machine: slot geometry, power
 	// model, predictor, strategy and seed.
 	LiveConfig = core.LiveConfig
-	// LiveRunner is the §6 epoch machine, advanced one job/slot at a time;
-	// Run and RunSource are loops that feed it a trace.
-	LiveRunner = core.LiveRunner
 	// ServeConfig configures one daemon serve session.
 	ServeConfig = serve.Config
-	// ServeServer drives a LiveRunner from a wire event stream: jobs and
+	// ServeServer drives the epoch machine from a wire event stream: jobs and
 	// slots in, NDJSON epoch records out, durable checkpoints on the side.
 	ServeServer = serve.Server
 	// WireWriter encodes the daemon's binary wire protocol.
 	WireWriter = serve.WireWriter
-	// ServeCheckpoint is a daemon's durable snapshot: the runner state plus
-	// the epoch log's row high-water mark and plan dictionary.
-	ServeCheckpoint = serve.Checkpoint
 	// SlotFeed yields per-slot utilization telemetry incrementally.
 	SlotFeed = workload.SlotFeed
 )
-
-// NewLiveRunner starts a fresh live epoch runner.
-func NewLiveRunner(cfg LiveConfig) (*LiveRunner, error) { return core.NewLiveRunner(cfg) }
 
 // NewServeServer starts a fresh daemon serve session.
 func NewServeServer(cfg ServeConfig) (*ServeServer, error) { return serve.NewServer(cfg) }
@@ -453,12 +377,6 @@ func RestoreServeServer(cfg ServeConfig, replay bool) (*ServeServer, error) {
 // NewWireWriter returns a wire-protocol encoder over w.
 func NewWireWriter(w io.Writer) *WireWriter { return serve.NewWireWriter(w) }
 
-// WriteServeCheckpoint atomically writes a daemon checkpoint, rotating the
-// previous snapshot to a .prev fallback.
-func WriteServeCheckpoint(path string, c *ServeCheckpoint) error {
-	return serve.WriteCheckpoint(path, c)
-}
-
 // SliceSlots adapts a materialized utilization trace to a SlotFeed.
 func SliceSlots(utilization []float64) SlotFeed { return workload.SliceSlots(utilization) }
 
@@ -470,8 +388,6 @@ func FeedWire(w *WireWriter, src StreamSource, slots SlotFeed, slotSeconds float
 
 // Multi-server extension (paper §7 future work).
 type (
-	// Farm is a cluster of identical single-server queues.
-	Farm = farm.Farm
 	// FarmResult aggregates a farm run.
 	FarmResult = farm.Result
 	// Dispatcher routes arriving jobs across a farm's servers: one rule,
@@ -490,11 +406,6 @@ type (
 	PowerOfD       = farm.PowerOfD
 	LeastWorkLeft  = farm.LeastWorkLeft
 )
-
-// NewFarm builds a farm of k servers starting idle under cfg.
-func NewFarm(k int, cfg SimConfig, disp Dispatcher) (*Farm, error) {
-	return farm.New(k, cfg, disp)
-}
 
 // RunFarm dispatches a sorted job stream across k servers and aggregates.
 func RunFarm(k int, cfg SimConfig, disp Dispatcher, jobs []Job) (FarmResult, error) {
@@ -540,10 +451,6 @@ func NewFleetCoordinator(cfg FleetConfig) (*FleetCoordinator, error) { return fl
 // WriteFleetEpochLog appends a coordinated run's per-epoch records — core
 // epoch records zipped with their fleet rollups — to the column file at path.
 func WriteFleetEpochLog(path string, rep *FleetReport) error { return fleet.WriteEpochLog(path, rep) }
-
-// WriteFleetServerLog appends a coordinated run's per-server summaries to
-// the column file at path.
-func WriteFleetServerLog(path string, rep *FleetReport) error { return fleet.WriteServerLog(path, rep) }
 
 // Fault injection: deterministic crash/repair timelines driven through the
 // fleet coordinator via FleetConfig.Faults. Crashed servers lose their jobs
@@ -591,23 +498,12 @@ type (
 	MultiCorePhase = multicore.Phase
 	// MultiCoreResult summarizes a multi-core run.
 	MultiCoreResult = multicore.Result
-	// MultiCoreSimulator is the resumable k-core engine.
-	MultiCoreSimulator = multicore.Simulator
 )
 
 // SimulateMultiCore runs a sorted job stream through a k-core chip.
 func SimulateMultiCore(jobs []Job, cfg MultiCoreConfig) (MultiCoreResult, error) {
 	return multicore.Simulate(jobs, cfg)
 }
-
-// NewMultiCore returns a resumable k-core simulator idle at time start.
-func NewMultiCore(cfg MultiCoreConfig, start float64) (*MultiCoreSimulator, error) {
-	return multicore.New(cfg, start)
-}
-
-// ErlangC returns the M/M/k probability of queueing with offered load
-// a = λ/µ — the textbook validation target for multi-core runs.
-func ErlangC(k int, a float64) (float64, error) { return multicore.ErlangC(k, a) }
 
 // MMkMeanResponse returns the M/M/k mean response time.
 func MMkMeanResponse(k int, lambda, mu float64) (float64, error) {

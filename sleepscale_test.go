@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sleepscale"
+	"sleepscale/internal/farm"
 )
 
 // TestQuickstart exercises the doc.go example end to end through the public
@@ -127,17 +128,8 @@ func TestFacadeTraceRun(t *testing.T) {
 }
 
 func TestFacadeConstructorsAndConstants(t *testing.T) {
-	if sleepscale.Active.String() != "C0(a)S0(a)" {
-		t.Error("Active state wrong")
-	}
 	if got := len(sleepscale.LowPowerStates()); got != 5 {
 		t.Errorf("low-power states = %d", got)
-	}
-	if got := len(sleepscale.Table5()); got != 3 {
-		t.Errorf("Table5 = %d", got)
-	}
-	if got := len(sleepscale.DefaultPlans()); got != 5 {
-		t.Errorf("default plans = %d", got)
 	}
 	if _, err := sleepscale.NewLMSPredictor(10, 0.5); err != nil {
 		t.Error(err)
@@ -148,20 +140,11 @@ func TestFacadeConstructorsAndConstants(t *testing.T) {
 	if sleepscale.NewOfflinePredictor([]float64{0.5}).Predict() != 0.5 {
 		t.Error("offline predictor wrong")
 	}
-	if sleepscale.Atom().Name != "Atom" {
-		t.Error("Atom profile wrong")
-	}
 	fs := sleepscale.FileServerTrace(1, 1)
 	if fs.Len() != 1440 {
 		t.Errorf("file server trace len = %d", fs.Len())
 	}
-	if _, err := sleepscale.NewFittedStats(sleepscale.Mail()); err != nil {
-		t.Error(err)
-	}
-	if _, err := sleepscale.NewEmpiricalStats(sleepscale.Google(), 1000, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := sleepscale.NewPercentileQoS(0.8, 5, 0.95); err != nil {
+	if _, err := sleepscale.NewFittedStats(sleepscale.DNS()); err != nil {
 		t.Error(err)
 	}
 }
@@ -184,16 +167,6 @@ func TestFacadeMultiCoreAndFarm(t *testing.T) {
 	if res.Jobs != 2 {
 		t.Errorf("jobs = %d", res.Jobs)
 	}
-	if _, err := sleepscale.NewMultiCore(cfg, 0); err != nil {
-		t.Error(err)
-	}
-	c, err := sleepscale.ErlangC(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c-1.0/3) > 1e-12 {
-		t.Errorf("ErlangC(2,1) = %v", c)
-	}
 	if _, err := sleepscale.MMkMeanResponse(4, 14, 5); err != nil {
 		t.Error(err)
 	}
@@ -209,9 +182,6 @@ func TestFacadeMultiCoreAndFarm(t *testing.T) {
 	}
 	if fres.Jobs != 2 {
 		t.Errorf("farm jobs = %d", fres.Jobs)
-	}
-	if _, err := sleepscale.NewFarm(2, qcfg, sleepscale.JSQ{}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -284,7 +254,7 @@ func TestFacadeStreamedFarmDispatch(t *testing.T) {
 	}
 
 	// Reusable farm: Reset + ServeSource over a rewound source.
-	f, err := sleepscale.NewFarm(3, qcfg, sleepscale.JSQ{})
+	f, err := farm.New(3, qcfg, sleepscale.JSQ{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +307,7 @@ func TestFacadeStreamedFarmDispatch(t *testing.T) {
 
 // TestFacadeFleetCoordinator drives the fleet layer through the public
 // facade: a one-server shared-mode run matches RunSource exactly, the
-// coordinated knobs produce fleet rollups, and both log writers round-trip
+// coordinated knobs produce fleet rollups, and the epoch log round-trips
 // through colstore.
 func TestFacadeFleetCoordinator(t *testing.T) {
 	stats, err := sleepscale.NewIdealizedStats(sleepscale.DNS())
@@ -424,9 +394,6 @@ func TestFacadeFleetCoordinator(t *testing.T) {
 	}
 	dir := t.TempDir()
 	if err := sleepscale.WriteFleetEpochLog(dir+"/e.col", rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := sleepscale.WriteFleetServerLog(dir+"/s.col", rep); err != nil {
 		t.Fatal(err)
 	}
 	r, err := sleepscale.OpenCol(dir + "/e.col")
