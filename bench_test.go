@@ -107,7 +107,8 @@ func BenchmarkEvaluatorSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev := queue.NewEvaluator(jobs)
+	ev := queue.GetEvaluator(jobs)
+	defer ev.Release()
 	if _, err := ev.Evaluate(cfg); err != nil { // warm the buffers
 		b.Fatal(err)
 	}
@@ -1369,7 +1370,7 @@ func BenchmarkServeCheckpointWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if err := serve.WriteCheckpoint(path, ck); err != nil {
+		if err := serve.WriteImage(path, serve.EncodeCheckpoint(ck)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,16 +65,19 @@
 //     it keeps response moments only and reports no tail.
 //   - Manager.Select is an exact best-first search on the calling
 //     goroutine. It resolves every candidate's configuration once, then
-//     runs one wake-free pass (queue.WakeFree) per grid frequency from
-//     f = 1 down to the response-pruned prefix — the low frequencies at
-//     which no plan can meet a MeanResponseQoS budget — and each pass
-//     bounds every candidate's power and mean response at its frequency
-//     from below. It simulates candidates in power-bound order, skips those
-//     whose response bound misses the budget, and stops at the first bound
-//     above the best feasible power, so it returns the policy the exhaustive
-//     search would. Its scratch — bounds, resolved configurations, candidate
-//     heap, one evaluator — is pooled, so a selection allocates nothing once
-//     warm. It scores only what the QoS reads: under MeanResponseQoS the
+//     runs a wake-free pass (queue.WakeFree) at sparse anchor frequencies,
+//     f = 1 and every sixth below it, down to the response-pruned prefix —
+//     the low frequencies at which no plan can meet a MeanResponseQoS
+//     budget. Each pass bounds every candidate's power and mean response at
+//     its frequency from below, and two neighbouring passes bound every
+//     candidate between them (WakeFree.BoundBetween). It pops candidates in
+//     power-bound order, skips those whose response bound misses the
+//     budget, runs a frequency's own pass only when one of its candidates
+//     reaches the top, simulates the rest, and stops at the first bound
+//     above the best feasible power, so it returns the policy the
+//     exhaustive search would. Its scratch — bounds, resolved
+//     configurations, candidate heap, one evaluator — is pooled, so a
+//     selection allocates nothing once warm. It scores only what the QoS reads: under MeanResponseQoS the
 //     evaluator keeps response moments alone, so the winner reports P95/P99
 //     as 0. Manager.Evaluate remains the thin one-shot wrapper and reports
 //     full metrics.

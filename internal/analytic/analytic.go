@@ -74,28 +74,46 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// stateWeight returns e^{−λτᵢ} − e^{−λτᵢ₊₁} for i < n and e^{−λτₙ} for the
-// last state: the probability that an exponential idle period of rate λ ends
-// while the server occupies state i.
-func (m Model) stateWeight(i int) float64 {
-	w := math.Exp(-m.Lambda * m.States[i].Enter)
-	if i+1 < len(m.States) {
-		w -= math.Exp(-m.Lambda * m.States[i+1].Enter)
-	}
-	return w
+// closed is what the closed forms read of the sleep states. State i's
+// weight, e^{−λτᵢ} − e^{−λτᵢ₊₁} for i < n and e^{−λτₙ} for the last, is the
+// probability that an exponential idle period of rate λ ends while the
+// server occupies state i.
+type closed struct {
+	// d1 and d2 are E[D] and E[D²], with E[D^α] = Σᵢ wᵢ^α·weight(i) the
+	// moments of the wake-up delay D met by the job that ends an idle
+	// period (states with wᵢ = 0 add nothing).
+	d1, d2 float64
+	sleep  float64 // Σᵢ Pᵢ·weight(i)
+	e1     float64 // e^{−λτ₁}
 }
 
-// wakeMoment returns E[D^α] = Σᵢ wᵢ^α · weight(i): the α-th moment of the
-// wake-up delay experienced by the job that ends an idle period.
-func (m Model) wakeMoment(alpha float64) float64 {
-	var sum float64
+// closedForms sums closed over the states in order, computing each
+// e^{−λτᵢ} once, and stores state i's weight in weights[i] unless weights
+// is nil.
+func (m Model) closedForms(weights []float64) closed {
+	var c closed
+	next := 0.0 // e^{−λτᵢ₊₁}, computed for the previous state
 	for i, s := range m.States {
-		if s.Wake == 0 {
-			continue
+		e := next
+		if i == 0 {
+			e = math.Exp(-m.Lambda * s.Enter)
+			c.e1 = e
 		}
-		sum += math.Pow(s.Wake, alpha) * m.stateWeight(i)
+		w := e
+		if i+1 < len(m.States) {
+			next = math.Exp(-m.Lambda * m.States[i+1].Enter)
+			w -= next
+		}
+		if s.Wake != 0 {
+			c.d1 += s.Wake * w
+			c.d2 += math.Pow(s.Wake, 2) * w
+		}
+		c.sleep += s.Power * w
+		if weights != nil {
+			weights[i] = w
+		}
 	}
-	return sum
+	return c
 }
 
 // CycleLength returns L, the renewal cycle length from the Appendix:
@@ -107,8 +125,12 @@ func (m Model) CycleLength() (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
+	return m.cycleLength(m.closedForms(nil)), nil
+}
+
+func (m Model) cycleLength(c closed) float64 {
 	muf := m.Mu * m.F
-	return (muf + muf*m.Lambda*m.wakeMoment(1)) / (m.Lambda * (muf - m.Lambda)), nil
+	return (muf + muf*m.Lambda*c.d1) / (m.Lambda * (muf - m.Lambda))
 }
 
 // MeanPower returns E[P] from the Appendix:
@@ -118,20 +140,18 @@ func (m Model) CycleLength() (float64, error) {
 //
 // With no sleep states the server idles at P₀ and E[P] = P₀.
 func (m Model) MeanPower() (float64, error) {
-	L, err := m.CycleLength()
-	if err != nil {
+	if err := m.Validate(); err != nil {
 		return 0, err
 	}
+	return m.meanPower(m.closedForms(nil)), nil
+}
+
+func (m Model) meanPower(c closed) float64 {
 	if len(m.States) == 0 {
-		return m.ActivePower, nil
+		return m.ActivePower
 	}
-	lamL := m.Lambda * L
-	var sleep float64
-	for i, s := range m.States {
-		sleep += s.Power * m.stateWeight(i)
-	}
-	tau1 := m.States[0].Enter
-	return sleep/lamL + m.ActivePower*(1-math.Exp(-m.Lambda*tau1)/lamL), nil
+	lamL := m.Lambda * m.cycleLength(c)
+	return c.sleep/lamL + m.ActivePower*(1-c.e1/lamL)
 }
 
 // MeanResponse returns E[R] from the Appendix:
@@ -143,10 +163,22 @@ func (m Model) MeanResponse() (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
-	base := m.QueueingResponse()
-	d1 := m.wakeMoment(1)
-	d2 := m.wakeMoment(2)
-	return base + (2*d1+m.Lambda*d2)/(2*(1+m.Lambda*d1)), nil
+	return m.QueueingResponse() + m.setup(m.closedForms(nil)), nil
+}
+
+// setup is Welch's wake-delay term (2E[D] + λE[D²]) / (2(1 + λE[D])).
+func (m Model) setup(c closed) float64 {
+	return (2*c.d1 + m.Lambda*c.d2) / (2 * (1 + m.Lambda*c.d1))
+}
+
+// Means returns MeanResponse and MeanPower, bit for bit, from one pass over
+// the states.
+func (m Model) Means() (response, power float64, err error) {
+	if err := m.Validate(); err != nil {
+		return 0, 0, err
+	}
+	c := m.closedForms(nil)
+	return m.QueueingResponse() + m.setup(c), m.meanPower(c), nil
 }
 
 // QueueingResponse returns 1/(µf − λ), the M/M/1 mean response without
@@ -235,12 +267,12 @@ func (m Model) ResponseQuantile(p float64) (float64, error) {
 // States slice), derived from the same renewal-cycle analysis as E[P].
 // The fractions sum to 1.
 func (m Model) ResidencyFractions() (active, preSleep float64, states []float64, err error) {
-	L, err := m.CycleLength()
-	if err != nil {
+	if err := m.Validate(); err != nil {
 		return 0, 0, nil, err
 	}
-	lamL := m.Lambda * L
 	states = make([]float64, len(m.States))
+	c := m.closedForms(states)
+	lamL := m.Lambda * m.cycleLength(c)
 	if len(m.States) == 0 {
 		// Idle time is the whole non-busy fraction; with no sleep states
 		// the server idles "actively".
@@ -248,12 +280,11 @@ func (m Model) ResidencyFractions() (active, preSleep float64, states []float64,
 		return rhoEff, 1 - rhoEff, states, nil
 	}
 	var sleepTotal float64
-	for i := range m.States {
-		states[i] = m.stateWeight(i) / lamL
+	for i := range states {
+		states[i] /= lamL
 		sleepTotal += states[i]
 	}
-	tau1 := m.States[0].Enter
-	preSleep = (1 - math.Exp(-m.Lambda*tau1)) / lamL
+	preSleep = (1 - c.e1) / lamL
 	active = 1 - sleepTotal - preSleep
 	return active, preSleep, states, nil
 }
@@ -281,10 +312,7 @@ func (m MG1Model) MeanResponse() (float64, error) {
 	es2 := (1 + m.ServiceSCV) * es * es
 	rho := m.Lambda * es
 	pk := m.Lambda * es2 / (2 * (1 - rho))
-	d1 := m.wakeMoment(1)
-	d2 := m.wakeMoment(2)
-	setup := (2*d1 + m.Lambda*d2) / (2 * (1 + m.Lambda*d1))
-	return es + pk + setup, nil
+	return es + pk + m.setup(m.closedForms(nil)), nil
 }
 
 // MeanPower returns E[P] for the M/G/1 queue with wake-up delays. The

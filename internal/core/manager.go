@@ -97,16 +97,19 @@ func simulate(ev *queue.Evaluator, cfg queue.Config) (policy.Metrics, error) {
 // grid's stability floor.
 //
 // The answer is the exhaustive one — every candidate simulated — but Select
-// simulates only candidates that can still win. It resolves every
+// simulates only candidates that can still win, and runs a wake-free pass
+// (queue.WakeFree) only at the frequencies where one can. It resolves every
 // candidate's configuration once, then bounds every candidate's power and
-// mean response from below with one wake-free pass (queue.WakeFree) per grid
-// frequency, from f = 1 down. Under MeanResponseQoS a candidate whose
-// response bound misses the budget is never simulated, and the passes stop
-// at the top of the response-pruned prefix: the low frequencies at which no
-// plan can meet the budget. The rest are simulated in increasing power-bound
-// order, and the search stops at the first bound above the best feasible
-// power found. It runs on the calling goroutine and allocates nothing in
-// steady state.
+// mean response from below: exactly at sparse anchor frequencies from f = 1
+// down, each with its own pass, and between two anchors from their passes
+// alone. Under MeanResponseQoS a candidate whose response bound misses the
+// budget is never simulated, and the anchors stop at the top of the
+// response-pruned prefix: the low frequencies at which no plan can meet the
+// budget. The rest are taken in increasing power-bound order. One between
+// anchors first gets its frequency's own pass, which rebounds that
+// frequency's candidates exactly; the others are simulated, and the search
+// stops at the first bound above the best feasible power found. It runs on
+// the calling goroutine and allocates nothing in steady state.
 //
 // The winner carries what the QoS reads. Under MeanResponseQoS candidates are
 // scored from response moments alone, so AvgPower, MeanResponse and Feasible
@@ -151,12 +154,9 @@ func (m *Manager) selectCounted(jobs []queue.Job, rho float64) (policy.Evaluatio
 		_, err := s.candidate(m, bad).Config(m.Profile, m.FreqExponent)
 		return policy.Evaluation{}, work{}, err
 	}
-	lo := s.boundGrid(m, jobs, wmax)
-	best, n, err := s.run(m.QoS, score, func() {
-		for fi := lo - 1; fi >= 0; fi-- {
-			s.boundAt(jobs, fi)
-		}
-	})
+	s.jobs = jobs
+	s.boundGrid(m, wmax)
+	best, n, err := s.run(m.QoS, score)
 	w := work{simulated: n, passes: s.passes}
 	if err != nil {
 		return policy.Evaluation{}, w, err
@@ -219,47 +219,81 @@ func (s *search) resolve(m *Manager) (bad int, wmax float64) {
 	return bad, wmax
 }
 
-// boundGrid bounds every candidate from f = 1 down, one wake-free pass per
-// frequency, and returns the lowest frequency index it bounded. Under
-// MeanResponseQoS it stops after the first frequency whose ResponseFloor
-// exceeds the budget, provided the grid's speeds are non-decreasing (f^β
-// need not round monotonically): every frequency below has a speed no
+// anchorStride is the spacing of boundGrid's anchors. Sparser anchors save
+// passes up front but give looser bounds between them, so more of those
+// frequencies need their own pass. Over the SleepScale daemon and fleet
+// benchmarks together, 6 runs the fewest (50,252 per seed-1 pass of both,
+// against 52,346 at 4 and 50,472 at 8).
+const anchorStride = 6
+
+// boundGrid bounds every candidate from f = 1 down. It runs the wake-free
+// pass at the anchors, f = 1 and every anchorStride-th frequency below,
+// down to index 0, and bounds each anchor's plans exactly. Each frequency
+// between two anchors is bounded from their two passes and left pending;
+// run gives it its own pass when one of its candidates reaches the top of
+// the search. This needs the grid's speeds f^β to be non-decreasing, which
+// need not hold after rounding; otherwise every frequency is an anchor and
+// nothing is pruned.
+//
+// Under MeanResponseQoS the scan stops after the first anchor whose
+// ResponseFloor exceeds the budget: every frequency below has a speed no
 // higher, so a floor no lower, and each of its candidates is infeasible.
-// Their response bounds read +Inf until the fallback bounds them.
-func (s *search) boundGrid(m *Manager, jobs []queue.Job, wmax float64) int {
+// Those frequencies are pending too, their response bounds +Inf.
+func (s *search) boundGrid(m *Manager, wmax float64) {
 	nf := len(s.freqs)
-	s.wf.Reset(jobs)
+	s.wf.Reset(s.jobs)
 	for pi := range m.Space.Plans {
 		s.wf.Count(&s.cfg[pi*nf])
 	}
 	meanQoS, prune := m.QoS.(policy.MeanResponseQoS)
-	slowest := s.cfg[0].Speed()
-	for fi, prev := 1, slowest; fi < nf && prune; fi++ {
+	slowest, stride := s.cfg[0].Speed(), anchorStride
+	for fi, prev := 1, slowest; fi < nf; fi++ {
 		v := s.cfg[fi].Speed()
-		prune, prev = prev <= v, v
+		if !(prev <= v) {
+			prune, stride = false, 1
+		}
+		prev = v
 	}
-	for fi := nf - 1; fi >= 0; fi-- {
-		s.boundAt(jobs, fi)
+	for fi, hi := nf-1, nf-1; ; hi, fi = fi, max(fi-stride, 0) {
+		s.boundAt(fi)
+		s.boundBetween(fi, hi)
 		if prune && s.wf.ResponseFloor(slowest, wmax) > meanQoS.Budget {
-			for i := 0; i < len(s.resp); i += nf {
-				for j := i; j < i+fi; j++ {
-					s.resp[j] = math.Inf(1)
+			for j := range fi {
+				s.pending[j] = true
+				for i := j; i < len(s.resp); i += nf {
+					s.resp[i] = math.Inf(1)
 				}
 			}
-			return fi
+			return
+		}
+		if fi == 0 {
+			return
 		}
 	}
-	return 0
 }
 
 // boundAt runs the wake-free pass at frequency index fi and bounds every
 // plan there.
-func (s *search) boundAt(jobs []queue.Job, fi int) {
-	s.wf.Run(jobs, &s.cfg[fi])
+func (s *search) boundAt(fi int) {
+	s.wf.Run(s.jobs, &s.cfg[fi])
 	s.passes++
+	s.pending[fi] = false
 	for i := fi; i < len(s.cfg); i += len(s.freqs) {
 		b := s.wf.Bound(&s.cfg[i])
 		s.power[i], s.resp[i] = b.AvgPower, b.MeanResponse
+	}
+}
+
+// boundBetween bounds every plan at the frequencies strictly between the
+// anchors lo and hi, whose passes were the last two, and marks them
+// pending.
+func (s *search) boundBetween(lo, hi int) {
+	for fi := lo + 1; fi < hi; fi++ {
+		s.pending[fi] = true
+		for i := fi; i < len(s.cfg); i += len(s.freqs) {
+			b := s.wf.BoundBetween(&s.cfg[i])
+			s.power[i], s.resp[i] = b.AvgPower, b.MeanResponse
+		}
 	}
 }
 
@@ -327,7 +361,7 @@ func (m *Manager) SelectIdealized(lambda, mu float64) (policy.Evaluation, error)
 	}
 	best, _, err := s.run(m.QoS, func(i int) (policy.Metrics, error) {
 		return idealizedMetrics(model(i), needTail)
-	}, nil)
+	})
 	if err != nil {
 		return policy.Evaluation{}, err
 	}
@@ -354,11 +388,7 @@ func analyticModel(prof *power.Profile, plan policy.SleepPlan, states []analytic
 
 // idealizedMetrics scores a valid model with the closed forms.
 func idealizedMetrics(am analytic.Model, needTail bool) (policy.Metrics, error) {
-	er, err := am.MeanResponse()
-	if err != nil {
-		return policy.Metrics{}, err
-	}
-	ep, err := am.MeanPower()
+	er, ep, err := am.Means()
 	if err != nil {
 		return policy.Metrics{}, err
 	}

@@ -24,8 +24,10 @@ const (
 // Space.Policies enumerates. power and resp hold lower bounds on each
 // candidate's AvgPower and MeanResponse (−Inf when there is none), met and
 // feasible its scores once simulated or computed. Select resolves candidate
-// i's configuration into cfg[i], whose phases live in phases, and counts
-// its wake-free passes in passes.
+// i's configuration into cfg[i], whose phases live in phases, and bounds
+// it over jobs. pending[fi] marks a frequency whose own wake-free pass has
+// not run, so its bounds come from the passes around it, if any; passes
+// counts the passes run.
 type search struct {
 	freqs    []float64
 	power    []float64
@@ -33,10 +35,12 @@ type search struct {
 	met      []policy.Metrics
 	feasible []bool
 	state    []uint8
-	order    []int32
+	pending  []bool
+	heap     byBound
 	cfg      []queue.Config
 	phases   []queue.SleepPhase
 	states   []analytic.SleepState
+	jobs     []queue.Job
 	wf       queue.WakeFree
 	passes   int
 }
@@ -58,12 +62,15 @@ func (m *Manager) getSearch(rho, beta float64) *search {
 	for i := range s.state {
 		s.state[i] = unscored
 	}
+	s.pending = resize(s.pending, len(s.freqs))
+	clear(s.pending)
 	s.passes = 0
 	return s
 }
 
 // release returns s to the pool without pinning the caller's job stream.
 func (s *search) release() {
+	s.jobs = nil
 	s.wf.Reset(nil)
 	searchPool.Put(s)
 }
@@ -96,20 +103,30 @@ func (s *search) evaluation(m *Manager, i int) policy.Evaluation {
 // Every candidate it leaves unscored provably cannot change that answer:
 //   - Under MeanResponseQoS a candidate whose response bound exceeds the
 //     budget is infeasible, so the feasible phase never scores it.
-//   - The rest are scored in increasing power-bound order, and the phase
-//     stops at the first bound above the best feasible power. Every later
-//     candidate has a power strictly above the incumbent, so it can neither
-//     win nor tie. A feasible NaN power would win the exhaustive rule only
-//     if it came first in index order, so once one appears nothing stops
-//     early.
+//   - The rest are queued by power bound, each entry keyed by the bound it
+//     was queued with. A popped candidate at a pending frequency is not
+//     scored: that frequency's pass runs, its plans are rebounded exactly,
+//     and the ones still live are queued again with their new keys. An
+//     entry whose key is no longer its candidate's bound, or whose
+//     candidate is scored or now response-pruned, is dropped. So every
+//     live candidate has an entry keyed at most its exact power, and every
+//     scored one was popped at its exact bound.
+//   - The phase stops at the first popped key above the best feasible power.
+//     Every live entry left has a key no lower, so every unscored candidate
+//     has a power strictly above the incumbent, and can neither win nor
+//     tie. A feasible NaN power would win the exhaustive rule only if it
+//     came first in index order, so once one appears nothing stops early.
 //   - With nothing feasible, every candidate but the response-pruned ones
-//     has been scored. Those are scored in response-bound order while their
-//     violation bound can still reach the best violation found; boundRest,
-//     if not nil, first bounds the ones the caller left unbounded.
+//     has been scored. Every pending frequency's pass runs first, and those
+//     are scored in exact response-bound order while their violation bound
+//     can still reach the best violation found.
 //
 // At least one candidate is always scored, so a stream error surfaces.
-func (s *search) run(qos policy.QoS, score func(i int) (policy.Metrics, error), boundRest func()) (int, int, error) {
+func (s *search) run(qos policy.QoS, score func(i int) (policy.Metrics, error)) (int, int, error) {
 	meanQoS, meanOnly := qos.(policy.MeanResponseQoS)
+	live := func(i int) bool {
+		return s.state[i] == unscored && !(meanOnly && s.resp[i] > meanQoS.Budget)
+	}
 	n := 0
 	scoreAt := func(i int32) error {
 		met, err := score(int(i))
@@ -121,19 +138,33 @@ func (s *search) run(qos policy.QoS, score func(i int) (policy.Metrics, error), 
 		return nil
 	}
 
-	s.order = s.order[:0]
-	for i, st := range s.state {
-		if st == unscored && !(meanOnly && s.resp[i] > meanQoS.Budget) {
-			s.order = append(s.order, int32(i))
+	h := &s.heap
+	*h = (*h)[:0]
+	for i := range s.state {
+		if live(i) {
+			*h = append(*h, entry{s.power[i], int32(i)})
 		}
 	}
-	h := byBound{idx: s.order, key: s.power}
 	h.init()
+	nf := len(s.freqs)
 	found, nanFeasible, bestP := false, false, math.Inf(1)
-	for len(h.idx) > 0 {
-		i := h.pop()
-		if found && !nanFeasible && s.power[i] > bestP {
+	for len(*h) > 0 {
+		e := h.pop()
+		if found && !nanFeasible && e.key > bestP {
 			break
+		}
+		i := e.i
+		if e.key != s.power[i] || !live(int(i)) {
+			continue
+		}
+		if fi := int(i) % nf; s.pending[fi] {
+			s.boundAt(fi)
+			for j := fi; j < len(s.state); j += nf {
+				if live(j) {
+					h.push(entry{s.power[j], int32(j)})
+				}
+			}
+			continue
 		}
 		if err := scoreAt(i); err != nil {
 			return -1, n, err
@@ -177,26 +208,27 @@ func (s *search) run(qos policy.QoS, score func(i int) (policy.Metrics, error), 
 		return -1, n, fmt.Errorf("core: no candidate policies")
 	}
 	if meanOnly {
-		if boundRest != nil {
-			boundRest()
+		for fi, p := range s.pending {
+			if p {
+				s.boundAt(fi)
+			}
 		}
-		s.order = s.order[:0]
+		*h = (*h)[:0]
 		for i, st := range s.state {
 			if st == unscored {
-				s.order = append(s.order, int32(i))
+				*h = append(*h, entry{s.resp[i], int32(i)})
 			}
 		}
-		h = byBound{idx: s.order, key: s.resp}
 		h.init()
-		for len(h.idx) > 0 {
-			i := h.pop()
-			if s.resp[i]-meanQoS.Budget > bestV {
+		for len(*h) > 0 {
+			e := h.pop()
+			if e.key-meanQoS.Budget > bestV {
 				break
 			}
-			if err := scoreAt(i); err != nil {
+			if err := scoreAt(e.i); err != nil {
 				return -1, n, err
 			}
-			better(int(i))
+			better(int(e.i))
 		}
 	}
 	if bestI < 0 {
@@ -212,46 +244,62 @@ func (s *search) run(qos policy.QoS, score func(i int) (policy.Metrics, error), 
 	return bestI, n, nil
 }
 
-// byBound is a binary min-heap of candidate indices ordered by (key, index),
-// so the search pops the lowest bound first. Keys are never NaN.
-type byBound struct {
-	idx []int32
-	key []float64
+// byBound is a binary min-heap of candidates ordered by (key, index), so the
+// search pops the lowest bound first. Each entry carries the key it was
+// queued with; keys are never NaN.
+type byBound []entry
+
+type entry struct {
+	key float64
+	i   int32
 }
 
-func (h *byBound) less(a, b int32) bool {
-	ka, kb := h.key[a], h.key[b]
-	return ka < kb || (ka == kb && a < b)
+func (a entry) less(b entry) bool {
+	return a.key < b.key || (a.key == b.key && a.i < b.i)
 }
 
-func (h *byBound) init() {
-	for i := len(h.idx)/2 - 1; i >= 0; i-- {
+func (h byBound) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
-func (h *byBound) pop() int32 {
-	top, last := h.idx[0], len(h.idx)-1
-	h.idx[0] = h.idx[last]
-	h.idx = h.idx[:last]
+func (h *byBound) push(e entry) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].less(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *byBound) pop() entry {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	*h = q[:last]
 	h.down(0)
 	return top
 }
 
-func (h *byBound) down(i int) {
-	n := len(h.idx)
+func (h byBound) down(i int) {
+	n := len(h)
 	for {
 		c := 2*i + 1
 		if c >= n {
 			return
 		}
-		if c+1 < n && h.less(h.idx[c+1], h.idx[c]) {
+		if c+1 < n && h[c+1].less(h[c]) {
 			c++
 		}
-		if !h.less(h.idx[c], h.idx[i]) {
+		if !h[c].less(h[i]) {
 			return
 		}
-		h.idx[i], h.idx[c] = h.idx[c], h.idx[i]
+		h[i], h[c] = h[c], h[i]
 		i = c
 	}
 }

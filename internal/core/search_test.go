@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sleepscale/internal/policy"
@@ -267,12 +268,15 @@ func TestSelectErrorContract(t *testing.T) {
 }
 
 // TestSelectRunsFewPasses pins the work the search saves on
-// BenchmarkPolicySelection's fixture. Under the mean QoS it simulates at
-// most a tenth of the grid, and runs one wake-free pass per frequency from
-// f = 1 down to the top of the response-pruned prefix (the lowest
-// frequencies, at which every candidate's response bound misses the
-// budget): exactly one pass at or below it. A percentile QoS prunes no
-// frequency, so every frequency gets its pass.
+// BenchmarkPolicySelection's fixture, deriving its wake-free passes here
+// with the public API. Under the mean QoS it simulates at most a tenth of
+// the grid. It runs one pass at each anchor: f = 1 and every anchorStride-th
+// frequency below, down to index 0 or, under the mean QoS, to the first
+// anchor whose response floor misses the budget. Each frequency between two
+// anchors gets its own pass exactly when one of its plans' neighbour bounds
+// could still win: a power bound at most the winner's power and, under the
+// mean QoS, a response bound within the budget. Frequencies below the last
+// anchor get none.
 func TestSelectRunsFewPasses(t *testing.T) {
 	mu := workload.DNS().MaxServiceRate()
 	jobs := dnsJobs(t, 0.3, 2000, 1)
@@ -288,41 +292,54 @@ func TestSelectRunsFewPasses(t *testing.T) {
 		t.Logf("%s: simulated %d of %d candidates in %d passes over %d frequencies; winner %v",
 			qos.Describe(), w.simulated, grid, w.passes, len(freqs), best.Policy)
 		meanQoS, meanOnly := qos.(policy.MeanResponseQoS)
-		if !meanOnly {
-			if w.passes != len(freqs) {
-				t.Errorf("%s: %d passes over %d frequencies, want one each", qos.Describe(), w.passes, len(freqs))
-			}
-			continue
-		}
-		if w.simulated < 1 || 10*w.simulated > grid {
+		if meanOnly && (w.simulated < 1 || 10*w.simulated > grid) {
 			t.Errorf("simulated %d of %d candidates, want at most 10%%", w.simulated, grid)
 		}
-		// The prefix's top: the highest frequency at and below which every
-		// candidate's response bound exceeds the budget.
-		wf := countingWakeFree(t, m.Profile, m.Space.Plans, m.FreqExponent, jobs)
-		top, pruned := -1, true
+		if !best.Feasible || math.IsNaN(best.Metrics.AvgPower) {
+			t.Fatalf("%s: winner %+v, want a feasible power", qos.Describe(), best)
+		}
+
+		cfgs := make([][]queue.Config, len(freqs)) // [frequency][plan]
+		wmax := 0.0
 		for fi, f := range freqs {
-			for i, plan := range m.Space.Plans {
+			for _, plan := range m.Space.Plans {
 				cfg, err := policy.Policy{Frequency: f, Plan: plan}.Config(m.Profile, m.FreqExponent)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if i == 0 {
-					wf.Run(jobs, &cfg)
+				for _, ph := range cfg.Phases {
+					wmax = max(wmax, ph.WakeLatency)
 				}
-				pruned = pruned && wf.Bound(&cfg).MeanResponse > meanQoS.Budget
+				cfgs[fi] = append(cfgs[fi], cfg)
 			}
-			if !pruned {
+			if fi > 0 && cfgs[fi][0].Speed() < cfgs[fi-1][0].Speed() {
+				t.Fatal("the grid's speeds fall")
+			}
+		}
+		wf := countingWakeFree(t, m.Profile, m.Space.Plans, m.FreqExponent, jobs)
+		canWin := func(b queue.Bound) bool {
+			return b.AvgPower <= best.Metrics.AvgPower && !(meanOnly && b.MeanResponse > meanQoS.Budget)
+		}
+		anchors, between, want := 0, 0, 0
+		for fi, hi := len(freqs)-1, -1; ; hi, fi = fi, max(fi-anchorStride, 0) {
+			wf.Run(jobs, &cfgs[fi][0])
+			anchors++
+			for x := fi + 1; x < hi; x++ {
+				between++
+				if slices.ContainsFunc(cfgs[x], func(c queue.Config) bool { return canWin(wf.BoundBetween(&c)) }) {
+					want++
+				}
+			}
+			if fi == 0 || meanOnly && wf.ResponseFloor(cfgs[0][0].Speed(), wmax) > meanQoS.Budget {
 				break
 			}
-			top = fi
 		}
-		if top < 1 {
-			t.Fatalf("response-pruned prefix ends at index %d: no pass to save", top)
+		t.Logf("%d anchors, %d of %d frequencies between them need their pass", anchors, want, between)
+		if want == between {
+			t.Fatalf("%s: every frequency between anchors needs its pass: nothing to save", qos.Describe())
 		}
-		if want := len(freqs) - top; w.passes != want {
-			t.Errorf("%d passes over %d frequencies with the prefix's top at index %d, want %d",
-				w.passes, len(freqs), top, want)
+		if want += anchors; w.passes != want {
+			t.Errorf("%s: %d passes, want %d", qos.Describe(), w.passes, want)
 		}
 	}
 }
@@ -332,7 +349,9 @@ func TestSelectRunsFewPasses(t *testing.T) {
 // each, under the mean QoS on the default grid. With each counted wake
 // charged to every job of the busy period it starts, the 20 decisions
 // simulate 201 candidates; charged to the waking job alone they simulated
-// 277. The wake-free passes do not depend on the wake counts.
+// 277. They run 462 wake-free passes: one per anchor, and one per frequency
+// between anchors where a candidate reaches the top of the search. A pass
+// at every frequency above the response-pruned prefix took 851.
 func TestSelectSimulatesFewOnBootstraps(t *testing.T) {
 	mu := workload.DNS().MaxServiceRate()
 	m := dnsManager(t, qosFamilies(t, mu)[0])
@@ -346,8 +365,8 @@ func TestSelectSimulatesFewOnBootstraps(t *testing.T) {
 			simulated, passes = simulated+w.simulated, passes+w.passes
 		}
 	}
-	if simulated > 201 || passes != 851 {
-		t.Errorf("simulated %d candidates in %d passes, want at most 201 in 851", simulated, passes)
+	if simulated > 201 || passes != 462 {
+		t.Errorf("simulated %d candidates in %d passes, want at most 201 in 462", simulated, passes)
 	}
 }
 

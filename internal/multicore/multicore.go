@@ -138,9 +138,10 @@ type core struct {
 	energy float64
 }
 
-// Simulator is the resumable k-core engine. Reset rewinds it for a fresh run
-// while keeping its buffers, so one simulator can score many configurations
-// (or be recycled by Simulate's pool) without allocating.
+// Simulator is the resumable k-core engine. A zero Simulator is ready for
+// Reset, which rewinds it for a fresh run while keeping its buffers, so one
+// simulator can score many configurations (or be recycled by Simulate's
+// pool) without allocating.
 type Simulator struct {
 	cfg   Config
 	cores []core
@@ -161,17 +162,8 @@ type Simulator struct {
 	started   float64
 }
 
-// New returns a simulator with all cores idle at time start.
-func New(cfg Config, start float64) (*Simulator, error) {
-	s := &Simulator{}
-	if err := s.Reset(cfg, start); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // Reset rewinds the simulator to all cores idle at time start under cfg,
-// exactly as a fresh New would, but reuses the core and response buffers.
+// reusing the core and response buffers.
 func (s *Simulator) Reset(cfg Config, start float64) error {
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -222,8 +222,8 @@ func TestPlatformGating(t *testing.T) {
 // pays the platform revival latency.
 func TestPlatformWakeLatencyApplied(t *testing.T) {
 	cfg := xeonQuad(2)
-	sim, err := New(cfg, 0)
-	if err != nil {
+	sim := new(Simulator)
+	if err := sim.Reset(cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 	// First job wakes the chip from its initial all-idle state; arrival at
@@ -255,8 +255,8 @@ func TestShallowestCoreReuse(t *testing.T) {
 		PlatformActivePower: 1, PlatformIdlePower: 1, PlatformSleepPower: 1,
 		PlatformSleepAfter: math.Inf(1),
 	}
-	sim, err := New(cfg, 0)
-	if err != nil {
+	sim := new(Simulator)
+	if err := sim.Reset(cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Core A serves [0,1); core B serves [1,2); both idle afterwards.
@@ -306,8 +306,8 @@ func TestMoreCoresImproveResponseAndSleepSharedPlatform(t *testing.T) {
 }
 
 func TestOutOfOrderRejected(t *testing.T) {
-	sim, err := New(xeonQuad(2), 0)
-	if err != nil {
+	sim := new(Simulator)
+	if err := sim.Reset(xeonQuad(2), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Process(queue.Job{Arrival: 5, Size: 1}); err != nil {
@@ -382,8 +382,8 @@ func TestResetMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := New(xeonQuad(8), 0) // dirty with a different shape first
-		if err != nil {
+		sim := new(Simulator) // dirty with a different shape first
+		if err := sim.Reset(xeonQuad(8), 0); err != nil {
 			t.Fatal(err)
 		}
 		for _, j := range jobs[:500] {

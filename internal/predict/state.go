@@ -8,11 +8,13 @@ package predict
 // bits, never reformatted). UnmarshalBinary restores *state only*: it is
 // called on a predictor constructed with the same configuration (depth,
 // step, period, …) as the one that was marshaled, and fails loudly on a
-// type-tag mismatch or a malformed blob rather than guessing.
+// type-tag mismatch, a configuration the blob does not match (compared bit
+// for bit) or a malformed blob rather than guessing.
 
 import (
 	"encoding"
 	"fmt"
+	"math"
 
 	"sleepscale/internal/binenc"
 )
@@ -36,6 +38,9 @@ func openState(data []byte, want uint32) binenc.Decoder {
 	}
 	return d
 }
+
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // finish reports d's first failure, or trailing bytes, as who's error.
 func finish(d *binenc.Decoder, who string) error {
@@ -117,6 +122,9 @@ func (l *LMS) UnmarshalBinary(data []byte) error {
 	if hist != l.hist {
 		return fmt.Errorf("predict: LMS: state depth %d, predictor configured for %d", hist, l.hist)
 	}
+	if !sameBits(step, l.step) {
+		return fmt.Errorf("predict: LMS: state step %g, predictor configured for %g", step, l.step)
+	}
 	if p < 1 || p > hist {
 		return fmt.Errorf("predict: LMS: active depth %d outside [1,%d]", p, hist)
 	}
@@ -126,7 +134,7 @@ func (l *LMS) UnmarshalBinary(data []byte) error {
 	if len(history) > hist {
 		return fmt.Errorf("predict: LMS: history %d deeper than %d", len(history), hist)
 	}
-	l.p, l.step = p, step
+	l.p = p
 	l.weights = weights
 	l.history = history
 	return nil
@@ -161,12 +169,15 @@ func (c *LMSCUSUM) UnmarshalBinary(data []byte) error {
 	if err := finish(&d, "LC"); err != nil {
 		return err
 	}
+	if !sameBits(k, c.K) || !sameBits(floor, c.Floor) {
+		return fmt.Errorf("predict: LC: state K %g, floor %g, predictor configured for K %g, floor %g",
+			k, floor, c.K, c.Floor)
+	}
 	if err := c.lms.UnmarshalBinary(inner); err != nil {
 		return err
 	}
 	c.ewmaAbs, c.ewmaSq = ewmaAbs, ewmaSq
 	c.warm = warm
-	c.K, c.Floor = k, floor
 	c.alarms = alarms
 	return nil
 }

@@ -208,6 +208,65 @@ func TestStateRejectsTruncationAndTrailing(t *testing.T) {
 	}
 }
 
+// TestStateRejectsConfigMismatch: a state is restored only into a predictor
+// configured as the one that wrote it. An LMS or LC blob written with
+// another NLMS step, and an LC blob written with another alarm K or floor,
+// must be rejected bit for bit, leaving the predictor's configuration and
+// state as they were; the matching configuration must still restore.
+func TestStateRejectsConfigMismatch(t *testing.T) {
+	warm := func(p checkpointable) []byte {
+		for _, x := range stateTrace(30) {
+			p.Predict()
+			p.Observe(x)
+		}
+		blob, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	lms := func(step float64) *LMS {
+		l, err := NewLMS(8, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	lc := func(step float64) *LMSCUSUM {
+		c, err := NewLMSCUSUM(8, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	cases := []struct {
+		name       string
+		blob       []byte
+		into, same checkpointable
+	}{
+		{"LMS step", warm(lms(0.5)), lms(0.3), lms(0.5)},
+		{"LMS step by one ulp", warm(lms(0.5)), lms(math.Nextafter(0.5, 1)), lms(0.5)},
+		{"LC step", warm(lc(0.5)), lc(0.3), lc(0.5)},
+		{"LC K", warm(lc(0.5)), func() checkpointable { c := lc(0.5); c.K = 3; return c }(), lc(0.5)},
+		{"LC floor", warm(lc(0.5)), func() checkpointable { c := lc(0.5); c.Floor = 0.05; return c }(), lc(0.5)},
+	}
+	for _, tc := range cases {
+		before, err := tc.into.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.into.UnmarshalBinary(tc.blob); err == nil {
+			t.Errorf("%s: a mismatched state was restored", tc.name)
+		}
+		if after, err := tc.into.MarshalBinary(); err != nil || !bytes.Equal(before, after) {
+			t.Errorf("%s: a rejected restore changed the predictor", tc.name)
+		}
+		if err := tc.same.UnmarshalBinary(tc.blob); err != nil {
+			t.Errorf("%s: the matching configuration: %v", tc.name, err)
+		}
+	}
+}
+
 func TestStateRejectsOversizedLengths(t *testing.T) {
 	blob, err := NewMovingAverage(3).MarshalBinary()
 	if err != nil {

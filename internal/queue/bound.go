@@ -17,30 +17,42 @@ import (
 //
 // Reset binds a stream and Count registers the wake counts the plans'
 // bounds need, so that each Run over that stream counts them inside its
-// pass and Bound costs O(phases). A reused WakeFree allocates nothing.
+// pass and Bound costs O(phases). BoundBetween bounds a configuration at a
+// speed between the last two Runs' from those two passes alone, with no
+// pass of its own. A reused WakeFree allocates nothing.
 type WakeFree struct {
 	jobs       []Job
 	n          int
 	maxArrival float64   // max(0, max aᵢ)
 	sumSize    float64   // Σ sizeᵢ
 	wake       []float64 // the w_max of each registered count
-	// In blocks of four, one per pass, the unused ones last:
-	thr   []float64 // the threshold of each w_max in the last Run, else +Inf
-	count []uint64  // the gaps above it in the last Run
-	carry []uint64  // the jobs of the busy periods those gaps start
+	// In blocks of four, one per pass, the unused ones last: the threshold
+	// of each w_max in the last Run, else +Inf.
+	thr []float64
 
+	last, prev pass // the last Run's pass and the one before it
+}
+
+// pass is what one Run found at its speed.
+type pass struct {
 	speed   float64
 	gn      float64 // Gₙ
 	sumResp float64 // Σ(Gᵢ − aᵢ)
 	sumSvc  float64 // Σ svcᵢ
+	// In blocks of four, as WakeFree.thr:
+	count []uint64 // the gaps above each threshold
+	carry []uint64 // the jobs of the busy periods those gaps start
 }
 
 // Reset binds w to the stream jobs and drops every registered count; no
 // configuration has a bound until the next Run. Reset(nil) releases the
 // stream. Call it again after changing a bound stream in place.
 func (w *WakeFree) Reset(jobs []Job) {
-	w.jobs, w.n, w.speed = jobs, len(jobs), math.NaN()
-	w.wake, w.thr, w.count, w.carry = w.wake[:0], w.thr[:0], w.count[:0], w.carry[:0]
+	w.jobs, w.n = jobs, len(jobs)
+	w.wake, w.thr = w.wake[:0], w.thr[:0]
+	for _, p := range []*pass{&w.last, &w.prev} {
+		p.speed, p.count, p.carry = math.NaN(), p.count[:0], p.carry[:0]
+	}
 	w.addBlock()
 	var a, s float64
 	for _, j := range jobs {
@@ -68,8 +80,10 @@ func (w *WakeFree) Count(cfg *Config) {
 func (w *WakeFree) addBlock() {
 	inf := math.Inf(1)
 	w.thr = append(w.thr, inf, inf, inf, inf)
-	w.count = append(w.count, 0, 0, 0, 0)
-	w.carry = append(w.carry, 0, 0, 0, 0)
+	for _, p := range []*pass{&w.last, &w.prev} {
+		p.count = append(p.count, 0, 0, 0, 0)
+		p.carry = append(p.carry, 0, 0, 0, 0)
+	}
 }
 
 // Run makes the pass over jobs at cfg's speed. For each registered w_max it
@@ -78,13 +92,15 @@ func (w *WakeFree) addBlock() {
 // later one with aᵢ ≤ Gᵢ₋₁ up to the next positive gap. The service times
 // are the floats Process computes. A NaN arrival makes Gₙ NaN, and with it
 // every bound −Inf. Any other stream than the bound one is bound first,
-// which drops the counts.
+// which drops the counts. The pass before becomes the previous one.
 func (w *WakeFree) Run(jobs []Job, cfg *Config) {
 	if len(jobs) != len(w.jobs) || len(jobs) > 0 && &jobs[0] != &w.jobs[0] {
 		w.Reset(jobs)
 	}
+	w.prev, w.last = w.last, w.prev
+	p := &w.last
 	v := cfg.Speed()
-	w.speed = v
+	p.speed = v
 	n := float64(w.n)
 	for k, wmax := range w.wake {
 		w.thr[k] = wmax + 4*n*unitRoundoff*w.spanBound(v, wmax)
@@ -116,10 +132,10 @@ func (w *WakeFree) Run(jobs []Job, cfg *Config) {
 			sumResp += g - j.Arrival
 			sumSvc += svc
 		}
-		w.gn, w.sumResp, w.sumSvc = g, sumResp, sumSvc
+		p.gn, p.sumResp, p.sumSvc = g, sumResp, sumSvc
 		const lane = 1<<32 - 1
-		*(*[4]uint64)(w.count[k0:]) = [4]uint64{c01 & lane, c01 >> 32, c23 & lane, c23 >> 32}
-		*(*[4]uint64)(w.carry[k0:]) = [4]uint64{r01 & lane, r01 >> 32, r23 & lane, r23 >> 32}
+		*(*[4]uint64)(p.count[k0:]) = [4]uint64{c01 & lane, c01 >> 32, c23 & lane, c23 >> 32}
+		*(*[4]uint64)(p.carry[k0:]) = [4]uint64{r01 & lane, r01 >> 32, r23 & lane, r23 >> 32}
 	}
 }
 
@@ -190,8 +206,54 @@ const (
 // lessUnderflow), so a bound in the normal range costs no subnormal
 // arithmetic.
 func (w *WakeFree) Bound(cfg *Config) Bound {
-	none := Bound{AvgPower: math.Inf(-1), MeanResponse: math.Inf(-1)}
-	if w.n == 0 || cfg.Speed() != w.speed {
+	p := &w.last
+	if cfg.Speed() != p.speed {
+		return none
+	}
+	return w.bound(cfg, p.sumResp, p.sumSvc, p.gn, p.gn, p.count, p.carry)
+}
+
+// BoundBetween bounds cfg from the last two Runs' passes, lo and hi, which
+// must have speeds v_lo ≤ v ≤ v_hi around cfg's speed v (otherwise both
+// bounds are −Inf). Each bound is at most the one Bound would give after a
+// Run at v, so it is at most what Evaluate reports too. Every rounding is
+// monotone (as in ResponseFloor), so each input below is no better than
+// what that pass would find, and Bound's arithmetic, which bound computes
+// for both, is monotone in each input in the direction that keeps the
+// result at most its own. So no slack is added:
+//
+//   - svcᵢ = fl(sizeᵢ/v) cannot rise as v does, and so neither can any Gᵢ:
+//     Gₙ(hi) ≤ Gₙ ≤ Gₙ(lo), and Σ(Gᵢ − aᵢ) is at least its value at hi.
+//     T = Gₙ(lo) + w_max bounds the span, Gₙ(hi) the slack's denominator.
+//   - Each gap aᵢ − Gᵢ₋₁ cannot fall as v rises, and the count's threshold
+//     w_max + 4n·u·spanBound(v) cannot rise. So every gap counted at lo is
+//     counted at v, and each counted wake carries at least its own job:
+//     lo's count bounds both the definite wakes and the carried jobs.
+//   - Σsvc is at least its value at hi, and at least busyFloor(v).
+func (w *WakeFree) BoundBetween(cfg *Config) Bound {
+	lo, hi := &w.prev, &w.last
+	if lo.speed > hi.speed {
+		lo, hi = hi, lo
+	}
+	v := cfg.Speed()
+	if !(lo.speed <= v && v <= hi.speed) {
+		return none
+	}
+	busy := max(hi.sumSvc, w.busyFloor(v))
+	return w.bound(cfg, hi.sumResp, busy, hi.gn, lo.gn, lo.count, lo.count)
+}
+
+// none is the bound that prunes nothing.
+var none = Bound{AvgPower: math.Inf(-1), MeanResponse: math.Inf(-1)}
+
+// bound is Bound's arithmetic for cfg from what a pass at cfg's speed finds,
+// or from inputs no better: sumResp = Σ(Gᵢ − aᵢ) and busy = Σsvc from below,
+// Gₙ from below as gn and from above as gnMax, and the counts of cfg's
+// w_max from below, count for its definite wakes and carry for the jobs
+// they carry. With every power non-negative, each operation is monotone in
+// each input in the direction that keeps the result at most the exact one.
+func (w *WakeFree) bound(cfg *Config, sumResp, busy, gn, gnMax float64, count, carry []uint64) Bound {
+	if w.n == 0 {
 		return none
 	}
 	pa := cfg.ActivePower
@@ -208,19 +270,19 @@ func (w *WakeFree) Bound(cfg *Config) Bound {
 	wmin, wmax, counts := wakeRange(cfg)
 	var wakes, carried float64
 	if k := slices.Index(w.wake, wmax); counts && k >= 0 {
-		wakes, carried = wmin*float64(w.count[k]), wmin*float64(w.carry[k])
+		wakes, carried = wmin*float64(count[k]), wmin*float64(carry[k])
 	}
 	n := float64(w.n)
-	t := w.gn + wmax
-	b := Bound{MeanResponse: w.meanResponse(carried, t), AvgPower: math.Inf(-1)}
+	t := gnMax + wmax
+	b := Bound{MeanResponse: w.meanResponse(sumResp, carried, t), AvgPower: math.Inf(-1)}
 	k := float64(len(cfg.Phases))
-	if w.gn > 0 && (k+3)*n*(pmax+1)*t < math.MaxFloat64/4 {
+	if gn > 0 && (k+3)*n*(pmax+1)*t < math.MaxFloat64/4 {
 		p := pa
 		if pa >= pmin {
-			p = pmin + (w.sumSvc+wakes)*(pa-pmin)/t
+			p = pmin + (busy+wakes)*(pa-pmin)/t
 		}
-		p -= 2 * (n*(k+9) + 11) * unitRoundoff * pmax * t / w.gn
-		b.AvgPower = orNone(lessUnderflow(p, 2*(n*(k+3)+3), w.gn))
+		p -= 2 * (n*(k+9) + 11) * unitRoundoff * pmax * t / gn
+		b.AvgPower = orNone(lessUnderflow(p, 2*(n*(k+3)+3), gn))
 	}
 	return b
 }
@@ -238,14 +300,14 @@ func (w *WakeFree) ResponseFloor(slowest, wmax float64) float64 {
 	if w.n == 0 {
 		return math.Inf(-1)
 	}
-	return w.meanResponse(0, w.spanBound(slowest, wmax))
+	return w.meanResponse(w.last.sumResp, 0, w.spanBound(slowest, wmax))
 }
 
-// meanResponse is the response bound (Σ(Gᵢ − aᵢ) + carried)/n less its
-// slack for the span t.
-func (w *WakeFree) meanResponse(carried, t float64) float64 {
+// meanResponse is the response bound (sumResp + carried)/n less its slack
+// for the span t.
+func (w *WakeFree) meanResponse(sumResp, carried, t float64) float64 {
 	n := float64(w.n)
-	r := (w.sumResp+carried)/n - 2*(8*n+11)*unitRoundoff*t
+	r := (sumResp+carried)/n - 2*(8*n+11)*unitRoundoff*t
 	return orNone(lessUnderflow(r, n+3, 1))
 }
 
@@ -260,6 +322,22 @@ func (w *WakeFree) meanResponse(carried, t float64) float64 {
 // the η terms, is at least T after its own roundings.
 func (w *WakeFree) spanBound(v, wmax float64) float64 {
 	return 2*(w.maxArrival+w.sumSize/v+wmax) + 0x1p-1022
+}
+
+// busyFloor bounds Σsvc from below for a pass at speed v, the lower twin of
+// spanBound. With S and q = S/v as there, the exact Σ sizeᵢ is at least
+// S/(1+u)ⁿ and, for a normal q, S/v ≥ q/(1+u); each svcᵢ is at least
+// (1−u)·sizeᵢ/v less η, and each addition of the pass loses at most a
+// factor (1−u). So Σsvc ≥ q(1−u)ⁿ/(1+u)ⁿ⁺¹ − n·η ≥ q(1 − (2n+1)u) − n·η.
+// For 2⁻⁹⁰⁰ ≤ q ≤ MaxFloat64 and n < 2⁴⁰, the computed q − (4n+8)·u·q
+// is below that after its own two roundings: the margin of (2n+6)·u·q is
+// far above them and n·η. Outside that range the floor is −Inf.
+func (w *WakeFree) busyFloor(v float64) float64 {
+	q := w.sumSize / v
+	if !(q >= 0x1p-900 && q <= math.MaxFloat64) {
+		return math.Inf(-1)
+	}
+	return q - (4*float64(w.n)+8)*unitRoundoff*q
 }
 
 // wakeRange reports cfg's extreme wake latencies, and whether its bound

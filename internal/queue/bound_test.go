@@ -22,16 +22,20 @@ func boundPlans(mu float64) []policy.SleepPlan {
 }
 
 // requireBoundBelow checks the wake-free bound of every plan at every grid
-// frequency against Evaluate over jobs. It returns how many bounds were
-// finite.
+// frequency against Evaluate over jobs, and every neighbour bound against
+// both (see requireBetweenBelow). It returns how many bounds were finite.
 func requireBoundBelow(t *testing.T, jobs []queue.Job, plans []policy.SleepPlan, beta float64, label string) int {
 	t.Helper()
 	prof := power.Xeon()
-	ev := queue.NewEvaluator(jobs)
+	ev := queue.GetEvaluator(jobs)
+	defer ev.Release()
 	wf := countingWakeFree(t, jobs, plans, beta)
 	finite := 0
 	space := policy.Space{Plans: plans, FreqStep: 0.05, MinFreq: 0.05}
+	var g gridBounds
 	for _, f := range space.Frequencies(0, beta) {
+		var cfgs []queue.Config
+		var exact, met []queue.Bound
 		for i, plan := range plans {
 			cfg, err := policy.Policy{Frequency: f, Plan: plan}.Config(prof, beta)
 			if err != nil {
@@ -51,6 +55,54 @@ func requireBoundBelow(t *testing.T, jobs []queue.Job, plans []policy.SleepPlan,
 			}
 			if !math.IsInf(b.AvgPower, -1) && !math.IsInf(b.MeanResponse, -1) {
 				finite++
+			}
+			cfgs, exact = append(cfgs, cfg), append(exact, b)
+			met = append(met, queue.Bound{AvgPower: sum.AvgPower, MeanResponse: sum.MeanResponse})
+		}
+		g.cfg, g.exact, g.met = append(g.cfg, cfgs), append(g.exact, exact), append(g.met, met)
+	}
+	if between := requireBetweenBelow(t, wf, jobs, g, label); finite > 0 && between == 0 {
+		t.Fatalf("%s β=%g: no finite neighbour bound", label, beta)
+	}
+	return finite
+}
+
+// gridBounds holds every plan's configuration at every frequency of a grid
+// of non-decreasing speeds, indexed [frequency][plan], with its wake-free
+// bound and the metrics Evaluate reports for it.
+type gridBounds struct {
+	cfg        [][]queue.Config
+	exact, met [][]queue.Bound
+}
+
+// requireBetweenBelow checks BoundBetween for every plan at every frequency
+// x of g and every pair of passes lo ≤ x ≤ hi at most 8 frequencies apart,
+// run in either order: it must be at most the Bound of a pass at x's own
+// speed and at most what Evaluate reports. It returns how many of the
+// neighbour bounds were finite.
+func requireBetweenBelow(t *testing.T, wf *queue.WakeFree, jobs []queue.Job, g gridBounds, label string) int {
+	t.Helper()
+	finite := 0
+	for lo := range g.cfg {
+		for hi := lo; hi < len(g.cfg) && hi <= lo+8; hi++ {
+			first, second := lo, hi
+			if (lo+hi)%2 == 1 {
+				first, second = hi, lo
+			}
+			wf.Run(jobs, &g.cfg[first][0])
+			wf.Run(jobs, &g.cfg[second][0])
+			for x := lo; x <= hi; x++ {
+				for i := range g.cfg[x] {
+					b := wf.BoundBetween(&g.cfg[x][i])
+					if e, m := g.exact[x][i], g.met[x][i]; b.AvgPower > e.AvgPower || b.MeanResponse > e.MeanResponse ||
+						b.AvgPower > m.AvgPower || b.MeanResponse > m.MeanResponse {
+						t.Fatalf("%s f=%g plan %d between f=%g and f=%g: %+v above Bound's %+v or Evaluate's %+v", label,
+							g.cfg[x][i].Frequency, i, g.cfg[lo][0].Frequency, g.cfg[hi][0].Frequency, b, e, m)
+					}
+					if !math.IsInf(b.AvgPower, -1) && !math.IsInf(b.MeanResponse, -1) {
+						finite++
+					}
+				}
 			}
 		}
 	}
@@ -253,7 +305,8 @@ func TestWakeFreeBoundCountsPastFour(t *testing.T) {
 		wf.Count(&cfgs[i])
 	}
 	wf.Run(jobs, &cfgs[0])
-	ev := queue.NewEvaluator(jobs)
+	ev := queue.GetEvaluator(jobs)
+	defer ev.Release()
 	for i := range cfgs {
 		cfg := &cfgs[i]
 		thr, counted := wf.WakeThreshold(cfg)
@@ -305,7 +358,9 @@ func TestWakeFreeBoundCarriesWake(t *testing.T) {
 		g = max(g, j.Arrival) + j.Size
 		wakeFree += (g - j.Arrival) / float64(len(jobs))
 	}
-	sum, err := queue.NewEvaluator(jobs).Evaluate(cfg)
+	ev := queue.GetEvaluator(jobs)
+	defer ev.Release()
+	sum, err := ev.Evaluate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +420,9 @@ var (
 
 // FuzzWakeFreeBound checks the bound on fuzzed streams, for every plan of
 // boundPlans at β ∈ {0, 0.5, 1}: bit-equal to referenceBound and, when the
-// engine accepts the stream, at most what it reports. Two bytes make a job,
-// its arrival counted from offset.
+// engine accepts the stream, at most what it reports, with every neighbour
+// bound at most both (requireBoundBelow). Two bytes make a job, its arrival
+// counted from offset.
 func FuzzWakeFreeBound(f *testing.F) {
 	f.Add([]byte{3, 6, 4, 5, 5, 6, 2, 7, 6, 6, 4, 5, 7, 6, 3, 4}, 0.0)
 	f.Add([]byte{3, 6, 4, 5, 5, 6, 2, 7, 6, 6, 4, 5, 7, 6, 3, 4}, 1e9)

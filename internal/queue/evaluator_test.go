@@ -113,7 +113,8 @@ func requireSummaryEqualsResult(t *testing.T, sum queue.Summary, res queue.Resul
 // sleep-plan shapes, config switches (successive Evaluate calls), and a
 // stream re-bound after earlier evaluations.
 func TestEvaluatorMatchesSimulate(t *testing.T) {
-	ev := queue.NewEvaluator(nil)
+	ev := queue.GetEvaluator(nil)
+	defer ev.Release()
 	for _, seed := range []int64{42, 43} {
 		jobs := evalJobs(t, 3000, seed)
 		ev.SetStream(jobs)
@@ -141,7 +142,8 @@ func TestEvaluatorMatchesSimulate(t *testing.T) {
 // golden numbers directly, so the kernel cannot drift even if Simulate and
 // Evaluator were to change together.
 func TestEvaluatorMatchesGoldenSnapshot(t *testing.T) {
-	ev := queue.NewEvaluator(goldenJobs(t))
+	ev := queue.GetEvaluator(goldenJobs(t))
+	defer ev.Release()
 	// Scramble the buffers with an unrelated config first.
 	if _, err := ev.Evaluate(evaluatorCases()[1].cfg); err != nil {
 		t.Fatal(err)
@@ -182,7 +184,8 @@ func TestEvaluatorSetStream(t *testing.T) {
 	a := evalJobs(t, 500, 1)
 	b := evalJobs(t, 900, 2)
 	cfg := goldenConfig()
-	ev := queue.NewEvaluator(a)
+	ev := queue.GetEvaluator(a)
+	defer ev.Release()
 	if _, err := ev.Evaluate(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +227,8 @@ func TestGetEvaluatorPoolRoundTrip(t *testing.T) {
 // turning retention back on restores the full summary.
 func TestEvaluatorMomentsOnly(t *testing.T) {
 	jobs := evalJobs(t, 3000, 42)
-	ev := queue.NewEvaluator(jobs)
+	ev := queue.GetEvaluator(jobs)
+	defer ev.Release()
 	ev.SetRetainResponses(false)
 	for _, tc := range evaluatorCases() {
 		res, err := queue.Simulate(jobs, tc.cfg)
@@ -367,7 +371,8 @@ func TestEvaluatorZeroAllocSteadyState(t *testing.T) {
 	}
 	jobs := evalJobs(t, 2000, 5)
 	cases := evaluatorCases()
-	ev := queue.NewEvaluator(jobs)
+	ev := queue.GetEvaluator(jobs)
+	defer ev.Release()
 	for _, tc := range cases {
 		if _, err := ev.Evaluate(tc.cfg); err != nil {
 			t.Fatal(err)
@@ -451,7 +456,8 @@ func FuzzEvaluateMatchesProcess(f *testing.F) {
 			}
 			jobs = append(jobs, queue.Job{Arrival: arrival, Size: processSizes[int(data[i+1])%len(processSizes)]})
 		}
-		ev := queue.NewEvaluator(jobs)
+		ev := queue.GetEvaluator(jobs)
+		defer ev.Release()
 		for _, tc := range evaluatorCases() {
 			for _, retain := range []bool{true, false} {
 				want, wantErr := processLoop(jobs, tc.cfg, retain)
@@ -476,7 +482,8 @@ func FuzzEvaluateMatchesProcess(f *testing.F) {
 // Select pays per simulated candidate under a mean-response QoS.
 func BenchmarkEvaluate(b *testing.B) {
 	jobs, _, cfg := benchStream(b, 200)
-	ev := queue.NewEvaluator(jobs)
+	ev := queue.GetEvaluator(jobs)
+	defer ev.Release()
 	ev.SetRetainResponses(false)
 	b.ReportAllocs()
 	for b.Loop() {

@@ -816,12 +816,6 @@ type Evaluator struct {
 	jobs []Job
 }
 
-// NewEvaluator returns an evaluator that scores candidates against jobs
-// (sorted by arrival).
-func NewEvaluator(jobs []Job) *Evaluator {
-	return &Evaluator{jobs: jobs}
-}
-
 // SetStream replaces the shared job stream for later Evaluate calls, keeping
 // the evaluator's buffers.
 func (ev *Evaluator) SetStream(jobs []Job) { ev.jobs = jobs }

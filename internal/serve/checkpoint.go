@@ -249,18 +249,13 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return c, nil
 }
 
-// WriteCheckpoint atomically replaces the checkpoint at path with c: the
-// image lands in a temp file, is fsynced, the existing checkpoint (if any)
-// rotates to path+PrevSuffix, and the temp file renames into place. At every
-// instant either the old or the new snapshot is loadable.
-func WriteCheckpoint(path string, c *Checkpoint) error {
-	return writeImage(path, EncodeCheckpoint(c))
-}
-
-// writeImage is WriteCheckpoint's write half, for an already-encoded image:
-// temp file, fsync, rotation of the existing checkpoint to path+PrevSuffix,
-// rename into place and a best-effort directory sync. It only reads data.
-func writeImage(path string, data []byte) error {
+// WriteImage atomically replaces the checkpoint at path with an image that
+// EncodeCheckpoint produced; the server's background writer writes each
+// checkpoint with it. The image lands in a temp file, is fsynced, the existing
+// checkpoint (if any) rotates to path+PrevSuffix, and the temp file renames
+// into place, followed by a best-effort directory sync. At every instant
+// either the old or the new snapshot is loadable. It only reads data.
+func WriteImage(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

@@ -602,10 +602,10 @@ func TestCheckpointCorruption(t *testing.T) {
 	}
 
 	c1, c2 := mk(2), mk(4)
-	if err := WriteCheckpoint(path, c1); err != nil {
+	if err := WriteImage(path, EncodeCheckpoint(c1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCheckpoint(path, c2); err != nil {
+	if err := WriteImage(path, EncodeCheckpoint(c2)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadCheckpoint(path)

@@ -427,7 +427,7 @@ func (s *Server) persist() error {
 	})
 	s.writing = true
 	go func(path string, img []byte, done chan<- error) {
-		if err := writeImage(path, img); err != nil {
+		if err := WriteImage(path, img); err != nil {
 			done <- fmt.Errorf("serve: checkpoint write: %w", err)
 			return
 		}
